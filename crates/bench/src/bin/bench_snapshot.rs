@@ -84,7 +84,13 @@ use std::time::Instant;
 /// `tasks_seeded_per_worker` in the `pool` section — the deterministic
 /// initial-seeding balance of the work-stealing pool, guarded so the
 /// old everything-on-one-deque skew cannot regress back in.
-const SCHEMA_VERSION: u64 = 6;
+/// v7 added the `ra/sa_allocate/serve_spec` row — default SA on the
+/// default loadgen stream's first feasible `sa` spec, where the
+/// lattice-proven ceiling stops the restart chains early — and the
+/// proposal-step counts of both SA runs in the `ra_lattice` section
+/// (`sa_steps`, and the `sa_serve` block guarded to stop short of its
+/// full step count).
+const SCHEMA_VERSION: u64 = 7;
 
 /// Current stage-2 snapshot schema. Bump when the JSON shape changes.
 /// v2 added the host-aware `grid_thread4_speedup` floor (≥ 3× on hosts
@@ -666,6 +672,30 @@ fn run_suite(samples: usize, scale: usize) -> Vec<BenchResult> {
         },
     );
 
+    // Default SA on a serve-sized spec against a prebuilt engine, as a
+    // shard runs it. The ceiling engages here: the lattice proves the
+    // optimum and every chain stops once it reaches it. On apps16 above
+    // SA never reaches the proven optimum and runs every step.
+    let serve = serve_sa_instance();
+    let serve_sa = cdsf_ra::allocators::SimulatedAnnealing {
+        threads: 1,
+        ..Default::default()
+    };
+    push(
+        &mut out,
+        BenchResult {
+            name: "ra/sa_allocate/serve_spec",
+            median_ns: measure(samples, 20 * scale, || {
+                black_box(
+                    serve_sa
+                        .allocate_multi_start(&serve.platform, &serve.engine, serve.deadline)
+                        .unwrap(),
+                );
+            }),
+            per_unit: "allocation",
+        },
+    );
+
     // --- exact lattice branch-and-bound on the same instance --------------
     // Warm path (engine + scratch reused) is what a serve shard's repeated
     // allocations against a cached engine actually pay; it is the
@@ -747,15 +777,55 @@ fn run_suite(samples: usize, scale: usize) -> Vec<BenchResult> {
     out
 }
 
+/// The default loadgen stream's first submit naming `sa` whose optimum
+/// meets the deadline with positive probability (on the earlier ones
+/// the ceiling is 0 and no chain takes a step): its spec, deadline,
+/// platform and engine.
+struct ServeSaInstance {
+    spec: cdsf_serve::WorkloadSpec,
+    deadline: f64,
+    platform: Platform,
+    engine: Phi1Engine,
+}
+
+fn serve_sa_instance() -> ServeSaInstance {
+    let stream = LoadgenConfig::default()
+        .stream()
+        .expect("the default loadgen stream generates");
+    let lattice = cdsf_ra::Lattice::new(1).unwrap();
+    let mut scratch = cdsf_ra::LatticeScratch::new();
+    stream
+        .into_iter()
+        .filter_map(|r| match r {
+            cdsf_serve::Request::Submit(s) if s.allocator.as_deref() == Some("sa") => Some(s),
+            _ => None,
+        })
+        .find_map(|submit| {
+            let (batch, platform) = submit.spec.expand().expect("serve specs expand");
+            let engine = Phi1Engine::build(&batch, &platform).expect("serve engine builds");
+            let (solution, _) = lattice
+                .solve_with_engine(&platform, &engine, submit.deadline, &mut scratch)
+                .expect("serve specs allocate");
+            matches!(solution, cdsf_ra::LatticeSolution::Optimal { .. }).then(|| ServeSaInstance {
+                spec: submit.spec,
+                deadline: submit.deadline,
+                platform,
+                engine,
+            })
+        })
+        .expect("the default stream names `sa` on a feasible spec")
+}
+
 /// One exact solve and one SA run on the apps16 instance, reported as a
 /// JSON block: the optima's φ1 values (the exactness guard compares
 /// them) and the search's node/prune counters at one worker, where the
 /// counts are deterministic. `sa_iterations` matches the timed
 /// `ra/sa_allocate/apps16` bench so the φ1 comparison describes the
-/// exact runs the speedup ratio is built from.
+/// exact runs the speedup ratio is built from. `sa_steps` and the
+/// `sa_serve` block record how many proposal steps the two timed SA runs
+/// take: all of them on apps16, a fraction on the serve spec.
 fn ra_lattice_section(scale: usize) -> Value {
     use cdsf_ra::robustness::evaluate;
-    use cdsf_ra::Allocator;
 
     let (batch, platform) = bench_instance(16);
     let engine = Phi1Engine::build(&batch, &platform).unwrap();
@@ -771,17 +841,26 @@ fn ra_lattice_section(scale: usize) -> Value {
         restarts: 1,
         ..Default::default()
     };
-    let sa_alloc = sa
-        .allocate(&batch, &platform, DEADLINE)
+    let (sa_alloc, sa_report) = sa
+        .allocate_multi_start(&platform, &engine, DEADLINE)
         .expect("SA must allocate on the bench instance");
     let sa_phi1 = evaluate(&batch, &platform, &sa_alloc, DEADLINE)
         .expect("SA allocation must evaluate")
         .joint;
+    let serve = serve_sa_instance();
+    let serve_sa = cdsf_ra::allocators::SimulatedAnnealing {
+        threads: 1,
+        ..Default::default()
+    };
+    let (_, serve_report) = serve_sa
+        .allocate_multi_start(&serve.platform, &serve.engine, serve.deadline)
+        .expect("SA must allocate on the serve spec");
     json!({
         "apps": 16,
         "deadline": DEADLINE,
         "threads": 1,
         "sa_iterations": 2_000 * scale,
+        "sa_steps": sa_report.steps,
         "feasible": matches!(solution, cdsf_ra::LatticeSolution::Optimal { .. }),
         "lattice_phi1": report.phi1,
         "sa_phi1": sa_phi1,
@@ -791,6 +870,12 @@ fn ra_lattice_section(scale: usize) -> Value {
             "confirm_pruned": report.counters.confirm_pruned,
             "capacity_pruned": report.counters.capacity_pruned,
             "leaves": report.counters.leaves,
+        }),
+        "sa_serve": json!({
+            "spec": serve.spec,
+            "deadline": serve.deadline,
+            "full_steps": serve_sa.restarts * serve_sa.iterations,
+            "steps": serve_report.steps,
         }),
     })
 }
@@ -1368,6 +1453,23 @@ fn check_ra_lattice_section(snapshot: &Value) -> Result<(), String> {
         if (key == "nodes" || key == "leaves") && v == 0 {
             return Err(format!("ra_lattice counter {key} is 0 — no search ran"));
         }
+    }
+    let serve = section
+        .get("sa_serve")
+        .ok_or("ra_lattice missing sa_serve")?;
+    let steps = serve
+        .get("steps")
+        .and_then(Value::as_u64)
+        .ok_or("ra_lattice sa_serve missing steps")?;
+    let full_steps = serve
+        .get("full_steps")
+        .and_then(Value::as_u64)
+        .ok_or("ra_lattice sa_serve missing full_steps")?;
+    if steps >= full_steps {
+        return Err(format!(
+            "SA ran {steps} of {full_steps} steps on the serve spec — the \
+             certified early exit no longer engages"
+        ));
     }
     let speedup = snapshot["derived"]["lattice_vs_sa_speedup"]
         .as_f64()

@@ -346,6 +346,9 @@ struct SearchState {
     wstack: Vec<f64>,
     best: BestSlot,
     counters: LatticeCounters,
+    /// Set when the search ran out of its node budget: the incumbent is
+    /// then unproven.
+    exhausted: bool,
 }
 
 impl SearchState {
@@ -367,6 +370,7 @@ impl SearchState {
         self.best.path.clear();
         self.best.path.resize(num_apps, UNSET);
         self.counters = LatticeCounters::default();
+        self.exhausted = false;
     }
 }
 
@@ -389,6 +393,9 @@ struct Ctx<'a> {
     /// Shared worst-case-φ₁ lower bound (`f64` bits; non-negative, so
     /// bit order equals value order and `fetch_max` is a float max).
     shared: &'a AtomicU64,
+    /// Node visits after which a worker gives up ([`u64::MAX`] for the
+    /// public solvers, which never do).
+    node_budget: u64,
 }
 
 /// What the screen/confirmation decided about one child subtree.
@@ -527,6 +534,10 @@ impl Ctx<'_> {
         chosen_sum: f64,
     ) {
         st.counters.nodes += 1;
+        if st.counters.nodes > self.node_budget {
+            st.exhausted = true;
+            return;
+        }
         let n = self.apps.len();
         if depth == n {
             self.leaf(st);
@@ -675,6 +686,9 @@ impl Ctx<'_> {
             st.free[o.asg.proc_type.0] += o.asg.procs;
             st.free_total += o.asg.procs;
             st.chosen[app] = UNSET;
+            if st.exhausted {
+                break;
+            }
         }
         st.counters.screen_pruned += (order.len() - cut) as u64;
         st.orders[depth] = order;
@@ -964,33 +978,44 @@ fn bottleneck_dfs(
     }
 }
 
+/// The serial branch-and-bound over a prepared scratch, visiting at most
+/// `node_budget` nodes. Leaves the outcome in `scratch.state`: the
+/// winner in `best` (not valid when no capacity-feasible allocation
+/// exists), `exhausted` when the budget ran out first.
+fn search_serial(scratch: &mut LatticeScratch, node_budget: u64) {
+    let n = scratch.apps.len();
+    let nmasks = scratch.subsets.len();
+    let shared = AtomicU64::new(0);
+    let ctx = Ctx {
+        opts: &scratch.opts,
+        apps: &scratch.apps,
+        perm: &scratch.perm,
+        subsets: &scratch.subsets,
+        dlog: &scratch.dlog,
+        emin: &scratch.emin,
+        stride: scratch.stride,
+        wdlog: &scratch.wdlog,
+        wopt_log: &scratch.wopt_log,
+        mask_rows: (n + 1) * scratch.stride,
+        shared: &shared,
+        node_budget,
+    };
+    scratch.state.reset(n, &scratch.root_free, nmasks);
+    ctx.dfs(&mut scratch.state, 0, 0.0, 0, 0.0);
+}
+
 /// Runs the full branch-and-bound for a prepared scratch and returns the
 /// winning slot plus aggregated counters; `None` when no
 /// capacity-feasible allocation exists.
 fn search(scratch: &mut LatticeScratch, threads: usize) -> Result<Option<BestSlot>> {
+    if threads == 1 {
+        search_serial(scratch, u64::MAX);
+        return Ok(scratch.state.best.valid.then(|| scratch.state.best.clone()));
+    }
     let n = scratch.apps.len();
     let nmasks = scratch.subsets.len();
     let mask_rows = (n + 1) * scratch.stride;
     let shared = AtomicU64::new(0);
-
-    if threads == 1 {
-        let ctx = Ctx {
-            opts: &scratch.opts,
-            apps: &scratch.apps,
-            perm: &scratch.perm,
-            subsets: &scratch.subsets,
-            dlog: &scratch.dlog,
-            emin: &scratch.emin,
-            stride: scratch.stride,
-            wdlog: &scratch.wdlog,
-            wopt_log: &scratch.wopt_log,
-            mask_rows,
-            shared: &shared,
-        };
-        scratch.state.reset(n, &scratch.root_free, nmasks);
-        ctx.dfs(&mut scratch.state, 0, 0.0, 0, 0.0);
-        return Ok(scratch.state.best.valid.then(|| scratch.state.best.clone()));
-    }
 
     // Root split: one task per option of the first permuted application,
     // fanned out over the work-stealing pool. Each task's winner lands
@@ -1028,6 +1053,7 @@ fn search(scratch: &mut LatticeScratch, threads: usize) -> Result<Option<BestSlo
                 wopt_log: ctx_wopt_log,
                 mask_rows,
                 shared: &shared,
+                node_budget: u64::MAX,
             };
             st.reset(n, root_free, nmasks);
             let o = *ctx.opt(first, idx as u32);
@@ -1104,13 +1130,7 @@ fn solve(
     prepare(scratch, engine, platform, deadline, gamma)?;
     let best = search(scratch, threads)?.ok_or(RaError::NoFeasibleAllocation)?;
 
-    let alloc = Allocation::new(
-        best.path
-            .iter()
-            .enumerate()
-            .map(|(app, &idx)| scratch.opts[(scratch.apps[app].start + idx) as usize].asg)
-            .collect(),
-    );
+    let alloc = path_allocation(scratch, &best.path);
     let report = LatticeReport {
         phi1: best.worst,
         nominal_phi1: best.prob,
@@ -1133,6 +1153,46 @@ fn solve(
         }
     };
     Ok((solution, report))
+}
+
+/// The allocation a canonical option path names.
+fn path_allocation(scratch: &LatticeScratch, path: &[u32]) -> Allocation {
+    Allocation::new(
+        path.iter()
+            .enumerate()
+            .map(|(app, &idx)| scratch.opts[(scratch.apps[app].start + idx) as usize].asg)
+            .collect(),
+    )
+}
+
+/// The plain solver's optimum from a serial search of at most
+/// `node_budget` nodes on this thread's scratch, for a deadline the
+/// caller has already validated. `Ok(Some(_))` is the exact φ₁-optimal
+/// allocation — a zero-probability one when no allocation can meet the
+/// deadline (the tightest-deadline proof is skipped). `Ok(None)` means
+/// the budget ran out and nothing is proven. `NoFeasibleAllocation`
+/// means no allocation fits the capacities. Simulated annealing's
+/// certified early exit is the only caller; the public solvers stay
+/// unbudgeted.
+pub(crate) fn budgeted_optimum(
+    engine: &Phi1Engine,
+    platform: &Platform,
+    deadline: f64,
+    node_budget: u64,
+) -> Result<Option<Allocation>> {
+    SCRATCH.with(|s| {
+        let scratch = &mut *s.borrow_mut();
+        prepare(scratch, engine, platform, deadline, None)?;
+        search_serial(scratch, node_budget);
+        let st = &scratch.state;
+        if st.exhausted {
+            Ok(None)
+        } else if st.best.valid {
+            Ok(Some(path_allocation(scratch, &st.best.path)))
+        } else {
+            Err(RaError::NoFeasibleAllocation)
+        }
+    })
 }
 
 thread_local! {

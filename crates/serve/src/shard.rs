@@ -1288,6 +1288,29 @@ mod tests {
     }
 
     #[test]
+    fn unpackable_metaheuristic_submits_are_refused_and_the_shard_keeps_serving() {
+        let mut core = ShardCore::new(0, test_cfg());
+        // 64 applications on 41 processors: no allocation fits, and SA's
+        // or GA's capacity repair would shuffle processors forever.
+        for allocator in ["sa", "ga"] {
+            let resp = core.handle(&Request::Submit(SubmitRequest {
+                tenant: "acme".to_string(),
+                spec: WorkloadSpec::simple(64, 2, 4, 0),
+                deadline: 2_800.0,
+                allocator: Some(allocator.to_string()),
+                threshold: None,
+                qos: None,
+            }));
+            let Response::Error { message } = resp else {
+                panic!("{allocator}: expected an error reply, got {resp:?}");
+            };
+            assert!(message.contains("no feasible allocation"), "{message}");
+        }
+        let resp = core.handle(&submit("acme", 7));
+        assert!(matches!(resp, Response::Submit(_)), "{resp:?}");
+    }
+
+    #[test]
     fn drain_depths_land_in_log2_buckets() {
         let mut core = ShardCore::new(0, test_cfg());
         for depth in [1, 2, 3, 4, 7, 8, 127, 128, 4096] {
