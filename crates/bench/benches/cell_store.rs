@@ -10,7 +10,7 @@
 //! * `overhead_empty_store` — a fresh, never-warm store attached: the
 //!   pure cost of hashing inputs and interning every cell (the worst
 //!   case a store-attached build can pay — the store construction itself
-//!   is eight empty `RwLock<Vec>>`s, noise next to the kernel work);
+//!   is eight empty locked shard maps, noise next to the kernel work);
 //! * `warm_full_overlap` — every cell resident: the steady-state rebuild
 //!   a serve shard pays when a tenant resubmits a known catalog;
 //! * `pair_build_shared15` — a fresh store warmed by a batch sharing 15
@@ -22,7 +22,7 @@
 //!   pre-warmed store per sample.)
 
 use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
-use cdsf_ra::{CellStore, Phi1Engine};
+use cdsf_ra::{CellStore, EngineBuild, Phi1Engine};
 use cdsf_system::{Application, Batch, Platform};
 use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -69,6 +69,15 @@ fn catalog_instance() -> (Platform, Batch, Batch) {
     (platform, prev, next)
 }
 
+/// A serial engine build resolving cells against `store`.
+fn build_through(store: &CellStore, batch: &Batch, platform: &Platform) -> Phi1Engine {
+    let opts = EngineBuild {
+        store: Some(store),
+        ..EngineBuild::default()
+    };
+    Phi1Engine::build_with(batch, platform, &opts).unwrap().0
+}
+
 fn bench_cold_build(c: &mut Criterion) {
     let (platform, _, next) = catalog_instance();
     let mut group = c.benchmark_group("cell_store/cold_build_catalog16");
@@ -86,7 +95,7 @@ fn bench_overhead_empty_store(c: &mut Criterion) {
     group.bench_function("t1_p384", |b| {
         b.iter(|| {
             let store = CellStore::new(DEFAULT_CELL_CAPACITY);
-            black_box(Phi1Engine::build_parallel_with_store(&next, &platform, 1, &store).unwrap())
+            black_box(build_through(&store, &next, &platform))
         })
     });
     group.finish();
@@ -95,12 +104,10 @@ fn bench_overhead_empty_store(c: &mut Criterion) {
 fn bench_warm_full_overlap(c: &mut Criterion) {
     let (platform, _, next) = catalog_instance();
     let store = CellStore::new(DEFAULT_CELL_CAPACITY);
-    Phi1Engine::build_parallel_with_store(&next, &platform, 1, &store).unwrap();
+    build_through(&store, &next, &platform);
     let mut group = c.benchmark_group("cell_store/warm_full_overlap");
     group.bench_function("t1_p384", |b| {
-        b.iter(|| {
-            black_box(Phi1Engine::build_parallel_with_store(&next, &platform, 1, &store).unwrap())
-        })
+        b.iter(|| black_box(build_through(&store, &next, &platform)))
     });
     group.finish();
 }
@@ -112,8 +119,8 @@ fn bench_pair_build_shared15(c: &mut Criterion) {
     group.bench_function("t1_p384", |b| {
         b.iter(|| {
             let store = CellStore::new(DEFAULT_CELL_CAPACITY);
-            black_box(Phi1Engine::build_parallel_with_store(&prev, &platform, 1, &store).unwrap());
-            black_box(Phi1Engine::build_parallel_with_store(&next, &platform, 1, &store).unwrap())
+            black_box(build_through(&store, &prev, &platform));
+            black_box(build_through(&store, &next, &platform))
         })
     });
     group.finish();

@@ -2,18 +2,20 @@
 //! two-step reference shapes: single-pass scale→quotient loaded-PMF
 //! builds with a reused [`CombineScratch`] vs. the legacy
 //! `amdahl_rescale` + `quotient` chain, the sorted-merge `max`/product
-//! fast paths vs. the canonicalizing `combine`, and incremental
-//! `Phi1Engine::rebuild_with` remnant rebuilds vs. rebuilding from
+//! fast paths vs. the canonicalizing `combine`, and one-app-changed
+//! remaps through an `EngineCache` and its cell store vs. rebuilding from
 //! scratch.
 
 use cdsf_pmf::CombineScratch;
-use cdsf_ra::engine::RebuildMap;
-use cdsf_ra::{EngineCache, Phi1Engine};
+use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
+use cdsf_ra::engine_cache::DEFAULT_CAPACITY;
+use cdsf_ra::{CellStore, EngineCache, Phi1Engine};
 use cdsf_system::parallel_time::{amdahl_rescale, loaded_time_pmf_in};
 use cdsf_system::{Application, Batch, Platform, ProcTypeId};
 use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// A pulse-rich instance: many execution pulses against a handful of
 /// availability pulses, the regime where the legacy chain's comparison
@@ -156,39 +158,29 @@ fn bench_rebuild(c: &mut Criterion) {
     .generate(&platform, 12)
     .unwrap();
     let num_types = platform.num_types();
-    // Alternating single-app remnants so every iteration is a genuine
-    // one-app-changed rebuild, never a no-op.
-    let remnants = [
-        single_app_remnant(&batch, num_types, 0, 0.5),
-        single_app_remnant(&batch, num_types, 0, 0.25),
-    ];
-    let identity_apps: Vec<Option<usize>> = (0..batch.len()).map(Some).collect();
-    let identity_types: Vec<Option<usize>> = (0..num_types).map(Some).collect();
+    // Every iteration rescales app 0 by a fraction no earlier iteration
+    // used, so the remap target is never resident in the LRU and app 0's
+    // cells were never built: a real one-app-changed miss, the other
+    // apps' cells coming from the store. Making the remnant is inside the
+    // timed loop (the harness does not expose its iteration count), and
+    // so is it for `full_1app32`, which builds the same shape storeless.
     group.bench_function("remap_1app32", |bench| {
-        let mut cache = EngineCache::build(&batch, &platform, 1).unwrap();
-        let mut flip = 0usize;
+        let store = Arc::new(CellStore::new(DEFAULT_CELL_CAPACITY));
+        let mut cache = EngineCache::new(DEFAULT_CAPACITY, store);
+        cache.get_or_build(&batch, &platform, 1).unwrap();
+        let mut n = 0u32;
         bench.iter(|| {
-            flip ^= 1;
-            black_box(
-                cache
-                    .rebuild_with(
-                        &remnants[flip],
-                        &platform,
-                        RebuildMap {
-                            apps: &identity_apps,
-                            types: &identity_types,
-                        },
-                        1,
-                    )
-                    .unwrap(),
-            );
+            n += 1;
+            let remnant = single_app_remnant(&batch, num_types, 0, 0.5 + n as f64 * 1e-6);
+            black_box(cache.get_or_build(&remnant, &platform, 1).unwrap().engine);
         })
     });
     group.bench_function("full_1app32", |bench| {
-        let mut flip = 0usize;
+        let mut n = 0u32;
         bench.iter(|| {
-            flip ^= 1;
-            black_box(Phi1Engine::build_parallel(&remnants[flip], &platform, 1).unwrap());
+            n += 1;
+            let remnant = single_app_remnant(&batch, num_types, 0, 0.5 + n as f64 * 1e-6);
+            black_box(Phi1Engine::build_parallel(&remnant, &platform, 1).unwrap());
         })
     });
     group.finish();

@@ -37,10 +37,11 @@ use cdsf_dls::TechniqueKind;
 use cdsf_pmf::discretize::{Discretize, Normal};
 use cdsf_pmf::{CombineScratch, Pmf};
 use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
-use cdsf_ra::engine::{RebuildMap, PARALLEL_BUILD_MIN_WORK};
+use cdsf_ra::engine_cache::DEFAULT_CAPACITY;
 use cdsf_ra::robustness::ProbabilityTable;
 use cdsf_ra::{
-    Allocation, Assignment, CellStore, DeltaFitness, EngineCache, OptionProbs, Phi1Engine,
+    Allocation, Assignment, CellStore, DeltaFitness, EngineBuild, EngineCache, OptionProbs,
+    Phi1Engine,
 };
 use cdsf_serve::loadgen::{run_local, LoadgenConfig};
 use cdsf_serve::ServeConfig;
@@ -54,6 +55,7 @@ use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Current stage-1 snapshot schema. Bump when the JSON shape changes.
@@ -90,7 +92,13 @@ use std::time::Instant;
 /// proposal-step counts of both SA runs in the `ra_lattice` section
 /// (`sa_steps`, and the `sa_serve` block guarded to stop short of its
 /// full step count).
-const SCHEMA_VERSION: u64 = 7;
+/// v8 redefined `pmf_build/rebuild_remap_1app32`: each timed call is a
+/// real one-app-changed miss through an `EngineCache` and its cell store
+/// (the v7 loop alternated two remnants on a capacity-8 cache, so all
+/// but its first two calls were LRU hits). The `remap` section records
+/// the loop's LRU hits (guarded to be 0) and kernel-built cells (guarded
+/// to be exactly the changed app's cells per call).
+const SCHEMA_VERSION: u64 = 8;
 
 /// Current stage-2 snapshot schema. Bump when the JSON shape changes.
 /// v2 added the host-aware `grid_thread4_speedup` floor (≥ 3× on hosts
@@ -268,6 +276,82 @@ fn single_app_remnant(batch: &Batch, num_types: usize, changed: usize, frac: f64
     )
 }
 
+/// The remap benches on `batch`: `pmf_build/rebuild_remap_1app32` times
+/// `calls_per_sample` × `samples` one-app-changed remaps through an
+/// [`EngineCache`] and its cell store, each a real miss — the remnant's
+/// app 0 is rescaled by a fraction no earlier call used, so the target
+/// is never resident and app 0's cells were never built, while the other
+/// apps' cells come from the store. The remnants are made after the
+/// warm-up build, untimed, so their unchanged PMFs carry cached digests
+/// as a serve tenant's stored batch does. `rebuild_full_1app32` times a
+/// storeless build of the same shape, each call right after a remap.
+/// Returns the loop's counters for the `remap` section.
+fn remap_benches(
+    out: &mut Vec<BenchResult>,
+    samples: usize,
+    calls_per_sample: usize,
+    batch: &Batch,
+    platform: &Platform,
+) -> Value {
+    let num_types = platform.num_types();
+    let store = Arc::new(CellStore::new(DEFAULT_CELL_CAPACITY));
+    let mut cache = EngineCache::new(DEFAULT_CAPACITY, Arc::clone(&store));
+    cache.get_or_build(batch, platform, 1).unwrap();
+    let calls = samples * calls_per_sample;
+    // A rescale fraction per call, so no call's changed cells were ever
+    // built before.
+    let remnants: Vec<Batch> = (0..calls)
+        .map(|n| single_app_remnant(batch, num_types, 0, 0.5 + n as f64 * 1e-6))
+        .collect();
+    let changed_app_cells: u64 = (0..num_types)
+        .map(|j| platform.pow2_options(ProcTypeId(j)).unwrap().len() as u64)
+        .sum();
+    let (hits_before, store_before) = (cache.hits(), store.stats());
+    // The remap and the full rebuild alternate call by call, so a drift
+    // in host speed, or the cache state one leaves the other, moves both
+    // medians alike and their ratio holds.
+    let (mut remap_ns, mut full_ns) = (Vec::new(), Vec::new());
+    let mut next = remnants.iter();
+    for _ in 0..samples {
+        let (mut remap, mut full) = (0u128, 0u128);
+        for k in 0..calls_per_sample {
+            let remnant = next.next().expect("one remnant per call");
+            let t0 = Instant::now();
+            black_box(cache.get_or_build(remnant, platform, 1).unwrap().engine);
+            remap += t0.elapsed().as_nanos();
+            let t0 = Instant::now();
+            black_box(Phi1Engine::build_parallel(&remnants[k % 2], platform, 1).unwrap());
+            full += t0.elapsed().as_nanos();
+        }
+        remap_ns.push(remap as f64 / calls_per_sample as f64);
+        full_ns.push(full as f64 / calls_per_sample as f64);
+    }
+    let store_after = store.stats();
+    let section = json!({
+        "calls": calls,
+        "lru_hits": cache.hits() - hits_before,
+        "kernel_cells": store_after.misses - store_before.misses,
+        "store_hits": store_after.hits - store_before.hits,
+        "changed_app_cells": changed_app_cells,
+    });
+    for (name, mut ns) in [
+        ("pmf_build/rebuild_remap_1app32", remap_ns),
+        ("pmf_build/rebuild_full_1app32", full_ns),
+    ] {
+        ns.sort_by(f64::total_cmp);
+        let median_ns = ns[ns.len() / 2];
+        push(
+            out,
+            BenchResult {
+                name,
+                median_ns,
+                per_unit: "rebuild",
+            },
+        );
+    }
+    section
+}
+
 /// Every `(app, type, power-of-two count)` cell of the engine grid.
 fn engine_cells(batch: &Batch, platform: &Platform) -> Vec<(usize, ProcTypeId, u32)> {
     let mut cells = Vec::new();
@@ -392,7 +476,9 @@ fn push(out: &mut Vec<BenchResult>, r: BenchResult) {
     out.push(r);
 }
 
-fn run_suite(samples: usize, scale: usize) -> Vec<BenchResult> {
+/// Runs the stage-1 suite; returns its results and the remap loop's
+/// counters.
+fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
     let mut out = Vec::new();
 
     // --- pmf_ops territory: single-CDF lookup, prefix vs re-sum ---------
@@ -512,53 +598,7 @@ fn run_suite(samples: usize, scale: usize) -> Vec<BenchResult> {
         },
     );
 
-    // --- incremental rebuild: verified cell reuse vs full rebuild ---------
-    // Alternating single-app remnants (app 0 at 0.5× / 0.25×) so every
-    // iteration is a genuine one-app-changed rebuild, never a no-op.
-    let num_types = platform.num_types();
-    let remnants = [
-        single_app_remnant(&batch, num_types, 0, 0.5),
-        single_app_remnant(&batch, num_types, 0, 0.25),
-    ];
-    let identity_apps: Vec<Option<usize>> = (0..batch.len()).map(Some).collect();
-    let identity_types: Vec<Option<usize>> = (0..num_types).map(Some).collect();
-    let mut cache = EngineCache::build(&batch, &platform, 1).unwrap();
-    let mut flip = 0usize;
-    push(
-        &mut out,
-        BenchResult {
-            name: "pmf_build/rebuild_remap_1app32",
-            median_ns: measure(samples, 2 * scale, || {
-                flip ^= 1;
-                black_box(
-                    cache
-                        .rebuild_with(
-                            &remnants[flip],
-                            &platform,
-                            RebuildMap {
-                                apps: &identity_apps,
-                                types: &identity_types,
-                            },
-                            1,
-                        )
-                        .unwrap(),
-                );
-            }),
-            per_unit: "rebuild",
-        },
-    );
-    let mut flip = 0usize;
-    push(
-        &mut out,
-        BenchResult {
-            name: "pmf_build/rebuild_full_1app32",
-            median_ns: measure(samples, 2 * scale, || {
-                flip ^= 1;
-                black_box(Phi1Engine::build_parallel(&remnants[flip], &platform, 1).unwrap());
-            }),
-            per_unit: "rebuild",
-        },
-    );
+    let remap = remap_benches(&mut out, samples, 2 * scale, &batch, &platform);
 
     // --- probability-table derivation: SoA pass vs legacy nested scan -----
     let engine = Phi1Engine::build(&batch, &platform).unwrap();
@@ -757,11 +797,13 @@ fn run_suite(samples: usize, scale: usize) -> Vec<BenchResult> {
     let mut warm_ns = Vec::with_capacity(samples);
     for _ in 0..samples {
         let store = CellStore::new(DEFAULT_CELL_CAPACITY);
-        Phi1Engine::build_parallel_with_store(&cat_prev, &cat_platform, 1, &store).unwrap();
+        let opts = EngineBuild {
+            store: Some(&store),
+            ..EngineBuild::default()
+        };
+        Phi1Engine::build_with(&cat_prev, &cat_platform, &opts).unwrap();
         let t0 = Instant::now();
-        black_box(
-            Phi1Engine::build_parallel_with_store(&cat_next, &cat_platform, 1, &store).unwrap(),
-        );
+        black_box(Phi1Engine::build_with(&cat_next, &cat_platform, &opts).unwrap());
         warm_ns.push(t0.elapsed().as_nanos() as f64);
     }
     warm_ns.sort_by(f64::total_cmp);
@@ -774,7 +816,7 @@ fn run_suite(samples: usize, scale: usize) -> Vec<BenchResult> {
         },
     );
 
-    out
+    (out, remap)
 }
 
 /// The default loadgen stream's first submit naming `sa` whose optimum
@@ -1153,9 +1195,12 @@ fn run_stage2_suite(samples: usize, scale: usize) -> Vec<BenchResult> {
 /// no worker starved.
 fn pool_section() -> Value {
     let (batch, platform) = rich_instance();
-    let (_, stats) =
-        Phi1Engine::build_parallel_instrumented(&batch, &platform, 4, PARALLEL_BUILD_MIN_WORK)
-            .expect("instrumented engine build must succeed on the bench instance");
+    let opts = EngineBuild {
+        threads: 4,
+        ..EngineBuild::default()
+    };
+    let (_, stats) = Phi1Engine::build_with(&batch, &platform, &opts)
+        .expect("instrumented engine build must succeed on the bench instance");
     json!({
         "build_threads": 4,
         "workers": stats.workers,
@@ -1177,10 +1222,13 @@ fn pool_section() -> Value {
 fn cell_store_section() -> Value {
     let (platform, prev, next) = catalog_instance();
     let store = CellStore::new(DEFAULT_CELL_CAPACITY);
-    Phi1Engine::build_parallel_with_store(&prev, &platform, 1, &store)
-        .expect("catalog prev build must succeed");
-    let warm = Phi1Engine::build_parallel_with_store(&next, &platform, 1, &store)
-        .expect("catalog next build must succeed");
+    let opts = EngineBuild {
+        store: Some(&store),
+        ..EngineBuild::default()
+    };
+    Phi1Engine::build_with(&prev, &platform, &opts).expect("catalog prev build must succeed");
+    let (warm, _) =
+        Phi1Engine::build_with(&next, &platform, &opts).expect("catalog next build must succeed");
     let cold =
         Phi1Engine::build_parallel(&next, &platform, 1).expect("catalog cold build must succeed");
     let stats = store.stats();
@@ -1209,7 +1257,7 @@ fn median_of(results: &[BenchResult], name: &str) -> f64 {
         .median_ns
 }
 
-fn to_json(results: &[BenchResult], mode: &str, scale: usize) -> Value {
+fn to_json(results: &[BenchResult], remap_loop: Value, mode: &str, scale: usize) -> Value {
     let delta = median_of(results, "phi1/sa_mutation/delta_apps64");
     let full = median_of(results, "phi1/sa_mutation/full_recompute_apps64");
     let soa = median_of(results, "phi1/table_sweep/soa_32d");
@@ -1256,6 +1304,7 @@ fn to_json(results: &[BenchResult], mode: &str, scale: usize) -> Value {
         "pool": pool_section(),
         "ra_lattice": ra_lattice_section(scale),
         "cell_store": cell_store_section(),
+        "remap": remap_loop,
         "derived": json!({
             "sa_mutation_speedup": full / delta,
             "table_sweep_speedup": legacy_table / soa,
@@ -1628,8 +1677,36 @@ fn check_cell_store_section(snapshot: &Value) -> Result<(), String> {
     Ok(())
 }
 
+/// Validates the stage-1 `remap` block: every timed remap was a real
+/// miss (no LRU hit) whose kernel built exactly the changed app's cells,
+/// the rest coming from the store.
+fn check_remap_section(snapshot: &Value) -> Result<(), String> {
+    let section = snapshot.get("remap").ok_or("missing remap section")?;
+    let calls = u64_field(section, "calls")?;
+    let lru_hits = u64_field(section, "lru_hits")?;
+    if lru_hits != 0 {
+        return Err(format!(
+            "remap loop had {lru_hits} LRU hits in {calls} calls — it timed cache hits, \
+             not remaps"
+        ));
+    }
+    let kernel_cells = u64_field(section, "kernel_cells")?;
+    let per_call = u64_field(section, "changed_app_cells")?;
+    if kernel_cells != calls * per_call {
+        return Err(format!(
+            "remap loop built {kernel_cells} cells in {calls} calls, not the changed \
+             app's {per_call} per call"
+        ));
+    }
+    if u64_field(section, "store_hits")? == 0 {
+        return Err("remap loop took no cells from the store".into());
+    }
+    Ok(())
+}
+
 fn validate(snapshot: &Value) -> Result<(), String> {
     validate_with(snapshot, SCHEMA_VERSION, STAGE1_DERIVED)?;
+    check_remap_section(snapshot)?;
     check_pool_section(snapshot)?;
     check_ra_lattice_section(snapshot)?;
     check_cell_store_section(snapshot)?;
@@ -1937,8 +2014,8 @@ fn main() {
         (results, snapshot)
     } else {
         eprintln!("running φ₁ kernel suite ({mode} mode)...");
-        let results = run_suite(samples, scale);
-        let snapshot = to_json(&results, mode, scale);
+        let (results, remap) = run_suite(samples, scale);
+        let snapshot = to_json(&results, remap, mode, scale);
         (results, snapshot)
     };
     drop(results);

@@ -36,9 +36,10 @@ use crate::metrics::{AppOutcome, RunMetrics};
 use crate::{EventsError, Result};
 use cdsf_dls::executor::{ExecutorConfig, ExecutorSession, SessionStatus};
 use cdsf_pmf::Pmf;
-use cdsf_ra::engine::RebuildMap;
+use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
+use cdsf_ra::engine_cache::DEFAULT_CAPACITY;
 use cdsf_ra::{Allocation, Assignment};
-use cdsf_ra::{EngineCache, Phi1Engine};
+use cdsf_ra::{CellStore, EngineCache};
 use cdsf_system::availability::AvailabilitySpec;
 use cdsf_system::platform::prev_power_of_two;
 use cdsf_system::{Application, Batch, Platform, ProcTypeId, ProcessorType};
@@ -46,6 +47,7 @@ use cdsf_workloads::faults::{FaultKind, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Availability level of a stalled processor type (pinned near zero; an
 /// exact zero would never finish any work).
@@ -126,16 +128,12 @@ struct State {
     remap_count: usize,
     clamp_count: usize,
     wasted: f64,
-    /// Verified-reuse Stage-I engine cache: every reactive rebuild goes
-    /// through [`EngineCache::rebuild_with`] so cells of unchanged
-    /// `(app, type, k)` triples (pending apps, undrifted types) carry
-    /// over bit-identically instead of being recomputed.
+    /// Stage-I engine cache over a private cell store: every reactive
+    /// rebuild takes the cells of unchanged `(app, type, k)` triples
+    /// (pending apps, undrifted types) from the store by content instead
+    /// of recomputing them. Its engines are bit-identical to fresh
+    /// builds, so the event log stays byte-replayable.
     cache: EngineCache,
-    /// Original batch index of each app slot in the cached engine.
-    cache_apps: Vec<usize>,
-    /// Original reference-platform index of each type slot in the cached
-    /// engine.
-    cache_types: Vec<usize>,
 }
 
 /// SplitMix64 finalizer — the workspace's standard seed-mixing primitive.
@@ -298,7 +296,9 @@ impl<'a> EventEngine<'a> {
     /// Builds the live state: Stage-I initial mapping, pristine types,
     /// pending applications.
     fn initial_state(&self) -> Result<State> {
-        let cache = EngineCache::build(self.batch, self.reference, self.cfg.threads)?;
+        let store = Arc::new(CellStore::new(DEFAULT_CELL_CAPACITY));
+        let mut cache = EngineCache::new(DEFAULT_CAPACITY, store);
+        cache.get_or_build(self.batch, self.reference, self.cfg.threads)?;
         let alloc = self.cfg.allocator.allocate_with_engine(
             self.batch,
             self.reference,
@@ -363,8 +363,6 @@ impl<'a> EventEngine<'a> {
             clamp_count: 0,
             wasted: 0.0,
             cache,
-            cache_apps: (0..self.batch.len()).collect(),
-            cache_types: (0..self.reference.num_types()).collect(),
         })
     }
 
@@ -778,46 +776,6 @@ impl<'a> EventEngine<'a> {
         Ok(())
     }
 
-    /// Rebuilds the cached Stage-I engine for a remnant `(batch, platform)`
-    /// through [`EngineCache::rebuild_with`], so only the cells whose
-    /// inputs genuinely changed are recomputed.
-    ///
-    /// `actives` / `surviving` carry the *original* batch and reference
-    /// indices each remnant row came from; matching them against the
-    /// origins recorded at the previous (re)build yields the reuse hints.
-    /// Hints are advisory — `rebuild_with` verifies every one bitwise —
-    /// so the returned engine is always bit-identical to a fresh
-    /// `Phi1Engine::build_parallel(remnant, reduced, threads)` and the
-    /// event log stays byte-replayable.
-    fn remnant_engine<'s>(
-        &self,
-        st: &'s mut State,
-        remnant: &Batch,
-        reduced: &Platform,
-        actives: &[usize],
-        surviving: &[usize],
-    ) -> Result<&'s Phi1Engine> {
-        let apps: Vec<Option<usize>> = actives
-            .iter()
-            .map(|&i| st.cache_apps.iter().position(|&x| x == i))
-            .collect();
-        let types: Vec<Option<usize>> = surviving
-            .iter()
-            .map(|&j| st.cache_types.iter().position(|&x| x == j))
-            .collect();
-        st.cache_apps = actives.to_vec();
-        st.cache_types = surviving.to_vec();
-        Ok(st.cache.rebuild_with(
-            remnant,
-            reduced,
-            RebuildMap {
-                apps: &apps,
-                types: &types,
-            },
-            self.cfg.threads,
-        )?)
-    }
-
     /// Joint probability that every active application finishes its
     /// *remaining* work within the remaining window under the current
     /// assignments and live availability; `None` when nothing is active.
@@ -862,9 +820,12 @@ impl<'a> EventEngine<'a> {
         }
         let remnant = Batch::new(apps);
         let reduced = self.reduced_platform(st, &surviving)?;
-        let engine = self.remnant_engine(st, &remnant, &reduced, &actives, &surviving)?;
+        let outcome = st
+            .cache
+            .get_or_build(&remnant, &reduced, self.cfg.threads)?;
         Ok(Some(
-            engine
+            outcome
+                .engine
                 .joint(&Allocation::new(assignments), self.window(t))
                 .unwrap_or(0.0),
         ))
@@ -949,7 +910,10 @@ impl<'a> EventEngine<'a> {
         // Scope the engine borrow (it lives inside `st.cache`) so the
         // assignment writes below can re-borrow `st` mutably.
         let (alloc, phi1) = {
-            let engine = self.remnant_engine(st, &remnant, &reduced, actives, surviving)?;
+            let engine = st
+                .cache
+                .get_or_build(&remnant, &reduced, self.cfg.threads)?
+                .engine;
             let Ok(alloc) = self
                 .cfg
                 .allocator

@@ -2,15 +2,15 @@
 //!
 //! The online event engine and the serving layer react to the same three
 //! disruptions — a processor-type crash, a per-type availability
-//! degradation, and a system-wide drift — and both feed the derived
-//! remnant inputs into an incremental Stage-I rebuild
-//! ([`cdsf_ra::EngineCache::rebuild_keyed`]). This module is the shared
-//! derivation: pure functions from the current inputs to the post-event
-//! inputs plus the index correspondences a [`cdsf_ra::RebuildMap`] needs.
+//! degradation, and a system-wide drift — and both build the Stage-I
+//! engine for the derived remnant inputs through a
+//! [`cdsf_ra::EngineCache`]. This module is the shared derivation: pure
+//! functions from the current inputs to the post-event inputs.
 //!
 //! Everything here is deterministic and bit-stable: the untouched PMFs
-//! are carried over by clone (same bits), so the rebuild's bitwise
-//! verification recognises them and reuses their cells.
+//! are carried over by clone (same bits, cached digest included), so the
+//! cache's [`cdsf_ra::CellStore`] recognises them by content and reuses
+//! their cells.
 
 use crate::{EventsError, Result};
 use cdsf_pmf::Pmf;
@@ -29,11 +29,8 @@ pub fn scale_availability(pmf: &Pmf, c: f64) -> Result<Pmf> {
 }
 
 /// A platform with `proc_type`'s availability scaled by `factor`, every
-/// other type carried over bit-identically. The identity [`RebuildMap`]
-/// (`identity_maps`) then lets a rebuild reuse every cell of the
-/// untouched types.
-///
-/// [`RebuildMap`]: cdsf_ra::RebuildMap
+/// other type carried over bit-identically, so a rebuild reuses every
+/// cell of the untouched types.
 pub fn degraded_platform(platform: &Platform, proc_type: usize, factor: f64) -> Result<Platform> {
     if proc_type >= platform.num_types() {
         return Err(EventsError::BadConfig {
@@ -78,22 +75,16 @@ pub fn drifted_platform(platform: &Platform, factor: f64) -> Result<Platform> {
     Ok(platform.with_availabilities(&avs)?)
 }
 
-/// Removes processor type `proc_type` outright: returns the reduced
-/// platform, the batch with each application's execution PMF for that
-/// type dropped (positional alignment preserved), and `types_map` — per
-/// *new* type index, the previous platform index — ready to slot into a
-/// [`RebuildMap`] (the app map is identity: apps are untouched).
+/// Removes processor type `proc_type` outright: returns the batch with
+/// each application's execution PMF for that type dropped (positional
+/// alignment preserved) and the reduced platform. Every surviving PMF
+/// keeps its bits, so its cells are reused although its type index
+/// shifts.
 ///
 /// Errors when the platform would be left without processor types or when
 /// an application lacks an execution PMF for a surviving type (positional
 /// alignment would silently shift).
-///
-/// [`RebuildMap`]: cdsf_ra::RebuildMap
-pub fn crashed(
-    batch: &Batch,
-    platform: &Platform,
-    proc_type: usize,
-) -> Result<(Batch, Platform, Vec<Option<usize>>)> {
+pub fn crashed(batch: &Batch, platform: &Platform, proc_type: usize) -> Result<(Batch, Platform)> {
     let n = platform.num_types();
     if proc_type >= n {
         return Err(EventsError::BadConfig {
@@ -134,24 +125,7 @@ pub fn crashed(
         }
         apps.push(builder.build()?);
     }
-    Ok((
-        Batch::new(apps),
-        reduced,
-        survivors.iter().map(|&j| Some(j)).collect(),
-    ))
-}
-
-/// Identity index maps for a remap that keeps every app and type in
-/// place (degrade/drift): the rebuild's bitwise verification then decides
-/// per cell what actually changed.
-pub fn identity_maps(
-    num_apps: usize,
-    num_types: usize,
-) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
-    (
-        (0..num_apps).map(Some).collect(),
-        (0..num_types).map(Some).collect(),
-    )
+    Ok((Batch::new(apps), reduced))
 }
 
 #[cfg(test)]
@@ -176,22 +150,19 @@ mod tests {
         let (_, platform) = fixture();
         let degraded = degraded_platform(&platform, 1, 0.5).unwrap();
         for (j, (a, b)) in platform.types().iter().zip(degraded.types()).enumerate() {
-            let same = a
-                .availability()
-                .pulses()
-                .iter()
-                .zip(b.availability().pulses())
-                .all(|(x, y)| x.value.to_bits() == y.value.to_bits());
-            assert_eq!(same, j != 1, "type {j}");
+            assert_eq!(
+                a.availability().bits_eq(b.availability()),
+                j != 1,
+                "type {j}"
+            );
         }
     }
 
     #[test]
-    fn crash_preserves_survivor_bits_and_maps() {
+    fn crash_preserves_survivor_bits() {
         let (batch, platform) = fixture();
-        let (rbatch, rplatform, map) = crashed(&batch, &platform, 2).unwrap();
+        let (rbatch, rplatform) = crashed(&batch, &platform, 2).unwrap();
         assert_eq!(rplatform.num_types(), platform.num_types() - 1);
-        assert_eq!(map, vec![Some(0), Some(1), Some(3)]);
         for (nj, &pj) in [0usize, 1, 3].iter().enumerate() {
             assert_eq!(rplatform.types()[nj].count(), platform.types()[pj].count());
         }
@@ -200,13 +171,7 @@ mod tests {
             for (nj, &pj) in [0usize, 1, 3].iter().enumerate() {
                 let pa = a.exec_time(ProcTypeId(pj)).unwrap();
                 let pb = b.exec_time(ProcTypeId(nj)).unwrap();
-                assert_eq!(pa.pulses().len(), pb.pulses().len());
-                assert!(pa
-                    .pulses()
-                    .iter()
-                    .zip(pb.pulses())
-                    .all(|(x, y)| x.value.to_bits() == y.value.to_bits()
-                        && x.prob.to_bits() == y.prob.to_bits()));
+                assert!(pa.bits_eq(pb));
             }
         }
     }

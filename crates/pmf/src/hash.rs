@@ -7,8 +7,9 @@
 //! workspace guards against with a structural verify-on-hit), so the
 //! digest is a valid key for any cache whose values are deterministic
 //! functions of PMF bits: the engine-input fingerprint in
-//! `cdsf-ra::engine_cache` and the content-addressed loaded-PMF cell
-//! store both build on these helpers.
+//! `cdsf-ra::engine_cache` folds PMFs in with [`fnv1a_pmf`], and the
+//! content-addressed loaded-PMF cell store keys on [`Pmf::digest`], the
+//! same fold from the offset basis, cached in the PMF.
 //!
 //! FNV-1a is used for the same reasons as everywhere else in the
 //! workspace: no dependencies, no per-process seeding (digests are

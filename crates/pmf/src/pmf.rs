@@ -2,6 +2,7 @@
 
 use crate::{PmfError, Result};
 use serde::{Content, DeError, Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tolerance used when checking that probabilities sum to one.
 ///
@@ -41,13 +42,32 @@ pub struct Pulse {
 /// is a binary search plus one array read rather than a re-summation.
 /// Because the prefix sums accumulate in exactly the pulse order the old
 /// linear scan used, every CDF value is bit-identical to the scan result.
-#[derive(Debug, Clone)]
 pub struct Pmf {
     pulses: Vec<Pulse>,
     /// Prefix sums of the pulse probabilities: `cum[i] = prob[0] + … +
     /// prob[i]` folded left to right from `0.0`. Derived from `pulses` by
     /// every constructor; excluded from equality and serialization.
     cum: Vec<f64>,
+    /// [`Pmf::digest`], filled in on first use (never at construction;
+    /// [`UNHASHED`] until then) and carried over by `clone`. Excluded
+    /// from equality, `Debug` and serialization. `Relaxed` suffices: the
+    /// value is a pure function of the immutable pulses and publishes no
+    /// other data, so a racing thread at worst computes it again.
+    digest: AtomicU64,
+}
+
+/// The digest slot's "not computed yet" value. A PMF whose digest really
+/// is this value is simply rehashed on every call.
+const UNHASHED: u64 = 0;
+
+impl Clone for Pmf {
+    fn clone(&self) -> Self {
+        Self {
+            pulses: self.pulses.clone(),
+            cum: self.cum.clone(),
+            digest: AtomicU64::new(self.digest.load(Ordering::Relaxed)),
+        }
+    }
 }
 
 impl PartialEq for Pmf {
@@ -55,6 +75,15 @@ impl PartialEq for Pmf {
         // `cum` is a pure function of `pulses`; comparing it too would be
         // redundant (and would make equality depend on an internal cache).
         self.pulses == other.pulses
+    }
+}
+
+impl std::fmt::Debug for Pmf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pmf")
+            .field("pulses", &self.pulses)
+            .field("cum", &self.cum)
+            .finish()
     }
 }
 
@@ -231,7 +260,7 @@ impl Pmf {
     /// either way).
     pub(crate) fn with_prefix_table(pulses: Vec<Pulse>) -> Self {
         let cum = crate::lanes::prefix_cdf(&pulses);
-        Self { pulses, cum }
+        Self::from_parts(pulses, cum)
     }
 
     /// Wraps already-canonical pulses together with their precomputed
@@ -239,7 +268,11 @@ impl Pmf {
     /// `cum` must be the left-to-right `acc += prob` fold over `pulses`.
     pub(crate) fn from_parts(pulses: Vec<Pulse>, cum: Vec<f64>) -> Self {
         debug_assert_eq!(pulses.len(), cum.len());
-        Self { pulses, cum }
+        Self {
+            pulses,
+            cum,
+            digest: AtomicU64::new(UNHASHED),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -274,6 +307,35 @@ impl Pmf {
     #[inline]
     pub fn max_value(&self) -> f64 {
         self.pulses[self.pulses.len() - 1].value
+    }
+
+    /// Structural digest of the exact pulse bits:
+    /// [`crate::hash::fnv1a_pmf`] folded from the FNV-1a offset basis.
+    /// Computed on the first call and cached, so a PMF is hashed at most
+    /// once however many content-addressed lookups key on it, and a clone
+    /// inherits its source's digest. PMFs that are [`Pmf::bits_eq`] have
+    /// equal digests.
+    #[inline]
+    pub fn digest(&self) -> u64 {
+        match self.digest.load(Ordering::Relaxed) {
+            UNHASHED => {
+                let digest = crate::hash::fnv1a_pmf(crate::hash::fnv1a_seed(), self);
+                self.digest.store(digest, Ordering::Relaxed);
+                digest
+            }
+            digest => digest,
+        }
+    }
+
+    /// Bitwise equality: the same pulse count and, pulse by pulse, the
+    /// same value and probability bits. Stricter than `==`, which holds
+    /// for `-0.0` against `0.0`; cell reuse must guarantee bit-identical
+    /// results, so every cache verifies its hits with this.
+    pub fn bits_eq(&self, other: &Pmf) -> bool {
+        self.pulses.len() == other.pulses.len()
+            && self.pulses.iter().zip(&other.pulses).all(|(x, y)| {
+                x.value.to_bits() == y.value.to_bits() && x.prob.to_bits() == y.prob.to_bits()
+            })
     }
 
     // ------------------------------------------------------------------
@@ -1000,5 +1062,45 @@ mod tests {
         let p = Pmf::from_samples_binned(&[5.0, 5.0, 5.0], 4).unwrap();
         assert_eq!(p.len(), 1);
         assert_eq!(p.min_value(), 5.0);
+    }
+
+    #[test]
+    fn digest_is_lazy_and_a_clone_keeps_it() {
+        let p = coin();
+        assert_eq!(
+            p.digest.load(Ordering::Relaxed),
+            UNHASHED,
+            "computed at construction"
+        );
+        let d = p.digest();
+        assert_eq!(d, crate::hash::fnv1a_pmf(crate::hash::fnv1a_seed(), &p));
+        assert_eq!(p.clone().digest.load(Ordering::Relaxed), d);
+        // Equality, `Debug` and serde do not see whether it is cached.
+        let fresh = coin();
+        assert_eq!(fresh, p);
+        assert_eq!(format!("{fresh:?}"), format!("{p:?}"));
+        assert_eq!(
+            serde_json::to_string(&fresh).unwrap(),
+            serde_json::to_string(&p).unwrap()
+        );
+    }
+
+    #[test]
+    fn equal_bits_give_equal_digests() {
+        let a = Pmf::from_pairs([(1.0, 0.25), (2.5, 0.75)]).unwrap();
+        let b = Pmf::from_pairs([(2.5, 0.75), (1.0, 0.25)]).unwrap();
+        assert!(a.bits_eq(&b));
+        assert_eq!(a.digest(), b.digest());
+        let c = Pmf::from_pairs([(1.0, 0.25), (2.0, 0.75)]).unwrap();
+        assert!(!a.bits_eq(&c));
+        assert_ne!(a.digest(), c.digest());
+        // Signed zeros are equal under `==` but not bitwise.
+        let (zero, neg_zero) = (
+            Pmf::degenerate(0.0).unwrap(),
+            Pmf::degenerate(-0.0).unwrap(),
+        );
+        assert_eq!(zero, neg_zero);
+        assert!(!zero.bits_eq(&neg_zero));
+        assert_ne!(zero.digest(), neg_zero.digest());
     }
 }

@@ -269,15 +269,6 @@ proptest! {
     }
 }
 
-/// Bit-level equality: every pulse value and probability has identical bits
-/// (stricter than `==`, which conflates `-0.0` and `0.0`).
-fn bits_equal(a: &Pmf, b: &Pmf) -> bool {
-    a.len() == b.len()
-        && a.pulses().iter().zip(b.pulses()).all(|(x, y)| {
-            x.value.to_bits() == y.value.to_bits() && x.prob.to_bits() == y.prob.to_bits()
-        })
-}
-
 proptest! {
     // ------------------------------------------------------------------
     // Fused-kernel pins: every fast path must be bit-identical to the
@@ -295,12 +286,12 @@ proptest! {
         let scaled = pmf.scale(c).unwrap();
         let reference =
             Pmf::from_pairs(pmf.pulses().iter().map(|p| (p.value * c, p.prob))).unwrap();
-        prop_assert!(bits_equal(&scaled, &reference));
+        prop_assert!(scaled.bits_eq(&reference));
 
         let shifted = pmf.shift(c).unwrap();
         let reference =
             Pmf::from_pairs(pmf.pulses().iter().map(|p| (p.value + c, p.prob))).unwrap();
-        prop_assert!(bits_equal(&shifted, &reference));
+        prop_assert!(shifted.bits_eq(&reference));
     }
 
     /// Non-monotone maps must take the canonicalizing path and still agree
@@ -310,12 +301,12 @@ proptest! {
         let scaled = pmf.scale(-c).unwrap();
         let reference =
             Pmf::from_pairs(pmf.pulses().iter().map(|p| (p.value * -c, p.prob))).unwrap();
-        prop_assert!(bits_equal(&scaled, &reference));
+        prop_assert!(scaled.bits_eq(&reference));
 
         let folded = pmf.map(|v| v * v).unwrap();
         let reference =
             Pmf::from_pairs(pmf.pulses().iter().map(|p| (p.value * p.value, p.prob))).unwrap();
-        prop_assert!(bits_equal(&folded, &reference));
+        prop_assert!(folded.bits_eq(&reference));
     }
 
     /// The fused scale→quotient kernel against the explicit two-step
@@ -331,14 +322,14 @@ proptest! {
         for &f in &factors {
             let fused = exec.scale_quotient_with(f, &avail, &mut scratch).unwrap();
             let two_step = exec.scale(f).unwrap().quotient(&avail).unwrap();
-            prop_assert!(bits_equal(&fused, &two_step));
+            prop_assert!(fused.bits_eq(&two_step));
         }
         // Family entry point (shared probability products).
         let family = exec.scale_quotient_family(&factors, &avail, &mut scratch).unwrap();
         prop_assert_eq!(family.len(), factors.len());
         for (&f, fused) in factors.iter().zip(&family) {
             let two_step = exec.scale(f).unwrap().quotient(&avail).unwrap();
-            prop_assert!(bits_equal(fused, &two_step));
+            prop_assert!(fused.bits_eq(&two_step));
         }
     }
 
@@ -350,7 +341,7 @@ proptest! {
         let mut scratch = cdsf_pmf::CombineScratch::new();
         let fast = a.max_with(&b, &mut scratch).unwrap();
         let reference = a.max(&b).unwrap();
-        prop_assert!(bits_equal(&fast, &reference));
+        prop_assert!(fast.bits_eq(&reference));
     }
 
     /// The sorted-merge product fast path (monotone case: non-negative
@@ -360,7 +351,7 @@ proptest! {
         let mut scratch = cdsf_pmf::CombineScratch::new();
         let fast = a.product_with(&b, &mut scratch).unwrap();
         let reference = a.combine(&b, |x, y| x * y).unwrap();
-        prop_assert!(bits_equal(&fast, &reference));
+        prop_assert!(fast.bits_eq(&reference));
     }
 
     /// Mixed-sign right operand makes the product non-monotone; the kernel
@@ -370,7 +361,7 @@ proptest! {
         let mut scratch = cdsf_pmf::CombineScratch::new();
         let fast = a.product_with(&b, &mut scratch).unwrap();
         let reference = a.combine(&b, |x, y| x * y).unwrap();
-        prop_assert!(bits_equal(&fast, &reference));
+        prop_assert!(fast.bits_eq(&reference));
     }
 
     /// Generic monotone combine with addition (always monotone) against
@@ -380,6 +371,6 @@ proptest! {
         let mut scratch = cdsf_pmf::CombineScratch::new();
         let fast = a.combine_monotone(&b, |x, y| x + y, &mut scratch).unwrap();
         let reference = a.add(&b).unwrap();
-        prop_assert!(bits_equal(&fast, &reference));
+        prop_assert!(fast.bits_eq(&reference));
     }
 }

@@ -6,39 +6,49 @@
 //! execution-time PMF bits, the availability PMF bits, and the Amdahl
 //! rescale factor `s + (1−s)/2^k` (which subsumes both `k` and the serial
 //! fraction; the build kernels read nothing else). [`CellStore`] interns
-//! cells under a structural FNV-1a hash of exactly those inputs, so any
-//! engine build — a different tenant on a different serve shard, a
-//! Γ-robust degraded table, an incremental rebuild — that needs a cell
-//! with the same input bits resolves it by lookup instead of re-running
-//! the fused quotient-grid+merge kernel.
+//! cells by exactly those inputs, so any engine build — a different
+//! tenant on a different serve shard, a Γ-robust degraded table, a remap
+//! after an online event — that needs a cell with the same input bits
+//! resolves it by lookup instead of re-running the fused
+//! quotient-grid+merge kernel. This is the only way engine builds reuse
+//! cells.
+//!
+//! Cells are filed by *family*: all cells of one `(execution PMF,
+//! availability PMF)` pair sit under one structural FNV-1a hash of the
+//! pair — the two PMFs' cached [`Pmf::digest`]s — and are told apart by
+//! their factor bits. An engine build resolves a whole pair's power-of-two
+//! run with one lock, one map probe and one input comparison.
 //!
 //! # Verify-on-hit
 //!
-//! A hash match alone never serves a cell. Each entry retains its exact
-//! inputs, and a lookup only returns the cell after a bitwise
-//! (`f64::to_bits`) comparison of the probe's execution PMF, availability
-//! PMF, and factor against the stored ones — the same collision
-//! discipline as [`crate::engine_cache::EngineCache`]. A colliding entry
-//! is counted in [`CellStoreStats::verify_rejects`] and skipped, so a
-//! collision can cost a recomputation but can never change a result.
+//! A hash match alone never serves a cell. Each family retains its exact
+//! inputs, and a lookup only returns its cells after a bitwise
+//! (`f64::to_bits`) comparison of the probe's execution and availability
+//! PMFs against the stored ones, and of each factor — the same collision
+//! discipline as [`crate::engine_cache::EngineCache`]. A colliding family
+//! is counted in [`CellStoreStats::verify_rejects`] and serves nothing,
+//! and a colliding newcomer is not interned, so it cannot displace the
+//! family holding its key: a collision can cost a recomputation but can
+//! never change a result or evict another tenant's cells.
 //!
 //! # Sharding and eviction
 //!
-//! Entries are spread over a fixed number of `RwLock` shards by hash, so
+//! Families are spread over a fixed number of `RwLock` shards by hash, so
 //! concurrent engine builds on different serve shards take read locks on
 //! the hot path and only contend on inserts to the same shard. Each
-//! shard is bounded: inserts beyond the per-shard capacity evict the
-//! entry with the smallest last-use stamp (a global monotone counter), a
-//! deterministic least-recently-used rule under any serial operation
-//! sequence. Values are `Arc`-shared with every engine that resolved
-//! them, so eviction only drops the store's reference — engines keep
-//! their cells alive.
+//! shard is bounded in cells: inserts beyond the per-shard capacity evict
+//! the cell with the smallest last-use stamp (a global monotone counter,
+//! unique per cell), a deterministic least-recently-used rule under any
+//! serial operation sequence. Values are `Arc`-shared with every engine
+//! that resolved them, so eviction only drops the store's reference —
+//! engines keep their cells alive.
 
 use crate::engine::Cell;
-use cdsf_pmf::hash::{fnv1a_pmf, fnv1a_seed, fnv1a_u64};
+use cdsf_pmf::hash::{fnv1a_seed, fnv1a_u64};
 use cdsf_pmf::Pmf;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -52,35 +62,73 @@ const SHARDS: usize = 8;
 pub const DEFAULT_CELL_CAPACITY: usize = 4096;
 
 /// Structural hash of a `(execution PMF, availability PMF)` pair — the
-/// per-`(app, type)` prefix shared by the whole power-of-two cell family.
+/// key of the pair's whole power-of-two cell family. It folds the two
+/// PMFs' cached digests, so a PMF's pulses are hashed at most once
+/// however many builds look it up.
 pub(crate) fn pair_hash(exec: &Pmf, avail: &Pmf) -> u64 {
-    fnv1a_pmf(fnv1a_pmf(fnv1a_seed(), exec), avail)
+    fnv1a_u64(fnv1a_u64(fnv1a_seed(), exec.digest()), avail.digest())
 }
 
-/// Extends a [`pair_hash`] with the cell's Amdahl factor bits.
-pub(crate) fn cell_hash(pair: u64, factor: f64) -> u64 {
-    fnv1a_u64(pair, factor.to_bits())
-}
-
-/// Bitwise PMF equality (`to_bits`, so `-0.0 ≠ 0.0`) — the verify-on-hit
-/// comparison.
-fn pmf_bits_eq(a: &Pmf, b: &Pmf) -> bool {
-    a.len() == b.len()
-        && a.pulses().iter().zip(b.pulses()).all(|(x, y)| {
-            x.value.to_bits() == y.value.to_bits() && x.prob.to_bits() == y.prob.to_bits()
-        })
-}
-
-/// One interned cell with the inputs that prove it.
-struct Entry {
-    hash: u64,
-    factor_bits: u64,
+/// The interned cells of one `(execution PMF, availability PMF)` pair,
+/// with the inputs that prove them.
+struct Family {
     exec: Pmf,
     avail: Pmf,
+    cells: Vec<Slot>,
+}
+
+impl Family {
+    fn proves(&self, exec: &Pmf, avail: &Pmf) -> bool {
+        self.exec.bits_eq(exec) && self.avail.bits_eq(avail)
+    }
+
+    /// The cell interned for the factor with these bits.
+    fn slot(&self, factor_bits: u64) -> Option<&Slot> {
+        self.cells.iter().find(|s| s.factor_bits == factor_bits)
+    }
+}
+
+/// One interned cell of a family.
+struct Slot {
+    factor_bits: u64,
     cell: Arc<Cell>,
     /// Last-use stamp from the store's global clock; the smallest stamp
     /// in a full shard is the eviction victim.
     stamp: AtomicU64,
+}
+
+/// One lock's worth of families. The keys digest PMFs that tenants
+/// supply, so the map keeps the standard library's keyed hasher; its
+/// iteration order varies between runs, which eviction does not see
+/// because every cell's stamp is unique.
+#[derive(Default)]
+struct Shard {
+    families: HashMap<u64, Family>,
+    /// Cells resident in this shard.
+    cells: usize,
+}
+
+impl Shard {
+    /// Drops the least-recently-used cell, and its family once empty.
+    fn evict_lru(&mut self) {
+        let (_, pair, at) = self
+            .families
+            .iter()
+            .flat_map(|(&pair, f)| {
+                f.cells
+                    .iter()
+                    .enumerate()
+                    .map(move |(at, s)| (s.stamp.load(Ordering::Relaxed), pair, at))
+            })
+            .min()
+            .expect("a full shard is non-empty");
+        let family = self.families.get_mut(&pair).expect("victim exists");
+        family.cells.swap_remove(at);
+        if family.cells.is_empty() {
+            self.families.remove(&pair);
+        }
+        self.cells -= 1;
+    }
 }
 
 /// Counters and occupancy of a [`CellStore`], as surfaced through the
@@ -119,7 +167,7 @@ impl CellStoreStats {
 /// [`Arc`]) by every consumer that wants cross-build cell reuse — the
 /// serve layer hands one to all of its shards' engine caches.
 pub struct CellStore {
-    shards: Vec<RwLock<Vec<Entry>>>,
+    shards: Vec<RwLock<Shard>>,
     per_shard: usize,
     clock: AtomicU64,
     hits: AtomicU64,
@@ -143,7 +191,7 @@ impl CellStore {
     pub fn new(capacity: usize) -> Self {
         let per_shard = capacity.div_ceil(SHARDS).max(1);
         Self {
-            shards: (0..SHARDS).map(|_| RwLock::new(Vec::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
             per_shard,
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -160,81 +208,107 @@ impl CellStore {
     }
 
     #[inline]
-    fn shard_of(&self, hash: u64) -> &RwLock<Vec<Entry>> {
-        &self.shards[(hash as usize) & (SHARDS - 1)]
+    fn shard_of(&self, pair: u64) -> &RwLock<Shard> {
+        &self.shards[(pair as usize) & (SHARDS - 1)]
     }
 
+    /// `n` fresh stamps from the global clock; returns the first.
     #[inline]
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    fn ticks(&self, n: usize) -> u64 {
+        self.clock.fetch_add(n as u64, Ordering::Relaxed) + 1
     }
 
-    /// Looks up the cell for `(exec, factor, avail)` under `hash` (which
-    /// **must** be `cell_hash(pair_hash(exec, avail), factor)` — callers
-    /// hash the pair prefix once per family). Returns the interned cell
-    /// only after the bitwise input verification; a hash collision is
-    /// counted and skipped.
-    pub(crate) fn get(&self, hash: u64, exec: &Pmf, factor: f64, avail: &Pmf) -> Option<Arc<Cell>> {
-        let shard = self.shard_of(hash).read();
-        for e in shard.iter() {
-            if e.hash != hash {
+    /// Resolves one pair family: `out[k]` becomes the interned cell for
+    /// `factors[k]` where one is resident. `pair` **must** be
+    /// [`pair_hash`]`(exec, avail)`. The family's cells are served only
+    /// after a bitwise comparison of its inputs with the probe's; every
+    /// factor counts as a hit or a miss, and a colliding family is
+    /// counted once as a verify reject.
+    pub(crate) fn get_family(
+        &self,
+        pair: u64,
+        exec: &Pmf,
+        avail: &Pmf,
+        factors: &[f64],
+        out: &mut [Option<Arc<Cell>>],
+    ) {
+        let shard = self.shard_of(pair).read();
+        let mut hits = 0;
+        match shard.families.get(&pair) {
+            Some(family) if family.proves(exec, avail) => {
+                let stamp = self.ticks(factors.len());
+                for (k, (factor, out)) in factors.iter().zip(out.iter_mut()).enumerate() {
+                    if let Some(s) = family.slot(factor.to_bits()) {
+                        s.stamp.store(stamp + k as u64, Ordering::Relaxed);
+                        *out = Some(Arc::clone(&s.cell));
+                        hits += 1;
+                    }
+                }
+            }
+            Some(_) => {
+                self.verify_rejects.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {}
+        }
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses
+            .fetch_add(factors.len() as u64 - hits, Ordering::Relaxed);
+    }
+
+    /// Interns freshly computed cells of one pair family, keyed as in
+    /// [`CellStore::get_family`], evicting the shard's least-recently-used
+    /// cell for each one beyond its bound. When a family with other inputs
+    /// holds the key (a hash collision), the newcomer's cells are not
+    /// interned: the resident family keeps its cells until the LRU drops
+    /// them, and the newcomer's builds compute theirs, so a collision
+    /// costs time, never a result. A cell whose factor is already
+    /// resident — a concurrent build interned it first — only has its
+    /// stamp refreshed, so residency never double-counts one cell
+    /// identity.
+    pub(crate) fn insert_family(
+        &self,
+        pair: u64,
+        exec: &Pmf,
+        avail: &Pmf,
+        cells: impl IntoIterator<Item = (f64, Arc<Cell>)>,
+    ) {
+        let mut guard = self.shard_of(pair).write();
+        let shard = &mut *guard;
+        if let Some(resident) = shard.families.get(&pair) {
+            if !resident.proves(exec, avail) {
+                return;
+            }
+        }
+        for (factor, cell) in cells {
+            let stamp = self.ticks(1);
+            let bits = factor.to_bits();
+            let resident = shard.families.get(&pair).and_then(|f| f.slot(bits));
+            if let Some(s) = resident {
+                s.stamp.store(stamp, Ordering::Relaxed);
                 continue;
             }
-            if e.factor_bits == factor.to_bits()
-                && pmf_bits_eq(&e.exec, exec)
-                && pmf_bits_eq(&e.avail, avail)
-            {
-                e.stamp.store(self.tick(), Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(Arc::clone(&e.cell));
+            if shard.cells >= self.per_shard {
+                shard.evict_lru();
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            self.verify_rejects.fetch_add(1, Ordering::Relaxed);
+            let family = shard.families.entry(pair).or_insert_with(|| Family {
+                exec: exec.clone(),
+                avail: avail.clone(),
+                cells: Vec::new(),
+            });
+            family.cells.push(Slot {
+                factor_bits: bits,
+                cell,
+                stamp: AtomicU64::new(stamp),
+            });
+            shard.cells += 1;
+            self.insertions.fetch_add(1, Ordering::Relaxed);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Interns a freshly computed cell under `hash` (same contract as
-    /// [`CellStore::get`]), evicting the least-recently-used entry of the
-    /// target shard once it is full. A concurrent build may have interned
-    /// the same inputs already; the duplicate is detected and dropped so
-    /// residency never double-counts one cell identity.
-    pub(crate) fn insert(&self, hash: u64, exec: &Pmf, factor: f64, avail: &Pmf, cell: Arc<Cell>) {
-        let mut shard = self.shard_of(hash).write();
-        let stamp = self.tick();
-        if let Some(existing) = shard.iter().find(|e| {
-            e.hash == hash
-                && e.factor_bits == factor.to_bits()
-                && pmf_bits_eq(&e.exec, exec)
-                && pmf_bits_eq(&e.avail, avail)
-        }) {
-            existing.stamp.store(stamp, Ordering::Relaxed);
-            return;
-        }
-        if shard.len() >= self.per_shard {
-            let victim = shard
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp.load(Ordering::Relaxed))
-                .map(|(i, _)| i)
-                .expect("full shard is non-empty");
-            shard.swap_remove(victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.push(Entry {
-            hash,
-            factor_bits: factor.to_bits(),
-            exec: exec.clone(),
-            avail: avail.clone(),
-            cell,
-            stamp: AtomicU64::new(stamp),
-        });
-        self.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Cells currently resident across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.read().cells).sum()
     }
 
     /// Whether no cell is resident.
@@ -280,17 +354,36 @@ mod tests {
         Arc::new(Cell::new(dedicated, loaded))
     }
 
+    /// One-cell lookup under family key `pair`.
+    fn get(
+        store: &CellStore,
+        pair: u64,
+        exec: &Pmf,
+        factor: f64,
+        avail: &Pmf,
+    ) -> Option<Arc<Cell>> {
+        let mut out = [None];
+        store.get_family(pair, exec, avail, &[factor], &mut out);
+        out[0].take()
+    }
+
+    /// One-cell insert under family key `pair`.
+    fn insert(store: &CellStore, pair: u64, exec: &Pmf, factor: f64, avail: &Pmf) -> Arc<Cell> {
+        let cell = mk_cell(exec, factor, avail);
+        store.insert_family(pair, exec, avail, [(factor, Arc::clone(&cell))]);
+        cell
+    }
+
     #[test]
     fn get_after_insert_round_trips_the_cell() {
         let store = CellStore::new(16);
         let exec = mk_pmf(&[(100.0, 0.5), (200.0, 0.5)]);
         let avail = mk_pmf(&[(0.5, 0.5), (1.0, 0.5)]);
         let factor = 0.625;
-        let hash = cell_hash(pair_hash(&exec, &avail), factor);
-        assert!(store.get(hash, &exec, factor, &avail).is_none());
-        let cell = mk_cell(&exec, factor, &avail);
-        store.insert(hash, &exec, factor, &avail, Arc::clone(&cell));
-        let back = store.get(hash, &exec, factor, &avail).unwrap();
+        let pair = pair_hash(&exec, &avail);
+        assert!(get(&store, pair, &exec, factor, &avail).is_none());
+        let cell = insert(&store, pair, &exec, factor, &avail);
+        let back = get(&store, pair, &exec, factor, &avail).unwrap();
         assert!(Arc::ptr_eq(&back, &cell));
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
@@ -299,38 +392,57 @@ mod tests {
     }
 
     #[test]
+    fn a_family_resolves_its_whole_run_in_one_lookup() {
+        let store = CellStore::new(16);
+        let exec = mk_pmf(&[(100.0, 0.5), (200.0, 0.5)]);
+        let avail = mk_pmf(&[(0.5, 0.5), (1.0, 0.5)]);
+        let pair = pair_hash(&exec, &avail);
+        let factors = [1.0, 0.625, 0.4375];
+        let cells: Vec<_> = factors.iter().map(|&f| mk_cell(&exec, f, &avail)).collect();
+        store.insert_family(
+            pair,
+            &exec,
+            &avail,
+            [
+                (1.0, Arc::clone(&cells[0])),
+                (0.4375, Arc::clone(&cells[2])),
+            ],
+        );
+        let mut out = [None, None, None];
+        store.get_family(pair, &exec, &avail, &factors, &mut out);
+        assert!(Arc::ptr_eq(out[0].as_ref().unwrap(), &cells[0]));
+        assert!(out[1].is_none(), "0.625 was never interned");
+        assert!(Arc::ptr_eq(out[2].as_ref().unwrap(), &cells[2]));
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.resident), (2, 1, 2));
+    }
+
+    #[test]
     fn forced_hash_collision_is_rejected_not_served() {
-        // Two different input triples, deliberately filed under the same
-        // hash: the verify pass must refuse to serve either entry for
-        // the other's inputs, and count the rejection.
+        // Two different input pairs, deliberately filed under the same
+        // key: the verify pass must refuse to serve either family for the
+        // other's inputs, and count the rejection.
         let store = CellStore::new(16);
         let exec_a = mk_pmf(&[(100.0, 1.0)]);
         let exec_b = mk_pmf(&[(999.0, 1.0)]);
         let avail = mk_pmf(&[(1.0, 1.0)]);
         let factor = 1.0;
-        let hash = cell_hash(pair_hash(&exec_a, &avail), factor);
-        // Poison: B's cell inserted under A's hash.
-        store.insert(
-            hash,
-            &exec_b,
-            factor,
-            &avail,
-            mk_cell(&exec_b, factor, &avail),
-        );
-        assert!(store.get(hash, &exec_a, factor, &avail).is_none());
+        let pair = pair_hash(&exec_a, &avail);
+        // Poison: B's cell filed under A's key.
+        insert(&store, pair, &exec_b, factor, &avail);
+        assert!(get(&store, pair, &exec_a, factor, &avail).is_none());
         let s = store.stats();
         assert_eq!(s.verify_rejects, 1);
         assert_eq!(s.hits, 0);
-        // The honest entry coexists under the same hash and is served.
-        store.insert(
-            hash,
-            &exec_a,
-            factor,
-            &avail,
-            mk_cell(&exec_a, factor, &avail),
-        );
-        let got = store.get(hash, &exec_a, factor, &avail).unwrap();
-        assert_eq!(got.dedicated.expectation(), 100.0);
+        // A colliding newcomer does not displace the resident family: A's
+        // cell is not interned, and B's keeps being served for B's inputs.
+        insert(&store, pair, &exec_a, factor, &avail);
+        assert!(get(&store, pair, &exec_a, factor, &avail).is_none());
+        let got = get(&store, pair, &exec_b, factor, &avail).unwrap();
+        assert_eq!(got.dedicated.expectation(), 999.0);
+        let s = store.stats();
+        assert_eq!((s.resident, s.insertions, s.evictions), (1, 1, 0));
+        assert_eq!(s.verify_rejects, 2);
     }
 
     #[test]
@@ -339,82 +451,57 @@ mod tests {
         let exec = mk_pmf(&[(100.0, 1.0)]);
         let avail = mk_pmf(&[(1.0, 1.0)]);
         let pair = pair_hash(&exec, &avail);
-        store.insert(
-            cell_hash(pair, 1.0),
-            &exec,
-            1.0,
-            &avail,
-            mk_cell(&exec, 1.0, &avail),
-        );
-        assert!(store
-            .get(cell_hash(pair, 0.5), &exec, 0.5, &avail)
-            .is_none());
+        insert(&store, pair, &exec, 1.0, &avail);
+        assert!(get(&store, pair, &exec, 0.5, &avail).is_none());
     }
 
     #[test]
     fn eviction_is_lru_and_bounded() {
-        // Capacity 8 over 8 shards = 1 cell per shard; force all entries
-        // into one shard by hashing nothing (use explicit hashes with
-        // equal low bits) so the LRU rule is observable.
+        // Capacity 8 over 8 shards = 1 cell per shard; explicit keys with
+        // equal low bits put every family in one shard, so the LRU rule
+        // is observable.
         let store = CellStore::new(8);
         let avail = mk_pmf(&[(1.0, 1.0)]);
         let execs: Vec<Pmf> = (0..3).map(|i| mk_pmf(&[(100.0 + i as f64, 1.0)])).collect();
-        let hash = |i: usize| (i as u64) << 3; // same low 3 bits → same shard
-        store.insert(
-            hash(0),
-            &execs[0],
-            1.0,
-            &avail,
-            mk_cell(&execs[0], 1.0, &avail),
-        );
-        store.insert(
-            hash(1),
-            &execs[1],
-            1.0,
-            &avail,
-            mk_cell(&execs[1], 1.0, &avail),
-        );
-        // Shard bound is 1: inserting entry 1 evicted entry 0.
-        assert!(store.get(hash(0), &execs[0], 1.0, &avail).is_none());
-        assert!(store.get(hash(1), &execs[1], 1.0, &avail).is_some());
+        let key = |i: usize| (i as u64) << 3; // same low 3 bits → same shard
+        insert(&store, key(0), &execs[0], 1.0, &avail);
+        insert(&store, key(1), &execs[1], 1.0, &avail);
+        // Shard bound is 1: inserting family 1 evicted family 0.
+        assert!(get(&store, key(0), &execs[0], 1.0, &avail).is_none());
+        assert!(get(&store, key(1), &execs[1], 1.0, &avail).is_some());
         // Touch 1, insert 2 → 1 was most recent but the shard holds one
-        // entry, so 1 is evicted anyway; with per-shard capacity 1 the
+        // cell, so 1 is evicted anyway; with per-shard capacity 1 the
         // newest always wins.
-        store.insert(
-            hash(2),
-            &execs[2],
-            1.0,
-            &avail,
-            mk_cell(&execs[2], 1.0, &avail),
-        );
-        assert!(store.get(hash(1), &execs[1], 1.0, &avail).is_none());
+        insert(&store, key(2), &execs[2], 1.0, &avail);
+        assert!(get(&store, key(1), &execs[1], 1.0, &avail).is_none());
         let s = store.stats();
         assert_eq!(s.evictions, 2);
         assert_eq!(s.resident, 1);
     }
 
     #[test]
-    fn lru_victim_is_the_stalest_entry() {
+    fn lru_victim_is_the_stalest_cell() {
         // Per-shard capacity 2 (capacity 16 / 8 shards): A and B
         // resident, touch A, insert C → B (stalest) is evicted.
         let store = CellStore::new(16);
         let avail = mk_pmf(&[(1.0, 1.0)]);
         let execs: Vec<Pmf> = (0..3).map(|i| mk_pmf(&[(100.0 + i as f64, 1.0)])).collect();
-        let hash = |i: usize| (i as u64) << 3;
+        let key = |i: usize| (i as u64) << 3;
         for (i, exec) in execs.iter().enumerate().take(2) {
-            store.insert(hash(i), exec, 1.0, &avail, mk_cell(exec, 1.0, &avail));
+            insert(&store, key(i), exec, 1.0, &avail);
         }
-        assert!(store.get(hash(0), &execs[0], 1.0, &avail).is_some());
-        store.insert(
-            hash(2),
-            &execs[2],
-            1.0,
-            &avail,
-            mk_cell(&execs[2], 1.0, &avail),
-        );
-        assert!(store.get(hash(0), &execs[0], 1.0, &avail).is_some());
-        assert!(store.get(hash(1), &execs[1], 1.0, &avail).is_none());
-        assert!(store.get(hash(2), &execs[2], 1.0, &avail).is_some());
+        assert!(get(&store, key(0), &execs[0], 1.0, &avail).is_some());
+        insert(&store, key(2), &execs[2], 1.0, &avail);
+        assert!(get(&store, key(0), &execs[0], 1.0, &avail).is_some());
+        assert!(get(&store, key(1), &execs[1], 1.0, &avail).is_none());
+        assert!(get(&store, key(2), &execs[2], 1.0, &avail).is_some());
+        // Cells, not families, are the unit: touch A, then a second
+        // factor of A's family evicts the stalest cell, C.
+        assert!(get(&store, key(0), &execs[0], 1.0, &avail).is_some());
+        insert(&store, key(0), &execs[0], 0.5, &avail);
+        assert!(get(&store, key(2), &execs[2], 1.0, &avail).is_none());
+        assert!(get(&store, key(0), &execs[0], 1.0, &avail).is_some());
+        assert!(get(&store, key(0), &execs[0], 0.5, &avail).is_some());
     }
 
     #[test]
@@ -422,9 +509,9 @@ mod tests {
         let store = CellStore::new(16);
         let exec = mk_pmf(&[(100.0, 1.0)]);
         let avail = mk_pmf(&[(1.0, 1.0)]);
-        let hash = cell_hash(pair_hash(&exec, &avail), 1.0);
-        store.insert(hash, &exec, 1.0, &avail, mk_cell(&exec, 1.0, &avail));
-        store.insert(hash, &exec, 1.0, &avail, mk_cell(&exec, 1.0, &avail));
+        let pair = pair_hash(&exec, &avail);
+        insert(&store, pair, &exec, 1.0, &avail);
+        insert(&store, pair, &exec, 1.0, &avail);
         let s = store.stats();
         assert_eq!(s.insertions, 1);
         assert_eq!(s.resident, 1);

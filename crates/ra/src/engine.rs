@@ -56,6 +56,7 @@ use crate::allocation::{Allocation, Assignment};
 use crate::cell_store::{self, CellStore};
 use crate::robustness::ProbabilityTable;
 use crate::{RaError, Result};
+use cdsf_pmf::hash::{fnv1a_pmf, fnv1a_seed, fnv1a_u64};
 use cdsf_pmf::{CombineScratch, Pmf};
 use cdsf_system::parallel_time::{amdahl_factor, parallel_time_pmf};
 use cdsf_system::pool::{self, PoolStats};
@@ -64,11 +65,10 @@ use std::sync::{Arc, OnceLock};
 
 /// One memoized `(app, type, 2^k share)` cell.
 ///
-/// Cells are held behind [`Arc`] so an incremental rebuild
-/// ([`Phi1Engine::rebuild_with`]) can carry unchanged cells over by
-/// reference-count bump instead of deep-cloning their PMFs, and so the
-/// content-addressed [`crate::cell_store::CellStore`] can intern one
-/// copy across engines, tenants, and serve shards.
+/// Cells are held behind [`Arc`] so the content-addressed [`CellStore`]
+/// can intern one copy across engines, tenants, and serve shards, and a
+/// build that resolves a cell from it shares the cell by reference-count
+/// bump instead of deep-cloning its PMFs.
 #[derive(Debug, Clone)]
 pub(crate) struct Cell {
     /// Dedicated parallel-time PMF (Amdahl-rescaled execution time).
@@ -122,36 +122,36 @@ struct Pair {
 /// pays for itself.
 pub const PARALLEL_BUILD_MIN_WORK: u64 = 1 << 16;
 
-/// Index maps from a rebuilt engine's coordinate space into the engine it
-/// is rebuilt from: `apps[i]` / `types[j]` give the previous batch/platform
-/// index of new app `i` / new type `j`, or `None` for genuinely new
-/// entries. Hints are *verified*, not trusted — a cell is only reused if
-/// the mapped app's execution PMF, serial fraction, and the mapped type's
-/// availability PMF are bit-identical — so stale hints cost recomputation,
-/// never correctness.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RebuildMap<'a> {
-    /// Per new-app index: the corresponding app index in the previous batch.
-    pub apps: &'a [Option<usize>],
-    /// Per new-type index: the corresponding type index in the previous
-    /// platform.
-    pub types: &'a [Option<usize>],
+/// Options of [`Phi1Engine::build_with`], the one engine build that
+/// [`Phi1Engine::build`] and [`Phi1Engine::build_parallel`] abbreviate.
+/// No option changes a bit of the engine; they only decide how its cells
+/// are obtained.
+#[derive(Debug, Clone, Copy)]
+pub struct EngineBuild<'a> {
+    /// Pool workers (at least 1).
+    pub threads: usize,
+    /// Estimated kernel work (pulse-pair operations over the cells that
+    /// need computing) below which the build runs serially whatever
+    /// `threads` says. [`PARALLEL_BUILD_MIN_WORK`] by default; `0` forces
+    /// the pool, for tuning and for exercising the parallel path in
+    /// tests.
+    pub min_work: u64,
+    /// Content-addressed store to resolve cells from before any kernel
+    /// runs, and to intern the computed ones into. Every cell whose exact
+    /// inputs (execution PMF bits, Amdahl factor bits, availability PMF
+    /// bits) are resident is taken from it, verified bitwise; a build
+    /// whose cells all resolve runs no kernel at all.
+    pub store: Option<&'a CellStore>,
 }
 
-/// Verified-reuse plan: `src[c]` is the previous engine's arena index
-/// whose cell is bit-identical to new cell `c`, or `None` to compute.
-struct ReusePlan<'a> {
-    prev: &'a Phi1Engine,
-    src: Vec<Option<u32>>,
-}
-
-/// Bit-level PMF equality — stricter than `==`, which conflates
-/// `-0.0`/`0.0`; reuse must guarantee *bit*-identical rebuilt engines.
-fn pmf_bits_equal(a: &Pmf, b: &Pmf) -> bool {
-    a.len() == b.len()
-        && a.pulses().iter().zip(b.pulses()).all(|(x, y)| {
-            x.value.to_bits() == y.value.to_bits() && x.prob.to_bits() == y.prob.to_bits()
-        })
+impl Default for EngineBuild<'_> {
+    fn default() -> Self {
+        Self {
+            threads: 1,
+            min_work: PARALLEL_BUILD_MIN_WORK,
+            store: None,
+        }
+    }
 }
 
 /// Per-option Stage-I statistics of one application at one deadline, as
@@ -207,198 +207,27 @@ impl Phi1Engine {
     /// [`PARALLEL_BUILD_MIN_WORK`] run serially — spawning threads for
     /// them is a net loss.
     pub fn build_parallel(batch: &Batch, platform: &Platform, threads: usize) -> Result<Self> {
-        Self::build_parallel_with_min_work(batch, platform, threads, PARALLEL_BUILD_MIN_WORK)
-    }
-
-    /// [`build_parallel`](Self::build_parallel) with an explicit
-    /// serial-fallback threshold (estimated pulse-pair operations). Pass
-    /// `0` to force the multi-threaded path regardless of instance size —
-    /// useful for tuning and for exercising the parallel code path in
-    /// tests.
-    pub fn build_parallel_with_min_work(
-        batch: &Batch,
-        platform: &Platform,
-        threads: usize,
-        min_work: u64,
-    ) -> Result<Self> {
-        Self::build_inner(batch, platform, threads, min_work, None, None).map(|(e, _)| e)
-    }
-
-    /// [`build_parallel`](Self::build_parallel) resolving cells against a
-    /// content-addressed [`CellStore`] first: every cell whose exact
-    /// inputs (execution PMF bits, Amdahl factor bits, availability PMF
-    /// bits) are already interned is taken from the store — verified
-    /// bitwise, so the engine is identical to an uncached build — and
-    /// only genuinely new cells dispatch the fused kernel (and are
-    /// interned for the next build). A build whose cells all resolve
-    /// runs no kernel at all.
-    pub fn build_parallel_with_store(
-        batch: &Batch,
-        platform: &Platform,
-        threads: usize,
-        store: &CellStore,
-    ) -> Result<Self> {
-        Self::build_inner(
-            batch,
-            platform,
+        let opts = EngineBuild {
             threads,
-            PARALLEL_BUILD_MIN_WORK,
-            None,
-            Some(store),
-        )
-        .map(|(e, _)| e)
+            ..EngineBuild::default()
+        };
+        Self::build_with(batch, platform, &opts).map(|(e, _)| e)
     }
 
-    /// [`build_parallel_with_min_work`](Self::build_parallel_with_min_work)
-    /// plus the work-stealing pool's scheduling metadata
-    /// ([`PoolStats`]): which worker built how many `(app, type)` pair
-    /// families and how many chunks it stole. The engine itself is
-    /// bit-identical to the uninstrumented build; only the stats are
-    /// interleaving-dependent. Intended for tuning and for the pool's
-    /// starvation stress tests.
-    pub fn build_parallel_instrumented(
+    /// The engine build behind every entry point, returning the
+    /// work-stealing pool's scheduling metadata ([`PoolStats`]) with the
+    /// engine: which worker built how many `(app, type)` pair families
+    /// and how many chunks it stole. The engine is bit-identical for
+    /// every `opts`; only the stats depend on the interleaving.
+    pub fn build_with(
         batch: &Batch,
         platform: &Platform,
-        threads: usize,
-        min_work: u64,
-    ) -> Result<(Self, PoolStats)> {
-        Self::build_inner(batch, platform, threads, min_work, None, None)
-    }
-
-    /// [`build_parallel_instrumented`](Self::build_parallel_instrumented)
-    /// with an optional [`CellStore`] — the variant
-    /// [`crate::engine_cache::EngineCache`] builds through.
-    pub fn build_parallel_instrumented_with_store(
-        batch: &Batch,
-        platform: &Platform,
-        threads: usize,
-        min_work: u64,
-        store: Option<&CellStore>,
-    ) -> Result<(Self, PoolStats)> {
-        Self::build_inner(batch, platform, threads, min_work, None, store)
-    }
-
-    /// Rebuilds the engine for a new `(batch, platform)` — typically a
-    /// remnant of the previous one after an online event — reusing every
-    /// `(app, type, k)` cell whose inputs are bit-identical under `map`'s
-    /// (verified) index correspondences. Returns the new engine and the
-    /// number of cells carried over. The result is bit-identical to a
-    /// fresh [`build_parallel`](Self::build_parallel) on the same inputs:
-    /// reuse is keyed on the exact inputs of the cell kernel (execution
-    /// PMF bits, serial fraction bits, availability bits), so a reused
-    /// cell *is* the cell a fresh build would compute.
-    ///
-    /// `prev_batch` / `prev_platform` must be the inputs this engine was
-    /// built from; the engine does not retain them (the bookkeeping lives
-    /// in [`crate::engine_cache::EngineCache`]).
-    pub fn rebuild_with(
-        &self,
-        prev_batch: &Batch,
-        prev_platform: &Platform,
-        batch: &Batch,
-        platform: &Platform,
-        map: RebuildMap<'_>,
-        threads: usize,
-    ) -> Result<(Self, usize)> {
-        self.rebuild_with_store(
-            prev_batch,
-            prev_platform,
-            batch,
-            platform,
-            map,
-            threads,
-            None,
-        )
-    }
-
-    /// [`rebuild_with`](Self::rebuild_with) that additionally resolves
-    /// cells the reuse plan could not carry over against a
-    /// [`CellStore`]. The reported reuse count covers the plan's
-    /// carry-overs only; store hits show up in the store's own counters.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rebuild_with_store(
-        &self,
-        prev_batch: &Batch,
-        prev_platform: &Platform,
-        batch: &Batch,
-        platform: &Platform,
-        map: RebuildMap<'_>,
-        threads: usize,
-        store: Option<&CellStore>,
-    ) -> Result<(Self, usize)> {
-        let num_types = platform.num_types();
-        let prev_apps = prev_batch.apps();
-        let mut src: Vec<Option<u32>> = Vec::new();
-        for (i, (_, app)) in batch.iter().enumerate() {
-            // Resolve and verify the app hint once per app.
-            let prev_app = map
-                .apps
-                .get(i)
-                .copied()
-                .flatten()
-                .and_then(|a| prev_apps.get(a).map(|pa| (a, pa)))
-                .filter(|(_, pa)| {
-                    pa.serial_fraction().to_bits() == app.serial_fraction().to_bits()
-                });
-            for j in 0..num_types {
-                let ty = ProcTypeId(j);
-                if app.exec_time(ty).is_err() {
-                    continue;
-                }
-                let options = platform.pow2_options(ty)?.len();
-                let prev_range = prev_app.and_then(|(a, pa)| {
-                    let t = map
-                        .types
-                        .get(j)
-                        .copied()
-                        .flatten()
-                        .filter(|&t| t < prev_platform.num_types())?;
-                    let pt = ProcTypeId(t);
-                    let prev_exec = pa.exec_time(pt).ok()?;
-                    if !pmf_bits_equal(prev_exec, app.exec_time(ty).ok()?) {
-                        return None;
-                    }
-                    let prev_avail = prev_platform.proc_type(pt).ok()?.availability();
-                    let avail = platform.proc_type(ty).ok()?.availability();
-                    if !pmf_bits_equal(prev_avail, avail) {
-                        return None;
-                    }
-                    self.index.get(a * self.num_types + t).copied().flatten()
-                });
-                for k in 0..options {
-                    src.push(
-                        prev_range.and_then(|(start, len)| {
-                            (k < len as usize).then_some(start + k as u32)
-                        }),
-                    );
-                }
-            }
-        }
-        let reused = src.iter().filter(|s| s.is_some()).count();
-        let plan = ReusePlan { prev: self, src };
-        let (engine, _) = Self::build_inner(
-            batch,
-            platform,
-            threads,
-            PARALLEL_BUILD_MIN_WORK,
-            Some(&plan),
-            store,
-        )?;
-        Ok((engine, reused))
-    }
-
-    fn build_inner(
-        batch: &Batch,
-        platform: &Platform,
-        threads: usize,
-        min_work: u64,
-        reuse: Option<&ReusePlan<'_>>,
-        store: Option<&CellStore>,
+        opts: &EngineBuild<'_>,
     ) -> Result<(Self, PoolStats)> {
         if batch.is_empty() {
             return Err(RaError::EmptyBatch);
         }
-        if threads == 0 {
+        if opts.threads == 0 {
             return Err(RaError::BadParameter {
                 name: "threads",
                 value: 0.0,
@@ -434,12 +263,8 @@ impl Phi1Engine {
                 total_cells += count;
             }
         }
-        if let Some(plan) = reuse {
-            debug_assert_eq!(plan.src.len(), total_cells as usize);
-        }
 
-        let (cells, stats) =
-            compute_cells(batch, platform, &pairs, threads, min_work, reuse, store)?;
+        let (cells, stats) = compute_cells(batch, platform, &pairs, opts)?;
 
         let availability = platform
             .types()
@@ -642,36 +467,37 @@ impl Phi1Engine {
     /// state equality through this one `u64` instead of walking the
     /// arenas.
     pub fn table_fingerprint(&self) -> u64 {
-        let mut h = crate::engine_cache::fnv1a_seed();
-        h = crate::engine_cache::fnv1a_u64(h, self.num_apps as u64);
-        h = crate::engine_cache::fnv1a_u64(h, self.num_types as u64);
+        let mut h = fnv1a_seed();
+        h = fnv1a_u64(h, self.num_apps as u64);
+        h = fnv1a_u64(h, self.num_types as u64);
         for slot in &self.index {
             match slot {
-                None => h = crate::engine_cache::fnv1a_u64(h, u64::MAX),
+                None => h = fnv1a_u64(h, u64::MAX),
                 Some((start, len)) => {
-                    h = crate::engine_cache::fnv1a_u64(h, *start as u64);
-                    h = crate::engine_cache::fnv1a_u64(h, *len as u64);
+                    h = fnv1a_u64(h, *start as u64);
+                    h = fnv1a_u64(h, *len as u64);
                 }
             }
         }
         for cell in &self.cells {
             for pmf in [&cell.dedicated, &cell.loaded] {
-                h = crate::engine_cache::fnv1a_pmf(h, pmf);
+                h = fnv1a_pmf(h, pmf);
             }
         }
         for cell in &self.cells {
-            h = crate::engine_cache::fnv1a_u64(h, cell.expected.to_bits());
+            h = fnv1a_u64(h, cell.expected.to_bits());
         }
         for pmf in &self.availability {
-            h = crate::engine_cache::fnv1a_pmf(h, pmf);
+            h = fnv1a_pmf(h, pmf);
         }
         h
     }
 }
 
 /// Computes all cells pair by pair through the fused scale→quotient
-/// kernel, fanning out over the [`cdsf_system::pool`] work-stealing pool
-/// only when the estimated kernel work of the cells that actually need
+/// kernel — after resolving what it can from the store, if one is given —
+/// fanning out over the [`cdsf_system::pool`] work-stealing pool only
+/// when the estimated kernel work of the cells that actually need
 /// computing is at least `min_work`. Results are returned in arena order;
 /// the first failing pair (in pair order) decides the error — that is the
 /// pool's min-task-index error contract.
@@ -680,44 +506,33 @@ impl Phi1Engine {
 /// cell: the fused `scale_quotient_family` kernel shares the
 /// availability-expanded probability products across the pair's whole
 /// power-of-two run, and splitting below pair granularity would forfeit
-/// that sharing. Each pair's cells go into a per-pair [`OnceLock`] slot
-/// and are stitched in pair order afterwards, so the arena — and with it
-/// the whole engine — is bit-identical for every thread count and every
-/// steal interleaving. Per-worker [`CombineScratch`] arenas are created
-/// once and reused across all (owned and stolen) pairs a worker executes.
+/// that sharing. Only pairs with unresolved cells become pool tasks; each
+/// task's cells go into a per-task [`OnceLock`] slot, and the arena is
+/// stitched in order afterwards, so it — and with it the whole engine —
+/// is bit-identical for every thread count and every steal interleaving.
+/// Per-worker [`CombineScratch`] arenas are created once and reused
+/// across all (owned and stolen) pairs a worker executes.
 fn compute_cells(
     batch: &Batch,
     platform: &Platform,
     pairs: &[Pair],
-    threads: usize,
-    min_work: u64,
-    reuse: Option<&ReusePlan<'_>>,
-    store: Option<&CellStore>,
+    opts: &EngineBuild<'_>,
 ) -> Result<(Vec<Arc<Cell>>, PoolStats)> {
     let apps: Vec<_> = batch.iter().map(|(_, app)| app).collect();
     let total_cells = pairs.last().map_or(0, |p| (p.start + p.count) as usize);
+    let store = opts.store;
 
-    // Resolve every cell that needs no kernel up front: first the
-    // rebuild plan's verified carry-overs, then the content-addressed
-    // store (both return cells whose inputs are bit-identical to what
-    // the kernel would consume, so a resolved cell *is* the cell a
-    // fresh build would compute). The resolution pass is serial and
-    // cheap — hashing and bitwise comparison over the input PMFs —
-    // which is what turns a high-overlap build into a near-pure lookup:
-    // only the leftover cells are weighed and dispatched to the pool.
+    // Resolve every cell the store already holds, up front. A resolved
+    // cell's inputs are verified bit-identical to what the kernel would
+    // consume, so it *is* the cell a fresh build would compute. The pass
+    // is serial and cheap — per pair, one key from the two PMFs' cached
+    // digests and one bitwise comparison of the inputs for the whole
+    // power-of-two run — which turns a high-overlap build into a
+    // near-pure lookup: only the leftover cells are weighed and
+    // dispatched to the pool.
     let mut ready: Vec<Option<Arc<Cell>>> = vec![None; total_cells];
-    if let Some(plan) = reuse {
-        for (arena, src) in plan.src.iter().enumerate() {
-            if let Some(prev) = src {
-                ready[arena] = Some(Arc::clone(&plan.prev.cells[*prev as usize]));
-            }
-        }
-    }
-    // `hashes[arena]` is the store key of each unresolved cell, kept so
-    // workers intern freshly computed cells without re-hashing inputs.
-    let mut hashes: Vec<u64> = Vec::new();
     if let Some(store) = store {
-        hashes = vec![0u64; total_cells];
+        let mut factors = Vec::new();
         for pair in pairs {
             let app = apps[pair.app];
             let ty = ProcTypeId(pair.ty);
@@ -725,112 +540,114 @@ fn compute_cells(
                 continue;
             };
             let avail = proc.availability();
-            let base = cell_store::pair_hash(exec, avail);
             let s = app.serial_fraction();
-            for k in 0..pair.count {
-                let arena = (pair.start + k) as usize;
-                let factor = amdahl_factor(s, 1u32 << k);
-                hashes[arena] = cell_store::cell_hash(base, factor);
-                if ready[arena].is_none() {
-                    ready[arena] = store.get(hashes[arena], exec, factor, avail);
-                }
-            }
+            factors.clear();
+            factors.extend((0..pair.count).map(|k| amdahl_factor(s, 1u32 << k)));
+            let run = pair.start as usize..(pair.start + pair.count) as usize;
+            let key = cell_store::pair_hash(exec, avail);
+            store.get_family(key, exec, avail, &factors, &mut ready[run]);
         }
     }
 
-    // Estimated work per pair: pulse-pair kernel operations over the
-    // cells not already resolved.
-    let work: Vec<u64> = pairs
+    // Only the pairs with cells left to compute become pool tasks, each
+    // weighted by its estimated work: pulse-pair kernel operations over
+    // its unresolved cells.
+    let (todo, todo_work): (Vec<usize>, Vec<u64>) = pairs
         .iter()
-        .map(|p| {
-            let ty = ProcTypeId(p.ty);
-            let exec_len = apps[p.app].exec_time(ty).map_or(0, |e| e.len()) as u64;
-            let avail_len = platform.proc_type(ty).map_or(0, |t| t.availability().len()) as u64;
-            let computed = (0..p.count)
-                .filter(|&k| ready[(p.start + k) as usize].is_none())
-                .count() as u64;
-            computed * exec_len * avail_len
-        })
-        .collect();
-    let total_work: u64 = work.iter().sum();
-
-    let ready = &ready;
-    let hashes = &hashes;
-    let compute_pair =
-        |pair: &Pair, scratch: &mut CombineScratch, out: &mut Vec<Arc<Cell>>| -> Result<()> {
-            let app = apps[pair.app];
+        .enumerate()
+        .filter_map(|(p, pair)| {
             let ty = ProcTypeId(pair.ty);
-            let s = app.serial_fraction();
-            // The Amdahl factors of the cells that need computing; the
-            // fused family call shares the availability-expanded
-            // probability products across all of them.
-            let factors: Vec<f64> = (0..pair.count)
+            let exec_len = apps[pair.app].exec_time(ty).map_or(0, |e| e.len()) as u64;
+            let avail_len = platform.proc_type(ty).map_or(0, |t| t.availability().len()) as u64;
+            let computed = (0..pair.count)
                 .filter(|&k| ready[(pair.start + k) as usize].is_none())
-                .map(|k| amdahl_factor(s, 1u32 << k))
-                .collect();
-            let exec = app.exec_time(ty)?;
-            let avail = platform.proc_type(ty)?.availability();
-            // Fully resolved families skip the kernel outright — not even
-            // the shared probability-product expansion runs.
-            let mut loadeds = if factors.is_empty() {
-                Vec::new()
-            } else {
-                exec.scale_quotient_family(&factors, avail, scratch)
-                    .map_err(SystemError::from)?
-            }
-            .into_iter();
-            for k in 0..pair.count {
-                let arena = (pair.start + k) as usize;
-                match &ready[arena] {
-                    Some(cell) => out.push(Arc::clone(cell)),
-                    None => {
-                        let dedicated = parallel_time_pmf(app, ty, 1u32 << k)?;
-                        let loaded = loadeds.next().expect("family aligned with factors");
-                        let cell = Arc::new(Cell::new(dedicated, loaded));
-                        if let Some(store) = store {
-                            store.insert(
-                                hashes[arena],
-                                exec,
-                                amdahl_factor(s, 1u32 << k),
-                                avail,
-                                Arc::clone(&cell),
-                            );
-                        }
-                        out.push(cell);
-                    }
-                }
-            }
-            Ok(())
-        };
+                .count() as u64;
+            (computed > 0).then_some((p, computed * exec_len * avail_len))
+        })
+        .unzip();
+    let total_work: u64 = todo_work.iter().sum();
 
-    let threads = if total_work < min_work {
-        1
-    } else {
-        threads.min(pairs.len()).max(1)
+    // Computes the pair's unresolved cells, in `k` order, and interns
+    // them in the store.
+    let compute_pair = |pair: &Pair, scratch: &mut CombineScratch| -> Result<Vec<Arc<Cell>>> {
+        let app = apps[pair.app];
+        let ty = ProcTypeId(pair.ty);
+        let s = app.serial_fraction();
+        let missing: Vec<u32> = (0..pair.count)
+            .filter(|&k| ready[(pair.start + k) as usize].is_none())
+            .collect();
+        // The Amdahl factors of the cells that need computing; the fused
+        // family call shares the availability-expanded probability
+        // products across all of them.
+        let factors: Vec<f64> = missing
+            .iter()
+            .map(|&k| amdahl_factor(s, 1u32 << k))
+            .collect();
+        let exec = app.exec_time(ty)?;
+        let avail = platform.proc_type(ty)?.availability();
+        let loadeds = exec
+            .scale_quotient_family(&factors, avail, scratch)
+            .map_err(SystemError::from)?;
+        let cells = missing
+            .iter()
+            .zip(loadeds)
+            .map(|(&k, loaded)| {
+                let dedicated = parallel_time_pmf(app, ty, 1u32 << k)?;
+                Ok(Arc::new(Cell::new(dedicated, loaded)))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        if let Some(store) = store {
+            let key = cell_store::pair_hash(exec, avail);
+            store.insert_family(
+                key,
+                exec,
+                avail,
+                factors.into_iter().zip(cells.iter().cloned()),
+            );
+        }
+        Ok(cells)
     };
 
-    // One result slot per pair; the pool schedules, the slots preserve
-    // arena order, the stitch below is the in-order deterministic
-    // reduction.
-    let slots: Vec<OnceLock<Vec<Arc<Cell>>>> = (0..pairs.len()).map(|_| OnceLock::new()).collect();
+    let threads = if total_work < opts.min_work {
+        1
+    } else {
+        opts.threads.min(todo.len()).max(1)
+    };
+
+    // One result slot per task; the pool schedules, the slots keep each
+    // pair's cells apart, and the stitch below is the in-order
+    // deterministic reduction.
+    let slots: Vec<OnceLock<Vec<Arc<Cell>>>> = (0..todo.len()).map(|_| OnceLock::new()).collect();
     let stats = pool::run(
         threads,
-        pairs.len(),
-        Some(&work),
+        todo.len(),
+        Some(&todo_work),
         CombineScratch::new,
         |idx, scratch: &mut CombineScratch| -> Result<()> {
-            let pair = &pairs[idx];
-            let mut out = Vec::with_capacity(pair.count as usize);
-            compute_pair(pair, scratch, &mut out)?;
-            slots[idx].set(out).expect("each pair is computed once");
+            let cells = compute_pair(&pairs[todo[idx]], scratch)?;
+            slots[idx].set(cells).expect("each pair is computed once");
             Ok(())
         },
     )?;
 
-    let mut out = Vec::with_capacity(total_cells);
-    for slot in slots {
-        out.extend(slot.into_inner().expect("error-free run fills every slot"));
+    // Each computed cell goes into its pair's next unresolved slot, which
+    // completes the arena in order.
+    for (&p, slot) in todo.iter().zip(slots) {
+        let pair = &pairs[p];
+        let mut cells = slot
+            .into_inner()
+            .expect("error-free run fills every slot")
+            .into_iter();
+        for cell in &mut ready[pair.start as usize..(pair.start + pair.count) as usize] {
+            if cell.is_none() {
+                *cell = cells.next();
+            }
+        }
     }
+    let out = ready
+        .into_iter()
+        .map(|cell| cell.expect("every cell resolved or computed"))
+        .collect();
     Ok((out, stats))
 }
 
@@ -1009,26 +826,44 @@ mod tests {
         assert_eq!(a.index, b.index);
         assert_eq!(a.cells.len(), b.cells.len());
         for (x, y) in a.cells.iter().zip(&b.cells) {
-            assert!(pmf_bits_equal(&x.dedicated, &y.dedicated));
-            assert!(pmf_bits_equal(&x.loaded, &y.loaded));
+            assert!(x.dedicated.bits_eq(&y.dedicated));
+            assert!(x.loaded.bits_eq(&y.loaded));
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&x.loaded_values), bits(&y.loaded_values));
             assert_eq!(bits(x.loaded.cumulative()), bits(y.loaded.cumulative()));
             assert_eq!(x.expected.to_bits(), y.expected.to_bits());
         }
         for (x, y) in a.availability.iter().zip(&b.availability) {
-            assert!(pmf_bits_equal(x, y));
+            assert!(x.bits_eq(y));
         }
     }
 
-    /// A copy of `app` with every execution PMF scaled by `frac` — the
-    /// shape of a remnant-app rescale in the online scheduler.
-    fn scaled_app(app: &cdsf_system::Application, frac: f64) -> cdsf_system::Application {
+    fn build_through(store: &CellStore, b: &Batch, p: &Platform, threads: usize) -> Phi1Engine {
+        let opts = EngineBuild {
+            threads,
+            min_work: 0,
+            store: Some(store),
+        };
+        Phi1Engine::build_with(b, p, &opts).unwrap().0
+    }
+
+    /// A copy of `app` on the types `keep`, with every execution PMF
+    /// scaled by `frac` (`None` carries the PMFs over by clone) — the
+    /// shape of a remnant app in the online scheduler.
+    fn remnant_app(
+        app: &cdsf_system::Application,
+        keep: std::ops::Range<usize>,
+        frac: Option<f64>,
+    ) -> cdsf_system::Application {
         let mut b = cdsf_system::Application::builder(app.name())
             .serial_iters(app.serial_iters())
             .parallel_iters(app.parallel_iters());
-        for j in 0..app.num_proc_types() {
-            b = b.exec_time_pmf(app.exec_time(ProcTypeId(j)).unwrap().scale(frac).unwrap());
+        for j in keep {
+            let exec = app.exec_time(ProcTypeId(j)).unwrap();
+            b = b.exec_time_pmf(match frac {
+                Some(f) => exec.scale(f).unwrap(),
+                None => exec.clone(),
+            });
         }
         b.build().unwrap()
     }
@@ -1040,78 +875,93 @@ mod tests {
         let (b, p) = (paper_batch(32), paper_platform());
         let serial = Phi1Engine::build(&b, &p).unwrap();
         for threads in [2usize, 3, 4, 16] {
-            let par = Phi1Engine::build_parallel_with_min_work(&b, &p, threads, 0).unwrap();
+            let opts = EngineBuild {
+                threads,
+                min_work: 0,
+                store: None,
+            };
+            let (par, _) = Phi1Engine::build_with(&b, &p, &opts).unwrap();
             assert_engines_identical(&serial, &par);
         }
     }
 
     #[test]
-    fn rebuild_with_identity_map_reuses_every_cell() {
+    fn repeated_build_resolves_every_cell_from_the_store() {
         let (b, p) = (paper_batch(16), paper_platform());
-        let engine = Phi1Engine::build(&b, &p).unwrap();
-        let apps: Vec<Option<usize>> = (0..b.len()).map(Some).collect();
-        let types: Vec<Option<usize>> = (0..p.num_types()).map(Some).collect();
-        let map = RebuildMap {
-            apps: &apps,
-            types: &types,
-        };
-        let (rebuilt, reused) = engine.rebuild_with(&b, &p, &b, &p, map, 2).unwrap();
-        assert_eq!(reused, engine.cells.len());
-        assert_engines_identical(&engine, &rebuilt);
-        assert_engines_identical(&rebuilt, &Phi1Engine::build(&b, &p).unwrap());
+        let store = CellStore::new(cell_store::DEFAULT_CELL_CAPACITY);
+        let first = build_through(&store, &b, &p, 2);
+        let before = store.stats();
+        assert_eq!(before.hits, 0);
+        let again = build_through(&store, &b, &p, 2);
+        let after = store.stats();
+        assert_eq!(after.hits, first.cells.len() as u64);
+        assert_eq!(after.misses, before.misses, "no kernel ran");
+        assert!(Arc::ptr_eq(&first.cells[0], &again.cells[0]));
+        assert_engines_identical(&again, &Phi1Engine::build(&b, &p).unwrap());
     }
 
     #[test]
-    fn rebuild_with_changed_app_recomputes_only_that_app() {
+    fn store_recomputes_only_the_changed_app() {
         let (b, p) = (paper_batch(16), paper_platform());
-        let engine = Phi1Engine::build(&b, &p).unwrap();
+        let store = CellStore::new(cell_store::DEFAULT_CELL_CAPACITY);
+        let engine = build_through(&store, &b, &p, 1);
         // App 1 keeps running and its remnant shrinks; everyone else is
         // untouched.
-        let mut apps_vec: Vec<_> = b.apps().to_vec();
-        apps_vec[1] = scaled_app(&apps_vec[1], 0.5);
-        let changed = Batch::new(apps_vec);
-        let hints: Vec<Option<usize>> = (0..b.len()).map(Some).collect();
-        let types: Vec<Option<usize>> = (0..p.num_types()).map(Some).collect();
-        let map = RebuildMap {
-            apps: &hints,
-            types: &types,
-        };
-        let (rebuilt, reused) = engine.rebuild_with(&b, &p, &changed, &p, map, 2).unwrap();
-        let per_app = engine.cells.len() / b.len();
-        assert_eq!(reused, engine.cells.len() - per_app);
+        let mut apps: Vec<_> = b.apps().to_vec();
+        apps[1] = remnant_app(&apps[1], 0..p.num_types(), Some(0.5));
+        let changed = Batch::new(apps);
+        let before = store.stats();
+        let rebuilt = build_through(&store, &changed, &p, 1);
+        let after = store.stats();
+        let per_app = (engine.cells.len() / b.len()) as u64;
+        assert_eq!(
+            after.hits - before.hits,
+            engine.cells.len() as u64 - per_app
+        );
+        assert_eq!(after.misses - before.misses, per_app);
         assert_engines_identical(&rebuilt, &Phi1Engine::build(&changed, &p).unwrap());
     }
 
     #[test]
-    fn rebuild_with_subset_and_stale_hints_stays_bit_identical() {
-        let (b, p) = (paper_batch(12), paper_platform());
-        let engine = Phi1Engine::build(&b, &p).unwrap();
-        // Remnant: apps [2, 0] with app 0 rescaled; one hint is stale
-        // (points at the wrong app), one is missing entirely.
-        let apps_vec = b.apps();
-        let remnant = Batch::new(vec![apps_vec[2].clone(), scaled_app(&apps_vec[0], 0.25)]);
-        let hints = [Some(1usize), None]; // 1 is the wrong app, 0 unhinted
-        let types: Vec<Option<usize>> = (0..p.num_types()).map(Some).collect();
-        let map = RebuildMap {
-            apps: &hints,
-            types: &types,
-        };
-        let (rebuilt, reused) = engine.rebuild_with(&b, &p, &remnant, &p, map, 1).unwrap();
-        // Verification rejects the stale hint and the rescaled app, so
-        // nothing is reused — but the result is still exactly right.
-        assert_eq!(reused, 0);
-        assert_engines_identical(&rebuilt, &Phi1Engine::build(&remnant, &p).unwrap());
+    fn store_reuse_follows_content_through_a_remnant() {
+        // One of each online event on a 4-type instance: type 0 crashes
+        // (every survivor's index shifts down by one), the last type is
+        // degraded, app 0 is rescaled to its leftover work, and the apps
+        // are reversed. Only content decides reuse, so exactly the
+        // untouched apps' cells on the two untouched types resolve.
+        use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator};
+        let platform = PlatformGenerator::default().generate(3).unwrap();
+        let batch = BatchGenerator {
+            num_apps: 5,
+            pulses: 8,
+            ..BatchGenerator::default()
+        }
+        .generate(&platform, 4)
+        .unwrap();
+        let nt = platform.num_types();
+        let survivors = platform.types()[1..].to_vec();
+        let mut avail: Vec<Pmf> = survivors.iter().map(|t| t.availability().clone()).collect();
+        avail[nt - 2] = avail[nt - 2].map(|v| v * 0.5).unwrap();
+        let reduced = Platform::new(survivors)
+            .unwrap()
+            .with_availabilities(&avail)
+            .unwrap();
+        let apps = batch.apps().iter().enumerate().rev();
+        let remnant = Batch::new(
+            apps.map(|(i, app)| remnant_app(app, 1..nt, (i == 0).then_some(0.5)))
+                .collect(),
+        );
+        let options = |j: usize| reduced.pow2_options(ProcTypeId(j)).unwrap().len() as u64;
+        let unchanged = (batch.len() as u64 - 1) * (0..nt - 2).map(options).sum::<u64>();
 
-        // Correct hints: the unscaled remnant app's cells carry over.
-        let hints = [Some(2usize), Some(0)];
-        let map = RebuildMap {
-            apps: &hints,
-            types: &types,
-        };
-        let (rebuilt, reused) = engine.rebuild_with(&b, &p, &remnant, &p, map, 1).unwrap();
-        let per_app = engine.cells.len() / b.len();
-        assert_eq!(reused, per_app);
-        assert_engines_identical(&rebuilt, &Phi1Engine::build(&remnant, &p).unwrap());
+        let fresh = Phi1Engine::build(&remnant, &reduced).unwrap();
+        for threads in [1usize, 2, 4, 7] {
+            let store = CellStore::new(cell_store::DEFAULT_CELL_CAPACITY);
+            build_through(&store, &batch, &platform, threads);
+            let resolved = build_through(&store, &remnant, &reduced, threads);
+            assert_eq!(store.stats().hits, unchanged, "{threads} workers");
+            assert_engines_identical(&resolved, &fresh);
+        }
     }
 
     #[test]

@@ -12,22 +12,22 @@
 //! * an exact resubmission is a **hit** — the cached engine is returned
 //!   without touching a kernel (and, because builds are deterministic, it
 //!   is bit-identical to the engine a fresh build would produce);
-//! * a near miss (one app or type changed) goes through
-//!   [`Phi1Engine::rebuild_with`], carrying every bit-identical cell over
-//!   from the cached predecessor;
+//! * a miss builds through the cache's [`CellStore`], so a near miss (one
+//!   app or type changed) takes every cell whose inputs are unchanged
+//!   from the store by content and runs the kernel only for the rest;
 //! * everything is **bounded**: the cache holds at most `capacity`
 //!   entries, evicting the least-recently-used engine deterministically
 //!   (pure function of the operation sequence — no clocks, no hashing
 //!   order).
 //!
-//! Hit/miss/rebuild counters and the pool scheduling totals of every
-//! build the cache performed are retained for the serving layer's `Stats`
-//! endpoint and the bench snapshots.
+//! Hit/miss counters and the pool scheduling totals of every build the
+//! cache performed are retained for the serving layer's `Stats` endpoint
+//! and the bench snapshots.
 
 use crate::cell_store::CellStore;
-use crate::engine::{Phi1Engine, RebuildMap};
+use crate::engine::{EngineBuild, Phi1Engine};
 use crate::Result;
-use cdsf_pmf::Pmf;
+use cdsf_pmf::hash::{fnv1a_pmf, fnv1a_seed, fnv1a_u64};
 use cdsf_system::pool::PoolTotals;
 use cdsf_system::{Batch, Platform, ProcTypeId};
 use std::collections::VecDeque;
@@ -41,11 +41,6 @@ pub const DEFAULT_CAPACITY: usize = 8;
 // ---------------------------------------------------------------------------
 // Input fingerprinting (FNV-1a over the exact cell-kernel input bits).
 // ---------------------------------------------------------------------------
-
-// The canonical FNV-1a implementation lives in `cdsf_pmf::hash` (the
-// cell store keys on the same digests); these crate-local aliases keep
-// existing call sites unchanged.
-pub(crate) use cdsf_pmf::hash::{fnv1a_pmf, fnv1a_seed, fnv1a_u64};
 
 /// Fingerprint of everything the engine build kernel reads: per
 /// application the iteration split and the execution-time PMF bits per
@@ -74,15 +69,6 @@ pub fn inputs_key(batch: &Batch, platform: &Platform) -> u64 {
     h
 }
 
-/// Bit-level equality of two PMFs (`to_bits`, so `-0.0 ≠ 0.0` — the same
-/// strictness `rebuild_with` verifies reuse with).
-fn pmf_bits_eq(a: &Pmf, b: &Pmf) -> bool {
-    a.pulses().len() == b.pulses().len()
-        && a.pulses().iter().zip(b.pulses()).all(|(x, y)| {
-            x.value.to_bits() == y.value.to_bits() && x.prob.to_bits() == y.prob.to_bits()
-        })
-}
-
 /// Structural bit-equality of the cell-kernel inputs — the collision
 /// guard behind [`inputs_key`]: a key match alone never serves an engine.
 fn inputs_eq(ba: &Batch, pa: &Platform, bb: &Batch, pb: &Platform) -> bool {
@@ -98,7 +84,7 @@ fn inputs_eq(ba: &Batch, pa: &Platform, bb: &Batch, pb: &Platform) -> bool {
         }
         for j in 0..x.num_proc_types() {
             match (x.exec_time(ProcTypeId(j)), y.exec_time(ProcTypeId(j))) {
-                (Ok(px), Ok(py)) if pmf_bits_eq(px, py) => {}
+                (Ok(px), Ok(py)) if px.bits_eq(py) => {}
                 (Err(_), Err(_)) => {}
                 _ => return false,
             }
@@ -107,24 +93,21 @@ fn inputs_eq(ba: &Batch, pa: &Platform, bb: &Batch, pb: &Platform) -> bool {
     pa.types()
         .iter()
         .zip(pb.types())
-        .all(|(x, y)| x.count() == y.count() && pmf_bits_eq(x.availability(), y.availability()))
+        .all(|(x, y)| x.count() == y.count() && x.availability().bits_eq(y.availability()))
 }
 
 // ---------------------------------------------------------------------------
 // The cache.
 // ---------------------------------------------------------------------------
 
-/// One resident engine with the inputs it was built from. The cache owns
-/// clones of the batch and platform: `rebuild_with` needs the *previous*
-/// execution and availability PMFs to verify that a hinted cell is
-/// genuinely unchanged, and the engine itself does not retain them.
+/// One resident engine with the inputs it was built from, kept for the
+/// bitwise collision check behind a key match.
 #[derive(Debug, Clone)]
 struct CacheEntry {
     key: u64,
     batch: Batch,
     platform: Platform,
     engine: Phi1Engine,
-    reused_cells: usize,
 }
 
 /// What a cache operation produced: the engine plus how it was obtained.
@@ -132,14 +115,10 @@ struct CacheEntry {
 pub struct CacheOutcome<'a> {
     /// The (front-of-cache) engine serving the request.
     pub engine: &'a Phi1Engine,
-    /// The engine's input fingerprint, usable as `prev_key` for a later
-    /// [`EngineCache::rebuild_keyed`].
+    /// The engine's input fingerprint ([`inputs_key`]).
     pub key: u64,
     /// `true` when the engine was already resident (no kernel ran).
     pub hit: bool,
-    /// Cells carried over bit-identically when this outcome came from an
-    /// incremental rebuild; `0` for hits and fresh builds.
-    pub reused_cells: usize,
 }
 
 /// A bounded LRU of [`Phi1Engine`]s with bitwise-verified reuse.
@@ -154,70 +133,39 @@ pub struct EngineCache {
     entries: VecDeque<CacheEntry>,
     hits: u64,
     misses: u64,
-    rebuilds: u64,
     pool: PoolTotals,
     /// Content-addressed cell store every build of this cache resolves
     /// cells against (and interns new cells into). Typically shared by
     /// many caches — one per serve shard — so a miss *here* can still be
     /// a near-pure lookup *there*.
-    store: Option<Arc<CellStore>>,
+    store: Arc<CellStore>,
 }
 
 impl EngineCache {
-    /// An empty cache holding at most `capacity` engines (clamped to
-    /// at least 1).
-    pub fn with_capacity(capacity: usize) -> Self {
+    /// An empty cache holding at most `capacity` engines (clamped to at
+    /// least 1) whose builds resolve cells against `store` before running
+    /// any kernel, and intern what they compute.
+    pub fn new(capacity: usize, store: Arc<CellStore>) -> Self {
         Self {
             capacity: capacity.max(1),
             entries: VecDeque::new(),
             hits: 0,
             misses: 0,
-            rebuilds: 0,
             pool: PoolTotals::default(),
-            store: None,
+            store,
         }
-    }
-
-    /// [`with_capacity`](Self::with_capacity) wired to a shared
-    /// [`CellStore`]: every engine this cache builds — fresh builds and
-    /// incremental rebuilds alike — resolves cells against `store`
-    /// before running any kernel, and interns what it computes.
-    pub fn with_capacity_and_store(capacity: usize, store: Arc<CellStore>) -> Self {
-        let mut cache = Self::with_capacity(capacity);
-        cache.store = Some(store);
-        cache
-    }
-
-    /// The shared cell store, if one is attached.
-    pub fn cell_store(&self) -> Option<&Arc<CellStore>> {
-        self.store.as_ref()
-    }
-
-    /// Builds a fresh engine for `(batch, platform)` and caches it in a
-    /// cache of [`DEFAULT_CAPACITY`].
-    pub fn build(batch: &Batch, platform: &Platform, threads: usize) -> Result<Self> {
-        let mut cache = Self::with_capacity(DEFAULT_CAPACITY);
-        cache.get_or_build(batch, platform, threads)?;
-        Ok(cache)
     }
 
     /// The most recently used engine.
     ///
     /// # Panics
-    /// On an empty cache (one created by [`with_capacity`](Self::with_capacity)
-    /// with no build performed yet).
+    /// On an empty cache (no build performed yet).
     pub fn engine(&self) -> &Phi1Engine {
         &self
             .entries
             .front()
             .expect("EngineCache::engine on an empty cache")
             .engine
-    }
-
-    /// How many cells the most recent operation carried over via
-    /// incremental rebuild (0 after a fresh build or an exact hit).
-    pub fn reused_cells(&self) -> usize {
-        self.entries.front().map_or(0, |e| e.reused_cells)
     }
 
     /// Resident engines.
@@ -240,14 +188,9 @@ impl EngineCache {
         self.hits
     }
 
-    /// Lookups that required a fresh engine build.
+    /// Lookups that built an engine (through the cell store).
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Operations served by an incremental [`Phi1Engine::rebuild_with`].
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
     }
 
     /// Scheduling totals of every pool-backed build this cache performed.
@@ -270,10 +213,10 @@ impl EngineCache {
     }
 
     /// Returns the engine for `(batch, platform)`, building it (with
-    /// `threads` workers over the shared pool) only if no bit-identical
-    /// entry is resident. Hits are verified structurally, not just by
-    /// fingerprint, so a hit's engine is always bit-identical to the
-    /// engine a fresh build would produce.
+    /// `threads` workers over the shared pool, through the cell store)
+    /// only if no bit-identical entry is resident. Hits are verified
+    /// structurally, not just by fingerprint, so a hit's engine is always
+    /// bit-identical to the engine a fresh build would produce.
     pub fn get_or_build(
         &mut self,
         batch: &Batch,
@@ -304,120 +247,32 @@ impl EngineCache {
         {
             self.hits += 1;
             self.promote(pos);
-            let entry = &mut self.entries[0];
-            entry.reused_cells = 0;
             return Ok(CacheOutcome {
-                engine: &entry.engine,
+                engine: &self.entries[0].engine,
                 key,
                 hit: true,
-                reused_cells: 0,
             });
         }
         self.misses += 1;
-        let (engine, stats) = Phi1Engine::build_parallel_instrumented_with_store(
-            batch,
-            platform,
+        let opts = EngineBuild {
             threads,
-            crate::engine::PARALLEL_BUILD_MIN_WORK,
-            self.store.as_deref(),
-        )?;
-        self.pool.absorb(&stats);
-        self.insert(CacheEntry {
-            key,
-            batch: batch.clone(),
-            platform: platform.clone(),
-            engine,
-            reused_cells: 0,
-        });
-        Ok(CacheOutcome {
-            engine: &self.entries[0].engine,
-            key,
-            hit: false,
-            reused_cells: 0,
-        })
-    }
-
-    /// Rebuilds toward `(batch, platform)` from the resident entry with
-    /// fingerprint `prev_key`, reusing every cell whose inputs `map`
-    /// proves (bit-identically) unchanged. Falls back in order:
-    ///
-    /// 1. the *target* inputs are already resident → exact hit, no kernel;
-    /// 2. `prev_key` is resident → incremental [`Phi1Engine::rebuild_with`];
-    /// 3. otherwise → fresh build (counted as a miss).
-    ///
-    /// Every path yields an engine bit-identical to
-    /// `Phi1Engine::build_parallel(batch, platform, threads)`.
-    pub fn rebuild_keyed(
-        &mut self,
-        prev_key: u64,
-        batch: &Batch,
-        platform: &Platform,
-        map: RebuildMap<'_>,
-        threads: usize,
-    ) -> Result<CacheOutcome<'_>> {
-        let key = inputs_key(batch, platform);
-        if let Some(pos) = self
-            .entries
-            .iter()
-            .position(|e| e.key == key && inputs_eq(&e.batch, &e.platform, batch, platform))
-        {
-            self.hits += 1;
-            self.promote(pos);
-            let entry = &mut self.entries[0];
-            entry.reused_cells = 0;
-            return Ok(CacheOutcome {
-                engine: &entry.engine,
-                key,
-                hit: true,
-                reused_cells: 0,
-            });
-        }
-        let Some(pos) = self.entries.iter().position(|e| e.key == prev_key) else {
-            return self.get_or_build(batch, platform, threads);
+            store: Some(&self.store),
+            ..EngineBuild::default()
         };
-        let prev = &self.entries[pos];
-        let (engine, reused) = prev.engine.rebuild_with_store(
-            &prev.batch,
-            &prev.platform,
-            batch,
-            platform,
-            map,
-            threads,
-            self.store.as_deref(),
-        )?;
-        self.rebuilds += 1;
-        self.insert(CacheEntry {
+        let (engine, stats) = Phi1Engine::build_with(batch, platform, &opts)?;
+        self.pool.absorb(&stats);
+        self.entries.push_front(CacheEntry {
             key,
             batch: batch.clone(),
             platform: platform.clone(),
             engine,
-            reused_cells: reused,
         });
+        self.entries.truncate(self.capacity);
         Ok(CacheOutcome {
             engine: &self.entries[0].engine,
             key,
             hit: false,
-            reused_cells: reused,
         })
-    }
-
-    /// Rebuilds from the most recently used entry — the pre-LRU API the
-    /// online event engine drives its reactive remaps through. Equivalent
-    /// to [`rebuild_keyed`](Self::rebuild_keyed) with the front entry's
-    /// key (or a fresh build on an empty cache).
-    pub fn rebuild_with(
-        &mut self,
-        batch: &Batch,
-        platform: &Platform,
-        map: RebuildMap<'_>,
-        threads: usize,
-    ) -> Result<&Phi1Engine> {
-        match self.entries.front().map(|e| e.key) {
-            Some(prev_key) => Ok(self
-                .rebuild_keyed(prev_key, batch, platform, map, threads)?
-                .engine),
-            None => Ok(self.get_or_build(batch, platform, threads)?.engine),
-        }
     }
 
     /// Moves `entries[pos]` to the front (most recently used).
@@ -426,12 +281,5 @@ impl EngineCache {
             let entry = self.entries.remove(pos).expect("position checked");
             self.entries.push_front(entry);
         }
-    }
-
-    /// Pushes a new most-recently-used entry, evicting the back once over
-    /// capacity.
-    fn insert(&mut self, entry: CacheEntry) {
-        self.entries.push_front(entry);
-        self.entries.truncate(self.capacity);
     }
 }

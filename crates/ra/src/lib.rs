@@ -50,7 +50,7 @@ pub use allocators::{
     MultiStartReport, SimulatedAnnealing,
 };
 pub use cell_store::{CellStore, CellStoreStats};
-pub use engine::{OptionStats, Phi1Engine, RebuildMap};
+pub use engine::{EngineBuild, OptionStats, Phi1Engine};
 pub use engine_cache::{inputs_key, CacheOutcome, EngineCache};
 pub use error::RaError;
 pub use phi1::{DeltaFitness, OptionProbs};

@@ -1,22 +1,25 @@
 //! Stress suite for [`EngineCache`] under capacity starvation.
 //!
 //! The serve data plane leans on two cache properties that only show up
-//! when eviction is constantly racing keyed rebuilds:
+//! when eviction constantly races store-routed rebuilds:
 //!
 //! 1. **Counter arithmetic is exact.** Every operation is counted exactly
-//!    once as a hit, a miss, or an incremental rebuild — including the
-//!    fallback where `rebuild_keyed`'s `prev_key` was already evicted and
-//!    the cache silently degrades to a fresh build (a miss).
+//!    once, as a hit (the target was resident) or a miss (built through
+//!    the cell store), and the store computes each distinct cell once:
+//!    a miss whose engine was evicted still takes every cell it shares
+//!    with the working set from the store.
 //! 2. **Eviction never costs correctness.** Whatever got evicted, every
 //!    outcome's engine is bit-identical (via `table_fingerprint`) to a
 //!    fresh serial build for the same inputs, and the whole operation
 //!    sequence is deterministic: replaying it on a second cache produces
 //!    the same counters at every step.
 
-use cdsf_events::remap::{degraded_platform, identity_maps};
-use cdsf_ra::{inputs_key, EngineCache, Phi1Engine, RebuildMap};
-use cdsf_system::{Batch, Platform};
+use cdsf_events::remap::degraded_platform;
+use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
+use cdsf_ra::{inputs_key, CellStore, EngineCache, Phi1Engine};
+use cdsf_system::{Batch, Platform, ProcTypeId};
 use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
+use std::sync::Arc;
 
 fn base_instance() -> (Batch, Platform) {
     let platform = PlatformGenerator {
@@ -41,9 +44,9 @@ fn base_instance() -> (Batch, Platform) {
 }
 
 /// A working set of 5 distinct inputs: the base platform plus four
-/// single-type degradations. Only type 0's availability changes, so an
-/// incremental rebuild between variants can genuinely reuse type-1 cells
-/// — reuse and eviction are both in play.
+/// single-type degradations. Only type 0's availability changes, so every
+/// variant shares its type-1 cells with the others through the store —
+/// reuse and eviction are both in play.
 fn working_set() -> (Batch, Vec<Platform>) {
     let (batch, base) = base_instance();
     let mut platforms = vec![base.clone()];
@@ -58,136 +61,92 @@ fn working_set() -> (Batch, Vec<Platform>) {
 struct StepTrace {
     variant: usize,
     hit: bool,
-    reused_cells: usize,
     hits: u64,
     misses: u64,
-    rebuilds: u64,
+    store_hits: u64,
+    store_misses: u64,
     len: usize,
 }
 
-/// Drives a fixed 60-operation script over a capacity-2 cache whose
-/// working set is 5 engines, alternating exact lookups with keyed
-/// rebuilds whose `prev_key` frequently points at an evicted entry.
-fn run_script(batch: &Batch, platforms: &[Platform]) -> (Vec<StepTrace>, u64, u64, u64) {
+/// Drives a fixed 60-operation script over a cache of `capacity` engines
+/// whose working set is 5 engines, checking each outcome against a fresh
+/// serial build.
+fn run_script(batch: &Batch, platforms: &[Platform], capacity: usize) -> Vec<StepTrace> {
     let keys: Vec<u64> = platforms.iter().map(|p| inputs_key(batch, p)).collect();
-    let (apps_map, types_map) = identity_maps(batch.len(), platforms[0].num_types());
-    let mut cache = EngineCache::with_capacity(2);
+    let fresh: Vec<u64> = platforms
+        .iter()
+        .map(|p| Phi1Engine::build(batch, p).unwrap().table_fingerprint())
+        .collect();
+    let store = Arc::new(CellStore::new(DEFAULT_CELL_CAPACITY));
+    let mut cache = EngineCache::new(capacity, Arc::clone(&store));
     let mut trace = Vec::new();
-    let mut evicted_prev_seen = false;
     // xorshift64* with a fixed seed: deterministic, no external RNG.
     let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut next = || {
+    for step in 0..60 {
         rng ^= rng << 13;
         rng ^= rng >> 7;
         rng ^= rng << 17;
-        rng
-    };
-    for step in 0..60 {
-        let v = (next() % platforms.len() as u64) as usize;
+        let v = (rng % platforms.len() as u64) as usize;
         let resident_before = cache.contains(keys[v]);
-        let do_rebuild = step % 2 == 1;
-        let (hit, reused) = if do_rebuild {
-            // prev_key cycles over the whole working set, so with only 2
-            // resident slots it regularly names an evicted engine.
-            let prev = (next() % platforms.len() as u64) as usize;
-            if !cache.contains(keys[prev]) && !resident_before {
-                evicted_prev_seen = true;
-            }
-            let outcome = cache
-                .rebuild_keyed(
-                    keys[prev],
-                    batch,
-                    &platforms[v],
-                    RebuildMap {
-                        apps: &apps_map,
-                        types: &types_map,
-                    },
-                    2,
-                )
-                .unwrap();
-            assert_eq!(outcome.key, keys[v], "outcome key tracks the target");
-            (outcome.hit, outcome.reused_cells)
-        } else {
-            let outcome = cache.get_or_build(batch, &platforms[v], 2).unwrap();
-            assert_eq!(outcome.key, keys[v]);
-            (outcome.hit, outcome.reused_cells)
-        };
+        let outcome = cache.get_or_build(batch, &platforms[v], 2).unwrap();
+        assert_eq!(outcome.key, keys[v], "outcome key tracks the target");
         assert_eq!(
-            hit, resident_before,
+            outcome.hit, resident_before,
             "step {step}: a hit is exactly a resident target"
         );
-        if hit {
-            assert_eq!(reused, 0, "step {step}: exact hits reuse nothing");
-        }
+        assert_eq!(
+            outcome.engine.table_fingerprint(),
+            fresh[v],
+            "step {step}: engine diverged from a fresh build"
+        );
+        let hit = outcome.hit;
         assert!(
             cache.len() <= cache.capacity(),
             "step {step}: capacity bound violated"
         );
+        let stats = store.stats();
         trace.push(StepTrace {
             variant: v,
             hit,
-            reused_cells: reused,
             hits: cache.hits(),
             misses: cache.misses(),
-            rebuilds: cache.rebuilds(),
+            store_hits: stats.hits,
+            store_misses: stats.misses,
             len: cache.len(),
         });
     }
-    assert!(
-        evicted_prev_seen,
-        "script never exercised the evicted-prev_key fallback; widen the working set"
-    );
-    (trace, cache.hits(), cache.misses(), cache.rebuilds())
+    trace
 }
 
 #[test]
-fn eviction_racing_keyed_rebuilds_keeps_counters_and_bits_exact() {
+fn eviction_racing_store_rebuilds_keeps_counters_and_bits_exact() {
     let (batch, platforms) = working_set();
-    let fresh: Vec<u64> = platforms
-        .iter()
-        .map(|p| Phi1Engine::build(&batch, p).unwrap().table_fingerprint())
-        .collect();
-
-    let (trace, hits, misses, rebuilds) = run_script(&batch, &platforms);
-
-    // Every operation is exactly one of hit/miss/rebuild.
-    assert_eq!(
-        hits + misses + rebuilds,
-        trace.len() as u64,
-        "counter arithmetic drifted"
-    );
-    // The starved cache actually thrashed: all three paths fired.
-    assert!(hits > 0, "no hits — script broken");
-    assert!(misses > 0, "no misses — script broken");
-    assert!(rebuilds > 0, "no incremental rebuilds — script broken");
-
-    // Whatever the eviction history, the engine answering each step is
-    // bit-identical to a fresh serial build for that step's inputs.
-    let mut cache = EngineCache::with_capacity(2);
-    let (apps_map, types_map) = identity_maps(batch.len(), platforms[0].num_types());
-    for (step, t) in trace.iter().enumerate() {
-        let outcome = if step % 2 == 1 {
-            cache
-                .rebuild_keyed(
-                    inputs_key(&batch, &platforms[t.variant]),
-                    &batch,
-                    &platforms[t.variant],
-                    RebuildMap {
-                        apps: &apps_map,
-                        types: &types_map,
-                    },
-                    2,
-                )
-                .unwrap()
-        } else {
-            cache
-                .get_or_build(&batch, &platforms[t.variant], 2)
-                .unwrap()
-        };
+    let cells = |j: usize| {
+        let options = platforms[0].pow2_options(ProcTypeId(j)).unwrap();
+        (batch.len() * options.len()) as u64
+    };
+    let per_engine = cells(0) + cells(1);
+    for capacity in [1, 2] {
+        let trace = run_script(&batch, &platforms, capacity);
+        let last = trace.last().unwrap();
+        // Every operation is exactly one of hit/miss.
+        assert_eq!(last.hits + last.misses, trace.len() as u64);
+        // The starved cache actually thrashed: both paths fired.
+        assert!(last.hits > 0, "no hits — script broken");
+        assert!(last.misses > 0, "no misses — script broken");
+        // The store computed each distinct cell once: type 1's cells
+        // for the first build, type 0's for each variant's first build;
+        // every other cell a miss needed came from the store.
+        let mut variants: Vec<usize> = trace.iter().map(|t| t.variant).collect();
+        variants.sort_unstable();
+        variants.dedup();
         assert_eq!(
-            outcome.engine.table_fingerprint(),
-            fresh[t.variant],
-            "step {step}: evicted-and-rebuilt engine diverged from a fresh build"
+            last.store_misses,
+            cells(1) + variants.len() as u64 * cells(0)
+        );
+        assert_eq!(
+            last.store_hits,
+            last.misses * per_engine - last.store_misses
         );
     }
 }
@@ -195,10 +154,11 @@ fn eviction_racing_keyed_rebuilds_keeps_counters_and_bits_exact() {
 #[test]
 fn starved_cache_operation_sequence_is_deterministic() {
     let (batch, platforms) = working_set();
-    let (a, ..) = run_script(&batch, &platforms);
-    let (b, ..) = run_script(&batch, &platforms);
-    assert_eq!(
-        a, b,
-        "same script, same cache capacity — eviction must be deterministic"
-    );
+    for capacity in [1, 2] {
+        assert_eq!(
+            run_script(&batch, &platforms, capacity),
+            run_script(&batch, &platforms, capacity),
+            "same script, same cache capacity — eviction must be deterministic"
+        );
+    }
 }

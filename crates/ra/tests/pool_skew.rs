@@ -5,7 +5,7 @@
 //! build's scheduling stats) and the engine must stay bit-identical to the
 //! serial build.
 
-use cdsf_ra::Phi1Engine;
+use cdsf_ra::{EngineBuild, Phi1Engine};
 use cdsf_system::{Application, Batch, ProcTypeId};
 use cdsf_workloads::paper;
 
@@ -59,8 +59,12 @@ fn hundredfold_pulse_skew_starves_no_worker_and_stays_bit_identical() {
 
     for threads in [2usize, 4] {
         // min_work = 0 forces the pool path regardless of instance size.
-        let (engine, stats) =
-            Phi1Engine::build_parallel_instrumented(&batch, &platform, threads, 0).unwrap();
+        let opts = EngineBuild {
+            threads,
+            min_work: 0,
+            store: None,
+        };
+        let (engine, stats) = Phi1Engine::build_with(&batch, &platform, &opts).unwrap();
         assert_eq!(
             engine_bits(&engine),
             want,
@@ -83,6 +87,10 @@ fn skewed_build_respects_pair_error_order() {
     // Sanity on the error contract under skew: an empty batch and a zero
     // thread count still fail fast through the same entry points.
     let platform = paper::platform();
-    assert!(Phi1Engine::build_parallel_instrumented(&skewed_batch(8, 4), &platform, 0, 0).is_err());
+    let no_workers = EngineBuild {
+        threads: 0,
+        ..EngineBuild::default()
+    };
+    assert!(Phi1Engine::build_with(&skewed_batch(8, 4), &platform, &no_workers).is_err());
     assert!(Phi1Engine::build(&Batch::new(vec![]), &platform).is_err());
 }

@@ -7,10 +7,10 @@ use cdsf_ra::allocators::{
 };
 use cdsf_ra::robustness::{evaluate, ProbabilityTable};
 use cdsf_ra::{
-    Allocation, Allocator, Assignment, CellStore, DeltaFitness, LatticeScratch, OptionProbs,
-    Phi1Engine,
+    Allocation, Allocator, Assignment, CellStore, DeltaFitness, EngineBuild, LatticeScratch,
+    OptionProbs, Phi1Engine,
 };
-use cdsf_system::{Application, Batch, Platform, ProcessorType};
+use cdsf_system::{Application, Batch, Platform, ProcTypeId, ProcessorType};
 use proptest::prelude::*;
 
 /// Strategy: a platform of 2–3 types with 2–8 processors each and random
@@ -300,90 +300,112 @@ proptest! {
     }
 }
 
-/// Bit-level PMF equality (stricter than `==`).
-fn pmf_bits_eq(a: &Pmf, b: &Pmf) -> bool {
-    a.len() == b.len()
-        && a.pulses().iter().zip(b.pulses()).all(|(x, y)| {
-            x.value.to_bits() == y.value.to_bits() && x.prob.to_bits() == y.prob.to_bits()
-        })
+/// An engine built through `store` with `threads` workers, the pool
+/// forced on.
+fn build_through(
+    store: &CellStore,
+    batch: &Batch,
+    platform: &Platform,
+    threads: usize,
+) -> Phi1Engine {
+    let opts = EngineBuild {
+        threads,
+        min_work: 0,
+        store: Some(store),
+    };
+    Phi1Engine::build_with(batch, platform, &opts).unwrap().0
+}
+
+/// Asserts two engines answer every cell query with the same bits.
+fn assert_cells_bit_identical(
+    a: &Phi1Engine,
+    b: &Phi1Engine,
+    batch: &Batch,
+    platform: &Platform,
+) -> Result<(), TestCaseError> {
+    for i in 0..batch.len() {
+        for j in 0..platform.num_types() {
+            let ty = ProcTypeId(j);
+            for n in platform.pow2_options(ty).unwrap() {
+                let (x, y) = (a.loaded_pmf(i, ty, n), b.loaded_pmf(i, ty, n));
+                prop_assert_eq!(x.is_some(), y.is_some());
+                if let (Some(x), Some(y)) = (x, y) {
+                    prop_assert!(x.bits_eq(y));
+                }
+                let (x, y) = (a.dedicated_pmf(i, ty, n), b.dedicated_pmf(i, ty, n));
+                if let (Some(x), Some(y)) = (x, y) {
+                    prop_assert!(x.bits_eq(y));
+                }
+                let (x, y) = (a.expected_time(i, ty, n), b.expected_time(i, ty, n));
+                prop_assert_eq!(x.map(f64::to_bits), y.map(f64::to_bits));
+            }
+        }
+    }
+    prop_assert_eq!(a.table_fingerprint(), b.table_fingerprint());
+    Ok(())
 }
 
 /// A copy of `app` with every execution PMF scaled by `frac` — the shape
-/// of a remnant app after partial progress (`frac = 1.0` means pending,
-/// which is a bitwise no-op and therefore reusable).
-fn rescaled_app(app: &Application, frac: f64, num_types: usize) -> Application {
-    use cdsf_system::ProcTypeId;
+/// of a remnant app after partial progress.
+fn rescaled_app(app: &Application, frac: f64) -> Application {
     let mut b = Application::builder(app.name())
         .serial_iters(app.serial_iters())
         .parallel_iters(app.parallel_iters());
-    for j in 0..num_types {
+    for j in 0..app.num_proc_types() {
         b = b.exec_time_pmf(app.exec_time(ProcTypeId(j)).unwrap().scale(frac).unwrap());
     }
     b.build().unwrap()
 }
 
 proptest! {
-    /// `rebuild_with` (via `EngineCache`) equals a fresh `build_parallel`
-    /// on the same remnant batch, bit for bit, across random instances,
-    /// random app subsets, and random progress fractions.
+    /// The remnant after one of each online event — a type crashed (the
+    /// survivors' indices shift down), the first survivor degraded, a
+    /// random subset of apps kept in reverse order with some rescaled to
+    /// their leftover work — built through a store the original batch
+    /// warmed is bit-identical to a fresh storeless build at 1/2/4/7
+    /// workers, and the fresh store's hits are exactly the remnant's
+    /// unchanged cells: the untouched apps on the untouched types.
     #[test]
-    fn rebuild_with_matches_fresh_build_on_remnant(
+    fn store_routed_remnant_matches_fresh_build(
         (platform, batch) in arb_platform().prop_flat_map(|p| {
             let nt = p.num_types();
             (Just(p), arb_batch(nt))
         }),
         keep in prop::collection::vec(0u8..2, 4),
-        fracs in prop::collection::vec(0.1f64..=1.0, 4),
+        fracs in prop::collection::vec(0.1f64..0.95, 4),
         pending in prop::collection::vec(0u8..2, 4),
+        crash in 0usize..3,
     ) {
-        use cdsf_ra::engine::RebuildMap;
-        use cdsf_ra::EngineCache;
-        use cdsf_system::ProcTypeId;
+        use cdsf_events::remap::{crashed, degraded_platform};
 
-        let nt = platform.num_types();
-        let mut cache = EngineCache::build(&batch, &platform, 2).unwrap();
-
+        let (survivors, reduced) = crashed(&batch, &platform, crash % platform.num_types()).unwrap();
+        let reduced = degraded_platform(&reduced, 0, 0.5).unwrap();
         let mut remnant_apps = Vec::new();
-        let mut hints: Vec<Option<usize>> = Vec::new();
-        for (i, app) in batch.apps().iter().enumerate() {
+        let mut untouched_apps = 0u64;
+        for (i, app) in survivors.apps().iter().enumerate().rev() {
             // Always keep app 0 so the remnant is never empty.
             if i != 0 && keep[i % keep.len()] == 0 {
                 continue;
             }
-            let frac = if pending[i % pending.len()] == 1 {
-                1.0 // untouched pending app: scale(1.0) is a bitwise no-op
+            if pending[i % pending.len()] == 1 {
+                remnant_apps.push(app.clone());
+                untouched_apps += 1;
             } else {
-                fracs[i % fracs.len()]
-            };
-            remnant_apps.push(rescaled_app(app, frac, nt));
-            hints.push(Some(i));
+                remnant_apps.push(rescaled_app(app, fracs[i % fracs.len()]));
+            }
         }
         let remnant = Batch::new(remnant_apps);
-        let types: Vec<Option<usize>> = (0..nt).map(Some).collect();
+        let untouched_options: u64 = (1..reduced.num_types())
+            .map(|j| reduced.pow2_options(ProcTypeId(j)).unwrap().len() as u64)
+            .sum();
 
-        let rebuilt = cache
-            .rebuild_with(&remnant, &platform, RebuildMap { apps: &hints, types: &types }, 2)
-            .unwrap()
-            .clone();
-        let fresh = Phi1Engine::build_parallel(&remnant, &platform, 2).unwrap();
-
-        for i in 0..remnant.len() {
-            for j in 0..nt {
-                let ty = ProcTypeId(j);
-                for n in platform.pow2_options(ty).unwrap() {
-                    let (a, b) = (rebuilt.loaded_pmf(i, ty, n), fresh.loaded_pmf(i, ty, n));
-                    prop_assert_eq!(a.is_some(), b.is_some());
-                    if let (Some(a), Some(b)) = (a, b) {
-                        prop_assert!(pmf_bits_eq(a, b));
-                    }
-                    let (a, b) = (rebuilt.dedicated_pmf(i, ty, n), fresh.dedicated_pmf(i, ty, n));
-                    if let (Some(a), Some(b)) = (a, b) {
-                        prop_assert!(pmf_bits_eq(a, b));
-                    }
-                    let (a, b) = (rebuilt.expected_time(i, ty, n), fresh.expected_time(i, ty, n));
-                    prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
-                }
-            }
+        let fresh = Phi1Engine::build(&remnant, &reduced).unwrap();
+        for threads in [1usize, 2, 4, 7] {
+            let store = CellStore::new(4_096);
+            build_through(&store, &batch, &platform, threads);
+            let resolved = build_through(&store, &remnant, &reduced, threads);
+            prop_assert_eq!(store.stats().hits, untouched_apps * untouched_options);
+            assert_cells_bit_identical(&resolved, &fresh, &remnant, &reduced)?;
         }
     }
 }
@@ -405,36 +427,16 @@ proptest! {
         threads in 1usize..=7,
         capacity_sel in 0usize..3,
     ) {
-        use cdsf_system::ProcTypeId;
         let capacity = [2usize, 16, 4_096][capacity_sel];
         let fresh = Phi1Engine::build_parallel(&batch, &platform, threads).unwrap();
         let store = CellStore::new(capacity);
-        Phi1Engine::build_parallel_with_store(&batch, &platform, threads, &store).unwrap();
-        let resolved =
-            Phi1Engine::build_parallel_with_store(&batch, &platform, threads, &store).unwrap();
+        build_through(&store, &batch, &platform, threads);
+        let resolved = build_through(&store, &batch, &platform, threads);
         let stats = store.stats();
         prop_assert_eq!(stats.verify_rejects, 0, "structural hashes collided");
         prop_assert!(stats.resident <= stats.capacity,
             "store holds {} cells over its {} capacity", stats.resident, stats.capacity);
-        for i in 0..batch.len() {
-            for j in 0..platform.num_types() {
-                let ty = ProcTypeId(j);
-                for n in platform.pow2_options(ty).unwrap() {
-                    let (a, b) = (resolved.loaded_pmf(i, ty, n), fresh.loaded_pmf(i, ty, n));
-                    prop_assert_eq!(a.is_some(), b.is_some());
-                    if let (Some(a), Some(b)) = (a, b) {
-                        prop_assert!(pmf_bits_eq(a, b));
-                    }
-                    let (a, b) = (resolved.dedicated_pmf(i, ty, n), fresh.dedicated_pmf(i, ty, n));
-                    if let (Some(a), Some(b)) = (a, b) {
-                        prop_assert!(pmf_bits_eq(a, b));
-                    }
-                    let (a, b) = (resolved.expected_time(i, ty, n), fresh.expected_time(i, ty, n));
-                    prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
-                }
-            }
-        }
-        prop_assert_eq!(resolved.table_fingerprint(), fresh.table_fingerprint());
+        assert_cells_bit_identical(&resolved, &fresh, &batch, &platform)?;
     }
 
     /// Γ-robust solves are indifferent to how their engine was built: a
@@ -449,9 +451,8 @@ proptest! {
         let robust = GammaRobust { threads: 1, budget, degradation: 0.9 };
         let fresh = Phi1Engine::build(&batch, &platform).unwrap();
         let store = CellStore::new(8);
-        Phi1Engine::build_parallel_with_store(&batch, &platform, 2, &store).unwrap();
-        let resolved =
-            Phi1Engine::build_parallel_with_store(&batch, &platform, 2, &store).unwrap();
+        build_through(&store, &batch, &platform, 2);
+        let resolved = build_through(&store, &batch, &platform, 2);
         let mut s1 = LatticeScratch::new();
         let mut s2 = LatticeScratch::new();
         let a = robust.solve_with_engine(&platform, &fresh, deadline, &mut s1);

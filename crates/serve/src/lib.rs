@@ -11,7 +11,7 @@
 //!   LRU [`cdsf_ra::EngineCache`] outright, so shards never lock.
 //! * **Admission coalescing.** A shard drains its queue into an
 //!   admission batch; queued requests wanting the same engine (same
-//!   workload-spec bits) share one `Phi1Engine::build_parallel` call.
+//!   workload-spec bits) share one engine build.
 //!   Replies are bit-identical to serial handling — the cache only
 //!   serves engines that are bit-identical to a fresh build.
 //! * **Byte-exact snapshots.** [`Request::Snapshot`] captures a

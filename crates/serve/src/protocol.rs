@@ -27,7 +27,8 @@ pub enum Request {
     /// Submit a batch-scheduling workload: allocate, score, verdict.
     Submit(SubmitRequest),
     /// Inject a fault/drift event into a tenant's live workload and
-    /// reactively remap through the incremental engine rebuild.
+    /// reactively remap, rebuilding the engine through the shard's cache
+    /// and the shared cell store.
     Inject(InjectRequest),
     /// Capture a tenant's full durable state.
     Snapshot {
@@ -146,8 +147,6 @@ pub struct InjectReply {
     pub tenant: String,
     /// Input fingerprint of the rebuilt engine.
     pub engine_key: u64,
-    /// Cells the incremental rebuild carried over bit-identically.
-    pub reused_cells: u64,
     /// The post-event reactive allocation.
     pub assignments: Vec<WireAssignment>,
     /// Per-application `Pr(T_i ≤ Δ)` under the new allocation.
@@ -266,15 +265,19 @@ pub struct ShardStats {
     pub cache_capacity: u64,
     /// Exact-input cache hits (no kernel ran).
     pub cache_hits: u64,
-    /// Cache misses (fresh engine builds).
+    /// Cache misses: engine builds, submits and injects alike, each
+    /// resolving what it can from the shared cell store.
     pub cache_misses: u64,
-    /// Incremental engine rebuilds (`rebuild_with` reuse path).
+    /// Injects whose post-event engine was not resident: the cache
+    /// misses an availability change caused, each rebuilt through the
+    /// shared cell store (a subset of `cache_misses`).
     pub cache_rebuilds: u64,
     /// Requests that found their engine already built by an earlier
     /// request of the *same admission batch* — the work one
-    /// `build_parallel` call absorbed on behalf of its whole group.
+    /// engine build absorbed on behalf of its whole group.
     pub coalesced: u64,
-    /// Fresh `build_parallel` invocations.
+    /// Engine builds run for submits, injects and restores (their cache
+    /// misses).
     pub builds: u64,
     /// Work-stealing pool runs absorbed by this shard's builds.
     pub pool_runs: u64,

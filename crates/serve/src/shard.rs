@@ -10,7 +10,7 @@
 //! batch (up to [`ServeConfig::drain_limit`] requests) and serves the
 //! batch in arrival order against the shared cache. When several queued
 //! requests need the same engine — same workload spec bits — the first
-//! runs `build_parallel` once and the rest are served from the entry it
+//! builds the engine once and the rest are served from the entry it
 //! inserted; they are accounted as `coalesced`. Because the cache only
 //! ever returns engines bit-identical to a fresh build (exact-input
 //! verification, deterministic kernels), a coalesced request's reply is
@@ -40,7 +40,7 @@ use cdsf_core::{CoreError, ImPolicy};
 use cdsf_ra::robustness::evaluate_with_engine;
 use cdsf_ra::{
     Allocation, CellStore, EngineCache, Lattice, LatticeScratch, LatticeSolution, MultiStartReport,
-    Phi1Engine, RaError, RebuildMap, SimulatedAnnealing,
+    Phi1Engine, RaError, SimulatedAnnealing,
 };
 use cdsf_system::{Batch, Platform};
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -213,6 +213,8 @@ pub struct ShardCore {
     sa_restart_wins: Vec<u64>,
     coalesced: u64,
     builds: u64,
+    /// Inject builds (a subset of `builds`), reported as `cache_rebuilds`.
+    rebuilds: u64,
 }
 
 impl ShardCore {
@@ -234,7 +236,7 @@ impl ShardCore {
         let front_cap = (cfg.cache_capacity * 4).max(8);
         Self {
             id,
-            cache: EngineCache::with_capacity_and_store(cfg.cache_capacity, store),
+            cache: EngineCache::new(cfg.cache_capacity, store),
             cfg,
             tenants: BTreeMap::new(),
             spec_cache: VecDeque::new(),
@@ -260,6 +262,7 @@ impl ShardCore {
             sa_restart_wins: Vec::new(),
             coalesced: 0,
             builds: 0,
+            rebuilds: 0,
         }
     }
 
@@ -555,23 +558,14 @@ impl ShardCore {
             .tenants
             .get(&tenant)
             .ok_or_else(|| unknown_tenant(&tenant))?;
-        let (batch, platform, apps_map, types_map) = state.apply_event(&event)?;
+        let (batch, platform) = state.apply_event(&event)?;
         let allocator_name = state.allocator.clone();
         let policy = resolve_policy(&allocator_name, &self.cfg)?;
-        let (prev_key, deadline, threshold) = (state.engine_key, state.deadline, state.threshold);
+        let (deadline, threshold) = (state.deadline, state.threshold);
 
         let threads = self.cfg.build_threads;
-        let outcome = self.cache.rebuild_keyed(
-            prev_key,
-            &batch,
-            &platform,
-            RebuildMap {
-                apps: &apps_map,
-                types: &types_map,
-            },
-            threads,
-        )?;
-        let (key, hit, reused) = (outcome.key, outcome.hit, outcome.reused_cells);
+        let outcome = self.cache.get_or_build(&batch, &platform, threads)?;
+        let (key, hit) = (outcome.key, outcome.hit);
         let deadline_bits = deadline.to_bits();
         let cached_pos = self.alloc_cache.iter().position(|e| {
             e.engine_key == key && e.deadline_bits == deadline_bits && e.allocator == allocator_name
@@ -637,6 +631,9 @@ impl ShardCore {
         }
         self.record_fallback(fallback);
         self.account(key, hit, keys_built);
+        if !hit {
+            self.rebuilds += 1;
+        }
 
         let state = self.tenants.get_mut(&tenant).expect("checked above");
         state.batch = batch;
@@ -647,7 +644,6 @@ impl ShardCore {
         Ok(Response::Inject(InjectReply {
             tenant,
             engine_key: key,
-            reused_cells: reused as u64,
             assignments,
             per_app_phi1: per_app,
             verdict: RobustVerdict {
@@ -760,7 +756,7 @@ impl ShardCore {
             cache_capacity: self.cache.capacity() as u64,
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
-            cache_rebuilds: self.cache.rebuilds(),
+            cache_rebuilds: self.rebuilds,
             coalesced: self.coalesced,
             builds: self.builds,
             pool_runs: pool.runs,
@@ -988,9 +984,17 @@ mod tests {
         }
     }
 
+    fn inject(tenant: &str, event: TenantEvent) -> Request {
+        Request::Inject(crate::protocol::InjectRequest {
+            tenant: tenant.to_string(),
+            event,
+        })
+    }
+
     #[test]
     fn submit_then_inject_then_fingerprint() {
-        let mut core = ShardCore::new(0, test_cfg());
+        let store = Arc::new(CellStore::new(4_096));
+        let mut core = ShardCore::with_store(0, test_cfg(), Arc::clone(&store));
         let resp = core.handle(&submit("acme", 7));
         let Response::Submit(reply) = resp else {
             panic!("expected submit reply, got {resp:?}");
@@ -999,21 +1003,26 @@ mod tests {
         assert_eq!(reply.per_app_phi1.len(), 3);
         assert!((0.0..=1.0).contains(&reply.verdict.phi1));
 
-        let resp = core.handle(&Request::Inject(crate::protocol::InjectRequest {
-            tenant: "acme".to_string(),
-            event: TenantEvent::Degrade {
-                proc_type: 0,
-                factor: 0.5,
-            },
-        }));
+        let before = store.stats();
+        let degrade = TenantEvent::Degrade {
+            proc_type: 0,
+            factor: 0.5,
+        };
+        let resp = core.handle(&inject("acme", degrade));
         let Response::Inject(inj) = resp else {
             panic!("expected inject reply, got {resp:?}");
         };
         assert_ne!(inj.engine_key, reply.engine_key, "inputs changed");
-        assert!(
-            inj.reused_cells > 0,
-            "degrading one type keeps the other's cells"
-        );
+        // Degrading type 0 leaves type 1 untouched: the rebuild takes
+        // type 1's cells from the store and computes only type 0's.
+        let after = store.stats();
+        let (batch, platform) = spec(7).expand().unwrap();
+        let cells = |j: usize| {
+            let options = platform.pow2_options(cdsf_system::ProcTypeId(j)).unwrap();
+            (batch.len() * options.len()) as u64
+        };
+        assert_eq!(after.hits - before.hits, cells(1));
+        assert_eq!(after.misses - before.misses, cells(0));
 
         let resp = core.handle(&Request::Fingerprint {
             tenant: "acme".to_string(),
@@ -1027,7 +1036,61 @@ mod tests {
         assert_eq!(stats.submits, 1);
         assert_eq!(stats.injects, 1);
         assert_eq!(stats.tenants, 1);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 2));
         assert_eq!(stats.cache_rebuilds, 1);
+    }
+
+    #[test]
+    fn inject_replies_do_not_depend_on_cache_state() {
+        // Two tenants interleaved, so with one engine slot every inject
+        // finds its tenant's engine evicted, and with eight it does not.
+        let stream = vec![
+            submit("acme", 7),
+            submit("globex", 8),
+            inject(
+                "acme",
+                TenantEvent::Degrade {
+                    proc_type: 0,
+                    factor: 0.5,
+                },
+            ),
+            inject("globex", TenantEvent::Crash { proc_type: 1 }),
+            inject("acme", TenantEvent::Drift { factor: 0.9 }),
+            submit("globex", 8),
+            inject(
+                "globex",
+                TenantEvent::Degrade {
+                    proc_type: 1,
+                    factor: 0.7,
+                },
+            ),
+            inject("acme", TenantEvent::Crash { proc_type: 0 }),
+        ];
+        let serve = |cache_capacity: usize, one_batch: bool| -> Vec<u8> {
+            let cfg = ServeConfig {
+                cache_capacity,
+                ..test_cfg()
+            };
+            let mut core = ShardCore::new(0, cfg);
+            let replies = if one_batch {
+                core.process_batch(&stream)
+            } else {
+                stream.iter().map(|r| core.handle(r)).collect()
+            };
+            let mut bytes = Vec::new();
+            for reply in &replies {
+                assert!(!matches!(reply, Response::Error { .. }), "{reply:?}");
+                crate::protocol::encode_line(&mut bytes, reply).unwrap();
+            }
+            bytes
+        };
+        let reference = serve(8, false);
+        for (capacity, one_batch) in [(1, false), (1, true), (8, true)] {
+            assert!(
+                serve(capacity, one_batch) == reference,
+                "capacity {capacity}, one batch {one_batch}: reply bytes differ"
+            );
+        }
     }
 
     #[test]

@@ -191,8 +191,7 @@ pub(crate) struct TenantState {
     pub threshold: f64,
     pub batch: Batch,
     pub platform: Platform,
-    /// Input fingerprint of the engine currently serving this tenant —
-    /// the `prev_key` a later incremental rebuild starts from.
+    /// Input fingerprint of the engine currently serving this tenant.
     pub engine_key: u64,
     pub events_applied: u64,
 }
@@ -227,35 +226,22 @@ impl TenantState {
         }
     }
 
-    /// Derives the post-event inputs plus the [`cdsf_ra::RebuildMap`]
-    /// index correspondences (per new app / new type, the previous
-    /// index). Pure — the state itself is updated only after the rebuild
-    /// succeeds.
-    #[allow(clippy::type_complexity)]
-    pub fn apply_event(
-        &self,
-        event: &TenantEvent,
-    ) -> Result<(Batch, Platform, Vec<Option<usize>>, Vec<Option<usize>>)> {
+    /// Derives the post-event inputs. Pure — the state itself is
+    /// updated only after the rebuild succeeds.
+    pub fn apply_event(&self, event: &TenantEvent) -> Result<(Batch, Platform)> {
         match *event {
             TenantEvent::Crash { proc_type } => {
-                let (batch, platform, types_map) =
-                    remap::crashed(&self.batch, &self.platform, proc_type)?;
-                let apps_map = (0..batch.len()).map(Some).collect();
-                Ok((batch, platform, apps_map, types_map))
+                Ok(remap::crashed(&self.batch, &self.platform, proc_type)?)
             }
             TenantEvent::Degrade { proc_type, factor } => {
                 check_factor(factor)?;
                 let platform = remap::degraded_platform(&self.platform, proc_type, factor)?;
-                let (apps_map, types_map) =
-                    remap::identity_maps(self.batch.len(), platform.num_types());
-                Ok((self.batch.clone(), platform, apps_map, types_map))
+                Ok((self.batch.clone(), platform))
             }
             TenantEvent::Drift { factor } => {
                 check_factor(factor)?;
                 let platform = remap::drifted_platform(&self.platform, factor)?;
-                let (apps_map, types_map) =
-                    remap::identity_maps(self.batch.len(), platform.num_types());
-                Ok((self.batch.clone(), platform, apps_map, types_map))
+                Ok((self.batch.clone(), platform))
             }
         }
     }

@@ -131,14 +131,6 @@ proptest! {
     }
 }
 
-/// Bit-level PMF equality (stricter than `==`: distinguishes `-0.0`/`0.0`).
-fn pmf_bits_equal(a: &Pmf, b: &Pmf) -> bool {
-    a.len() == b.len()
-        && a.pulses().iter().zip(b.pulses()).all(|(x, y)| {
-            x.value.to_bits() == y.value.to_bits() && x.prob.to_bits() == y.prob.to_bits()
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -167,10 +159,10 @@ proptest! {
                 .unwrap()
                 .quotient(platform.proc_type(j).unwrap().availability())
                 .unwrap();
-                prop_assert!(pmf_bits_equal(&fused, &two_step));
+                prop_assert!(fused.bits_eq(&two_step));
                 // The public entry point routes through the same kernel.
                 let public = loaded_time_pmf(&seed_app, &platform, j, n).unwrap();
-                prop_assert!(pmf_bits_equal(&public, &two_step));
+                prop_assert!(public.bits_eq(&two_step));
             }
         }
     }

@@ -12,11 +12,22 @@
 use cdsf_core::simulation::{simulate_grid, SimParams};
 use cdsf_dls::TechniqueKind;
 use cdsf_ra::allocators::{EqualShare, GreedyMaxRobust, SimulatedAnnealing};
-use cdsf_ra::{Allocator, Assignment, Phi1Engine};
-use cdsf_system::ProcTypeId;
+use cdsf_ra::{Allocator, Assignment, EngineBuild, Phi1Engine};
+use cdsf_system::{Batch, Platform, ProcTypeId};
 use cdsf_workloads::paper;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
+
+/// An engine built by `threads` workers with the pool forced on
+/// (`min_work = 0`), however small the instance.
+fn pooled_build(batch: &Batch, platform: &Platform, threads: usize) -> Phi1Engine {
+    let opts = EngineBuild {
+        threads,
+        min_work: 0,
+        store: None,
+    };
+    Phi1Engine::build_with(batch, platform, &opts).unwrap().0
+}
 
 /// Every `(app, type, procs)` triple of an engine, flattened to bits:
 /// loaded pulses, dedicated pulses, cached expectation, and CDF probes.
@@ -59,8 +70,7 @@ fn engine_build_is_bit_identical_across_thread_counts() {
     let want = engine_fingerprint(&reference, paper::DEADLINE);
     assert!(!want.is_empty());
     for threads in THREAD_COUNTS {
-        let engine =
-            Phi1Engine::build_parallel_with_min_work(&batch, &platform, threads, 0).unwrap();
+        let engine = pooled_build(&batch, &platform, threads);
         assert_eq!(
             engine_fingerprint(&engine, paper::DEADLINE),
             want,
@@ -86,8 +96,7 @@ fn phi1_tables_are_bit_identical_across_thread_counts() {
     for deadline in [paper::DEADLINE * 0.5, paper::DEADLINE] {
         let want = table_bits(&reference, deadline);
         for threads in THREAD_COUNTS {
-            let engine =
-                Phi1Engine::build_parallel_with_min_work(&batch, &platform, threads, 0).unwrap();
+            let engine = pooled_build(&batch, &platform, threads);
             assert_eq!(
                 table_bits(&engine, deadline),
                 want,
@@ -116,8 +125,7 @@ fn allocations_are_thread_count_invariant() {
         .allocate_with_engine(&batch, &platform, &reference, paper::DEADLINE)
         .unwrap();
     for threads in THREAD_COUNTS {
-        let engine =
-            Phi1Engine::build_parallel_with_min_work(&batch, &platform, threads, 0).unwrap();
+        let engine = pooled_build(&batch, &platform, threads);
         let got_greedy = greedy
             .allocate_with_engine(&batch, &platform, &engine, paper::DEADLINE)
             .unwrap();
