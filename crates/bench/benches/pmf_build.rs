@@ -3,19 +3,16 @@
 //! builds with a reused [`CombineScratch`] vs. the legacy
 //! `amdahl_rescale` + `quotient` chain, the sorted-merge `max`/product
 //! fast paths vs. the canonicalizing `combine`, and one-app-changed
-//! remaps through an `EngineCache` and its cell store vs. rebuilding from
-//! scratch.
+//! remaps assembled against a cell store vs. rebuilding from scratch.
 
 use cdsf_pmf::CombineScratch;
 use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
-use cdsf_ra::engine_cache::DEFAULT_CAPACITY;
-use cdsf_ra::{CellStore, EngineCache, Phi1Engine};
+use cdsf_ra::{CellStore, EngineBuild, Phi1Engine};
 use cdsf_system::parallel_time::{amdahl_rescale, loaded_time_pmf_in};
 use cdsf_system::{Application, Batch, Platform, ProcTypeId};
 use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use std::sync::Arc;
 
 /// A pulse-rich instance: many execution pulses against a handful of
 /// availability pulses, the regime where the legacy chain's comparison
@@ -159,20 +156,23 @@ fn bench_rebuild(c: &mut Criterion) {
     .unwrap();
     let num_types = platform.num_types();
     // Every iteration rescales app 0 by a fraction no earlier iteration
-    // used, so the remap target is never resident in the LRU and app 0's
-    // cells were never built: a real one-app-changed miss, the other
-    // apps' cells coming from the store. Making the remnant is inside the
-    // timed loop (the harness does not expose its iteration count), and
-    // so is it for `full_1app32`, which builds the same shape storeless.
+    // used, so app 0's cells were never built: a real one-app-changed
+    // miss, the other apps' cells coming from the store. Making the
+    // remnant is inside the timed loop (the harness does not expose its
+    // iteration count), and so is it for `full_1app32`, which builds the
+    // same shape storeless.
     group.bench_function("remap_1app32", |bench| {
-        let store = Arc::new(CellStore::new(DEFAULT_CELL_CAPACITY));
-        let mut cache = EngineCache::new(DEFAULT_CAPACITY, store);
-        cache.get_or_build(&batch, &platform, 1).unwrap();
+        let store = CellStore::new(DEFAULT_CELL_CAPACITY);
+        let opts = EngineBuild {
+            store: Some(&store),
+            ..EngineBuild::default()
+        };
+        Phi1Engine::build_with(&batch, &platform, &opts).unwrap();
         let mut n = 0u32;
         bench.iter(|| {
             n += 1;
             let remnant = single_app_remnant(&batch, num_types, 0, 0.5 + n as f64 * 1e-6);
-            black_box(cache.get_or_build(&remnant, &platform, 1).unwrap().engine);
+            black_box(Phi1Engine::build_with(&remnant, &platform, &opts).unwrap());
         })
     });
     group.bench_function("full_1app32", |bench| {

@@ -37,11 +37,9 @@ use cdsf_dls::TechniqueKind;
 use cdsf_pmf::discretize::{Discretize, Normal};
 use cdsf_pmf::{CombineScratch, Pmf};
 use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
-use cdsf_ra::engine_cache::DEFAULT_CAPACITY;
 use cdsf_ra::robustness::ProbabilityTable;
 use cdsf_ra::{
-    Allocation, Assignment, CellStore, DeltaFitness, EngineBuild, EngineCache, OptionProbs,
-    Phi1Engine,
+    Allocation, Assignment, CellStore, DeltaFitness, EngineBuild, OptionProbs, Phi1Engine,
 };
 use cdsf_serve::loadgen::{run_local, LoadgenConfig};
 use cdsf_serve::ServeConfig;
@@ -55,7 +53,6 @@ use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Current stage-1 snapshot schema. Bump when the JSON shape changes.
@@ -93,11 +90,12 @@ use std::time::Instant;
 /// (`sa_steps`, and the `sa_serve` block guarded to stop short of its
 /// full step count).
 /// v8 redefined `pmf_build/rebuild_remap_1app32`: each timed call is a
-/// real one-app-changed miss through an `EngineCache` and its cell store
-/// (the v7 loop alternated two remnants on a capacity-8 cache, so all
-/// but its first two calls were LRU hits). The `remap` section records
-/// the loop's LRU hits (guarded to be 0) and kernel-built cells (guarded
-/// to be exactly the changed app's cells per call).
+/// real one-app-changed miss assembled against a cell store (the v7 loop
+/// alternated two remnants on a capacity-8 engine LRU, so all but its
+/// first two calls were LRU hits). The `remap` section records the
+/// loop's kernel-built cells (guarded to be exactly the changed app's
+/// cells per call) and store hits (guarded to be positive). Its
+/// `lru_hits` field went with the engine LRU.
 const SCHEMA_VERSION: u64 = 8;
 
 /// Current stage-2 snapshot schema. Bump when the JSON shape changes.
@@ -277,13 +275,13 @@ fn single_app_remnant(batch: &Batch, num_types: usize, changed: usize, frac: f64
 }
 
 /// The remap benches on `batch`: `pmf_build/rebuild_remap_1app32` times
-/// `calls_per_sample` × `samples` one-app-changed remaps through an
-/// [`EngineCache`] and its cell store, each a real miss — the remnant's
-/// app 0 is rescaled by a fraction no earlier call used, so the target
-/// is never resident and app 0's cells were never built, while the other
-/// apps' cells come from the store. The remnants are made after the
-/// warm-up build, untimed, so their unchanged PMFs carry cached digests
-/// as a serve tenant's stored batch does. `rebuild_full_1app32` times a
+/// `calls_per_sample` × `samples` one-app-changed remaps assembled
+/// against a cell store, each a real miss — the remnant's app 0 is
+/// rescaled by a fraction no earlier call used, so app 0's cells were
+/// never built, while the other apps' cells come from the store. The
+/// remnants are made after the warm-up build, untimed, so their
+/// unchanged PMFs carry cached digests as a serve tenant's stored batch
+/// does. `rebuild_full_1app32` times a
 /// storeless build of the same shape, each call right after a remap.
 /// Returns the loop's counters for the `remap` section.
 fn remap_benches(
@@ -294,9 +292,12 @@ fn remap_benches(
     platform: &Platform,
 ) -> Value {
     let num_types = platform.num_types();
-    let store = Arc::new(CellStore::new(DEFAULT_CELL_CAPACITY));
-    let mut cache = EngineCache::new(DEFAULT_CAPACITY, Arc::clone(&store));
-    cache.get_or_build(batch, platform, 1).unwrap();
+    let store = CellStore::new(DEFAULT_CELL_CAPACITY);
+    let opts = EngineBuild {
+        store: Some(&store),
+        ..EngineBuild::default()
+    };
+    Phi1Engine::build_with(batch, platform, &opts).unwrap();
     let calls = samples * calls_per_sample;
     // A rescale fraction per call, so no call's changed cells were ever
     // built before.
@@ -306,7 +307,7 @@ fn remap_benches(
     let changed_app_cells: u64 = (0..num_types)
         .map(|j| platform.pow2_options(ProcTypeId(j)).unwrap().len() as u64)
         .sum();
-    let (hits_before, store_before) = (cache.hits(), store.stats());
+    let store_before = store.stats();
     // The remap and the full rebuild alternate call by call, so a drift
     // in host speed, or the cache state one leaves the other, moves both
     // medians alike and their ratio holds.
@@ -317,7 +318,7 @@ fn remap_benches(
         for k in 0..calls_per_sample {
             let remnant = next.next().expect("one remnant per call");
             let t0 = Instant::now();
-            black_box(cache.get_or_build(remnant, platform, 1).unwrap().engine);
+            black_box(Phi1Engine::build_with(remnant, platform, &opts).unwrap());
             remap += t0.elapsed().as_nanos();
             let t0 = Instant::now();
             black_box(Phi1Engine::build_parallel(&remnants[k % 2], platform, 1).unwrap());
@@ -329,7 +330,6 @@ fn remap_benches(
     let store_after = store.stats();
     let section = json!({
         "calls": calls,
-        "lru_hits": cache.hits() - hits_before,
         "kernel_cells": store_after.misses - store_before.misses,
         "store_hits": store_after.hits - store_before.hits,
         "changed_app_cells": changed_app_cells,
@@ -1678,18 +1678,11 @@ fn check_cell_store_section(snapshot: &Value) -> Result<(), String> {
 }
 
 /// Validates the stage-1 `remap` block: every timed remap was a real
-/// miss (no LRU hit) whose kernel built exactly the changed app's cells,
-/// the rest coming from the store.
+/// miss whose kernel built exactly the changed app's cells, the rest
+/// coming from the store.
 fn check_remap_section(snapshot: &Value) -> Result<(), String> {
     let section = snapshot.get("remap").ok_or("missing remap section")?;
     let calls = u64_field(section, "calls")?;
-    let lru_hits = u64_field(section, "lru_hits")?;
-    if lru_hits != 0 {
-        return Err(format!(
-            "remap loop had {lru_hits} LRU hits in {calls} calls — it timed cache hits, \
-             not remaps"
-        ));
-    }
     let kernel_cells = u64_field(section, "kernel_cells")?;
     let per_call = u64_field(section, "changed_app_cells")?;
     if kernel_cells != calls * per_call {

@@ -52,7 +52,7 @@ COMMANDS:
               [--allocator NAME] [--pulses N] [--dwell T] [--overhead H]
   serve       run the multi-tenant scheduling service (NDJSON over TCP)
               [--host H] [--port N (0 = ephemeral)] [--shards N]
-              [--cache N] [--threads N] [--allocator NAME] [--threshold P]
+              [--threads N] [--allocator NAME] [--threshold P]
   help        this text
 
 All commands accept --json for machine-readable output."

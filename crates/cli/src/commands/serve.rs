@@ -12,7 +12,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let port: u16 = args.get_parsed("port", 0)?;
     let mut cfg = ServeConfig {
         shards: args.get_parsed("shards", ServeConfig::default().shards)?,
-        cache_capacity: args.get_parsed("cache", ServeConfig::default().cache_capacity)?,
         build_threads: args.get_parsed("threads", ServeConfig::default().build_threads)?,
         phi1_threshold: args.get_parsed("threshold", ServeConfig::default().phi1_threshold)?,
         ..ServeConfig::default()
@@ -33,12 +32,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     // the ephemeral port before they connect.
     println!("cdsf-serve listening on {}", server.addr());
     println!(
-        "  shards {} | cache {} engines/shard | {} build threads | allocator {} | threshold {}",
-        cfg.shards,
-        cfg.cache_capacity,
-        cfg.build_threads,
-        cfg.default_allocator,
-        cfg.phi1_threshold
+        "  shards {} | {} build threads | allocator {} | threshold {}",
+        cfg.shards, cfg.build_threads, cfg.default_allocator, cfg.phi1_threshold
     );
     let _ = std::io::stdout().flush();
 

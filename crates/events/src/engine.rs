@@ -37,9 +37,7 @@ use crate::{EventsError, Result};
 use cdsf_dls::executor::{ExecutorConfig, ExecutorSession, SessionStatus};
 use cdsf_pmf::Pmf;
 use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
-use cdsf_ra::engine_cache::DEFAULT_CAPACITY;
-use cdsf_ra::{Allocation, Assignment};
-use cdsf_ra::{CellStore, EngineCache};
+use cdsf_ra::{Allocation, Assignment, CellStore, EngineBuild, Phi1Engine};
 use cdsf_system::availability::AvailabilitySpec;
 use cdsf_system::platform::prev_power_of_two;
 use cdsf_system::{Application, Batch, Platform, ProcTypeId, ProcessorType};
@@ -47,7 +45,6 @@ use cdsf_workloads::faults::{FaultKind, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Availability level of a stalled processor type (pinned near zero; an
 /// exact zero would never finish any work).
@@ -128,12 +125,12 @@ struct State {
     remap_count: usize,
     clamp_count: usize,
     wasted: f64,
-    /// Stage-I engine cache over a private cell store: every reactive
-    /// rebuild takes the cells of unchanged `(app, type, k)` triples
-    /// (pending apps, undrifted types) from the store by content instead
+    /// Private cell store behind every Stage-I engine of the run: each
+    /// reactive rebuild takes the cells of unchanged `(app, type, k)`
+    /// triples (pending apps, undrifted types) from it by content instead
     /// of recomputing them. Its engines are bit-identical to fresh
     /// builds, so the event log stays byte-replayable.
-    cache: EngineCache,
+    store: CellStore,
 }
 
 /// SplitMix64 finalizer — the workspace's standard seed-mixing primitive.
@@ -293,22 +290,29 @@ impl<'a> EventEngine<'a> {
         })
     }
 
+    /// The Stage-I engine for `(batch, platform)`, assembled against the
+    /// run's cell store.
+    fn engine(&self, store: &CellStore, batch: &Batch, platform: &Platform) -> Result<Phi1Engine> {
+        let opts = EngineBuild {
+            threads: self.cfg.threads,
+            store: Some(store),
+            ..EngineBuild::default()
+        };
+        Ok(Phi1Engine::build_with(batch, platform, &opts)?.0)
+    }
+
     /// Builds the live state: Stage-I initial mapping, pristine types,
     /// pending applications.
     fn initial_state(&self) -> Result<State> {
-        let store = Arc::new(CellStore::new(DEFAULT_CELL_CAPACITY));
-        let mut cache = EngineCache::new(DEFAULT_CAPACITY, store);
-        cache.get_or_build(self.batch, self.reference, self.cfg.threads)?;
+        let store = CellStore::new(DEFAULT_CELL_CAPACITY);
+        let engine = self.engine(&store, self.batch, self.reference)?;
         let alloc = self.cfg.allocator.allocate_with_engine(
             self.batch,
             self.reference,
-            cache.engine(),
+            &engine,
             self.cfg.deadline,
         )?;
-        let phi1 = cache
-            .engine()
-            .joint(&alloc, self.cfg.deadline)
-            .unwrap_or(0.0);
+        let phi1 = engine.joint(&alloc, self.cfg.deadline).unwrap_or(0.0);
 
         let types = self
             .reference
@@ -362,7 +366,7 @@ impl<'a> EventEngine<'a> {
             remap_count: 0,
             clamp_count: 0,
             wasted: 0.0,
-            cache,
+            store,
         })
     }
 
@@ -820,12 +824,9 @@ impl<'a> EventEngine<'a> {
         }
         let remnant = Batch::new(apps);
         let reduced = self.reduced_platform(st, &surviving)?;
-        let outcome = st
-            .cache
-            .get_or_build(&remnant, &reduced, self.cfg.threads)?;
+        let engine = self.engine(&st.store, &remnant, &reduced)?;
         Ok(Some(
-            outcome
-                .engine
+            engine
                 .joint(&Allocation::new(assignments), self.window(t))
                 .unwrap_or(0.0),
         ))
@@ -907,26 +908,18 @@ impl<'a> EventEngine<'a> {
         let remnant = Batch::new(apps);
         let reduced = self.reduced_platform(st, surviving)?;
         let window = self.window(t);
-        // Scope the engine borrow (it lives inside `st.cache`) so the
-        // assignment writes below can re-borrow `st` mutably.
-        let (alloc, phi1) = {
-            let engine = st
-                .cache
-                .get_or_build(&remnant, &reduced, self.cfg.threads)?
-                .engine;
-            let Ok(alloc) = self
-                .cfg
-                .allocator
-                .allocate_with_engine(&remnant, &reduced, engine, window)
-            else {
-                return Ok(false);
-            };
-            if alloc.validate(&remnant, &reduced).is_err() {
-                return Ok(false);
-            }
-            let phi1 = engine.joint(&alloc, window).unwrap_or(0.0);
-            (alloc, phi1)
+        let engine = self.engine(&st.store, &remnant, &reduced)?;
+        let Ok(alloc) = self
+            .cfg
+            .allocator
+            .allocate_with_engine(&remnant, &reduced, &engine, window)
+        else {
+            return Ok(false);
         };
+        if alloc.validate(&remnant, &reduced).is_err() {
+            return Ok(false);
+        }
+        let phi1 = engine.joint(&alloc, window).unwrap_or(0.0);
         let mut entries = Vec::with_capacity(actives.len());
         for (k, &i) in actives.iter().enumerate() {
             let a = alloc.assignment(k).expect("allocation arity checked");

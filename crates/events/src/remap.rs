@@ -2,15 +2,14 @@
 //!
 //! The online event engine and the serving layer react to the same three
 //! disruptions — a processor-type crash, a per-type availability
-//! degradation, and a system-wide drift — and both build the Stage-I
-//! engine for the derived remnant inputs through a
-//! [`cdsf_ra::EngineCache`]. This module is the shared derivation: pure
+//! degradation, and a system-wide drift — and both assemble the Stage-I
+//! engine for the derived remnant inputs against a
+//! [`cdsf_ra::CellStore`]. This module is the shared derivation: pure
 //! functions from the current inputs to the post-event inputs.
 //!
 //! Everything here is deterministic and bit-stable: the untouched PMFs
 //! are carried over by clone (same bits, cached digest included), so the
-//! cache's [`cdsf_ra::CellStore`] recognises them by content and reuses
-//! their cells.
+//! store recognises them by content and reuses their cells.
 
 use crate::{EventsError, Result};
 use cdsf_pmf::Pmf;

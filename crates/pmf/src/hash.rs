@@ -6,8 +6,8 @@
 //! pulses is equal (modulo collisions, which every consumer in this
 //! workspace guards against with a structural verify-on-hit), so the
 //! digest is a valid key for any cache whose values are deterministic
-//! functions of PMF bits: the engine-input fingerprint in
-//! `cdsf-ra::engine_cache` folds PMFs in with [`fnv1a_pmf`], and the
+//! functions of PMF bits: the engine-input fingerprint
+//! `cdsf_ra::inputs_key` folds PMFs in with [`fnv1a_pmf`], and the
 //! content-addressed loaded-PMF cell store keys on [`Pmf::digest`], the
 //! same fold from the offset basis, cached in the PMF.
 //!

@@ -436,9 +436,7 @@ impl Pmf {
             grid.clear();
             grid.reserve(nb * m);
             for a in avail {
-                // 4-wide lane fill (crate::lanes); elementwise, so the
-                // grid bits match the plain `v / d` map exactly.
-                crate::lanes::quotient_fill(grid, base_values, a.value);
+                grid.extend(base_values.iter().map(|&v| v / a.value));
             }
             // Divisor support is strictly positive and the base run
             // non-decreasing, so quotient runs cannot descend; keep the

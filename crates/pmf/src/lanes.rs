@@ -1,108 +1,27 @@
-//! Explicit 4-wide f64 lane kernels with scalar tails.
+//! The prefix-CDF fold, unrolled four terms at a time.
 //!
-//! The PMF-construction pipeline has three pure stream loops hot enough to
-//! deserve explicit lanes: the j-major quotient-grid fill (one division per
-//! grid element), the prefix-CDF fold (`acc += prob` over the canonical
-//! pulses), and the batched CDF lookup [`cdf_many`]. Each gets a manually
-//! unrolled 4-wide kernel here — four independent f64 lanes per iteration
-//! via [`slice::chunks_exact`], scalar remainder loop for the tail — so the
-//! autovectorizer has a branch-free, fixed-shape body to map onto whatever
-//! vector ISA the target offers (SSE2 pairs, one AVX2 op, half an AVX-512
-//! op), and so the shape survives even when heuristics would not unroll.
+//! Every canonical [`crate::Pmf`] carries a prefix-CDF table, so this
+//! fold runs once per PMF construction. Unrolling it — four terms and
+//! one 4-wide store per iteration, the remainder folded one term at a
+//! time — cuts its cost by about a third at 16 pulses and by half from
+//! 48 pulses up, and is no slower at 8.
 //!
-//! # Lane/tail bit-identity contract
+//! # Bit-identity
 //!
-//! Every kernel in this module is **bit-identical** to its scalar
-//! reference, not merely close, because lanes never change the association
-//! of any floating-point reduction:
-//!
-//! * the quotient fill and the CDF lookups are *elementwise* — lane `k`
-//!   computes exactly the operation the scalar loop would have computed
-//!   for that index, so reordering across lanes is invisible;
-//! * the prefix-CDF fold is a *serial dependency chain* and is unrolled
-//!   without re-association: `a₀ = acc + p₀; a₁ = a₀ + p₁; a₂ = a₁ + p₂;
-//!   a₃ = a₂ + p₃` — the same left-to-right fold, four terms per
-//!   iteration. (A genuinely parallel prefix sum would re-associate and
-//!   change bits; that is deliberately *not* what this kernel does.)
-//! * tails run the scalar loop itself.
-//!
-//! The scalar references stay compiled under every feature combination and
-//! are exported alongside the lane kernels, so the `lane_kernels` proptest
-//! suite can pin `lane(x) == scalar(x)` at the `f64::to_bits` level on
-//! adversarial inputs (subnormals, ties, `-0.0`, empty and sub-lane
-//! tails).
-//!
-//! # Dispatch
-//!
-//! The `lanes` cargo feature (on by default) selects which implementation
-//! the public entry points forward to; with `--no-default-features` the
-//! crate runs the scalar references everywhere. Since both sides are
-//! bit-identical, the feature is purely a performance switch — goldens,
-//! engine tables, and simulation results do not move.
+//! The fold is a serial dependency chain and the unroll keeps its exact
+//! left-to-right association: `a₀ = acc + p₀; a₁ = a₀ + p₁; a₂ = a₁ + p₂;
+//! a₃ = a₂ + p₃`. A genuinely parallel prefix sum would re-associate and
+//! change bits; that is deliberately *not* what this kernel does. The
+//! `lane_kernels` property suite pins it to the plain `acc += prob` loop
+//! at the `f64::to_bits` level on adversarial inputs (subnormals, signed
+//! zeros, ties, empty and sub-lane tails).
 
 use crate::pmf::Pulse;
 
-/// Whether the lane kernels are the selected dispatch target. Exposed so
-/// benches and tests can report which side they measured.
-pub const LANES_ENABLED: bool = cfg!(feature = "lanes");
-
-// ---------------------------------------------------------------------
-// Quotient-grid fill: dst ← values / d, appended
-// ---------------------------------------------------------------------
-
-/// Scalar reference for [`quotient_fill`]: appends `v / d` for every `v`
-/// in `values`, in order.
-pub fn quotient_fill_scalar(dst: &mut Vec<f64>, values: &[f64], d: f64) {
-    dst.extend(values.iter().map(|&v| v / d));
-}
-
-/// 4-wide lane kernel for [`quotient_fill`]. Elementwise, so bit-identity
-/// with the scalar reference is structural.
-pub fn quotient_fill_lanes(dst: &mut Vec<f64>, values: &[f64], d: f64) {
-    dst.reserve(values.len());
-    let mut chunks = values.chunks_exact(4);
-    for c in &mut chunks {
-        let q = [c[0] / d, c[1] / d, c[2] / d, c[3] / d];
-        dst.extend_from_slice(&q);
-    }
-    dst.extend(chunks.remainder().iter().map(|&v| v / d));
-}
-
-/// Appends one quotient run — `values[i] / d` for every `i`, preserving
-/// order — to `dst`. This is the j-major grid fill of the fused
-/// scale→quotient kernel: one call per availability pulse, `values` the
-/// Amdahl-scaled base support, `d` that pulse's (positive) value.
-#[inline]
-pub fn quotient_fill(dst: &mut Vec<f64>, values: &[f64], d: f64) {
-    if LANES_ENABLED {
-        quotient_fill_lanes(dst, values, d);
-    } else {
-        quotient_fill_scalar(dst, values, d);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Prefix-CDF fold: cum[i] = p₀ + p₁ + … + pᵢ, left to right
-// ---------------------------------------------------------------------
-
-/// Scalar reference for [`prefix_cdf`]: the left-to-right `acc += prob`
-/// fold every prefix table in the crate is defined by.
-pub fn prefix_cdf_scalar(pulses: &[Pulse]) -> Vec<f64> {
-    let mut cum = Vec::with_capacity(pulses.len());
-    let mut acc = 0.0f64;
-    for p in pulses {
-        acc += p.prob;
-        cum.push(acc);
-    }
-    cum
-}
-
-/// 4-wide unrolled kernel for [`prefix_cdf`]. The fold is a serial
-/// dependency chain, so the unroll keeps the exact left-to-right
-/// association (`a₀ = acc + p₀`, `a₁ = a₀ + p₁`, …) — bit-identical by
-/// construction — and buys its speed from amortized loop control and
-/// 4-wide stores, not from re-association.
-pub fn prefix_cdf_lanes(pulses: &[Pulse]) -> Vec<f64> {
+/// The prefix-CDF table of a canonical pulse run: `cum[i] = Σ_{k≤i} p_k`,
+/// folded left to right (the order every bit-identity argument in
+/// `kernel.rs` is built on).
+pub fn prefix_cdf(pulses: &[Pulse]) -> Vec<f64> {
     let mut cum = Vec::with_capacity(pulses.len());
     let mut acc = 0.0f64;
     let mut chunks = pulses.chunks_exact(4);
@@ -119,165 +38,4 @@ pub fn prefix_cdf_lanes(pulses: &[Pulse]) -> Vec<f64> {
         cum.push(acc);
     }
     cum
-}
-
-/// The prefix-CDF table of a canonical pulse run: `cum[i] = Σ_{k≤i} p_k`,
-/// folded left to right (the order every bit-identity argument in
-/// `kernel.rs` is built on).
-#[inline]
-pub fn prefix_cdf(pulses: &[Pulse]) -> Vec<f64> {
-    if LANES_ENABLED {
-        prefix_cdf_lanes(pulses)
-    } else {
-        prefix_cdf_scalar(pulses)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Batched CDF lookup
-// ---------------------------------------------------------------------
-
-/// One CDF evaluation against a canonical `(pulses, cum)` pair — the
-/// binary-search + prefix-read shape of `Pmf::cdf`.
-#[inline]
-fn cdf_one(pulses: &[Pulse], cum: &[f64], x: f64) -> f64 {
-    let idx = pulses.partition_point(|p| p.value <= x);
-    if idx == 0 {
-        0.0
-    } else {
-        cum[idx - 1]
-    }
-}
-
-/// Scalar reference for [`cdf_many`]: ascending queries share one merged
-/// cursor over the support; unsorted queries fall back to one binary
-/// search each. Exactly the semantics of `Pmf::cdf` per element.
-pub fn cdf_many_scalar(pulses: &[Pulse], cum: &[f64], xs: &[f64]) -> Vec<f64> {
-    let sorted = xs.windows(2).all(|w| w[0] <= w[1]);
-    if !sorted {
-        return xs.iter().map(|&x| cdf_one(pulses, cum, x)).collect();
-    }
-    let mut out = Vec::with_capacity(xs.len());
-    let mut idx = 0usize; // first pulse with value > current x
-    for &x in xs {
-        while idx < pulses.len() && pulses[idx].value <= x {
-            idx += 1;
-        }
-        out.push(if idx == 0 { 0.0 } else { cum[idx - 1] });
-    }
-    out
-}
-
-/// 4-wide lane kernel for [`cdf_many`].
-///
-/// * Ascending queries keep the merged single-cursor pass, but the cursor
-///   advances a whole lane at a time: while `pulses[idx + 3].value ≤ x`
-///   the four-element skip is taken in one comparison, and only the final
-///   sub-lane approach runs the scalar step loop. The cursor stops at the
-///   exact index the scalar pass stops at, so every answer reads the same
-///   `cum` slot.
-/// * Unsorted queries are answered four at a time — four independent
-///   binary searches per iteration whose resolved values are stored as
-///   one 4-wide write — with a scalar tail for the last `len % 4`
-///   queries. Elementwise, hence bit-identical.
-pub fn cdf_many_lanes(pulses: &[Pulse], cum: &[f64], xs: &[f64]) -> Vec<f64> {
-    let sorted = xs.windows(2).all(|w| w[0] <= w[1]);
-    let mut out = Vec::with_capacity(xs.len());
-    if sorted {
-        let mut idx = 0usize;
-        for &x in xs {
-            while idx + 4 <= pulses.len() && pulses[idx + 3].value <= x {
-                idx += 4;
-            }
-            while idx < pulses.len() && pulses[idx].value <= x {
-                idx += 1;
-            }
-            out.push(if idx == 0 { 0.0 } else { cum[idx - 1] });
-        }
-    } else {
-        let mut chunks = xs.chunks_exact(4);
-        for c in &mut chunks {
-            let r = [
-                cdf_one(pulses, cum, c[0]),
-                cdf_one(pulses, cum, c[1]),
-                cdf_one(pulses, cum, c[2]),
-                cdf_one(pulses, cum, c[3]),
-            ];
-            out.extend_from_slice(&r);
-        }
-        for &x in chunks.remainder() {
-            out.push(cdf_one(pulses, cum, x));
-        }
-    }
-    out
-}
-
-/// Batched CDF over a canonical `(pulses, cum)` pair: element `k` equals
-/// `Pmf::cdf(xs[k])` exactly, for sorted and unsorted query sequences
-/// alike.
-#[inline]
-pub fn cdf_many(pulses: &[Pulse], cum: &[f64], xs: &[f64]) -> Vec<f64> {
-    if LANES_ENABLED {
-        cdf_many_lanes(pulses, cum, xs)
-    } else {
-        cdf_many_scalar(pulses, cum, xs)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn pulses_of(vals: &[(f64, f64)]) -> Vec<Pulse> {
-        vals.iter()
-            .map(|&(value, prob)| Pulse { value, prob })
-            .collect()
-    }
-
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn quotient_fill_lane_matches_scalar_all_tail_lengths() {
-        for n in 0..13usize {
-            let values: Vec<f64> = (0..n).map(|i| 0.1 + i as f64 * 0.37).collect();
-            for d in [1.0, 0.3, 7.5, f64::MIN_POSITIVE] {
-                let (mut a, mut b) = (vec![-1.0], vec![-1.0]);
-                quotient_fill_scalar(&mut a, &values, d);
-                quotient_fill_lanes(&mut b, &values, d);
-                assert_eq!(bits(&a), bits(&b), "n={n} d={d}");
-            }
-        }
-    }
-
-    #[test]
-    fn prefix_cdf_lane_matches_scalar_all_tail_lengths() {
-        for n in 0..13usize {
-            let pulses = pulses_of(
-                &(0..n)
-                    .map(|i| (i as f64, 1.0 / (i as f64 + 3.0)))
-                    .collect::<Vec<_>>(),
-            );
-            assert_eq!(
-                bits(&prefix_cdf_scalar(&pulses)),
-                bits(&prefix_cdf_lanes(&pulses)),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn cdf_many_lane_matches_scalar_sorted_and_unsorted() {
-        let pulses = pulses_of(&[(1.0, 0.25), (2.0, 0.25), (2.5, 0.25), (4.0, 0.25)]);
-        let cum = prefix_cdf_scalar(&pulses);
-        let sorted = [0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 9.0];
-        let unsorted = [4.0, 1.0, 9.0, 0.0, 2.5, 2.49, 1.0];
-        for xs in [&sorted[..], &unsorted[..], &[], &sorted[..3]] {
-            assert_eq!(
-                bits(&cdf_many_scalar(&pulses, &cum, xs)),
-                bits(&cdf_many_lanes(&pulses, &cum, xs))
-            );
-        }
-    }
 }

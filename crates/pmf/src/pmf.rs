@@ -255,9 +255,9 @@ impl Pmf {
     }
 
     /// Wraps already-canonical pulses, computing the prefix-CDF table via
-    /// the [`crate::lanes::prefix_cdf`] fold (lane-unrolled without
-    /// re-association, so the table is the bit-exact left-to-right sum
-    /// either way).
+    /// the [`crate::lanes::prefix_cdf`] fold (unrolled four terms at a
+    /// time without re-association, so the table is the bit-exact
+    /// left-to-right sum).
     pub(crate) fn with_prefix_table(pulses: Vec<Pulse>) -> Self {
         let cum = crate::lanes::prefix_cdf(&pulses);
         Self::from_parts(pulses, cum)
@@ -403,13 +403,21 @@ impl Pmf {
     ///
     /// Ascending query sequences (the common deadline-sweep shape) are
     /// answered in one merged pass over the support — `O(len + xs.len())`
-    /// instead of `O(xs.len()·log len)`, with the support cursor advancing
-    /// a 4-wide lane at a time; unsorted queries run four independent
-    /// binary searches per iteration. Both paths live in
-    /// [`crate::lanes::cdf_many`]; every element equals `self.cdf(x)`
-    /// exactly.
+    /// instead of `O(xs.len()·log len)`; unsorted queries fall back to one
+    /// binary search each. Every element equals `self.cdf(x)` exactly.
     pub fn cdf_many(&self, xs: &[f64]) -> Vec<f64> {
-        crate::lanes::cdf_many(&self.pulses, &self.cum, xs)
+        if !xs.windows(2).all(|w| w[0] <= w[1]) {
+            return xs.iter().map(|&x| self.cdf(x)).collect();
+        }
+        let mut out = Vec::with_capacity(xs.len());
+        let mut idx = 0usize; // first pulse with value > current x
+        for &x in xs {
+            while idx < self.pulses.len() && self.pulses[idx].value <= x {
+                idx += 1;
+            }
+            out.push(if idx == 0 { 0.0 } else { self.cum[idx - 1] });
+        }
+        out
     }
 
     /// The prefix-CDF table: `cumulative()[i] = Pr(X ≤ pulses()[i].value)`,

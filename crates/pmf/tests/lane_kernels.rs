@@ -1,21 +1,27 @@
-//! Property tests pinning the 4-wide lane kernels to their scalar
-//! references at the `f64::to_bits` level.
+//! Property tests pinning the unrolled prefix-CDF fold to the plain
+//! left-to-right loop at the `f64::to_bits` level, and the batched CDF
+//! lookup to one `cdf` call per query.
 //!
-//! The `cdsf_pmf::lanes` module promises bit-identity, not approximate
-//! agreement — goldens and the determinism battery depend on it — so these
-//! tests feed both sides adversarial inputs (subnormals, signed zeros,
+//! `cdsf_pmf::lanes::prefix_cdf` promises bit-identity, not approximate
+//! agreement — goldens and the determinism battery depend on it — so
+//! these tests feed it adversarial inputs (subnormals, signed zeros,
 //! exact ties, huge magnitudes, empty and sub-lane tails) and compare raw
-//! bits. Every kernel is exercised across lengths 0..(several lanes + all
-//! tail residues); the scalar references are compiled unconditionally, so
-//! this suite pins the pair regardless of whether the `lanes` feature is
-//! driving the dispatch.
+//! bits against [`prefix_cdf_scalar`], the oracle kept here.
 
-use cdsf_pmf::lanes::{
-    cdf_many_lanes, cdf_many_scalar, prefix_cdf_lanes, prefix_cdf_scalar, quotient_fill_lanes,
-    quotient_fill_scalar,
-};
+use cdsf_pmf::lanes::prefix_cdf;
 use cdsf_pmf::Pulse;
 use proptest::prelude::*;
+
+/// The reference fold: `acc += prob`, one term at a time.
+fn prefix_cdf_scalar(pulses: &[Pulse]) -> Vec<f64> {
+    let mut cum = Vec::with_capacity(pulses.len());
+    let mut acc = 0.0f64;
+    for p in pulses {
+        acc += p.prob;
+        cum.push(acc);
+    }
+    cum
+}
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -37,17 +43,6 @@ fn adversarial_f64() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Strictly positive divisors, including subnormal and huge ones.
-fn adversarial_divisor() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        Just(f64::MIN_POSITIVE),
-        Just(f64::MIN_POSITIVE / 4.0),
-        Just(f64::MAX / 8.0),
-        Just(1.0f64),
-        1e-9f64..1e9f64,
-    ]
-}
-
 /// Pulse runs of length 0..=19 — every lane/tail residue plus several full
 /// lanes — with adversarial values *and* probabilities.
 fn adversarial_pulses() -> impl Strategy<Value = Vec<Pulse>> {
@@ -59,50 +54,44 @@ fn adversarial_pulses() -> impl Strategy<Value = Vec<Pulse>> {
     })
 }
 
-proptest! {
-    #[test]
-    fn quotient_fill_lane_equals_scalar(
-        values in prop::collection::vec(adversarial_f64(), 0..20),
-        d in adversarial_divisor(),
-        prefix in prop::collection::vec(adversarial_f64(), 0..3),
-    ) {
-        // Both kernels *append*; seed the destinations with a shared
-        // prefix to prove neither touches pre-existing contents.
-        let mut scalar = prefix.clone();
-        let mut lanes = prefix;
-        quotient_fill_scalar(&mut scalar, &values, d);
-        quotient_fill_lanes(&mut lanes, &values, d);
-        prop_assert_eq!(bits(&scalar), bits(&lanes));
+#[test]
+fn prefix_cdf_lane_matches_scalar_all_tail_lengths() {
+    for n in 0..13usize {
+        let pulses: Vec<Pulse> = (0..n)
+            .map(|i| Pulse {
+                value: i as f64,
+                prob: 1.0 / (i as f64 + 3.0),
+            })
+            .collect();
+        assert_eq!(
+            bits(&prefix_cdf_scalar(&pulses)),
+            bits(&prefix_cdf(&pulses)),
+            "n={n}"
+        );
     }
+}
 
+#[test]
+fn cdf_many_matches_cdf_on_ties_and_tails() {
+    // Queries on pulse values, between them, outside the support, repeated
+    // and empty: the merged cursor must stop where `cdf`'s binary search
+    // does.
+    let pmf = cdsf_pmf::Pmf::from_weighted(vec![(1.0, 1.0), (2.0, 1.0), (2.5, 1.0), (4.0, 1.0)])
+        .expect("positive weights");
+    let sorted = [0.0, 1.0, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 9.0];
+    let unsorted = [4.0, 1.0, 9.0, 0.0, 2.5, 2.49, 1.0];
+    for xs in [&sorted[..], &unsorted[..], &[], &sorted[..3]] {
+        let per_query: Vec<f64> = xs.iter().map(|&x| pmf.cdf(x)).collect();
+        assert_eq!(bits(&pmf.cdf_many(xs)), bits(&per_query), "{xs:?}");
+    }
+}
+
+proptest! {
     #[test]
     fn prefix_cdf_lane_equals_scalar(pulses in adversarial_pulses()) {
         prop_assert_eq!(
             bits(&prefix_cdf_scalar(&pulses)),
-            bits(&prefix_cdf_lanes(&pulses))
-        );
-    }
-
-    #[test]
-    fn cdf_many_lane_equals_scalar(
-        mut pulses in adversarial_pulses(),
-        queries in prop::collection::vec(adversarial_f64(), 0..20),
-        sort_queries in prop_oneof![Just(true), Just(false)],
-    ) {
-        // The lookup contract assumes a support sorted by total_cmp (ties
-        // allowed — equal values must resolve to the same cum slot on both
-        // sides).
-        pulses.sort_by(|a, b| a.value.total_cmp(&b.value));
-        let cum = prefix_cdf_scalar(&pulses);
-        let mut queries = queries;
-        if sort_queries {
-            // Exercise the merged single-cursor path, not just the
-            // per-query binary-search fallback.
-            queries.sort_by(f64::total_cmp);
-        }
-        prop_assert_eq!(
-            bits(&cdf_many_scalar(&pulses, &cum, &queries)),
-            bits(&cdf_many_lanes(&pulses, &cum, &queries))
+            bits(&prefix_cdf(&pulses))
         );
     }
 
@@ -112,9 +101,9 @@ proptest! {
         queries in prop::collection::vec(-2e4f64..2e4f64, 0..16),
         sort_queries in prop_oneof![Just(true), Just(false)],
     ) {
-        // End to end through the public API: the dispatched cdf_many must
-        // agree bitwise with one cdf() call per query, on both the sorted
-        // and the unsorted path.
+        // End to end through the public API: cdf_many must agree bitwise
+        // with one cdf() call per query, on both the sorted (merged
+        // cursor) and the unsorted path.
         let pmf = cdsf_pmf::Pmf::from_weighted(support).expect("positive weights");
         let mut queries = queries;
         if sort_queries {

@@ -24,8 +24,7 @@
 //! A hash match alone never serves a cell. Each family retains its exact
 //! inputs, and a lookup only returns its cells after a bitwise
 //! (`f64::to_bits`) comparison of the probe's execution and availability
-//! PMFs against the stored ones, and of each factor — the same collision
-//! discipline as [`crate::engine_cache::EngineCache`]. A colliding family
+//! PMFs against the stored ones, and of each factor. A colliding family
 //! is counted in [`CellStoreStats::verify_rejects`] and serves nothing,
 //! and a colliding newcomer is not interned, so it cannot displace the
 //! family holding its key: a collision can cost a recomputation but can
@@ -165,7 +164,7 @@ impl CellStoreStats {
 
 /// The content-addressed cell store. One instance is shared (via
 /// [`Arc`]) by every consumer that wants cross-build cell reuse — the
-/// serve layer hands one to all of its shards' engine caches.
+/// serve layer hands one to all of its shards.
 pub struct CellStore {
     shards: Vec<RwLock<Shard>>,
     per_shard: usize,

@@ -154,6 +154,34 @@ impl Default for EngineBuild<'_> {
     }
 }
 
+/// Fingerprint of everything the engine build kernel reads: per
+/// application the iteration split and the execution-time PMF bits per
+/// type, per processor type the count (which fixes the power-of-two
+/// option lattice) and the availability PMF bits. Application and type
+/// *names* are deliberately excluded — they do not influence a single
+/// cell bit. The serve shards key their allocation-result cache on it, so
+/// two inputs with one key share one Stage-I answer.
+pub fn inputs_key(batch: &Batch, platform: &Platform) -> u64 {
+    let mut h = fnv1a_seed();
+    h = fnv1a_u64(h, batch.len() as u64);
+    for (_, app) in batch.iter() {
+        h = fnv1a_u64(h, app.serial_iters());
+        h = fnv1a_u64(h, app.parallel_iters());
+        h = fnv1a_u64(h, app.num_proc_types() as u64);
+        for j in 0..app.num_proc_types() {
+            if let Ok(pmf) = app.exec_time(ProcTypeId(j)) {
+                h = fnv1a_pmf(h, pmf);
+            }
+        }
+    }
+    h = fnv1a_u64(h, platform.num_types() as u64);
+    for ty in platform.types() {
+        h = fnv1a_u64(h, ty.count() as u64);
+        h = fnv1a_pmf(h, ty.availability());
+    }
+    h
+}
+
 /// Per-option Stage-I statistics of one application at one deadline, as
 /// produced by [`Phi1Engine::option_stats_into`]: the assignment itself,
 /// its deadline probability and expected loaded time (the quantities every
@@ -962,6 +990,57 @@ mod tests {
             assert_eq!(store.stats().hits, unchanged, "{threads} workers");
             assert_engines_identical(&resolved, &fresh);
         }
+    }
+
+    #[test]
+    fn inputs_key_tracks_kernel_inputs_not_names() {
+        let (b, p) = (paper_batch(8), paper_platform());
+        let key = inputs_key(&b, &p);
+        assert_eq!(key, inputs_key(&paper_batch(8), &paper_platform()));
+        // Renamed apps and types feed the kernel the same bits.
+        let renamed_batch = Batch::new(
+            b.iter()
+                .map(|(i, app)| {
+                    let mut builder = cdsf_system::Application::builder(format!("renamed {}", i.0))
+                        .serial_iters(app.serial_iters())
+                        .parallel_iters(app.parallel_iters());
+                    for j in 0..app.num_proc_types() {
+                        builder =
+                            builder.exec_time_pmf(app.exec_time(ProcTypeId(j)).unwrap().clone());
+                    }
+                    builder.build().unwrap()
+                })
+                .collect(),
+        );
+        let renamed_types: Vec<_> = p
+            .types()
+            .iter()
+            .enumerate()
+            .map(|(j, t)| {
+                cdsf_system::ProcessorType::new(
+                    format!("kind {j}"),
+                    t.count(),
+                    t.availability().clone(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let renamed_platform = Platform::new(renamed_types).unwrap();
+        assert_eq!(key, inputs_key(&renamed_batch, &renamed_platform));
+        // Execution PMFs, an availability PMF and a processor count each
+        // move the key.
+        assert_ne!(key, inputs_key(&paper_batch(9), &p));
+        let degraded = p
+            .with_availabilities(&[
+                Pmf::from_pairs([(0.5, 0.5), (1.0, 0.5)]).unwrap(),
+                p.types()[1].availability().clone(),
+            ])
+            .unwrap();
+        assert_ne!(key, inputs_key(&b, &degraded));
+        let mut fewer: Vec<_> = p.types().to_vec();
+        fewer[1] =
+            cdsf_system::ProcessorType::new("Type 2", 4, fewer[1].availability().clone()).unwrap();
+        assert_ne!(key, inputs_key(&b, &Platform::new(fewer).unwrap()));
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub mod allocators;
 pub mod cell_store;
 pub mod correlation;
 pub mod engine;
-pub mod engine_cache;
 mod error;
 pub mod phi1;
 pub mod radius;
@@ -50,8 +49,7 @@ pub use allocators::{
     MultiStartReport, SimulatedAnnealing,
 };
 pub use cell_store::{CellStore, CellStoreStats};
-pub use engine::{EngineBuild, OptionStats, Phi1Engine};
-pub use engine_cache::{inputs_key, CacheOutcome, EngineCache};
+pub use engine::{inputs_key, EngineBuild, OptionStats, Phi1Engine};
 pub use error::RaError;
 pub use phi1::{DeltaFitness, OptionProbs};
 

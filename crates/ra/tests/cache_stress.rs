@@ -1,25 +1,26 @@
-//! Stress suite for [`EngineCache`] under capacity starvation.
+//! Stress suite for store-only engine assembly under cell-store
+//! starvation.
 //!
-//! The serve data plane leans on two cache properties that only show up
-//! when eviction constantly races store-routed rebuilds:
+//! Every engine a serve shard or the event engine builds is assembled by
+//! [`Phi1Engine::build_with`] against a [`CellStore`]. A fixed 60-step
+//! script over a working set of five inputs runs twice: against a store
+//! large enough for the whole working set, and against one holding fewer
+//! cells than a single engine needs, so that eviction constantly races
+//! the builds. Two properties must hold:
 //!
-//! 1. **Counter arithmetic is exact.** Every operation is counted exactly
-//!    once, as a hit (the target was resident) or a miss (built through
-//!    the cell store), and the store computes each distinct cell once:
-//!    a miss whose engine was evicted still takes every cell it shares
-//!    with the working set from the store.
+//! 1. **Each distinct cell is computed once** (default store): every
+//!    cell a build shares with an earlier build comes from the store.
 //! 2. **Eviction never costs correctness.** Whatever got evicted, every
-//!    outcome's engine is bit-identical (via `table_fingerprint`) to a
-//!    fresh serial build for the same inputs, and the whole operation
-//!    sequence is deterministic: replaying it on a second cache produces
-//!    the same counters at every step.
+//!    engine is bit-identical (via `table_fingerprint`) to a fresh serial
+//!    build for the same inputs, and the whole sequence is
+//!    deterministic: replaying it on a second store produces the same
+//!    counters at every step.
 
 use cdsf_events::remap::degraded_platform;
 use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
-use cdsf_ra::{inputs_key, CellStore, EngineCache, Phi1Engine};
+use cdsf_ra::{CellStore, EngineBuild, Phi1Engine};
 use cdsf_system::{Batch, Platform, ProcTypeId};
 use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
-use std::sync::Arc;
 
 fn base_instance() -> (Batch, Platform) {
     let platform = PlatformGenerator {
@@ -56,29 +57,36 @@ fn working_set() -> (Batch, Vec<Platform>) {
     (batch, platforms)
 }
 
+/// Cells of one engine of the working set, per processor type.
+fn cells(batch: &Batch, platform: &Platform, ty: usize) -> u64 {
+    let options = platform.pow2_options(ProcTypeId(ty)).unwrap();
+    (batch.len() * options.len()) as u64
+}
+
 /// One step's observable result, for cross-run determinism comparison.
 #[derive(Debug, PartialEq, Eq)]
 struct StepTrace {
     variant: usize,
-    hit: bool,
-    hits: u64,
-    misses: u64,
+    tasks: usize,
     store_hits: u64,
     store_misses: u64,
-    len: usize,
+    evictions: u64,
+    resident: u64,
 }
 
-/// Drives a fixed 60-operation script over a cache of `capacity` engines
-/// whose working set is 5 engines, checking each outcome against a fresh
-/// serial build.
+/// Drives a fixed 60-step script of builds against a store of `capacity`
+/// cells, checking each engine against a fresh serial build.
 fn run_script(batch: &Batch, platforms: &[Platform], capacity: usize) -> Vec<StepTrace> {
-    let keys: Vec<u64> = platforms.iter().map(|p| inputs_key(batch, p)).collect();
     let fresh: Vec<u64> = platforms
         .iter()
         .map(|p| Phi1Engine::build(batch, p).unwrap().table_fingerprint())
         .collect();
-    let store = Arc::new(CellStore::new(DEFAULT_CELL_CAPACITY));
-    let mut cache = EngineCache::new(capacity, Arc::clone(&store));
+    let store = CellStore::new(capacity);
+    let opts = EngineBuild {
+        threads: 2,
+        store: Some(&store),
+        ..EngineBuild::default()
+    };
     let mut trace = Vec::new();
     // xorshift64* with a fixed seed: deterministic, no external RNG.
     let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -87,78 +95,90 @@ fn run_script(batch: &Batch, platforms: &[Platform], capacity: usize) -> Vec<Ste
         rng ^= rng >> 7;
         rng ^= rng << 17;
         let v = (rng % platforms.len() as u64) as usize;
-        let resident_before = cache.contains(keys[v]);
-        let outcome = cache.get_or_build(batch, &platforms[v], 2).unwrap();
-        assert_eq!(outcome.key, keys[v], "outcome key tracks the target");
+        let (engine, pool) = Phi1Engine::build_with(batch, &platforms[v], &opts).unwrap();
         assert_eq!(
-            outcome.hit, resident_before,
-            "step {step}: a hit is exactly a resident target"
-        );
-        assert_eq!(
-            outcome.engine.table_fingerprint(),
+            engine.table_fingerprint(),
             fresh[v],
             "step {step}: engine diverged from a fresh build"
         );
-        let hit = outcome.hit;
+        let stats = store.stats();
         assert!(
-            cache.len() <= cache.capacity(),
+            stats.resident <= stats.capacity,
             "step {step}: capacity bound violated"
         );
-        let stats = store.stats();
         trace.push(StepTrace {
             variant: v,
-            hit,
-            hits: cache.hits(),
-            misses: cache.misses(),
+            tasks: pool.total_tasks(),
             store_hits: stats.hits,
             store_misses: stats.misses,
-            len: cache.len(),
+            evictions: stats.evictions,
+            resident: stats.resident,
         });
     }
     trace
 }
 
 #[test]
+fn each_distinct_cell_is_computed_once() {
+    let (batch, platforms) = working_set();
+    let per_type = |ty| cells(&batch, &platforms[0], ty);
+    let per_engine = per_type(0) + per_type(1);
+    let trace = run_script(&batch, &platforms, DEFAULT_CELL_CAPACITY);
+    let last = trace.last().unwrap();
+    // Type 1's cells for the first build, type 0's for each variant's
+    // first build; every other cell a build needed came from the store.
+    let mut variants: Vec<usize> = trace.iter().map(|t| t.variant).collect();
+    variants.sort_unstable();
+    variants.dedup();
+    assert_eq!(
+        last.store_misses,
+        per_type(1) + variants.len() as u64 * per_type(0)
+    );
+    assert_eq!(
+        last.store_hits,
+        trace.len() as u64 * per_engine - last.store_misses
+    );
+    assert_eq!(last.evictions, 0);
+    // Only a variant's first build ran the kernel.
+    let kernel_runs = trace.iter().filter(|t| t.tasks > 0).count();
+    assert_eq!(kernel_runs, variants.len());
+}
+
+#[test]
 fn eviction_racing_store_rebuilds_keeps_counters_and_bits_exact() {
     let (batch, platforms) = working_set();
-    let cells = |j: usize| {
-        let options = platforms[0].pow2_options(ProcTypeId(j)).unwrap();
-        (batch.len() * options.len()) as u64
-    };
-    let per_engine = cells(0) + cells(1);
-    for capacity in [1, 2] {
-        let trace = run_script(&batch, &platforms, capacity);
-        let last = trace.last().unwrap();
-        // Every operation is exactly one of hit/miss.
-        assert_eq!(last.hits + last.misses, trace.len() as u64);
-        // The starved cache actually thrashed: both paths fired.
-        assert!(last.hits > 0, "no hits — script broken");
-        assert!(last.misses > 0, "no misses — script broken");
-        // The store computed each distinct cell once: type 1's cells
-        // for the first build, type 0's for each variant's first build;
-        // every other cell a miss needed came from the store.
-        let mut variants: Vec<usize> = trace.iter().map(|t| t.variant).collect();
-        variants.sort_unstable();
-        variants.dedup();
-        assert_eq!(
-            last.store_misses,
-            cells(1) + variants.len() as u64 * cells(0)
-        );
-        assert_eq!(
-            last.store_hits,
-            last.misses * per_engine - last.store_misses
-        );
-    }
+    let per_engine = cells(&batch, &platforms[0], 0) + cells(&batch, &platforms[0], 1);
+    let capacity = per_engine as usize / 2;
+    let trace = run_script(&batch, &platforms, capacity);
+    let last = trace.last().unwrap();
+    // The starved store actually thrashed, yet every engine above matched
+    // its fresh build.
+    assert!(last.evictions > 0, "no evictions — script broken");
+    assert_eq!(
+        last.store_hits + last.store_misses,
+        trace.len() as u64 * per_engine
+    );
+}
+
+/// Replays the script twice on fresh stores of `capacity` cells and
+/// requires the same trace at every step.
+fn assert_replay_is_deterministic(batch: &Batch, platforms: &[Platform], capacity: usize) {
+    assert_eq!(
+        run_script(batch, platforms, capacity),
+        run_script(batch, platforms, capacity),
+        "same script, same store capacity — eviction must be deterministic"
+    );
+}
+
+#[test]
+fn build_sequence_is_deterministic() {
+    let (batch, platforms) = working_set();
+    assert_replay_is_deterministic(&batch, &platforms, DEFAULT_CELL_CAPACITY);
 }
 
 #[test]
 fn starved_cache_operation_sequence_is_deterministic() {
     let (batch, platforms) = working_set();
-    for capacity in [1, 2] {
-        assert_eq!(
-            run_script(&batch, &platforms, capacity),
-            run_script(&batch, &platforms, capacity),
-            "same script, same cache capacity — eviction must be deterministic"
-        );
-    }
+    let per_engine = cells(&batch, &platforms[0], 0) + cells(&batch, &platforms[0], 1);
+    assert_replay_is_deterministic(&batch, &platforms, per_engine as usize / 2);
 }

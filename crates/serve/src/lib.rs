@@ -7,13 +7,22 @@
 //! external server dependencies. Architecture:
 //!
 //! * **Thread-per-shard.** Tenants hash across `N` worker shards
-//!   ([`shard::shard_of`]); each shard owns its tenants and a bounded
-//!   LRU [`cdsf_ra::EngineCache`] outright, so shards never lock.
+//!   ([`shard::shard_of`]); each shard owns its tenants and its front
+//!   caches outright, so shards lock only inside the one content-addressed
+//!   [`cdsf_ra::CellStore`] they share.
+//! * **One reuse path in front of Stage I.** A shard answers from its
+//!   spec-expansion and allocation-result caches before touching an
+//!   engine; only an allocation-cache miss (or a `Restore` or
+//!   `Fingerprint`) assembles one, from the cell store, running the build
+//!   kernel only for cells no earlier build interned. In the stats an
+//!   assembly is a `cache_hits` hit when every cell came from the store
+//!   and a `cache_misses` miss when the kernel ran; `cache_rebuilds`
+//!   counts the injects whose assembly ran it.
 //! * **Admission coalescing.** A shard drains its queue into an
 //!   admission batch; queued requests wanting the same engine (same
-//!   workload-spec bits) share one engine build.
-//!   Replies are bit-identical to serial handling — the cache only
-//!   serves engines that are bit-identical to a fresh build.
+//!   workload-spec bits) share one kernel run. Replies are bit-identical
+//!   to serial handling — every reuse tier serves exactly the bits a
+//!   cold computation would produce.
 //! * **Byte-exact snapshots.** [`Request::Snapshot`] captures a
 //!   tenant's evolved inputs through the vendored
 //!   `serde_json`/`float_roundtrip` path; restoring on a fresh server

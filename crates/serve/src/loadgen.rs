@@ -2,7 +2,7 @@
 //!
 //! The stream is a pure function of [`LoadgenConfig`]: tenants are drawn
 //! from a Zipf-like skew, each tenant cycles a small pool of workload
-//! specs (so the engine cache sees realistic re-submission), and faults
+//! specs (so the front caches see realistic re-submission), and faults
 //! arrive as Degrade/Drift injections at a configurable rate. Replaying
 //! the same config therefore issues byte-identical request lines — only
 //! the measured latencies differ between runs.
@@ -40,13 +40,13 @@ pub struct LoadgenConfig {
     pub fault_rate: f64,
     /// Fraction of requests that snapshot a tenant.
     pub snapshot_rate: f64,
-    /// Workload specs each tenant cycles through (re-submission → cache
-    /// hits; distinct specs → builds).
+    /// Workload specs each tenant cycles through (re-submission →
+    /// front-cache hits; distinct specs → engine assemblies).
     pub specs_per_tenant: usize,
     /// Globally shared specs (popular "template" workloads).
     pub shared_specs: usize,
     /// Fraction of submissions drawing from the shared pool — the source
-    /// of cross-tenant cache hits and same-batch coalescing.
+    /// of cross-tenant cell-store hits and same-batch coalescing.
     pub shared_rate: f64,
     /// Probability that each application in a generated spec is drawn
     /// from a *shared app catalog* instead of seeded privately. Zero
@@ -333,9 +333,10 @@ pub struct LoadgenReport {
     pub ok: u64,
     /// Requests answered with `Response::Error`.
     pub errors: u64,
-    /// Exact-input cache hit rate across shards.
+    /// Share of engine assemblies served entirely from the cell store,
+    /// across shards.
     pub cache_hit_rate: f64,
-    /// Requests served per engine build across shards.
+    /// Requests served per kernel-running engine build across shards.
     pub coalescing_factor: f64,
     /// Cells served from the service-wide store (no kernel ran).
     pub cell_store_hits: u64,

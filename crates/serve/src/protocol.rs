@@ -27,8 +27,8 @@ pub enum Request {
     /// Submit a batch-scheduling workload: allocate, score, verdict.
     Submit(SubmitRequest),
     /// Inject a fault/drift event into a tenant's live workload and
-    /// reactively remap, rebuilding the engine through the shard's cache
-    /// and the shared cell store.
+    /// reactively remap, assembling the post-event engine from the shared
+    /// cell store unless the shard already holds the remap's answer.
     Inject(InjectRequest),
     /// Capture a tenant's full durable state.
     Snapshot {
@@ -259,27 +259,25 @@ pub struct ShardStats {
     /// Wins per SA restart-chain index (`sa_restart_wins[c]` counts runs
     /// chain `c` won) — evidence the extra restarts earn their keep.
     pub sa_restart_wins: Vec<u64>,
-    /// Engines resident in the shard's LRU cache.
-    pub cache_len: u64,
-    /// The cache's entry bound.
-    pub cache_capacity: u64,
-    /// Exact-input cache hits (no kernel ran).
+    /// Engine assemblies whose every cell came from the shared cell store
+    /// (no kernel ran). Submits and injects assemble only on an
+    /// allocation-cache miss; restores and fingerprints always do.
     pub cache_hits: u64,
-    /// Cache misses: engine builds, submits and injects alike, each
-    /// resolving what it can from the shared cell store.
+    /// Engine assemblies that ran the build kernel for at least one cell.
     pub cache_misses: u64,
-    /// Injects whose post-event engine was not resident: the cache
-    /// misses an availability change caused, each rebuilt through the
-    /// shared cell store (a subset of `cache_misses`).
+    /// Injects whose engine assembly ran the kernel (a subset of
+    /// `cache_misses`).
     pub cache_rebuilds: u64,
-    /// Requests that found their engine already built by an earlier
-    /// request of the *same admission batch* — the work one
-    /// engine build absorbed on behalf of its whole group.
+    /// Submits, injects and restores that ran no kernel for an engine key
+    /// an earlier request of the *same admission batch* built — they
+    /// found its cached answer or its interned cells: the work one kernel
+    /// run absorbed on behalf of its whole group.
     pub coalesced: u64,
-    /// Engine builds run for submits, injects and restores (their cache
-    /// misses).
+    /// Engine assemblies for submits, injects and restores that ran the
+    /// kernel (`cache_misses` less the fingerprints').
     pub builds: u64,
-    /// Work-stealing pool runs absorbed by this shard's builds.
+    /// Work-stealing pool runs absorbed by this shard's assemblies (one
+    /// per assembly, tasks or none).
     pub pool_runs: u64,
     /// Pool tasks executed, summed over runs and workers.
     pub pool_tasks_run: u64,
@@ -289,7 +287,7 @@ pub struct ShardStats {
 
 impl ShardStats {
     /// Folds another shard's counters into this one (used for the
-    /// service-wide totals row; `shard`/`cache_capacity` keep `self`'s).
+    /// service-wide totals row; `shard` keeps `self`'s).
     pub fn merge(&mut self, other: &ShardStats) {
         fn merge_hist(into: &mut Vec<u64>, from: &[u64]) {
             if into.len() < from.len() {
@@ -317,7 +315,6 @@ impl ShardStats {
         merge_hist(&mut self.drain_depths, &other.drain_depths);
         self.sa_multistart_runs += other.sa_multistart_runs;
         merge_hist(&mut self.sa_restart_wins, &other.sa_restart_wins);
-        self.cache_len += other.cache_len;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_rebuilds += other.cache_rebuilds;
@@ -328,7 +325,8 @@ impl ShardStats {
         self.pool_chunks_stolen += other.pool_chunks_stolen;
     }
 
-    /// Exact-hit rate over all cache lookups (`0.0` before any lookup).
+    /// Share of engine assemblies served entirely from the cell store
+    /// (`0.0` before any assembly).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -338,8 +336,8 @@ impl ShardStats {
         }
     }
 
-    /// Requests served per engine build (`1.0` before any build): the
-    /// admission layer's coalescing factor.
+    /// Requests served per kernel-running engine build (`1.0` before any
+    /// build): the admission layer's coalescing factor.
     pub fn coalescing_factor(&self) -> f64 {
         if self.builds == 0 {
             1.0
@@ -351,7 +349,7 @@ impl ShardStats {
 
 impl Serialize for ShardStats {
     fn to_content(&self) -> serde::Content {
-        let mut m: Vec<(String, serde::Content)> = Vec::with_capacity(29);
+        let mut m: Vec<(String, serde::Content)> = Vec::with_capacity(27);
         // Omitted entirely (not `null`) on the totals row.
         if let Some(id) = self.shard {
             m.push(("shard".to_string(), id.to_content()));
@@ -406,11 +404,6 @@ impl Serialize for ShardStats {
         m.push((
             "sa_restart_wins".to_string(),
             self.sa_restart_wins.to_content(),
-        ));
-        m.push(("cache_len".to_string(), self.cache_len.to_content()));
-        m.push((
-            "cache_capacity".to_string(),
-            self.cache_capacity.to_content(),
         ));
         m.push(("cache_hits".to_string(), self.cache_hits.to_content()));
         m.push(("cache_misses".to_string(), self.cache_misses.to_content()));
@@ -474,8 +467,6 @@ impl Deserialize for ShardStats {
             drain_depths: get(entries, "drain_depths")?,
             sa_multistart_runs: get(entries, "sa_multistart_runs")?,
             sa_restart_wins: get(entries, "sa_restart_wins")?,
-            cache_len: get(entries, "cache_len")?,
-            cache_capacity: get(entries, "cache_capacity")?,
             cache_hits: get(entries, "cache_hits")?,
             cache_misses: get(entries, "cache_misses")?,
             cache_rebuilds: get(entries, "cache_rebuilds")?,

@@ -1,34 +1,46 @@
 //! Worker shards: single-threaded scheduling cores behind mpsc queues.
 //!
-//! Each shard owns its tenants and a bounded LRU [`EngineCache`]
-//! outright — no locks, no shared state — so every operation on a shard
-//! is a deterministic function of its request sequence. Tenants hash to
-//! shards by FNV-1a of the tenant name, which keeps a tenant's requests
-//! totally ordered without any cross-shard coordination.
+//! Each shard owns its tenants and its front caches outright — no locks,
+//! no shared state besides the service-wide [`CellStore`] — so every
+//! reply of a shard is a deterministic function of its request sequence.
+//! Tenants hash to shards by FNV-1a of the tenant name, which keeps a
+//! tenant's requests totally ordered without any cross-shard
+//! coordination.
 //!
-//! **Admission coalescing.** A shard drains its queue into an admission
-//! batch (up to [`ServeConfig::drain_limit`] requests) and serves the
-//! batch in arrival order against the shared cache. When several queued
-//! requests need the same engine — same workload spec bits — the first
-//! builds the engine once and the rest are served from the entry it
-//! inserted; they are accounted as `coalesced`. Because the cache only
-//! ever returns engines bit-identical to a fresh build (exact-input
-//! verification, deterministic kernels), a coalesced request's reply is
-//! bit-identical to the reply it would have received had it run its own
-//! build serially — concurrency changes latency, never bytes.
+//! **One reuse path in front of Stage I.** A request's Stage-I answer —
+//! the allocation plus its per-app scores and joint φ₁ — is a pure
+//! function of the input bits (identified by the engine key,
+//! [`cdsf_ra::inputs_key`]), the deadline and the allocator. Three
+//! deterministic tiers reuse work, each shielding the next:
 //!
-//! **Hot-path caches.** Two deterministic per-shard LRUs sit in front of
-//! the engine cache: a *spec-expansion* cache (`WorkloadSpec → (inputs
-//! key, batch, platform)`, skipping the generator run and the full-input
-//! hash on repeat submissions) and an *allocation-result* cache
-//! (`(engine key, deadline bits, allocator) → allocation + scores`,
-//! skipping the allocator and evaluator entirely). Both are sound
-//! bit-for-bit: spec expansion is a pure function of the spec, the
-//! engine cache structurally verifies every hit, and every Stage-I
-//! allocator is a deterministic function of the engine-key-identified
-//! inputs — so a cached reply carries exactly the bytes a cold one
-//! would. Eviction (`VecDeque` promote-to-front + truncate) is itself a
-//! deterministic function of the request sequence.
+//! 1. the *spec-expansion* cache (`WorkloadSpec → (inputs key, batch,
+//!    platform)`) skips the generator run and the full-input hash on
+//!    repeat submissions;
+//! 2. the *allocation-result* cache (`(engine key, deadline bits,
+//!    allocator) → answer`) is looked up before any engine work, so a hit
+//!    touches no engine, allocator or evaluator;
+//! 3. on its misses — and for every `Restore` and `Fingerprint` — the
+//!    engine is assembled by [`Phi1Engine::build_with`] against the
+//!    shared content-addressed [`CellStore`], which serves every cell
+//!    whose exact inputs are resident (verified bitwise) and runs the
+//!    build kernel only for the rest.
+//!
+//! Each tier is sound bit for bit: spec expansion is a pure function of
+//! the spec, store-served cells are the cells the kernel would compute,
+//! and every Stage-I allocator is deterministic — so a cached reply
+//! carries exactly the bytes a cold one would. Front-cache eviction
+//! (`VecDeque` promote-to-front + truncate) is itself a deterministic
+//! function of the request sequence.
+//!
+//! **Counters.** An engine assembly is a *hit* (`cache_hits`) when every
+//! cell came from the store and a *miss* (`cache_misses`) when the kernel
+//! ran; `cache_rebuilds` counts the injects whose assembly ran the
+//! kernel. **Admission coalescing:** a shard drains its queue into an
+//! admission batch (up to [`ServeConfig::drain_limit`] requests) and
+//! serves it in arrival order. A request that runs no kernel for an
+//! engine key an earlier request of the same batch built — it found the
+//! cached answer or the interned cells — is accounted as `coalesced`;
+//! concurrency changes latency, never bytes.
 
 use crate::error::{Result, ServeError};
 use crate::protocol::{
@@ -39,20 +51,24 @@ use crate::tenant::{TenantSnapshot, TenantState, WorkloadSpec};
 use cdsf_core::{CoreError, ImPolicy};
 use cdsf_ra::robustness::evaluate_with_engine;
 use cdsf_ra::{
-    Allocation, CellStore, EngineCache, Lattice, LatticeScratch, LatticeSolution, MultiStartReport,
-    Phi1Engine, RaError, SimulatedAnnealing,
+    inputs_key, Allocation, CellStore, EngineBuild, Lattice, LatticeScratch, LatticeSolution,
+    MultiStartReport, Phi1Engine, RaError, SimulatedAnnealing,
 };
+use cdsf_system::pool::PoolTotals;
 use cdsf_system::{Batch, Platform};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::{mpsc, Arc};
+
+/// Entries per shard in each front cache (spec expansions and allocation
+/// results). An entry is cheap — a spec expansion is a few KB, an
+/// allocation answer a few hundred bytes.
+const FRONT_CACHE_CAPACITY: usize = 32;
 
 /// Service configuration, shared by every shard.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker shards (tenants hash across them).
     pub shards: usize,
-    /// Engines resident per shard ([`EngineCache`] bound).
-    pub cache_capacity: usize,
     /// Worker threads per engine build (the work-stealing pool width).
     pub build_threads: usize,
     /// Allocator when a `Submit` names none.
@@ -70,7 +86,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             shards: 2,
-            cache_capacity: 8,
             build_threads: cdsf_core::default_threads(),
             default_allocator: "sufferage".to_string(),
             phi1_threshold: 0.8,
@@ -84,7 +99,6 @@ impl ServeConfig {
     /// Clamps the knobs into their sane domains.
     pub fn normalized(mut self) -> Self {
         self.shards = self.shards.max(1);
-        self.cache_capacity = self.cache_capacity.max(1);
         self.build_threads = self.build_threads.max(1);
         self.drain_limit = self.drain_limit.max(1);
         self.cell_store_capacity = self.cell_store_capacity.max(1);
@@ -161,21 +175,18 @@ pub enum ShardMsg {
 
 /// A cached spec expansion: the inputs key plus the expanded pair, so a
 /// repeat submission pays neither the generator run nor the full-input
-/// FNV walk.
+/// FNV walk. The pair is shared with the request being served, which
+/// borrows it without cloning.
 struct SpecEntry {
     spec: WorkloadSpec,
     key: u64,
-    batch: Batch,
-    platform: Platform,
+    inputs: Arc<(Batch, Platform)>,
 }
 
-/// A cached allocation outcome. Allocators are deterministic functions
-/// of the engine (identified by `engine_key`) and the deadline, so the
-/// stored reply fields are bit-identical to what a fresh run produces.
-struct AllocEntry {
-    engine_key: u64,
-    deadline_bits: u64,
-    allocator: String,
+/// A Stage-I answer: the allocation in wire form, its per-app and joint
+/// φ₁, the expected times, and whether (and why) it fell back.
+#[derive(Clone)]
+struct Answer {
     assignments: Vec<WireAssignment>,
     per_app: Vec<f64>,
     expected_times: Vec<f64>,
@@ -183,17 +194,64 @@ struct AllocEntry {
     fallback: Option<FallbackReason>,
 }
 
+/// A cached [`Answer`], keyed by everything it is a function of: the
+/// inputs (through their engine key), the deadline bits and the
+/// allocator.
+struct AllocEntry {
+    engine_key: u64,
+    deadline_bits: u64,
+    allocator: String,
+    answer: Answer,
+}
+
+/// Engine assembly against the shared cell store, with the counters the
+/// shard reports for it.
+struct Assembler {
+    store: Arc<CellStore>,
+    /// Assemblies whose every cell came from the store.
+    hits: u64,
+    /// Assemblies that ran the build kernel.
+    misses: u64,
+    pool: PoolTotals,
+}
+
+impl Assembler {
+    /// The engine for `(batch, platform)`, built by `threads` pool
+    /// workers and bit-identical to a fresh build, plus whether the build
+    /// kernel ran for any of its cells.
+    fn assemble(
+        &mut self,
+        batch: &Batch,
+        platform: &Platform,
+        threads: usize,
+    ) -> Result<(Phi1Engine, bool)> {
+        let opts = EngineBuild {
+            threads,
+            store: Some(&self.store),
+            ..EngineBuild::default()
+        };
+        let (engine, stats) = Phi1Engine::build_with(batch, platform, &opts)?;
+        self.pool.absorb(&stats);
+        // Only pairs with cells left to compute become pool tasks.
+        let kernel_ran = stats.total_tasks() > 0;
+        if kernel_ran {
+            self.misses += 1;
+        } else {
+            self.hits += 1;
+        }
+        Ok((engine, kernel_ran))
+    }
+}
+
 /// One shard's entire state. Public so tests (and the loadgen's in-process
 /// mode) can drive a shard without sockets.
 pub struct ShardCore {
     id: usize,
     cfg: ServeConfig,
-    cache: EngineCache,
+    engines: Assembler,
     tenants: BTreeMap<String, TenantState>,
     spec_cache: VecDeque<SpecEntry>,
-    spec_cache_cap: usize,
     alloc_cache: VecDeque<AllocEntry>,
-    alloc_cache_cap: usize,
     submits: u64,
     injects: u64,
     snapshots: u64,
@@ -213,13 +271,13 @@ pub struct ShardCore {
     sa_restart_wins: Vec<u64>,
     coalesced: u64,
     builds: u64,
-    /// Inject builds (a subset of `builds`), reported as `cache_rebuilds`.
+    /// Injects whose assembly ran the kernel, reported as `cache_rebuilds`.
     rebuilds: u64,
 }
 
 impl ShardCore {
-    /// A fresh shard with an empty cache, no tenants, and its own
-    /// private cell store. The server passes a shared store via
+    /// A fresh shard with empty caches, no tenants, and its own private
+    /// cell store. The server passes a shared store via
     /// [`ShardCore::with_store`] instead so cells intern service-wide.
     pub fn new(id: usize, cfg: ServeConfig) -> Self {
         let store = Arc::new(CellStore::new(cfg.clone().normalized().cell_store_capacity));
@@ -230,19 +288,18 @@ impl ShardCore {
     /// — the cross-shard sharing path used by [`crate::Server`].
     pub fn with_store(id: usize, cfg: ServeConfig, store: Arc<CellStore>) -> Self {
         let cfg = cfg.normalized();
-        // The front caches are cheap per entry (a spec expansion is a few
-        // KB, an allocation outcome a few hundred bytes), so they run 4×
-        // deeper than the engine cache they shield.
-        let front_cap = (cfg.cache_capacity * 4).max(8);
         Self {
             id,
-            cache: EngineCache::new(cfg.cache_capacity, store),
+            engines: Assembler {
+                store,
+                hits: 0,
+                misses: 0,
+                pool: PoolTotals::default(),
+            },
             cfg,
             tenants: BTreeMap::new(),
             spec_cache: VecDeque::new(),
-            spec_cache_cap: front_cap,
             alloc_cache: VecDeque::new(),
-            alloc_cache_cap: front_cap,
             submits: 0,
             injects: 0,
             snapshots: 0,
@@ -274,7 +331,7 @@ impl ShardCore {
     }
 
     /// Serves an admission batch in arrival order, coalescing same-spec
-    /// engine builds within the batch. Replies line up index-for-index
+    /// engine work within the batch. Replies line up index-for-index
     /// with `reqs`.
     pub fn process_batch(&mut self, reqs: &[Request]) -> Vec<Response> {
         let mut keys_built: HashSet<u64> = HashSet::new();
@@ -312,16 +369,15 @@ impl ShardCore {
         }
     }
 
-    /// Folds one engine-producing (or engine-finding) cache outcome into
-    /// the admission counters.
-    fn account(&mut self, key: u64, hit: bool, keys_built: &mut HashSet<u64>) {
-        if hit {
-            if keys_built.contains(&key) {
-                self.coalesced += 1;
-            }
-        } else {
+    /// Folds one served request into the admission counters: a kernel
+    /// run is a build, and a request that ran none for a key an earlier
+    /// request of its batch built is coalesced.
+    fn account(&mut self, key: u64, kernel_ran: bool, keys_built: &mut HashSet<u64>) {
+        if kernel_ran {
             self.builds += 1;
             keys_built.insert(key);
+        } else if keys_built.contains(&key) {
+            self.coalesced += 1;
         }
     }
 
@@ -352,9 +408,10 @@ impl ShardCore {
         self.sa_restart_wins[report.winner] += 1;
     }
 
-    /// Ensures the front spec-cache entry expands `spec`, running the
-    /// generator + input hash only on a miss.
-    fn spec_to_front(&mut self, spec: &WorkloadSpec) -> Result<()> {
+    /// The expansion of `spec` with its inputs key, from the spec cache
+    /// (promoted to the front) or, on a miss, by running the generator
+    /// and the input hash.
+    fn expand(&mut self, spec: &WorkloadSpec) -> Result<(u64, Arc<(Batch, Platform)>)> {
         match self.spec_cache.iter().position(|e| &e.spec == spec) {
             Some(pos) => {
                 self.spec_cache_hits += 1;
@@ -366,17 +423,76 @@ impl ShardCore {
             None => {
                 self.spec_cache_misses += 1;
                 let (batch, platform) = spec.expand()?;
-                let key = cdsf_ra::inputs_key(&batch, &platform);
+                let key = inputs_key(&batch, &platform);
                 self.spec_cache.push_front(SpecEntry {
                     spec: spec.clone(),
                     key,
-                    batch,
-                    platform,
+                    inputs: Arc::new((batch, platform)),
                 });
-                self.spec_cache.truncate(self.spec_cache_cap);
+                self.spec_cache.truncate(FRONT_CACHE_CAPACITY);
             }
         }
-        Ok(())
+        let entry = &self.spec_cache[0];
+        Ok((entry.key, Arc::clone(&entry.inputs)))
+    }
+
+    /// The Stage-I answer for `inputs` (whose engine key is `key`) at
+    /// `deadline` under `allocator`. The allocation-result cache is
+    /// consulted first, and a hit touches no engine. On a miss the engine
+    /// is assembled from the cell store, the policy and the evaluator
+    /// run, and the answer is cached. Returns whether the kernel ran.
+    fn answer(
+        &mut self,
+        key: u64,
+        inputs: &(Batch, Platform),
+        deadline: f64,
+        allocator: &str,
+        policy: &ShardPolicy,
+        keys_built: &mut HashSet<u64>,
+    ) -> Result<(Answer, bool)> {
+        let deadline_bits = deadline.to_bits();
+        let cached = self.alloc_cache.iter().position(|e| {
+            e.engine_key == key && e.deadline_bits == deadline_bits && e.allocator == allocator
+        });
+        let (answer, kernel_ran) = match cached {
+            Some(pos) => {
+                self.alloc_cache_hits += 1;
+                let entry = self.alloc_cache.remove(pos).expect("position exists");
+                let answer = entry.answer.clone();
+                self.alloc_cache.push_front(entry);
+                (answer, false)
+            }
+            None => {
+                let (batch, platform) = inputs;
+                let threads = self.cfg.build_threads;
+                let (engine, kernel_ran) = self.engines.assemble(batch, platform, threads)?;
+                let run =
+                    allocate_or_fallback(policy, batch, platform, &engine, deadline, threads)?;
+                let report = evaluate_with_engine(&engine, batch, platform, &run.alloc, deadline)?;
+                if let Some(sa) = &run.sa {
+                    self.record_sa(sa);
+                }
+                let answer = Answer {
+                    assignments: wire_assignments(&run.alloc),
+                    per_app: report.per_app,
+                    expected_times: report.expected_times,
+                    joint: report.joint,
+                    fallback: run.fallback,
+                };
+                self.alloc_cache_misses += 1;
+                self.alloc_cache.push_front(AllocEntry {
+                    engine_key: key,
+                    deadline_bits,
+                    allocator: allocator.to_string(),
+                    answer: answer.clone(),
+                });
+                self.alloc_cache.truncate(FRONT_CACHE_CAPACITY);
+                (answer, kernel_ran)
+            }
+        };
+        self.record_fallback(answer.fallback);
+        self.account(key, kernel_ran, keys_built);
+        Ok((answer, kernel_ran))
     }
 
     fn submit(&mut self, r: SubmitRequest, keys_built: &mut HashSet<u64>) -> Result<Response> {
@@ -417,101 +533,21 @@ impl ShardCore {
         };
         let policy = resolve_policy(&allocator_name, &self.cfg)?;
 
-        self.spec_to_front(&spec)?;
-        let threads = self.cfg.build_threads;
-        let entry = &self.spec_cache[0];
-        let key = entry.key;
-        let outcome = self
-            .cache
-            .get_or_build_keyed(key, &entry.batch, &entry.platform, threads)?;
-        let hit = outcome.hit;
-
-        let deadline_bits = deadline.to_bits();
-        let cached_pos = self.alloc_cache.iter().position(|e| {
-            e.engine_key == key && e.deadline_bits == deadline_bits && e.allocator == allocator_name
-        });
-        let mut sa_report = None;
-        let (assignments, per_app, expected_times, joint, fallback) = match cached_pos {
-            // Served start-to-finish from the result cache: no allocator,
-            // no evaluator. (Promotion happens below, after the engine
-            // borrow ends.)
-            Some(pos) => {
-                let e = &self.alloc_cache[pos];
-                (
-                    e.assignments.clone(),
-                    e.per_app.clone(),
-                    e.expected_times.clone(),
-                    e.joint,
-                    e.fallback,
-                )
-            }
-            None => {
-                let run = allocate_or_fallback(
-                    &policy,
-                    &entry.batch,
-                    &entry.platform,
-                    outcome.engine,
-                    deadline,
-                    threads,
-                )?;
-                let report = evaluate_with_engine(
-                    outcome.engine,
-                    &entry.batch,
-                    &entry.platform,
-                    &run.alloc,
-                    deadline,
-                )?;
-                sa_report = run.sa;
-                (
-                    wire_assignments(&run.alloc),
-                    report.per_app,
-                    report.expected_times,
-                    report.joint,
-                    run.fallback,
-                )
-            }
-        };
-        // Engine borrow over; fold the outcome into the caches/counters.
-        match cached_pos {
-            Some(pos) => {
-                self.alloc_cache_hits += 1;
-                if pos > 0 {
-                    let e = self.alloc_cache.remove(pos).expect("position exists");
-                    self.alloc_cache.push_front(e);
-                }
-            }
-            None => {
-                self.alloc_cache_misses += 1;
-                self.alloc_cache.push_front(AllocEntry {
-                    engine_key: key,
-                    deadline_bits,
-                    allocator: allocator_name.clone(),
-                    assignments: assignments.clone(),
-                    per_app: per_app.clone(),
-                    expected_times: expected_times.clone(),
-                    joint,
-                    fallback,
-                });
-                self.alloc_cache.truncate(self.alloc_cache_cap);
-            }
-        }
-        if let Some(sa) = sa_report {
-            self.record_sa(&sa);
-        }
-        self.record_fallback(fallback);
-        self.account(key, hit, keys_built);
+        let (key, inputs) = self.expand(&spec)?;
+        let (answer, _) =
+            self.answer(key, &inputs, deadline, &allocator_name, &policy, keys_built)?;
 
         // A successful Γ-robust run *is* the guaranteed-tier certificate
         // (infeasible guaranteed requests error out above).
         let guaranteed_tier = (allocator_name == "gamma-robust").then_some(true);
-        let entry = &self.spec_cache[0];
+        let (batch, platform) = &*inputs;
         match self.tenants.get_mut(&tenant) {
             Some(state) => {
                 // Re-submission of inputs the state already holds: skip
                 // the batch/platform clones, just refresh the parameters.
                 if state.engine_key != key || state.spec != spec || state.events_applied != 0 {
-                    state.batch = entry.batch.clone();
-                    state.platform = entry.platform.clone();
+                    state.batch = batch.clone();
+                    state.platform = platform.clone();
                 }
                 state.spec = spec;
                 state.deadline = deadline;
@@ -528,8 +564,8 @@ impl ShardCore {
                         deadline,
                         allocator: allocator_name,
                         threshold,
-                        batch: entry.batch.clone(),
-                        platform: entry.platform.clone(),
+                        batch: batch.clone(),
+                        platform: platform.clone(),
                         engine_key: key,
                         events_applied: 0,
                     },
@@ -540,13 +576,13 @@ impl ShardCore {
         Ok(Response::Submit(SubmitReply {
             tenant,
             engine_key: key,
-            assignments,
-            per_app_phi1: per_app,
-            expected_times,
+            assignments: answer.assignments,
+            per_app_phi1: answer.per_app,
+            expected_times: answer.expected_times,
             verdict: RobustVerdict {
-                phi1: joint,
+                phi1: answer.joint,
                 threshold,
-                robust: joint >= threshold,
+                robust: answer.joint >= threshold,
                 guaranteed_tier,
             },
         }))
@@ -558,98 +594,32 @@ impl ShardCore {
             .tenants
             .get(&tenant)
             .ok_or_else(|| unknown_tenant(&tenant))?;
-        let (batch, platform) = state.apply_event(&event)?;
+        let inputs = state.apply_event(&event)?;
         let allocator_name = state.allocator.clone();
         let policy = resolve_policy(&allocator_name, &self.cfg)?;
         let (deadline, threshold) = (state.deadline, state.threshold);
 
-        let threads = self.cfg.build_threads;
-        let outcome = self.cache.get_or_build(&batch, &platform, threads)?;
-        let (key, hit) = (outcome.key, outcome.hit);
-        let deadline_bits = deadline.to_bits();
-        let cached_pos = self.alloc_cache.iter().position(|e| {
-            e.engine_key == key && e.deadline_bits == deadline_bits && e.allocator == allocator_name
-        });
-        let mut sa_report = None;
-        let (assignments, per_app, expected_times, joint, fallback) = match cached_pos {
-            Some(pos) => {
-                let e = &self.alloc_cache[pos];
-                (
-                    e.assignments.clone(),
-                    e.per_app.clone(),
-                    e.expected_times.clone(),
-                    e.joint,
-                    e.fallback,
-                )
-            }
-            None => {
-                let run = allocate_or_fallback(
-                    &policy,
-                    &batch,
-                    &platform,
-                    outcome.engine,
-                    deadline,
-                    threads,
-                )?;
-                let report =
-                    evaluate_with_engine(outcome.engine, &batch, &platform, &run.alloc, deadline)?;
-                sa_report = run.sa;
-                (
-                    wire_assignments(&run.alloc),
-                    report.per_app,
-                    report.expected_times,
-                    report.joint,
-                    run.fallback,
-                )
-            }
-        };
-        match cached_pos {
-            Some(pos) => {
-                self.alloc_cache_hits += 1;
-                if pos > 0 {
-                    let e = self.alloc_cache.remove(pos).expect("position exists");
-                    self.alloc_cache.push_front(e);
-                }
-            }
-            None => {
-                self.alloc_cache_misses += 1;
-                self.alloc_cache.push_front(AllocEntry {
-                    engine_key: key,
-                    deadline_bits,
-                    allocator: allocator_name.clone(),
-                    assignments: assignments.clone(),
-                    per_app: per_app.clone(),
-                    expected_times,
-                    joint,
-                    fallback,
-                });
-                self.alloc_cache.truncate(self.alloc_cache_cap);
-            }
-        }
-        if let Some(sa) = sa_report {
-            self.record_sa(&sa);
-        }
-        self.record_fallback(fallback);
-        self.account(key, hit, keys_built);
-        if !hit {
+        let key = inputs_key(&inputs.0, &inputs.1);
+        let (answer, kernel_ran) =
+            self.answer(key, &inputs, deadline, &allocator_name, &policy, keys_built)?;
+        if kernel_ran {
             self.rebuilds += 1;
         }
 
         let state = self.tenants.get_mut(&tenant).expect("checked above");
-        state.batch = batch;
-        state.platform = platform;
+        (state.batch, state.platform) = inputs;
         state.engine_key = key;
         state.events_applied += 1;
         self.injects += 1;
         Ok(Response::Inject(InjectReply {
             tenant,
             engine_key: key,
-            assignments,
-            per_app_phi1: per_app,
+            assignments: answer.assignments,
+            per_app_phi1: answer.per_app,
             verdict: RobustVerdict {
-                phi1: joint,
+                phi1: answer.joint,
                 threshold,
-                robust: joint >= threshold,
+                robust: answer.joint >= threshold,
                 // A guaranteed tenant's reactive remap re-proves the
                 // worst case or errors above, like its submit did.
                 guaranteed_tier: (allocator_name == "gamma-robust").then_some(true),
@@ -676,13 +646,11 @@ impl ShardCore {
         keys_built: &mut HashSet<u64>,
     ) -> Result<Response> {
         let mut state = TenantState::from_snapshot(&snapshot);
-        let threads = self.cfg.build_threads;
-        let outcome = self
-            .cache
-            .get_or_build(&state.batch, &state.platform, threads)?;
-        let (key, hit) = (outcome.key, outcome.hit);
-        let fingerprint = outcome.engine.table_fingerprint();
-        self.account(key, hit, keys_built);
+        let (engine, kernel_ran) =
+            self.engines
+                .assemble(&state.batch, &state.platform, self.cfg.build_threads)?;
+        let key = inputs_key(&state.batch, &state.platform);
+        self.account(key, kernel_ran, keys_built);
         state.engine_key = key;
         let tenant = snapshot.tenant;
         self.tenants.insert(tenant.clone(), state);
@@ -690,7 +658,7 @@ impl ShardCore {
         Ok(Response::Restored(RestoreReply {
             tenant,
             engine_key: key,
-            fingerprint,
+            fingerprint: engine.table_fingerprint(),
         }))
     }
 
@@ -699,24 +667,16 @@ impl ShardCore {
             .tenants
             .get(&tenant)
             .ok_or_else(|| unknown_tenant(&tenant))?;
-        let key = state.engine_key;
-        let fingerprint = match self.cache.peek(key) {
-            Some(engine) => engine.table_fingerprint(),
-            // Evicted: rebuild from the tenant's stored inputs. The build
-            // is deterministic, so the digest matches the evicted engine's.
-            None => {
-                let (batch, platform) = (state.batch.clone(), state.platform.clone());
-                let threads = self.cfg.build_threads;
-                self.cache
-                    .get_or_build(&batch, &platform, threads)?
-                    .engine
-                    .table_fingerprint()
-            }
-        };
+        // Assembled from the tenant's stored inputs; the build is
+        // deterministic, so the digest is the one every earlier engine of
+        // these inputs had.
+        let (engine, _) =
+            self.engines
+                .assemble(&state.batch, &state.platform, self.cfg.build_threads)?;
         Ok(Response::Fingerprint(FingerprintReply {
+            engine_key: state.engine_key,
             tenant,
-            engine_key: key,
-            fingerprint,
+            fingerprint: engine.table_fingerprint(),
         }))
     }
 
@@ -729,9 +689,9 @@ impl ShardCore {
         self.drain_depths[bucket.min(DRAIN_DEPTH_BUCKETS - 1)] += 1;
     }
 
-    /// The shard's counters, cache and pool telemetry included.
+    /// The shard's counters, engine-assembly and pool telemetry included.
     pub fn stats(&self) -> ShardStats {
-        let pool = self.cache.pool_totals();
+        let pool = &self.engines.pool;
         ShardStats {
             shard: Some(self.id as u64),
             tenants: self.tenants.len() as u64,
@@ -752,10 +712,8 @@ impl ShardCore {
             drain_depths: self.drain_depths.to_vec(),
             sa_multistart_runs: self.sa_multistart_runs,
             sa_restart_wins: self.sa_restart_wins.clone(),
-            cache_len: self.cache.len() as u64,
-            cache_capacity: self.cache.capacity() as u64,
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
+            cache_hits: self.engines.hits,
+            cache_misses: self.engines.misses,
             cache_rebuilds: self.rebuilds,
             coalesced: self.coalesced,
             builds: self.builds,
@@ -1036,14 +994,125 @@ mod tests {
         assert_eq!(stats.submits, 1);
         assert_eq!(stats.injects, 1);
         assert_eq!(stats.tenants, 1);
-        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 2));
+        // The submit and the inject ran the kernel; the fingerprint's
+        // assembly found every cell in the store.
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 2));
         assert_eq!(stats.cache_rebuilds, 1);
     }
 
     #[test]
+    fn repeat_submit_is_answered_before_any_engine_work() {
+        // One spec, nine others, then the first again: the repeat's
+        // answer is still in the allocation cache, so it assembles no
+        // engine — neither the kernel nor the cell store is touched.
+        let store = Arc::new(CellStore::new(4_096));
+        let mut core = ShardCore::with_store(0, test_cfg(), Arc::clone(&store));
+        let first = submit("acme", 100);
+        let mut bytes = Vec::new();
+        crate::protocol::encode_line(&mut bytes, &core.handle(&first)).unwrap();
+        for seed in 101..110 {
+            let resp = core.handle(&submit("acme", seed));
+            assert!(matches!(resp, Response::Submit(_)), "{resp:?}");
+        }
+        let (before, store_before) = (core.stats(), store.stats());
+        let mut repeat = Vec::new();
+        crate::protocol::encode_line(&mut repeat, &core.handle(&first)).unwrap();
+        let (after, store_after) = (core.stats(), store.stats());
+        assert_eq!(
+            (after.cache_misses, after.builds),
+            (before.cache_misses, before.builds)
+        );
+        assert_eq!(after.cache_hits, before.cache_hits);
+        assert_eq!(
+            store_after, store_before,
+            "the repeat touched the cell store"
+        );
+        assert_eq!(after.alloc_cache_hits, before.alloc_cache_hits + 1);
+        assert!(repeat == bytes, "the repeat's reply bytes differ");
+    }
+
+    #[test]
+    fn evicted_answer_is_reassembled_from_the_store() {
+        // One spec, then enough others to push its answer out of the
+        // allocation cache: the repeat assembles its engine again, but
+        // every cell comes from the store — a hit, no kernel run, and the
+        // first reply's bytes.
+        let store = Arc::new(CellStore::new(4_096));
+        let mut core = ShardCore::with_store(0, test_cfg(), Arc::clone(&store));
+        let first = submit("acme", 200);
+        let mut bytes = Vec::new();
+        crate::protocol::encode_line(&mut bytes, &core.handle(&first)).unwrap();
+        for seed in 201..=200 + FRONT_CACHE_CAPACITY as u64 {
+            let resp = core.handle(&submit("acme", seed));
+            assert!(matches!(resp, Response::Submit(_)), "{resp:?}");
+        }
+        let (before, store_before) = (core.stats(), store.stats());
+        let mut repeat = Vec::new();
+        crate::protocol::encode_line(&mut repeat, &core.handle(&first)).unwrap();
+        let (after, store_after) = (core.stats(), store.stats());
+        assert_eq!(after.alloc_cache_misses, before.alloc_cache_misses + 1);
+        assert_eq!(after.cache_hits, before.cache_hits + 1);
+        assert_eq!(
+            (after.cache_misses, after.builds),
+            (before.cache_misses, before.builds)
+        );
+        assert_eq!(store_after.evictions, 0, "the store itself evicted");
+        assert_eq!(
+            store_after.misses, store_before.misses,
+            "the repeat recomputed a cell"
+        );
+        assert!(store_after.hits > store_before.hits);
+        assert!(repeat == bytes, "the reassembled reply's bytes differ");
+    }
+
+    #[test]
+    fn inject_reaching_known_inputs_is_not_a_rebuild() {
+        // Two tenants on one spec take the same degrade: the second
+        // inject's inputs are the first's, so its answer comes from the
+        // allocation cache — no assembly, no `cache_rebuilds`, same reply.
+        let store = Arc::new(CellStore::new(4_096));
+        let mut core = ShardCore::with_store(0, test_cfg(), Arc::clone(&store));
+        for tenant in ["acme", "globex"] {
+            let resp = core.handle(&submit(tenant, 7));
+            assert!(matches!(resp, Response::Submit(_)), "{resp:?}");
+        }
+        let degrade = TenantEvent::Degrade {
+            proc_type: 0,
+            factor: 0.5,
+        };
+        let resp = core.handle(&inject("acme", degrade));
+        let Response::Inject(first) = resp else {
+            panic!("expected inject reply, got {resp:?}");
+        };
+        let (before, store_before) = (core.stats(), store.stats());
+        assert_eq!(before.cache_rebuilds, 1);
+        let resp = core.handle(&inject("globex", degrade));
+        let Response::Inject(second) = resp else {
+            panic!("expected inject reply, got {resp:?}");
+        };
+        let (after, store_after) = (core.stats(), store.stats());
+        assert_eq!(after.injects, 2);
+        assert_eq!(after.cache_rebuilds, 1);
+        assert_eq!(
+            (after.cache_hits, after.cache_misses, after.builds),
+            (before.cache_hits, before.cache_misses, before.builds)
+        );
+        assert_eq!(
+            store_after, store_before,
+            "the second inject touched the cell store"
+        );
+        assert_eq!(after.alloc_cache_hits, before.alloc_cache_hits + 1);
+        assert_eq!(second.engine_key, first.engine_key);
+        assert_eq!(second.assignments, first.assignments);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&second.per_app_phi1), bits(&first.per_app_phi1));
+        assert_eq!(second.verdict.phi1.to_bits(), first.verdict.phi1.to_bits());
+    }
+
+    #[test]
     fn inject_replies_do_not_depend_on_cache_state() {
-        // Two tenants interleaved, so with one engine slot every inject
-        // finds its tenant's engine evicted, and with eight it does not.
+        // Two tenants interleaved, served one request per admission batch
+        // and all in one batch.
         let stream = vec![
             submit("acme", 7),
             submit("globex", 8),
@@ -1066,12 +1135,8 @@ mod tests {
             ),
             inject("acme", TenantEvent::Crash { proc_type: 0 }),
         ];
-        let serve = |cache_capacity: usize, one_batch: bool| -> Vec<u8> {
-            let cfg = ServeConfig {
-                cache_capacity,
-                ..test_cfg()
-            };
-            let mut core = ShardCore::new(0, cfg);
+        let serve = |one_batch: bool| -> Vec<u8> {
+            let mut core = ShardCore::new(0, test_cfg());
             let replies = if one_batch {
                 core.process_batch(&stream)
             } else {
@@ -1084,13 +1149,7 @@ mod tests {
             }
             bytes
         };
-        let reference = serve(8, false);
-        for (capacity, one_batch) in [(1, false), (1, true), (8, true)] {
-            assert!(
-                serve(capacity, one_batch) == reference,
-                "capacity {capacity}, one batch {one_batch}: reply bytes differ"
-            );
-        }
+        assert!(serve(true) == serve(false), "reply bytes differ");
     }
 
     #[test]
