@@ -96,7 +96,11 @@ use std::time::Instant;
 /// loop's kernel-built cells (guarded to be exactly the changed app's
 /// cells per call) and store hits (guarded to be positive). Its
 /// `lru_hits` field went with the engine LRU.
-const SCHEMA_VERSION: u64 = 8;
+/// v9 added the `contended` block to `ra_lattice`: the 1-thread search
+/// counters of a capacity-contended instance generated like the
+/// benchmark's dual-stage pool, guarded to at most
+/// [`CONTENDED_MAX_NODES`] nodes.
+const SCHEMA_VERSION: u64 = 9;
 
 /// Current stage-2 snapshot schema. Bump when the JSON shape changes.
 /// v2 added the host-aware `grid_thread4_speedup` floor (≥ 3× on hosts
@@ -205,6 +209,16 @@ const GAMMA_ROBUST_SPEEDUP_MIN: f64 = 2.0;
 const CELL_STORE_WARM_SPEEDUP_MIN: f64 = 5.0;
 
 const DEADLINE: f64 = 2_800.0;
+
+/// Node ceiling of the 1-thread lattice search on the contended
+/// instance ([`contended_instance`]). The search without per-type
+/// tables and its positive-first phase visited 1 331 842 nodes, with
+/// them 7 250; counts at one worker are deterministic, so the ceiling
+/// binds on every host.
+const CONTENDED_MAX_NODES: u64 = 20_000;
+
+/// Seed and index of the contended instance in the dual-stage pool.
+const CONTENDED_POOL: (u64, u64) = (42, 16);
 
 fn snapshot_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}"))
@@ -858,6 +872,47 @@ fn serve_sa_instance() -> ServeSaInstance {
         .expect("the default stream names `sa` on a feasible spec")
 }
 
+/// Instance 16 of the benchmark's dual-stage pool (seed 42): 8
+/// applications with 16-pulse PMFs on 4 types of 8–16 processors, at
+/// Δ = 4 000. App 0's only option with a positive deadline probability
+/// needs 8 of type 2's 13 processors, so it fits beside no other
+/// application taking 8 there — a fullness the lattice's total-budget
+/// bound cannot see.
+fn contended_instance() -> (Batch, Platform, f64) {
+    let (seed, index) = CONTENDED_POOL;
+    let mix = |a: u64| {
+        let mut z = seed ^ a.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let platform = PlatformGenerator {
+        num_types: 4,
+        procs_per_type: (8, 16),
+        ..PlatformGenerator::default()
+    }
+    .generate(mix(3 * index))
+    .expect("pool platforms generate");
+    let batch = BatchGenerator {
+        num_apps: 8,
+        pulses: 16,
+        ..BatchGenerator::default()
+    }
+    .generate(&platform, mix(3 * index + 1))
+    .expect("pool batches generate");
+    (batch, platform, 4_000.0)
+}
+
+fn counters_json(c: &cdsf_ra::allocators::LatticeCounters) -> Value {
+    json!({
+        "nodes": c.nodes,
+        "screen_pruned": c.screen_pruned,
+        "confirm_pruned": c.confirm_pruned,
+        "capacity_pruned": c.capacity_pruned,
+        "leaves": c.leaves,
+    })
+}
+
 /// One exact solve and one SA run on the apps16 instance, reported as a
 /// JSON block: the optima's φ1 values (the exactness guard compares
 /// them) and the search's node/prune counters at one worker, where the
@@ -865,7 +920,8 @@ fn serve_sa_instance() -> ServeSaInstance {
 /// `ra/sa_allocate/apps16` bench so the φ1 comparison describes the
 /// exact runs the speedup ratio is built from. `sa_steps` and the
 /// `sa_serve` block record how many proposal steps the two timed SA runs
-/// take: all of them on apps16, a fraction on the serve spec.
+/// take: all of them on apps16, a fraction on the serve spec. The
+/// `contended` block holds the 1-thread counters of [`contended_instance`].
 fn ra_lattice_section(scale: usize) -> Value {
     use cdsf_ra::robustness::evaluate;
 
@@ -897,6 +953,11 @@ fn ra_lattice_section(scale: usize) -> Value {
     let (_, serve_report) = serve_sa
         .allocate_multi_start(&serve.platform, &serve.engine, serve.deadline)
         .expect("SA must allocate on the serve spec");
+    let (c_batch, c_platform, c_deadline) = contended_instance();
+    let c_engine = Phi1Engine::build(&c_batch, &c_platform).unwrap();
+    let (_, c_report) = lattice
+        .solve_with_engine(&c_platform, &c_engine, c_deadline, &mut scratch)
+        .expect("lattice solve must succeed on the contended instance");
     json!({
         "apps": 16,
         "deadline": DEADLINE,
@@ -906,12 +967,16 @@ fn ra_lattice_section(scale: usize) -> Value {
         "feasible": matches!(solution, cdsf_ra::LatticeSolution::Optimal { .. }),
         "lattice_phi1": report.phi1,
         "sa_phi1": sa_phi1,
-        "counters": json!({
-            "nodes": report.counters.nodes,
-            "screen_pruned": report.counters.screen_pruned,
-            "confirm_pruned": report.counters.confirm_pruned,
-            "capacity_pruned": report.counters.capacity_pruned,
-            "leaves": report.counters.leaves,
+        "counters": counters_json(&report.counters),
+        "contended": json!({
+            "pool_seed": CONTENDED_POOL.0,
+            "pool_index": CONTENDED_POOL.1,
+            "apps": c_batch.len(),
+            "types": c_platform.num_types(),
+            "deadline": c_deadline,
+            "threads": 1,
+            "phi1": c_report.phi1,
+            "counters": counters_json(&c_report.counters),
         }),
         "sa_serve": json!({
             "spec": serve.spec,
@@ -1503,6 +1568,7 @@ fn check_ra_lattice_section(snapshot: &Value) -> Result<(), String> {
             return Err(format!("ra_lattice counter {key} is 0 — no search ran"));
         }
     }
+    check_contended_nodes(section)?;
     let serve = section
         .get("sa_serve")
         .ok_or("ra_lattice missing sa_serve")?;
@@ -1530,6 +1596,30 @@ fn check_ra_lattice_section(snapshot: &Value) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// The contended instance's 1-thread search must stay within
+/// [`CONTENDED_MAX_NODES`] nodes and reach a positive optimum.
+fn check_contended_nodes(ra_lattice: &Value) -> Result<(), String> {
+    let contended = ra_lattice
+        .get("contended")
+        .ok_or("ra_lattice missing contended")?;
+    let nodes = contended["counters"]["nodes"]
+        .as_u64()
+        .ok_or("ra_lattice contended missing counters.nodes")?;
+    if nodes > CONTENDED_MAX_NODES {
+        return Err(format!(
+            "the lattice visits {nodes} nodes on the contended instance, above the \
+             {CONTENDED_MAX_NODES} ceiling — the per-type tables or the positive-first \
+             phase stopped cutting"
+        ));
+    }
+    match contended["phi1"].as_f64() {
+        Some(phi1) if phi1 > 0.0 => Ok(()),
+        other => Err(format!(
+            "ra_lattice contended phi1 is {other:?}, not a positive optimum"
+        )),
+    }
 }
 
 /// Validates the stage-1 `pool` block: the instrumented build's stats
@@ -2023,6 +2113,14 @@ fn main() {
     let validator = if stage2 { validate_stage2 } else { validate };
 
     if check {
+        // Node counts at one worker are deterministic, so the smoke
+        // pass's own contended search is held to the ceiling too.
+        if !stage2 {
+            if let Err(msg) = check_contended_nodes(&snapshot["ra_lattice"]) {
+                eprintln!("error: {msg}");
+                std::process::exit(1);
+            }
+        }
         // Smoke pass done; now guard the committed snapshot.
         let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!(

@@ -38,6 +38,31 @@
 //! instances degrade into an exact min-sum search instead of a tie
 //! explosion.
 //!
+//! # Two phases
+//!
+//! Until a positive-probability leaf is committed the prune threshold is
+//! `ln 0 = −∞`, and the budget DP cannot see that one processor type is
+//! full, so a search that must first wade through zero leaves prunes
+//! nothing. Both drivers therefore search twice at most. *Phase 1* cuts
+//! every child whose (worst-case) bound is exactly zero. For the plain
+//! solver, `prepare` also builds one suffix table per processor type
+//! next to `dlog`: `tlog[t][d][f]` is the largest `Σ ln p` the permuted
+//! applications `d..` can reach using at most `f` processors of type
+//! `t`, every other type unconstrained, and `−∞` when no positive
+//! completion fits. A phase-1 child that passes the screen is cut
+//! without a node visit when `chosen + ln p + min_t tlog[t][d+1][free_t]`
+//! is `−∞` or below the threshold. *Phase 2* is the search above,
+//! unchanged, and runs only when phase 1 commits no positive leaf: a
+//! zero leaf never beats a positive one on the primary key, so a
+//! positive phase-1 winner is the optimum. Phase 1 is skipped when the
+//! root's own bounds are zero. [`LatticeCounters`] sum both phases. The Γ-robust solver keeps its per-mask tables (below) and
+//! takes the phase split only.
+//!
+//! The tightest-deadline proof (see the Γ-robust tier) is a third
+//! search. Only [`Lattice::solve_with_engine`] and [`GammaRobust`] run
+//! it; [`Allocator::allocate_with_engine`] and
+//! [`Lattice::optimum_with_engine`] stop at the optimum.
+//!
 //! # Parallelism
 //!
 //! Root-level branches (the first permuted application's options) fan
@@ -162,14 +187,16 @@ struct AppBounds {
     gap: f64,
 }
 
-/// Node/prune counters of one solve. Deterministic for single-threaded
-/// solves; at higher worker counts the shared bound makes visit counts
-/// interleaving-dependent (the *result* never is).
+/// Node/prune counters of one solve, summed over both search phases.
+/// Deterministic for single-threaded solves; at higher worker counts the
+/// shared bound makes visit counts interleaving-dependent (the *result*
+/// never is).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatticeCounters {
     /// Search-tree nodes visited (including leaves).
     pub nodes: u64,
-    /// Subtrees pruned by the log-space screen alone.
+    /// Subtrees pruned by a log-space screen alone: the budget DP's
+    /// sorted screen, phase 1's zero-bound cut and its per-type tables.
     pub screen_pruned: u64,
     /// Subtrees pruned by the exact-product confirmation.
     pub confirm_pruned: u64,
@@ -274,6 +301,14 @@ pub struct LatticeScratch {
     emin: Vec<f64>,
     /// Row stride of `dlog`/`emin`: total processors + 1.
     stride: usize,
+    /// Per-type suffix bounds of the plain solver's phase 1:
+    /// `tlog[(t * (n+1) + d) * tstride + f]` is the maximum `Σ ln prob`
+    /// the permuted applications `d..` can reach using at most `f`
+    /// processors of type `t`, every other type unconstrained; `-inf`
+    /// when no positive completion fits. Empty for the Γ-robust solver.
+    tlog: Vec<f64>,
+    /// Row stride of `tlog`: the largest type's processor count + 1.
+    tstride: usize,
     /// Γ-robust per-mask suffix bounds: `wdlog[m * (n+1) * stride + d *
     /// stride + b]` is `dlog` recomputed with adversary subset `m`'s
     /// per-option probabilities (degraded where the type is hit). Empty
@@ -390,12 +425,42 @@ struct Ctx<'a> {
     wopt_log: &'a [f64],
     /// Row count of one mask's `wdlog` block: `(apps + 1) * stride`.
     mask_rows: usize,
+    /// Per-type suffix bounds (see [`LatticeScratch::tlog`]).
+    tlog: &'a [f64],
+    tstride: usize,
+    /// Phase 1: cut every zero-bound child and screen the rest against
+    /// `tlog`.
+    positive_only: bool,
     /// Shared worst-case-φ₁ lower bound (`f64` bits; non-negative, so
     /// bit order equals value order and `fetch_max` is a float max).
     shared: &'a AtomicU64,
     /// Node visits after which a worker gives up ([`u64::MAX`] for the
     /// public solvers, which never do).
     node_budget: u64,
+}
+
+impl LatticeScratch {
+    /// The read-only context of one search phase over this prepared
+    /// scratch.
+    fn ctx<'a>(&'a self, shared: &'a AtomicU64, positive_only: bool, node_budget: u64) -> Ctx<'a> {
+        Ctx {
+            opts: &self.opts,
+            apps: &self.apps,
+            perm: &self.perm,
+            subsets: &self.subsets,
+            dlog: &self.dlog,
+            emin: &self.emin,
+            stride: self.stride,
+            wdlog: &self.wdlog,
+            wopt_log: &self.wopt_log,
+            mask_rows: (self.apps.len() + 1) * self.stride,
+            tlog: &self.tlog,
+            tstride: self.tstride,
+            positive_only,
+            shared,
+            node_budget,
+        }
+    }
 }
 
 /// What the screen/confirmation decided about one child subtree.
@@ -408,6 +473,24 @@ impl Ctx<'_> {
     #[inline]
     fn opt(&self, app: usize, idx: u32) -> &Opt {
         &self.opts[(self.apps[app].start + idx) as usize]
+    }
+
+    /// The per-type suffix bound of permuted depth `depth` once `asg` is
+    /// taken from `free`: the minimum over types `t` of
+    /// `tlog[t][depth][free_t]`.
+    #[inline]
+    fn type_bound(&self, free: &[u32], depth: usize, asg: Assignment) -> f64 {
+        let rows = self.apps.len() + 1;
+        let mut bound = f64::INFINITY;
+        for (t, &f) in free.iter().enumerate() {
+            let f = if t == asg.proc_type.0 {
+                f - asg.procs
+            } else {
+                f
+            };
+            bound = bound.min(self.tlog[(t * rows + depth) * self.tstride + f as usize]);
+        }
+        bound
     }
 
     /// Refreshes the cached prune threshold from the shared bound and
@@ -628,7 +711,9 @@ impl Ctx<'_> {
             // order, and within the all-zero tail the optimistic sums
             // only increase).
             if zero_bound {
-                if f64::from_bits(st.prune_bits) > 0.0 {
+                // Phase 1 wants positive leaves only, and once one is
+                // committed no zero-bound subtree can win.
+                if self.positive_only || f64::from_bits(st.prune_bits) > 0.0 {
                     cut = pos;
                     break;
                 }
@@ -653,8 +738,17 @@ impl Ctx<'_> {
                 cut = pos;
                 break;
             }
-            let confirm = zero_bound || wkey <= st.ln_prune + EPS;
             let o = *self.opt(app, idx);
+            // Phase 1's per-type screen: the budget DP pools every type's
+            // processors, so it misses a full type.
+            if self.positive_only && !self.tlog.is_empty() {
+                let key = chosen_log + o.d_log + self.type_bound(&st.free, depth + 1, o.asg);
+                if key == f64::NEG_INFINITY || key < st.ln_prune - EPS {
+                    st.counters.screen_pruned += 1;
+                    continue;
+                }
+            }
+            let confirm = zero_bound || wkey <= st.ln_prune + EPS;
             st.chosen[app] = idx;
             if confirm {
                 if let Verdict::Prune = self.confirm(st) {
@@ -837,6 +931,39 @@ fn prepare(
         }
     }
 
+    // Per-type DPs for the plain solver's phase 1: the same recurrence
+    // with one type's capacity kept and every other type's dropped, so
+    // an application's best positive option off type `t` costs nothing.
+    scratch.tlog.clear();
+    if gamma.is_none() {
+        let tstride = scratch.root_free.iter().max().map_or(0, |&c| c as usize) + 1;
+        let rows = (n + 1) * tstride;
+        scratch.tstride = tstride;
+        scratch.tlog.resize(scratch.root_free.len() * rows, 0.0);
+        for (t, &cap) in scratch.root_free.iter().enumerate() {
+            for d in (0..n).rev() {
+                let ab = scratch.apps[scratch.perm[d]];
+                let opts = &scratch.opts[ab.start as usize..(ab.start + ab.len) as usize];
+                let elsewhere = opts
+                    .iter()
+                    .filter(|o| o.d_zero == 0 && o.asg.proc_type.0 != t)
+                    .map(|o| o.d_log)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                let (row, next) = ((t * (n + 1) + d) * tstride, (t * (n + 1) + d + 1) * tstride);
+                for f in 0..=cap as usize {
+                    let mut best = elsewhere + scratch.tlog[next + f];
+                    for o in opts {
+                        let procs = o.asg.procs as usize;
+                        if o.d_zero == 0 && o.asg.proc_type.0 == t && procs <= f {
+                            best = best.max(o.d_log + scratch.tlog[next + f - procs]);
+                        }
+                    }
+                    scratch.tlog[row + f] = best;
+                }
+            }
+        }
+    }
+
     scratch.wdlog.clear();
     scratch.wopt_log.clear();
     if let Some((budget, _)) = gamma {
@@ -978,61 +1105,47 @@ fn bottleneck_dfs(
     }
 }
 
-/// The serial branch-and-bound over a prepared scratch, visiting at most
+/// One serial search phase over a prepared scratch, visiting at most
 /// `node_budget` nodes. Leaves the outcome in `scratch.state`: the
-/// winner in `best` (not valid when no capacity-feasible allocation
-/// exists), `exhausted` when the budget ran out first.
-fn search_serial(scratch: &mut LatticeScratch, node_budget: u64) {
-    let n = scratch.apps.len();
-    let nmasks = scratch.subsets.len();
+/// winner in `best` (not valid when the phase committed no leaf),
+/// `exhausted` when the budget ran out first.
+fn search_serial(scratch: &mut LatticeScratch, positive_only: bool, node_budget: u64) {
+    let mut st = std::mem::take(&mut scratch.state);
+    st.reset(
+        scratch.apps.len(),
+        &scratch.root_free,
+        scratch.subsets.len(),
+    );
     let shared = AtomicU64::new(0);
-    let ctx = Ctx {
-        opts: &scratch.opts,
-        apps: &scratch.apps,
-        perm: &scratch.perm,
-        subsets: &scratch.subsets,
-        dlog: &scratch.dlog,
-        emin: &scratch.emin,
-        stride: scratch.stride,
-        wdlog: &scratch.wdlog,
-        wopt_log: &scratch.wopt_log,
-        mask_rows: (n + 1) * scratch.stride,
-        shared: &shared,
-        node_budget,
-    };
-    scratch.state.reset(n, &scratch.root_free, nmasks);
-    ctx.dfs(&mut scratch.state, 0, 0.0, 0, 0.0);
+    scratch
+        .ctx(&shared, positive_only, node_budget)
+        .dfs(&mut st, 0, 0.0, 0, 0.0);
+    scratch.state = st;
 }
 
-/// Runs the full branch-and-bound for a prepared scratch and returns the
-/// winning slot plus aggregated counters; `None` when no
-/// capacity-feasible allocation exists.
-fn search(scratch: &mut LatticeScratch, threads: usize) -> Result<Option<BestSlot>> {
+/// One search phase at `threads` workers: the winning slot (`None` when
+/// the phase committed no leaf), its counters left in
+/// `scratch.state.counters`.
+fn search_phase(
+    scratch: &mut LatticeScratch,
+    threads: usize,
+    positive_only: bool,
+) -> Result<Option<BestSlot>> {
     if threads == 1 {
-        search_serial(scratch, u64::MAX);
+        search_serial(scratch, positive_only, u64::MAX);
         return Ok(scratch.state.best.valid.then(|| scratch.state.best.clone()));
     }
-    let n = scratch.apps.len();
-    let nmasks = scratch.subsets.len();
-    let mask_rows = (n + 1) * scratch.stride;
+    let s: &LatticeScratch = scratch;
+    let n = s.apps.len();
+    let nmasks = s.subsets.len();
     let shared = AtomicU64::new(0);
 
     // Root split: one task per option of the first permuted application,
     // fanned out over the work-stealing pool. Each task's winner lands
     // in its own slot; the merge below is a strict in-order reduction,
     // so the argmax is bit-identical for every worker count.
-    let first = scratch.perm[0];
-    let ab = scratch.apps[first];
-    let ctx_opts = &scratch.opts;
-    let ctx_apps = &scratch.apps;
-    let ctx_perm = &scratch.perm;
-    let ctx_subsets = &scratch.subsets;
-    let ctx_dlog = &scratch.dlog;
-    let ctx_emin = &scratch.emin;
-    let ctx_wdlog = &scratch.wdlog;
-    let ctx_wopt_log = &scratch.wopt_log;
-    let stride = scratch.stride;
-    let root_free = &scratch.root_free;
+    let first = s.perm[0];
+    let ab = s.apps[first];
     let slots: Vec<OnceLock<(Option<BestSlot>, LatticeCounters)>> =
         (0..ab.len as usize).map(|_| OnceLock::new()).collect();
     pool::run(
@@ -1041,30 +1154,21 @@ fn search(scratch: &mut LatticeScratch, threads: usize) -> Result<Option<BestSlo
         None,
         SearchState::default,
         |idx, st: &mut SearchState| -> Result<()> {
-            let ctx = Ctx {
-                opts: ctx_opts,
-                apps: ctx_apps,
-                perm: ctx_perm,
-                subsets: ctx_subsets,
-                dlog: ctx_dlog,
-                emin: ctx_emin,
-                stride,
-                wdlog: ctx_wdlog,
-                wopt_log: ctx_wopt_log,
-                mask_rows,
-                shared: &shared,
-                node_budget: u64::MAX,
-            };
-            st.reset(n, root_free, nmasks);
+            let ctx = s.ctx(&shared, positive_only, u64::MAX);
+            st.reset(n, &s.root_free, nmasks);
             let o = *ctx.opt(first, idx as u32);
-            if st.free[o.asg.proc_type.0] >= o.asg.procs {
+            // The root's own screen, for the child this task owns:
+            // phase 1 never enters a zero-probability option.
+            let enter =
+                st.free[o.asg.proc_type.0] >= o.asg.procs && !(positive_only && o.d_zero != 0);
+            if enter {
                 st.chosen[first] = idx as u32;
                 st.free[o.asg.proc_type.0] -= o.asg.procs;
                 st.free_total -= o.asg.procs;
                 let first_log = if o.d_zero == 0 { o.d_log } else { 0.0 };
-                let oi = (ctx_apps[first].start + idx as u32) as usize;
+                let oi = (ab.start + idx as u32) as usize;
                 for mi in 0..nmasks {
-                    st.wstack[nmasks + mi] = ctx_wopt_log[oi * nmasks + mi];
+                    st.wstack[nmasks + mi] = s.wopt_log[oi * nmasks + mi];
                 }
                 ctx.dfs(st, 1, first_log, u32::from(o.d_zero), o.exp_time);
             }
@@ -1091,22 +1195,57 @@ fn search(scratch: &mut LatticeScratch, threads: usize) -> Result<Option<BestSlo
             }
         }
     }
-    // Stash the merged counters where `solve` builds the report from.
+    // Stash the merged counters where `optimum` builds the report from.
     scratch.state.counters = counters;
     Ok(merged)
 }
 
-/// Shared driver behind both allocators: validates, prepares the scratch,
-/// searches, and classifies the outcome.
-#[allow(clippy::too_many_arguments)]
-fn solve(
+/// Whether the root's (worst-case) suffix bounds leave room for a
+/// positive allocation. When they do not, phase 1 would cut every root
+/// child, so it is skipped — and with it, at several workers, one
+/// round of pool start-up.
+fn root_may_be_positive(scratch: &LatticeScratch) -> bool {
+    let n = scratch.apps.len();
+    let total = scratch.stride - 1;
+    if scratch.subsets.is_empty() {
+        scratch.dlog[total] > f64::NEG_INFINITY
+            && scratch.root_free.iter().enumerate().all(|(t, &cap)| {
+                scratch.tlog[t * (n + 1) * scratch.tstride + cap as usize] > f64::NEG_INFINITY
+            })
+    } else {
+        let rows = (n + 1) * scratch.stride;
+        (0..scratch.subsets.len()).all(|m| scratch.wdlog[m * rows + total] > f64::NEG_INFINITY)
+    }
+}
+
+/// Runs the full branch-and-bound for a prepared scratch and returns the
+/// winning slot; `None` when no capacity-feasible allocation exists. The
+/// counters of both phases end up in `scratch.state.counters`.
+fn search(scratch: &mut LatticeScratch, threads: usize) -> Result<Option<BestSlot>> {
+    let mut first = LatticeCounters::default();
+    if root_may_be_positive(scratch) {
+        let positive = search_phase(scratch, threads, true)?;
+        if positive.as_ref().is_some_and(|b| b.worst > 0.0) {
+            return Ok(positive);
+        }
+        first = scratch.state.counters;
+    }
+    let best = search_phase(scratch, threads, false)?;
+    scratch.state.counters.add(&first);
+    Ok(best)
+}
+
+/// Shared search behind both allocators: validates, prepares the scratch
+/// and searches. The optimum's objective is in the report: zero when no
+/// allocation meets the deadline with positive (worst-case) probability.
+fn optimum(
     engine: &Phi1Engine,
     platform: &Platform,
     deadline: f64,
     threads: usize,
     gamma: Option<(usize, f64)>,
     scratch: &mut LatticeScratch,
-) -> Result<(LatticeSolution, LatticeReport)> {
+) -> Result<(Allocation, LatticeReport)> {
     if !(deadline > 0.0) || !deadline.is_finite() {
         return Err(RaError::BadParameter {
             name: "deadline",
@@ -1130,17 +1269,30 @@ fn solve(
     prepare(scratch, engine, platform, deadline, gamma)?;
     let best = search(scratch, threads)?.ok_or(RaError::NoFeasibleAllocation)?;
 
-    let alloc = path_allocation(scratch, &best.path);
     let report = LatticeReport {
         phi1: best.worst,
         nominal_phi1: best.prob,
         sum_exp: best.sum_exp,
         counters: scratch.state.counters,
     };
-    let solution = if best.worst > 0.0 {
+    Ok((path_allocation(scratch, &best.path), report))
+}
+
+/// [`optimum`] classified: a positive optimum is `Optimal`, a zero one
+/// `Infeasible` with the tightest-deadline proof.
+fn solve(
+    engine: &Phi1Engine,
+    platform: &Platform,
+    deadline: f64,
+    threads: usize,
+    gamma: Option<(usize, f64)>,
+    scratch: &mut LatticeScratch,
+) -> Result<(LatticeSolution, LatticeReport)> {
+    let (alloc, report) = optimum(engine, platform, deadline, threads, gamma, scratch)?;
+    let solution = if report.phi1 > 0.0 {
         LatticeSolution::Optimal {
             alloc,
-            phi1: best.worst,
+            phi1: report.phi1,
         }
     } else {
         let scale = match gamma {
@@ -1165,33 +1317,43 @@ fn path_allocation(scratch: &LatticeScratch, path: &[u32]) -> Allocation {
     )
 }
 
-/// The plain solver's optimum from a serial search of at most
+/// What a budgeted search proved about the plain solver's optimum.
+#[derive(Debug)]
+pub(crate) enum Budgeted {
+    /// The exact φ₁-optimal allocation; its φ₁ is positive.
+    Optimum(Allocation),
+    /// No allocation meets the deadline with positive probability, or
+    /// none fits the capacities at all (callers rule that out first).
+    Zero,
+    /// The node budget ran out first: nothing is proven.
+    Unproven,
+}
+
+/// The plain solver's phase 1 as a serial search of at most
 /// `node_budget` nodes on this thread's scratch, for a deadline the
-/// caller has already validated. `Ok(Some(_))` is the exact φ₁-optimal
-/// allocation — a zero-probability one when no allocation can meet the
-/// deadline (the tightest-deadline proof is skipped). `Ok(None)` means
-/// the budget ran out and nothing is proven. `NoFeasibleAllocation`
-/// means no allocation fits the capacities. Simulated annealing's
-/// certified early exit is the only caller; the public solvers stay
-/// unbudgeted.
+/// caller has already validated. Phase 2 never runs: its zero-probability
+/// optimum is not needed, so a deadline-infeasible instance costs the
+/// few nodes phase 1 takes to find no positive leaf. Simulated
+/// annealing's certified early exit is the only caller; the public
+/// solvers stay unbudgeted.
 pub(crate) fn budgeted_optimum(
     engine: &Phi1Engine,
     platform: &Platform,
     deadline: f64,
     node_budget: u64,
-) -> Result<Option<Allocation>> {
+) -> Result<Budgeted> {
     SCRATCH.with(|s| {
         let scratch = &mut *s.borrow_mut();
         prepare(scratch, engine, platform, deadline, None)?;
-        search_serial(scratch, node_budget);
+        search_serial(scratch, true, node_budget);
         let st = &scratch.state;
-        if st.exhausted {
-            Ok(None)
-        } else if st.best.valid {
-            Ok(Some(path_allocation(scratch, &st.best.path)))
+        Ok(if st.exhausted {
+            Budgeted::Unproven
+        } else if st.best.valid && st.best.worst > 0.0 {
+            Budgeted::Optimum(path_allocation(scratch, &st.best.path))
         } else {
-            Err(RaError::NoFeasibleAllocation)
-        }
+            Budgeted::Zero
+        })
     })
 }
 
@@ -1241,6 +1403,20 @@ impl Lattice {
     ) -> Result<(LatticeSolution, LatticeReport)> {
         solve(engine, platform, deadline, self.threads, None, scratch)
     }
+
+    /// The exact optimum and the search report, reusing `scratch`,
+    /// without the tightest-deadline proof: `report.phi1 == 0.0` says no
+    /// allocation meets the deadline with positive probability, and the
+    /// allocation is then the minimum-expected-time one.
+    pub fn optimum_with_engine(
+        &self,
+        platform: &Platform,
+        engine: &Phi1Engine,
+        deadline: f64,
+        scratch: &mut LatticeScratch,
+    ) -> Result<(Allocation, LatticeReport)> {
+        optimum(engine, platform, deadline, self.threads, None, scratch)
+    }
 }
 
 impl Allocator for Lattice {
@@ -1271,8 +1447,8 @@ impl Allocator for Lattice {
         // allocation; only capacity infeasibility errors.
         SCRATCH.with(|s| {
             let mut scratch = s.borrow_mut();
-            let (solution, _) = self.solve_with_engine(platform, engine, deadline, &mut scratch)?;
-            Ok(solution.allocation().clone())
+            let (alloc, _) = self.optimum_with_engine(platform, engine, deadline, &mut scratch)?;
+            Ok(alloc)
         })
     }
 }
@@ -1367,7 +1543,40 @@ mod tests {
     use super::*;
     use crate::allocators::testutil::*;
     use crate::allocators::Exhaustive;
-    use cdsf_system::ProcTypeId;
+    use cdsf_system::{Application, ProcTypeId, ProcessorType};
+
+    /// The paper batch plus a fourth application whose only option with
+    /// a positive deadline probability at [`DEADLINE`] is all eight
+    /// Type-2 processors, which app 3 wants too. On the paper platform
+    /// no allocation is then positive (apps 1 and 2 cannot both fit on
+    /// Type 1 beside app 3), so phase 2 runs.
+    fn contended_batch(pulses: usize) -> Batch {
+        let hog = Application::builder("hog")
+            .serial_iters(100)
+            .parallel_iters(4096)
+            .exec_time_normal(40_000.0, pulses)
+            .unwrap()
+            .exec_time_normal(18_000.0, pulses)
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut apps = paper_batch(pulses).apps().to_vec();
+        apps.push(hog);
+        Batch::new(apps)
+    }
+
+    /// The paper platform with eight Type-1 processors: the rest of
+    /// [`contended_batch`] fits beside the hog, so a positive optimum
+    /// exists but the budget DP still lets app 3 take Type 2.
+    fn wide_platform() -> Platform {
+        let paper = paper_platform();
+        let t1 = &paper.types()[0];
+        Platform::new(vec![
+            ProcessorType::new("Type 1", 8, t1.availability().clone()).unwrap(),
+            paper.types()[1].clone(),
+        ])
+        .unwrap()
+    }
 
     /// Unpruned reference search over a prepared scratch: plain recursion
     /// in canonical application order, leaf evaluation copied verbatim
@@ -1510,20 +1719,104 @@ mod tests {
 
     #[test]
     fn pruned_search_matches_unpruned_reference() {
-        let (b, p) = (paper_batch(32), paper_platform());
-        let engine = Phi1Engine::build(&b, &p).unwrap();
+        // The paper instance, then the capacity-contended one with and
+        // without a positive optimum; 800 is deadline-infeasible for all.
+        let instances = [
+            ("paper", paper_batch(32), paper_platform()),
+            ("contended", contended_batch(32), paper_platform()),
+            ("contended-wide", contended_batch(32), wide_platform()),
+        ];
         let mut scratch = LatticeScratch::new();
-        for deadline in [800.0, 2500.0, DEADLINE, 8000.0] {
-            for gamma in [None, Some((1, 0.9)), Some((2, 0.7))] {
-                prepare(&mut scratch, &engine, &p, deadline, gamma).unwrap();
-                let reference = unpruned_best(&scratch).unwrap();
-                let pruned = search(&mut scratch, 1).unwrap().unwrap();
-                assert_slots_bit_equal(
-                    &pruned,
-                    &reference,
-                    &format!("deadline {deadline}, gamma {gamma:?}"),
-                );
+        for (name, b, p) in &instances {
+            let engine = Phi1Engine::build(b, p).unwrap();
+            for deadline in [800.0, 2500.0, DEADLINE, 8000.0] {
+                for gamma in [None, Some((1, 0.9)), Some((2, 0.7))] {
+                    prepare(&mut scratch, &engine, p, deadline, gamma).unwrap();
+                    let reference = unpruned_best(&scratch).unwrap();
+                    for threads in [1, 2] {
+                        let pruned = search(&mut scratch, threads).unwrap().unwrap();
+                        assert_slots_bit_equal(
+                            &pruned,
+                            &reference,
+                            &format!(
+                                "{name}, deadline {deadline}, gamma {gamma:?}, {threads} workers"
+                            ),
+                        );
+                    }
+                    if deadline == DEADLINE && gamma.is_none() {
+                        assert_eq!(
+                            reference.worst > 0.0,
+                            *name != "contended",
+                            "{name}: the instance lost its shape"
+                        );
+                    }
+                }
             }
+        }
+    }
+
+    #[test]
+    fn per_type_tables_cut_a_contended_pool_instance() {
+        use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator};
+        // Instance 16 of a seeded pool of 8 apps on 4 types of 8–16
+        // processors: app 0's only positive option needs 8 processors of
+        // type 2. Without the per-type tables and the phase split the
+        // search visited 1 331 842 nodes; with them it visits 7 250.
+        let mix = |a: u64| {
+            let mut z = 42 ^ a.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let p = PlatformGenerator {
+            num_types: 4,
+            procs_per_type: (8, 16),
+            ..PlatformGenerator::default()
+        }
+        .generate(mix(48))
+        .unwrap();
+        let b = BatchGenerator {
+            num_apps: 8,
+            pulses: 16,
+            ..BatchGenerator::default()
+        }
+        .generate(&p, mix(49))
+        .unwrap();
+        let engine = Phi1Engine::build(&b, &p).unwrap();
+        let (solution, report) = Lattice::new(1)
+            .unwrap()
+            .solve_with_engine(&p, &engine, 4_000.0, &mut LatticeScratch::new())
+            .unwrap();
+        assert!(matches!(solution, LatticeSolution::Optimal { .. }));
+        assert!(
+            report.counters.nodes <= 20_000,
+            "contended instance needs {} nodes",
+            report.counters.nodes
+        );
+    }
+
+    #[test]
+    fn allocate_path_skips_the_proof_not_the_optimum() {
+        let solver = Lattice::new(1).unwrap();
+        for (b, p, deadline) in [
+            (paper_batch(32), paper_platform(), 100.0),
+            (contended_batch(32), paper_platform(), DEADLINE),
+        ] {
+            let engine = Phi1Engine::build(&b, &p).unwrap();
+            let (solution, report) = solver
+                .solve_with_engine(&p, &engine, deadline, &mut LatticeScratch::new())
+                .unwrap();
+            assert!(matches!(solution, LatticeSolution::Infeasible { .. }));
+            let allocated = solver
+                .allocate_with_engine(&b, &p, &engine, deadline)
+                .unwrap();
+            assert_eq!(&allocated, solution.allocation());
+            let (alloc, searched) = solver
+                .optimum_with_engine(&p, &engine, deadline, &mut LatticeScratch::new())
+                .unwrap();
+            assert_eq!(&alloc, solution.allocation());
+            assert_eq!(searched, report);
+            assert_eq!(searched.phi1, 0.0);
         }
     }
 

@@ -13,7 +13,8 @@
 //! as they reach the optimum a budgeted lattice solve has proven, which
 //! saves their remaining steps without changing their results.
 
-use super::{engine_options, lattice, Allocator};
+use super::lattice::{self, Budgeted};
+use super::{engine_options, Allocator};
 use crate::allocation::{Allocation, Assignment};
 use crate::engine::Phi1Engine;
 use crate::phi1::{DeltaFitness, OptionProbs};
@@ -313,7 +314,9 @@ impl SimulatedAnnealing {
     /// product of the same engine probabilities over the same
     /// capacity-feasible option space, so SA's own fitness of its
     /// optimum is the maximum bit for bit — and exactly 0.0 when no
-    /// allocation can meet the deadline.
+    /// allocation can meet the deadline, which the lattice's first phase
+    /// proves without searching for the zero-probability optimum.
+    /// `land` has already proven some genome feasible.
     fn ceiling(
         &self,
         land: &Landscape,
@@ -321,8 +324,13 @@ impl SimulatedAnnealing {
         platform: &Platform,
         deadline: f64,
     ) -> Result<f64> {
-        let optimum = lattice::budgeted_optimum(engine, platform, deadline, self.ceiling_budget())?;
-        Ok(optimum.map_or(f64::INFINITY, |alloc| land.fitness(alloc.assignments())))
+        Ok(
+            match lattice::budgeted_optimum(engine, platform, deadline, self.ceiling_budget())? {
+                Budgeted::Optimum(alloc) => land.fitness(alloc.assignments()),
+                Budgeted::Zero => 0.0,
+                Budgeted::Unproven => f64::INFINITY,
+            },
+        )
     }
 
     /// One annealing chain from `seed`, with the proposal steps it ran;

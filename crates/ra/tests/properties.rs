@@ -72,6 +72,41 @@ fn arb_instance() -> impl Strategy<Value = (Platform, Batch, f64)> {
     })
 }
 
+/// Strategy: [`arb_instance`] plus a "hog" application whose only
+/// option with a positive deadline probability is the largest
+/// power-of-two count `P` of type 0, which the other applications may
+/// want too. Its mean time there is 0.9 Δ (the pulse spread and an
+/// availability pulse of at least 0.8 keep its shortest loaded pulse
+/// under Δ), on `P/2` processors 1.8 Δ, and on any other type at least
+/// 100 Δ / 8 (types hold at most 8 processors).
+fn arb_contended_instance() -> impl Strategy<Value = (Platform, Batch, f64)> {
+    arb_instance().prop_map(|(platform, batch, deadline)| {
+        let count = platform.types()[0].count();
+        let widest = 1u32 << (31 - count.leading_zeros());
+        let pmf = |mu: f64| Normal::with_paper_sigma(mu).expect("valid").equiprobable(8);
+        let mut hog = Application::builder("hog")
+            .serial_iters(1)
+            .parallel_iters(10_000)
+            .exec_time_pmf(pmf(0.9 * deadline * f64::from(widest)));
+        for _ in 1..platform.num_types() {
+            hog = hog.exec_time_pmf(pmf(100.0 * deadline));
+        }
+        let mut apps = batch.apps().to_vec();
+        apps.push(hog.build().expect("valid app"));
+        (platform, Batch::new(apps), deadline)
+    })
+}
+
+/// Strategy: [`arb_instance`] at a deadline below every loaded pulse, so
+/// no allocation has a positive φ1 and the minimum expected-time sum
+/// decides.
+fn arb_infeasible_instance() -> impl Strategy<Value = (Platform, Batch, f64)> {
+    arb_platform().prop_flat_map(|platform| {
+        let n = platform.num_types();
+        (Just(platform), arb_batch(n), 1.0f64..40.0)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -112,10 +147,16 @@ proptest! {
     /// The pruned lattice branch-and-bound is a drop-in for the unpruned
     /// full enumeration: on arbitrary instances both policies agree on
     /// feasibility, and when feasible return the *same* allocation with
-    /// bit-identical φ1 — i.e. pruning never changes the optimum.
+    /// bit-identical φ1 — i.e. pruning never changes the optimum. The
+    /// capacity-contended and deadline-infeasible arms send the search
+    /// through its per-type tables and its second phase.
     #[test]
     fn lattice_equals_exhaustive_on_arbitrary_instances(
-        (platform, batch, deadline) in arb_instance(),
+        (platform, batch, deadline) in prop_oneof![
+            arb_instance(),
+            arb_contended_instance(),
+            arb_infeasible_instance(),
+        ],
     ) {
         let reference = Exhaustive::new(2).unwrap().allocate(&batch, &platform, deadline);
         let exact = Lattice::new(2).unwrap().allocate(&batch, &platform, deadline);

@@ -51,7 +51,7 @@ use crate::tenant::{TenantSnapshot, TenantState, WorkloadSpec};
 use cdsf_core::{CoreError, ImPolicy};
 use cdsf_ra::robustness::evaluate_with_engine;
 use cdsf_ra::{
-    inputs_key, Allocation, CellStore, EngineBuild, Lattice, LatticeScratch, LatticeSolution,
+    inputs_key, Allocation, CellStore, EngineBuild, GammaRobust, Lattice, LatticeScratch,
     MultiStartReport, Phi1Engine, RaError, SimulatedAnnealing,
 };
 use cdsf_system::pool::PoolTotals;
@@ -730,7 +730,9 @@ fn unknown_tenant(tenant: &str) -> ServeError {
 
 /// How a shard runs a named allocator.
 enum ShardPolicy {
-    /// The framework's policy dispatch, unchanged.
+    /// The framework's policy dispatch; the exact solvers (`lattice`,
+    /// `gamma-robust`) run at the shard's configured pool width, which
+    /// never changes their answer.
     Standard(ImPolicy),
     /// `sa`/`annealing` resolve to the pooled multi-start annealer with
     /// the shard's configured pool width — same seeds, same in-order
@@ -745,6 +747,15 @@ fn resolve_policy(name: &str, cfg: &ServeConfig) -> Result<ShardPolicy> {
             threads: cfg.build_threads,
             ..SimulatedAnnealing::default()
         })),
+        "lattice" => Ok(ShardPolicy::Standard(ImPolicy::Custom(Box::new(Lattice {
+            threads: cfg.build_threads,
+        })))),
+        "gamma-robust" => Ok(ShardPolicy::Standard(ImPolicy::Custom(Box::new(
+            GammaRobust {
+                threads: cfg.build_threads,
+                ..GammaRobust::default()
+            },
+        )))),
         _ => ImPolicy::by_name(name)
             .map(ShardPolicy::Standard)
             .ok_or_else(|| ServeError::Protocol(format!("unknown allocator `{name}`"))),
@@ -819,15 +830,18 @@ fn allocate_or_fallback(
         return Err(ServeError::Framework(message));
     }
     if claims_infeasible {
+        // Only the verdict is read, so the search skips the
+        // tightest-deadline proof.
         let lattice = Lattice { threads };
         let mut scratch = LatticeScratch::new();
-        if let Ok((solution, _)) =
-            lattice.solve_with_engine(platform, engine, deadline, &mut scratch)
+        if let Ok((alloc, report)) =
+            lattice.optimum_with_engine(platform, engine, deadline, &mut scratch)
         {
-            let proven = matches!(solution, LatticeSolution::Infeasible { .. });
             return Ok(AllocRun {
-                alloc: solution.allocation().clone(),
-                fallback: Some(FallbackReason::Infeasible { proven }),
+                alloc,
+                fallback: Some(FallbackReason::Infeasible {
+                    proven: report.phi1 == 0.0,
+                }),
                 sa: None,
             });
         }
@@ -1273,6 +1287,45 @@ mod tests {
             s0.alloc_fallbacks_infeasible,
             s0.alloc_fallbacks_infeasible_proven + s0.alloc_fallbacks_infeasible_heuristic
         );
+    }
+
+    #[test]
+    fn exact_solvers_answer_the_same_at_any_build_width() {
+        // `lattice` and the guaranteed tier's Γ-robust solver run at the
+        // shard's `build_threads`; their root split merges in order, so
+        // the width never shows in a reply. The deadlines cover a positive
+        // optimum, a zero one (the lattice's second phase) and a
+        // guaranteed-tier rejection.
+        let replies = |build_threads: usize| {
+            let mut core = ShardCore::new(
+                0,
+                ServeConfig {
+                    build_threads,
+                    ..ServeConfig::default()
+                },
+            );
+            let mut bytes = Vec::new();
+            for (seed, deadline) in [(7, 2_800.0), (11, 2_800.0), (7, 1.0e-6), (11, 1.0e9)] {
+                for (allocator, qos) in [(Some("lattice"), None), (None, Some("guaranteed"))] {
+                    let req = Request::Submit(SubmitRequest {
+                        tenant: format!("t{seed}"),
+                        spec: WorkloadSpec::simple(6, 3, 6, seed),
+                        deadline,
+                        allocator: allocator.map(str::to_string),
+                        threshold: None,
+                        qos: qos.map(str::to_string),
+                    });
+                    crate::protocol::encode_line(&mut bytes, &core.handle(&req)).unwrap();
+                }
+            }
+            bytes
+        };
+        let serial = replies(1);
+        assert!(
+            std::str::from_utf8(&serial).unwrap().contains("tightest"),
+            "the hopeless deadline must reach the guaranteed tier's rejection"
+        );
+        assert_eq!(serial, replies(4));
     }
 
     #[test]

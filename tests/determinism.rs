@@ -208,55 +208,67 @@ fn pooled_multi_start_annealing_is_thread_count_invariant() {
 /// the pool and merges them with a strict in-order argmax, so the
 /// solution — allocation, φ1 bits, and the Γ-robust variant's worst-case
 /// objective — is a function of the inputs alone, never of how the pool
-/// interleaved the root subtrees.
+/// interleaved the root subtrees. Both search phases split: at the
+/// paper deadline the first finds the optimum, at Δ = 800 it finds no
+/// positive allocation and the second runs.
 #[test]
 fn lattice_solvers_are_thread_count_invariant() {
-    use cdsf_ra::{GammaRobust, Lattice, LatticeScratch};
+    use cdsf_ra::{GammaRobust, Lattice, LatticeScratch, LatticeSolution};
     let (batch, platform) = (paper::batch_with_pulses(24), paper::platform());
     let engine = Phi1Engine::build(&batch, &platform).unwrap();
 
-    let solve = |threads: usize| {
-        let mut scratch = LatticeScratch::new();
-        Lattice::new(threads)
-            .unwrap()
-            .solve_with_engine(&platform, &engine, paper::DEADLINE, &mut scratch)
-            .unwrap()
-    };
-    let (want, want_report) = solve(1);
-    for threads in THREAD_COUNTS {
-        let (solution, report) = solve(threads);
+    for (deadline, feasible) in [(paper::DEADLINE, true), (800.0, false)] {
+        let solve = |threads: usize| {
+            let mut scratch = LatticeScratch::new();
+            Lattice::new(threads)
+                .unwrap()
+                .solve_with_engine(&platform, &engine, deadline, &mut scratch)
+                .unwrap()
+        };
+        let (want, want_report) = solve(1);
         assert_eq!(
-            solution, want,
-            "lattice solution differs at {threads} threads"
+            matches!(want, LatticeSolution::Optimal { .. }),
+            feasible,
+            "Δ = {deadline}"
         );
-        assert_eq!(
-            report.phi1.to_bits(),
-            want_report.phi1.to_bits(),
-            "lattice φ1 bits differ at {threads} threads"
-        );
-    }
-
-    let robust_solve = |threads: usize| {
-        let mut scratch = LatticeScratch::new();
-        GammaRobust {
-            threads,
-            ..Default::default()
+        for threads in THREAD_COUNTS {
+            let (solution, report) = solve(threads);
+            assert_eq!(
+                solution, want,
+                "lattice solution differs at {threads} threads, Δ = {deadline}"
+            );
+            assert_eq!(
+                (report.phi1.to_bits(), report.sum_exp.to_bits()),
+                (want_report.phi1.to_bits(), want_report.sum_exp.to_bits()),
+                "lattice φ1 / Σ E[T] bits differ at {threads} threads, Δ = {deadline}"
+            );
         }
-        .solve_with_engine(&platform, &engine, paper::DEADLINE, &mut scratch)
-        .unwrap()
-    };
-    let (want, want_report) = robust_solve(1);
-    for threads in THREAD_COUNTS {
-        let (solution, report) = robust_solve(threads);
-        assert_eq!(
-            solution, want,
-            "γ-robust solution differs at {threads} threads"
-        );
-        assert_eq!(
-            report.phi1.to_bits(),
-            want_report.phi1.to_bits(),
-            "γ-robust worst-case φ1 bits differ at {threads} threads"
-        );
+
+        let robust_solve = |threads: usize| {
+            let mut scratch = LatticeScratch::new();
+            GammaRobust {
+                threads,
+                ..Default::default()
+            }
+            .solve_with_engine(&platform, &engine, deadline, &mut scratch)
+            .unwrap()
+        };
+        let (want, want_report) = robust_solve(1);
+        for threads in THREAD_COUNTS {
+            let (solution, report) = robust_solve(threads);
+            assert_eq!(
+                solution, want,
+                "γ-robust solution differs at {threads} threads, Δ = {deadline}"
+            );
+            assert_eq!(
+                (report.phi1.to_bits(), report.nominal_phi1.to_bits()),
+                (
+                    want_report.phi1.to_bits(),
+                    want_report.nominal_phi1.to_bits()
+                ),
+                "γ-robust φ1 bits differ at {threads} threads, Δ = {deadline}"
+            );
+        }
     }
 }
 
