@@ -3,31 +3,25 @@
 //! The snapshots freeze the paper-reproduction outputs (Tables IV, V and
 //! VI) at the library-default simulation seed so `tests/paper_reproduction.rs`
 //! can detect any behavioural drift in the Stage-I engine or the Stage-II
-//! simulation, plus the canonical crash-scenario event log pinned by the
-//! `cdsf-events` regression suite. Run this binary only when an intentional
-//! change shifts the reproduced numbers:
+//! simulation, every `CellResult` of two Stage-II grids (pinned bit for bit
+//! by `crates/bench/tests/stage2_golden.rs`), plus the canonical
+//! crash-scenario event log pinned by the `cdsf-events` regression suite.
+//! Run this binary only when an intentional change shifts the reproduced
+//! numbers:
 //!
 //! ```sh
 //! cargo run --release -p cdsf-bench --bin golden_snapshot
 //! ```
+//!
+//! CI runs it after the tests and fails on any diff under `tests/golden`,
+//! so every snapshot it writes is an exact check.
 
-use cdsf_bench::paper_cdsf;
-use cdsf_core::{ImPolicy, RasPolicy, SimParams};
+use cdsf_bench::{golden_sim_params, paper_cdsf, stage2_golden_grids};
+use cdsf_core::{ImPolicy, RasPolicy};
 use cdsf_events::{EngineConfig, EventEngine};
 use cdsf_workloads::{faults, paper};
 use serde_json::{json, Value};
 use std::path::PathBuf;
-
-/// The snapshot simulation parameters: library defaults (seed included)
-/// with a fixed replicate count, so the grid is deterministic and
-/// independent of the host's core count.
-fn golden_sim_params() -> SimParams {
-    SimParams {
-        replicates: 25,
-        threads: 4,
-        ..Default::default()
-    }
-}
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
@@ -88,6 +82,12 @@ fn main() {
         .expect("crash scenario runs");
     let events_crash = serde_json::to_value(&report);
 
+    let mut stage2_cells = serde_json::Map::new();
+    for (name, cells) in stage2_golden_grids() {
+        stage2_cells.insert(name.to_string(), serde_json::to_value(&cells));
+    }
+    let stage2_cells = Value::Object(stage2_cells);
+
     let dir = golden_dir();
     std::fs::create_dir_all(&dir).expect("create tests/golden");
     for (name, value) in [
@@ -95,6 +95,7 @@ fn main() {
         ("table5.json", &table5),
         ("table6.json", &table6),
         ("events_crash.json", &events_crash),
+        ("stage2_cells.json", &stage2_cells),
     ] {
         let path = dir.join(name);
         let pretty = serde_json::to_string_pretty(value).expect("serialize golden value");

@@ -306,27 +306,45 @@ pub struct RunResult {
     pub chunk_log: Option<Vec<ChunkRecord>>,
 }
 
-/// Per-worker measurement state maintained by the executor.
+/// Per-worker measurement state maintained by the executor. The
+/// worker's [`WorkerSnapshot`] lives beside it, in the buffer handed to
+/// techniques, and [`WorkerState::observe`] updates it there.
 struct WorkerState {
     timeline: Timeline,
     iter_times: Welford,
     iter_times_total: Welford,
-    snapshot: WorkerSnapshot,
 }
 
 impl WorkerState {
-    /// Rebinds the worker to a fresh availability realization and zeroed
-    /// statistics, keeping the timeline's segment buffers. A reset worker
-    /// is indistinguishable from a newly-built one.
-    fn reset(&mut self, spec: &AvailabilitySpec) -> crate::Result<()> {
-        self.timeline.reset(spec)?;
+    fn new(spec: &AvailabilitySpec) -> Result<Self> {
+        Ok(Self {
+            timeline: Timeline::new(spec)?,
+            iter_times: Welford::new(),
+            iter_times_total: Welford::new(),
+        })
+    }
+
+    /// Starts the worker over with zeroed statistics and a fresh
+    /// availability realization — rebuilt from `spec` when one is given,
+    /// else restarted in place — keeping the timeline's segment buffers.
+    /// Either way the worker is indistinguishable from a newly built one.
+    fn reset(&mut self, spec: Option<&AvailabilitySpec>) -> Result<()> {
+        match spec {
+            Some(spec) => self.timeline.reset(spec)?,
+            None => self.timeline.restart(),
+        }
         self.iter_times = Welford::new();
         self.iter_times_total = Welford::new();
-        self.snapshot = WorkerSnapshot::default();
         Ok(())
     }
 
-    fn observe(&mut self, size: u64, compute_time: f64, total_time: f64) {
+    fn observe(
+        &mut self,
+        snapshot: &mut WorkerSnapshot,
+        size: u64,
+        compute_time: f64,
+        total_time: f64,
+    ) {
         let per_iter = compute_time / size as f64;
         let per_iter_total = total_time / size as f64;
         // One Welford observation per chunk, of the chunk's per-iteration
@@ -334,11 +352,11 @@ impl WorkerState {
         // papers describe, and it keeps the cost O(chunks) not O(iters).
         self.iter_times.push(per_iter);
         self.iter_times_total.push(per_iter_total);
-        self.snapshot.iters_done += size;
-        self.snapshot.chunks_done += 1;
-        self.snapshot.mean_iter_time = self.iter_times.mean();
-        self.snapshot.var_iter_time = self.iter_times.variance();
-        self.snapshot.mean_iter_time_total = self.iter_times_total.mean();
+        snapshot.iters_done += size;
+        snapshot.chunks_done += 1;
+        snapshot.mean_iter_time = self.iter_times.mean();
+        snapshot.var_iter_time = self.iter_times.variance();
+        snapshot.mean_iter_time_total = self.iter_times_total.mean();
     }
 }
 
@@ -374,32 +392,27 @@ fn wrap(rng: &mut dyn RngCore) -> impl Rng + '_ {
     W(rng)
 }
 
-/// Builds the per-worker state (availability timelines + statistics).
-fn build_workers(cfg: &ExecutorConfig) -> Result<Vec<WorkerState>> {
-    (0..cfg.num_workers)
-        .map(|i| {
-            Ok(WorkerState {
-                timeline: Timeline::new(cfg.spec_for(i))?,
-                iter_times: Welford::new(),
-                iter_times_total: Welford::new(),
-                snapshot: WorkerSnapshot::default(),
-            })
-        })
-        .collect()
-}
-
 /// Reusable executor working memory: the per-worker state (availability
-/// timelines + statistics), the event heap, and the snapshot buffer handed
-/// to techniques at each dispatch.
+/// timelines + statistics), the event heap, and the per-worker snapshots
+/// handed to techniques at each dispatch.
 ///
-/// One run allocates these once; [`execute_in`] then reuses them across
-/// replicates, so the chunk-dispatch loop is allocation-free in steady
-/// state. [`ExecutorScratch::prepare`] rebinds every buffer to a fresh
-/// realization, making a reused scratch bit-identical to a fresh one (the
-/// determinism contract the replicate-parallel simulation grid relies on).
+/// One run builds these; [`execute_in`] then reuses them across
+/// replicates. [`ExecutorScratch::prepare`] starts every worker on a fresh
+/// realization, restarting its availability process in place
+/// ([`Timeline::restart`]) when `cfg.availability` equals the specs it was
+/// built from and building one only for a changed spec or a new worker.
+/// Every buffer keeps its capacity, so a replicate on an unchanged
+/// configuration allocates only the technique instance and the returned
+/// `worker_finish`, whatever the worker and chunk counts. A reused scratch
+/// is bit-identical to a fresh one whatever its history of restarts and
+/// rebuilds — the determinism contract the replicate-parallel simulation
+/// grid relies on, since each pool worker's scratch has its own history.
 #[derive(Default)]
 pub struct ExecutorScratch {
     workers: Vec<WorkerState>,
+    /// The `availability` every worker in `workers` was built from (worker
+    /// `i` from its `spec_for(i)`); empty when unknown.
+    built_from: Vec<AvailabilitySpec>,
     heap: BinaryHeap<Reverse<(OrderedF64, usize)>>,
     snapshots: Vec<WorkerSnapshot>,
 }
@@ -410,24 +423,30 @@ impl ExecutorScratch {
         Self::default()
     }
 
-    /// Resets the arena for one execution of `cfg`: existing workers are
-    /// rebound to fresh availability realizations (keeping their segment
-    /// buffers), missing workers are built, extra ones dropped.
+    /// Resets the arena for one execution of `cfg`: existing workers
+    /// restart (unchanged specs) or are rebuilt (changed specs), missing
+    /// workers are built, extra ones dropped, snapshots zeroed.
     fn prepare(&mut self, cfg: &ExecutorConfig) -> Result<()> {
         self.workers.truncate(cfg.num_workers);
+        let rebuild = self.built_from != cfg.availability;
+        if rebuild {
+            // Forgotten until every build below succeeds, so a failed one
+            // cannot leave workers recorded against specs they lack.
+            self.built_from.clear();
+        }
         for (i, w) in self.workers.iter_mut().enumerate() {
-            w.reset(cfg.spec_for(i))?;
+            w.reset(rebuild.then(|| cfg.spec_for(i)))?;
         }
         for i in self.workers.len()..cfg.num_workers {
-            self.workers.push(WorkerState {
-                timeline: Timeline::new(cfg.spec_for(i))?,
-                iter_times: Welford::new(),
-                iter_times_total: Welford::new(),
-                snapshot: WorkerSnapshot::default(),
-            });
+            self.workers.push(WorkerState::new(cfg.spec_for(i))?);
+        }
+        if rebuild {
+            self.built_from.clone_from(&cfg.availability);
         }
         self.heap.clear();
         self.snapshots.clear();
+        self.snapshots
+            .resize(cfg.num_workers, WorkerSnapshot::default());
         Ok(())
     }
 }
@@ -480,9 +499,9 @@ pub fn execute_with_in(
 }
 
 /// Executes one serial prologue + parallel loop starting at `start`,
-/// against the persistent worker state in `scratch` (the event heap and
-/// snapshot buffer are cleared here; worker statistics and timelines carry
-/// over, which is what time-stepping needs).
+/// against the persistent worker state in `scratch` (the event heap is
+/// cleared here; worker statistics, snapshots and timelines carry over,
+/// which is what time-stepping needs).
 fn run_one_step(
     technique: &mut dyn Technique,
     cfg: &ExecutorConfig,
@@ -491,7 +510,12 @@ fn run_one_step(
     rng: &mut dyn RngCore,
 ) -> Result<RunResult> {
     let p = cfg.num_workers;
-    let workers = &mut scratch.workers;
+    let ExecutorScratch {
+        workers,
+        heap,
+        snapshots,
+        ..
+    } = scratch;
 
     // Serial prologue on worker 0.
     let serial_end = if cfg.serial_iters > 0 {
@@ -503,7 +527,6 @@ fn run_one_step(
     let serial_time = serial_end - start;
 
     // Parallel loop: min-heap of (free_time, worker).
-    let heap = &mut scratch.heap;
     heap.clear();
     heap.extend((0..p).map(|i| Reverse((OrderedF64(serial_end), i))));
     let mut remaining = cfg.parallel_iters;
@@ -513,15 +536,13 @@ fn run_one_step(
 
     while remaining > 0 {
         let Reverse((OrderedF64(now), w)) = heap.pop().expect("heap never empties early");
-        scratch.snapshots.clear();
-        scratch.snapshots.extend(workers.iter().map(|s| s.snapshot));
         let ctx = SchedContext {
             worker: w,
             num_workers: p,
             total_iters: cfg.parallel_iters,
             remaining,
             now,
-            workers: &scratch.snapshots,
+            workers: snapshots,
         };
         let size = technique.next_chunk(&ctx).clamp(1, remaining);
         remaining -= size;
@@ -530,7 +551,12 @@ fn run_one_step(
         let work = sample_chunk_work(size, cfg.iter_mean, cfg.iter_sigma, rng);
         let compute_start = now + cfg.overhead;
         let finish = workers[w].timeline.finish_time(compute_start, work, rng);
-        workers[w].observe(size, finish - compute_start, finish - now);
+        workers[w].observe(
+            &mut snapshots[w],
+            size,
+            finish - compute_start,
+            finish - now,
+        );
         worker_finish[w] = finish;
         if let Some(log) = chunk_log.as_mut() {
             log.push(ChunkRecord {
@@ -680,8 +706,8 @@ pub struct ExecutorSession {
     workers: Vec<WorkerState>,
     heap: BinaryHeap<Reverse<(OrderedF64, usize)>>,
     in_flight: Vec<Option<InFlight>>,
-    /// Snapshot buffer reused across dispatches (same role as
-    /// [`ExecutorScratch::snapshots`]).
+    /// One snapshot per worker, updated in place by
+    /// [`WorkerState::observe`] (same role as [`ExecutorScratch::snapshots`]).
     snapshots: Vec<WorkerSnapshot>,
     remaining: u64,
     chunks: u64,
@@ -707,7 +733,9 @@ impl ExecutorSession {
             });
         }
         let technique = kind.build(cfg.num_workers, cfg.parallel_iters)?;
-        let mut workers = build_workers(&cfg)?;
+        let mut workers = (0..cfg.num_workers)
+            .map(|i| WorkerState::new(cfg.spec_for(i)))
+            .collect::<Result<Vec<_>>>()?;
         let serial_end = if cfg.serial_iters > 0 {
             let work = sample_chunk_work(cfg.serial_iters, cfg.iter_mean, cfg.iter_sigma, rng);
             workers[0].timeline.finish_time(start, work, rng)
@@ -719,7 +747,7 @@ impl ExecutorSession {
             .collect();
         Ok(Self {
             in_flight: vec![None; cfg.num_workers],
-            snapshots: Vec::with_capacity(cfg.num_workers),
+            snapshots: vec![WorkerSnapshot::default(); cfg.num_workers],
             remaining: cfg.parallel_iters,
             chunks: 0,
             start,
@@ -797,9 +825,6 @@ impl ExecutorSession {
             self.heap.pop();
             // The worker's previous chunk (if any) completed at `now`.
             self.in_flight[w] = None;
-            self.snapshots.clear();
-            self.snapshots
-                .extend(self.workers.iter().map(|s| s.snapshot));
             let ctx = SchedContext {
                 worker: w,
                 num_workers: self.cfg.num_workers,
@@ -816,7 +841,12 @@ impl ExecutorSession {
             let finish = self.workers[w]
                 .timeline
                 .finish_time(compute_start, work, rng);
-            self.workers[w].observe(size, finish - compute_start, finish - now);
+            self.workers[w].observe(
+                &mut self.snapshots[w],
+                size,
+                finish - compute_start,
+                finish - now,
+            );
             self.in_flight[w] = Some(InFlight {
                 size,
                 compute_start,
@@ -1379,6 +1409,78 @@ mod tests {
             assert_eq!(reused.makespan.to_bits(), fresh.makespan.to_bits());
             assert_eq!(reused.worker_finish.len(), p);
         }
+    }
+
+    #[test]
+    fn scratch_restarts_equal_specs_and_rebuilds_changed_ones() {
+        // Stateful processes (Markov phase, trace position) and changing
+        // specs, broadcast and per worker, with repeats that restart and
+        // changes that rebuild: every run must equal a fresh one.
+        let markov = AvailabilitySpec::TwoStateMarkov {
+            up: 1.0,
+            down: 0.3,
+            mean_up: 40.0,
+            mean_down: 20.0,
+        };
+        let trace = AvailabilitySpec::Trace {
+            segments: vec![(0.9, 30.0), (0.4, 15.0), (0.7, 50.0)],
+        };
+        let renewal = AvailabilitySpec::Renewal {
+            pmf: cdsf_pmf::Pmf::from_pairs([(0.5, 0.5), (1.0, 0.5)]).unwrap(),
+            mean_dwell: 25.0,
+        };
+        let per_worker = vec![markov.clone(), trace.clone(), renewal.clone()];
+        let mut scratch = ExecutorScratch::new();
+        for (i, specs) in [
+            vec![markov.clone()],
+            vec![markov],
+            vec![trace.clone()],
+            vec![trace],
+            per_worker.clone(),
+            per_worker,
+            vec![renewal],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut cfg = base_cfg();
+            cfg.num_workers = 3;
+            cfg.iter_sigma = 0.2;
+            cfg.availability = specs;
+            let seed = 50 + i as u64;
+            let reused =
+                execute_in(&TechniqueKind::Af, &cfg, &mut scratch, &mut rng(seed)).unwrap();
+            let fresh = execute(&TechniqueKind::Af, &cfg, &mut rng(seed)).unwrap();
+            assert_eq!(
+                reused.makespan.to_bits(),
+                fresh.makespan.to_bits(),
+                "run {i}"
+            );
+            assert_eq!(reused.worker_finish, fresh.worker_finish, "run {i}");
+        }
+    }
+
+    #[test]
+    fn failed_build_leaves_no_spec_recorded() {
+        // Worker 1's spec fails to build after worker 0's was rebuilt: the
+        // same config must fail again, not restart worker 1's stale
+        // process, and a valid config afterwards must equal a fresh run.
+        let valid = base_cfg();
+        let mut broken = base_cfg();
+        broken.availability = vec![
+            AvailabilitySpec::Constant { a: 0.5 },
+            AvailabilitySpec::Constant { a: 0.0 },
+            AvailabilitySpec::Constant { a: 0.5 },
+            AvailabilitySpec::Constant { a: 0.5 },
+        ];
+        let mut scratch = ExecutorScratch::new();
+        execute_in(&TechniqueKind::Fac, &valid, &mut scratch, &mut rng(1)).unwrap();
+        for _ in 0..2 {
+            assert!(execute_in(&TechniqueKind::Fac, &broken, &mut scratch, &mut rng(1)).is_err());
+        }
+        let reused = execute_in(&TechniqueKind::Fac, &valid, &mut scratch, &mut rng(2)).unwrap();
+        let fresh = execute(&TechniqueKind::Fac, &valid, &mut rng(2)).unwrap();
+        assert_eq!(reused.makespan.to_bits(), fresh.makespan.to_bits());
     }
 
     #[test]

@@ -81,6 +81,20 @@ impl AwfVariant {
             AwfVariant::BatchWithOverhead | AwfVariant::ChunkWithOverhead
         )
     }
+
+    /// The measured iteration time this variant weighs worker `w` by, or
+    /// `None` while it has no (positive) history.
+    fn measured_time(&self, w: &WorkerSnapshot) -> Option<f64> {
+        if !w.has_history() {
+            return None;
+        }
+        let t = if self.includes_overhead() {
+            w.mean_iter_time_total
+        } else {
+            w.mean_iter_time
+        };
+        (t > 0.0).then_some(t)
+    }
 }
 
 /// AWF — adaptive weighted factoring (variants B/C/D/E).
@@ -118,34 +132,31 @@ impl AdaptiveWeightedFactoring {
     /// Recomputes weights from cumulative average iteration times:
     /// `w_i = P·(1/π_i)/Σ(1/π_j)`. Workers without history keep the mean
     /// measured rate (weight 1 before normalization over observed rates).
+    ///
+    /// Runs in place in `weights`: both sums fold left to right from
+    /// `-0.0`, exactly as the `Iterator::sum`s of the collecting version
+    /// (kept as a test reference) do, so the weights are bit-identical.
     fn refresh_weights(&mut self, workers: &[WorkerSnapshot]) {
-        let times: Vec<Option<f64>> = workers
-            .iter()
-            .map(|w| {
-                if !w.has_history() {
-                    return None;
-                }
-                let t = if self.variant.includes_overhead() {
-                    w.mean_iter_time_total
-                } else {
-                    w.mean_iter_time
-                };
-                (t > 0.0).then_some(t)
-            })
-            .collect();
-        let rates: Vec<f64> = times.iter().flatten().map(|t| 1.0 / t).collect();
-        if rates.is_empty() {
+        let variant = self.variant;
+        let (mut rate_sum, mut rated) = (-0.0, 0usize);
+        for t in workers.iter().filter_map(|w| variant.measured_time(w)) {
+            rate_sum += 1.0 / t;
+            rated += 1;
+        }
+        if rated == 0 {
             self.weights.iter_mut().for_each(|w| *w = 1.0);
             return;
         }
-        let mean_rate = rates.iter().sum::<f64>() / rates.len() as f64;
-        let raw: Vec<f64> = times
-            .iter()
-            .map(|t| t.map_or(mean_rate, |t| 1.0 / t))
-            .collect();
-        let sum: f64 = raw.iter().sum();
+        let mean_rate = rate_sum / rated as f64;
+        self.weights.clear();
+        self.weights.extend(
+            workers
+                .iter()
+                .map(|w| variant.measured_time(w).map_or(mean_rate, |t| 1.0 / t)),
+        );
+        let sum = self.weights.iter().fold(-0.0, |acc, r| acc + r);
         let scale = self.p as f64 / sum;
-        self.weights = raw.into_iter().map(|r| r * scale).collect();
+        self.weights.iter_mut().for_each(|r| *r *= scale);
     }
 
     /// The current normalized weights.
@@ -226,6 +237,10 @@ impl AdaptiveFactoring {
     /// The AF chunk rule for the requesting worker given current estimates
     /// and the batch budget. Returns `None` when estimates are insufficient
     /// (bootstrap phase).
+    ///
+    /// Allocation-free: the observed means fold left to right from `-0.0`,
+    /// exactly as the `Iterator::sum`s of the collecting version (kept as a
+    /// test reference) do, so every chunk is bit-identical.
     fn af_chunk(&self, ctx: &SchedContext<'_>, budget: u64) -> Option<f64> {
         let me = &ctx.workers[ctx.worker];
         if !me.has_history() {
@@ -234,13 +249,15 @@ impl AdaptiveFactoring {
         // Only workers with history contribute estimates; workers still in
         // bootstrap are represented by the mean of observed workers so that
         // D and T keep honest magnitudes.
-        let observed: Vec<&WorkerSnapshot> =
-            ctx.workers.iter().filter(|w| w.has_history()).collect();
-        debug_assert!(!observed.is_empty());
-        let mean_mu =
-            observed.iter().map(|w| w.mean_iter_time).sum::<f64>() / observed.len() as f64;
-        let mean_var =
-            observed.iter().map(|w| w.var_iter_time).sum::<f64>() / observed.len() as f64;
+        let (mut mu_sum, mut var_sum, mut observed) = (-0.0, -0.0, 0usize);
+        for w in ctx.workers.iter().filter(|w| w.has_history()) {
+            mu_sum += w.mean_iter_time;
+            var_sum += w.var_iter_time;
+            observed += 1;
+        }
+        debug_assert!(observed > 0);
+        let mean_mu = mu_sum / observed as f64;
+        let mean_var = var_sum / observed as f64;
         let mut d = 0.0;
         let mut rate_sum = 0.0;
         for w in ctx.workers {
@@ -291,6 +308,164 @@ impl Technique for AdaptiveFactoring {
         // executor's worker statistics and persist across steps.
         self.left_in_batch = 0;
         self.batch_budget = 0;
+    }
+}
+
+#[cfg(test)]
+impl AdaptiveWeightedFactoring {
+    /// Reference `refresh_weights`: the collecting version the in-place
+    /// kernel replaced, with its `Iterator::sum`s. Property tests pin the
+    /// production kernel to it bit for bit.
+    fn refresh_weights_collecting(&mut self, workers: &[WorkerSnapshot]) {
+        let times: Vec<Option<f64>> = workers
+            .iter()
+            .map(|w| {
+                if !w.has_history() {
+                    return None;
+                }
+                let t = if self.variant.includes_overhead() {
+                    w.mean_iter_time_total
+                } else {
+                    w.mean_iter_time
+                };
+                (t > 0.0).then_some(t)
+            })
+            .collect();
+        let rates: Vec<f64> = times.iter().flatten().map(|t| 1.0 / t).collect();
+        if rates.is_empty() {
+            self.weights.iter_mut().for_each(|w| *w = 1.0);
+            return;
+        }
+        let mean_rate = rates.iter().sum::<f64>() / rates.len() as f64;
+        let raw: Vec<f64> = times
+            .iter()
+            .map(|t| t.map_or(mean_rate, |t| 1.0 / t))
+            .collect();
+        let sum: f64 = raw.iter().sum();
+        let scale = self.p as f64 / sum;
+        self.weights = raw.into_iter().map(|r| r * scale).collect();
+    }
+}
+
+#[cfg(test)]
+impl AdaptiveFactoring {
+    /// Reference `af_chunk`: the version that collected the observed
+    /// workers into a `Vec` and summed them with `Iterator::sum`. Property
+    /// tests pin the allocation-free kernel to it bit for bit.
+    fn af_chunk_collecting(&self, ctx: &SchedContext<'_>, budget: u64) -> Option<f64> {
+        let me = &ctx.workers[ctx.worker];
+        if !me.has_history() {
+            return None;
+        }
+        let observed: Vec<&WorkerSnapshot> =
+            ctx.workers.iter().filter(|w| w.has_history()).collect();
+        let mean_mu =
+            observed.iter().map(|w| w.mean_iter_time).sum::<f64>() / observed.len() as f64;
+        let mean_var =
+            observed.iter().map(|w| w.var_iter_time).sum::<f64>() / observed.len() as f64;
+        let mut d = 0.0;
+        let mut rate_sum = 0.0;
+        for w in ctx.workers {
+            let (mu, var) = if w.has_history() {
+                (w.mean_iter_time, w.var_iter_time)
+            } else {
+                (mean_mu, mean_var)
+            };
+            if mu <= 0.0 {
+                return None;
+            }
+            d += var / mu;
+            rate_sum += 1.0 / mu;
+        }
+        let t = budget as f64 / rate_sum;
+        let disc = (d * d + 4.0 * d * t).sqrt();
+        let k = (d + 2.0 * t - disc) / (2.0 * me.mean_iter_time);
+        Some(k)
+    }
+}
+
+#[cfg(test)]
+mod in_place_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One worker's measurements, covering every branch the kernels take:
+    /// no chunks yet, chunks with a zero mean (no history), zero and `-0.0`
+    /// variances, and an overhead-inclusive mean that may be zero on its
+    /// own.
+    fn arb_snapshot() -> impl Strategy<Value = WorkerSnapshot> {
+        (
+            0u64..3,
+            prop_oneof![Just(0.0), 0.01f64..10.0],
+            prop_oneof![Just(0.0), Just(-0.0), 0.0f64..4.0],
+            prop_oneof![Just(0.0), 0.01f64..12.0],
+        )
+            .prop_map(|(chunks_done, mean, var, total)| WorkerSnapshot {
+                iters_done: 16 * chunks_done,
+                chunks_done,
+                mean_iter_time: mean,
+                var_iter_time: var,
+                mean_iter_time_total: total,
+            })
+    }
+
+    fn arb_variant() -> impl Strategy<Value = AwfVariant> {
+        prop_oneof![
+            Just(AwfVariant::Timestep),
+            Just(AwfVariant::Batch),
+            Just(AwfVariant::Chunk),
+            Just(AwfVariant::BatchWithOverhead),
+            Just(AwfVariant::ChunkWithOverhead),
+        ]
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// Every AWF variant's in-place refresh equals the collecting
+        /// reference bit for bit, also when it overwrites weights a
+        /// previous refresh left behind.
+        #[test]
+        fn refresh_weights_matches_collecting_reference(
+            mut workers in prop::collection::vec(arb_snapshot(), 1..12),
+            variant in arb_variant(),
+            rounds in 1usize..4,
+        ) {
+            let mut fast = AdaptiveWeightedFactoring::new(workers.len(), variant).unwrap();
+            let mut reference = fast.clone();
+            for _ in 0..rounds {
+                fast.refresh_weights(&workers);
+                reference.refresh_weights_collecting(&workers);
+                prop_assert_eq!(bits(fast.weights()), bits(reference.weights()));
+                workers.rotate_left(1);
+            }
+        }
+
+        /// The allocation-free AF rule equals the collecting reference bit
+        /// for bit for every requesting worker.
+        #[test]
+        fn af_chunk_matches_collecting_reference(
+            workers in prop::collection::vec(arb_snapshot(), 1..12),
+            budget in 1u64..100_000,
+        ) {
+            let af = AdaptiveFactoring::new(workers.len()).unwrap();
+            for worker in 0..workers.len() {
+                let ctx = SchedContext {
+                    worker,
+                    num_workers: workers.len(),
+                    total_iters: 2 * budget,
+                    remaining: 2 * budget,
+                    now: 0.0,
+                    workers: &workers,
+                };
+                prop_assert_eq!(
+                    af.af_chunk(&ctx, budget).map(f64::to_bits),
+                    af.af_chunk_collecting(&ctx, budget).map(f64::to_bits)
+                );
+            }
+        }
     }
 }
 

@@ -290,6 +290,10 @@ pub trait AvailabilityProcess: Send {
     /// Produces the next segment. `availability ∈ (0, 1]`; `duration > 0`
     /// (may be `f64::INFINITY` for terminal segments).
     fn next_segment(&mut self, rng: &mut dyn RngCore) -> (f64, f64);
+
+    /// Returns the process to the state [`AvailabilitySpec::build`] left
+    /// it in, so the next segment starts a fresh realization.
+    fn restart(&mut self);
 }
 
 struct ConstantProcess {
@@ -300,6 +304,8 @@ impl AvailabilityProcess for ConstantProcess {
     fn next_segment(&mut self, _rng: &mut dyn RngCore) -> (f64, f64) {
         (self.a, f64::INFINITY)
     }
+
+    fn restart(&mut self) {}
 }
 
 struct RenewalProcess {
@@ -313,6 +319,8 @@ impl AvailabilityProcess for RenewalProcess {
         let d = self.dwell.sample(rng).max(MIN_MEAN_DURATION);
         (a, d)
     }
+
+    fn restart(&mut self) {}
 }
 
 struct MarkovProcess {
@@ -333,6 +341,10 @@ impl AvailabilityProcess for MarkovProcess {
         self.in_up = !self.in_up;
         (a, sample_exp(mean, rng))
     }
+
+    fn restart(&mut self) {
+        self.in_up = true;
+    }
 }
 
 struct TraceProcess {
@@ -345,6 +357,10 @@ impl AvailabilityProcess for TraceProcess {
         let seg = self.segments[self.idx % self.segments.len()];
         self.idx += 1;
         seg
+    }
+
+    fn restart(&mut self) {
+        self.idx = 0;
     }
 }
 
@@ -401,18 +417,28 @@ impl Timeline {
         })
     }
 
-    /// Rebinds the timeline to a fresh realization of `spec`, reusing the
-    /// segment buffers (capacity is kept). A reset timeline is
-    /// indistinguishable from a freshly-constructed one — the executor's
-    /// scratch arena relies on this to avoid per-replicate allocations.
+    /// Rebinds the timeline to a fresh realization of `spec`: builds the
+    /// process anew and [`restart`](Timeline::restart)s. A reset timeline
+    /// is indistinguishable from `Timeline::new(spec)`; on error it is left
+    /// as it was.
     pub fn reset(&mut self, spec: &AvailabilitySpec) -> Result<()> {
         self.process = spec.build()?;
+        self.restart();
+        Ok(())
+    }
+
+    /// Starts a fresh realization of the spec the process was built from,
+    /// without building it again: the process returns to its initial
+    /// state and the segment tables are cleared, keeping their capacity.
+    /// Building draws no randomness, so a restarted timeline is
+    /// indistinguishable from `Timeline::new` on that spec.
+    pub fn restart(&mut self) {
+        self.process.restart();
         self.starts.clear();
         self.starts.push(0.0);
         self.levels.clear();
         self.cum_work.clear();
         self.cum_work.push(0.0);
-        Ok(())
     }
 
     /// Number of materialized segments.
@@ -976,7 +1002,51 @@ mod tests {
             ]
         }
 
+        /// Answers of `tl` to a query tape, as bits: for each `(start,
+        /// work)`, the finish time, the work over `[start, start + work]`
+        /// and the level at `start`; then the materialized segment count.
+        fn answers(tl: &mut Timeline, tape: &[(f64, f64)], seed: u64) -> Vec<u64> {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut out = Vec::with_capacity(3 * tape.len() + 1);
+            for &(start, work) in tape {
+                out.push(tl.finish_time(start, work, &mut r).to_bits());
+                out.push(tl.work_between(start, start + work, &mut r).to_bits());
+                out.push(tl.availability_at(start, &mut r).to_bits());
+            }
+            out.push(tl.segment_count() as u64);
+            out
+        }
+
         proptest! {
+            /// A timeline restarted after arbitrary queries, then reset to
+            /// another spec, then reset back and restarted once more, answers
+            /// every tape exactly as `Timeline::new` does — the restart must
+            /// return each family's process to its initial state (Markov
+            /// phase, trace position), not only clear the tables.
+            #[test]
+            fn restart_and_reset_are_indistinguishable_from_fresh(
+                spec in arb_spec(),
+                other in arb_spec(),
+                seed in 0u64..1_000,
+                warm in prop::collection::vec((0.0f64..200.0, 0.01f64..50.0), 1..6),
+                tape in prop::collection::vec((0.0f64..200.0, 0.01f64..50.0), 1..8),
+            ) {
+                let fresh = |s: &AvailabilitySpec| answers(&mut Timeline::new(s).unwrap(), &tape, seed);
+                let mut tl = Timeline::new(&spec).unwrap();
+                let mut junk = StdRng::seed_from_u64(seed + 1);
+                for &(start, work) in &warm {
+                    tl.finish_time(start, work, &mut junk);
+                }
+                tl.restart();
+                prop_assert_eq!(answers(&mut tl, &tape, seed), fresh(&spec), "restart");
+                tl.reset(&other).unwrap();
+                prop_assert_eq!(answers(&mut tl, &tape, seed), fresh(&other), "reset to other");
+                tl.reset(&spec).unwrap();
+                prop_assert_eq!(answers(&mut tl, &tape, seed), fresh(&spec), "reset back");
+                tl.restart();
+                prop_assert_eq!(answers(&mut tl, &tape, seed), fresh(&spec), "restart again");
+            }
+
             /// The binary-search kernel must agree with the linear-scan
             /// reference bit-for-bit: same prefix table, same interpolation,
             /// only the segment lookup differs.

@@ -199,7 +199,10 @@ fn headline_system_robustness() {
 // grid) at the library-default seed. They are regenerated only on
 // intentional behavioural change via
 // `cargo run --release -p cdsf-bench --bin golden_snapshot`; any unplanned
-// drift in the Stage-I engine or Stage-II simulator fails here first.
+// drift in the Stage-I engine or Stage-II simulator fails here first. CI
+// also reruns the generator and fails on any byte of difference, so the
+// tolerance below is not the last word, and `stage2_cells.json` pins every
+// Stage-II cell bit for bit (`crates/bench/tests/stage2_golden.rs`).
 // ---------------------------------------------------------------------------
 
 /// Float tolerance for golden comparisons: covers JSON round-trip noise
