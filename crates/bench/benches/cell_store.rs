@@ -20,7 +20,12 @@
 //!   partial-overlap warm build — second build only — is timed by
 //!   `bench_snapshot`'s `cell_store` section, which can afford a fresh
 //!   pre-warmed store per sample.)
+//! * `thrash_build` — one pass over [`cdsf_bench::thrash_instances`],
+//!   3 000 churn-shaped specs whose cells overflow a default store twice
+//!   over, storeless and against a filled store where most inserts
+//!   evict: the store's overhead when it can rarely help.
 
+use cdsf_bench::{thrash_instances, thrash_pass};
 use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
 use cdsf_ra::{CellStore, EngineBuild, Phi1Engine};
 use cdsf_system::{Application, Batch, Platform};
@@ -126,11 +131,27 @@ fn bench_pair_build_shared15(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_thrash_build(c: &mut Criterion) {
+    let instances = thrash_instances();
+    let store = CellStore::new(DEFAULT_CELL_CAPACITY);
+    thrash_pass(&instances, Some(&store));
+    let mut group = c.benchmark_group("cell_store/thrash_build");
+    group.sample_size(10);
+    group.bench_function("storeless_churn3000", |b| {
+        b.iter(|| thrash_pass(&instances, None))
+    });
+    group.bench_function("store_churn3000", |b| {
+        b.iter(|| thrash_pass(&instances, Some(&store)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_cold_build,
     bench_overhead_empty_store,
     bench_warm_full_overlap,
-    bench_pair_build_shared15
+    bench_pair_build_shared15,
+    bench_thrash_build
 );
 criterion_main!(benches);

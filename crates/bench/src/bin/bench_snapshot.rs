@@ -30,6 +30,7 @@
 //! then verifies the *committed* snapshot exists and is schema-valid,
 //! without overwriting it — the CI guard.
 
+use cdsf_bench::{thrash_instances, thrash_pass, thrash_working_set, THRASH_BUILDS};
 use cdsf_core::simulation::simulate_grid;
 use cdsf_core::SimParams;
 use cdsf_dls::executor::{execute, execute_in, ExecutorConfig, ExecutorScratch};
@@ -100,7 +101,14 @@ use std::time::Instant;
 /// counters of a capacity-contended instance generated like the
 /// benchmark's dual-stage pool, guarded to at most
 /// [`CONTENDED_MAX_NODES`] nodes.
-const SCHEMA_VERSION: u64 = 9;
+/// v10 added the thrash rows to `cell_store`: a fixed sequence of
+/// churn-shaped specs built through a default-capacity store whose
+/// working set is over twice its capacity, timed per build with and
+/// without the store (`cell_store/thrash_build/*`), one pass's store
+/// counters in the section's `thrash` block, and the derived
+/// `cell_store_thrash_overhead`, guarded to at most
+/// [`CELL_STORE_THRASH_OVERHEAD_MAX`].
+const SCHEMA_VERSION: u64 = 10;
 
 /// Current stage-2 snapshot schema. Bump when the JSON shape changes.
 /// v2 added the host-aware `grid_thread4_speedup` floor (≥ 3× on hosts
@@ -207,6 +215,13 @@ const GAMMA_ROBUST_SPEEDUP_MIN: f64 = 2.0;
 /// resident); 5× leaves room for run-to-run spread while still failing
 /// if store resolution stops short-circuiting the kernel.
 const CELL_STORE_WARM_SPEEDUP_MIN: f64 = 5.0;
+
+/// Ceiling for a store-attached build over a storeless one on the thrash
+/// instance, where most inserts evict. Both sides are single-threaded
+/// medians from the same run, so the ratio divides out the clock.
+/// Eviction by a scan of the shard read 2.3–3.0×; by the lazy queue,
+/// 1.1–1.4×.
+const CELL_STORE_THRASH_OVERHEAD_MAX: f64 = 1.6;
 
 const DEADLINE: f64 = 2_800.0;
 
@@ -829,6 +844,34 @@ fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
             per_unit: "build",
         },
     );
+    // Thrash: the store is filled by one untimed pass, so every timed
+    // store-attached pass evicts on most inserts. The two sides alternate
+    // per sample and report the mean build of a pass.
+    let thrash = thrash_instances();
+    let store = CellStore::new(DEFAULT_CELL_CAPACITY);
+    thrash_pass(&thrash, Some(&store));
+    let (mut storeless_ns, mut attached_ns) = (Vec::new(), Vec::new());
+    for _ in 0..samples {
+        for (times, store) in [(&mut storeless_ns, None), (&mut attached_ns, Some(&store))] {
+            let t0 = Instant::now();
+            thrash_pass(&thrash, store);
+            times.push(t0.elapsed().as_nanos() as f64 / THRASH_BUILDS as f64);
+        }
+    }
+    for (name, mut times) in [
+        ("cell_store/thrash_build/storeless_churn3000", storeless_ns),
+        ("cell_store/thrash_build/store_churn3000", attached_ns),
+    ] {
+        times.sort_by(f64::total_cmp);
+        push(
+            &mut out,
+            BenchResult {
+                name,
+                median_ns: times[times.len() / 2],
+                per_unit: "build",
+            },
+        );
+    }
 
     (out, remap)
 }
@@ -1297,6 +1340,9 @@ fn cell_store_section() -> Value {
     let cold =
         Phi1Engine::build_parallel(&next, &platform, 1).expect("catalog cold build must succeed");
     let stats = store.stats();
+    let thrash_store = CellStore::new(DEFAULT_CELL_CAPACITY);
+    thrash_pass(&thrash_instances(), Some(&thrash_store));
+    let thrash_stats = thrash_store.stats();
     json!({
         "catalog_apps": CATALOG_APPS,
         "shared_apps": CATALOG_APPS - 1,
@@ -1311,6 +1357,16 @@ fn cell_store_section() -> Value {
         "capacity": stats.capacity,
         "hit_rate": stats.hit_rate(),
         "fingerprint_match": warm.table_fingerprint() == cold.table_fingerprint(),
+        "thrash": json!({
+            "builds": THRASH_BUILDS,
+            "working_set_cells": thrash_working_set(),
+            "hits": thrash_stats.hits,
+            "misses": thrash_stats.misses,
+            "insertions": thrash_stats.insertions,
+            "evictions": thrash_stats.evictions,
+            "resident": thrash_stats.resident,
+            "capacity": thrash_stats.capacity,
+        }),
     })
 }
 
@@ -1343,6 +1399,8 @@ fn to_json(results: &[BenchResult], remap_loop: Value, mode: &str, scale: usize)
         results,
         "cell_store/engine_build_warm_partial/catalog24_p384",
     );
+    let thrash_storeless = median_of(results, "cell_store/thrash_build/storeless_churn3000");
+    let thrash_attached = median_of(results, "cell_store/thrash_build/store_churn3000");
     json!({
         "schema_version": SCHEMA_VERSION,
         "mode": mode,
@@ -1381,6 +1439,7 @@ fn to_json(results: &[BenchResult], remap_loop: Value, mode: &str, scale: usize)
             "lattice_vs_sa_speedup": sa_alloc / lattice_alloc,
             "gamma_robust_speedup_vs_v5": GAMMA_ROBUST_BASELINE_V5_NS / gamma_alloc,
             "cell_store_warm_speedup": store_cold / store_warm,
+            "cell_store_thrash_overhead": thrash_attached / thrash_storeless,
         }),
     })
 }
@@ -1486,6 +1545,7 @@ const STAGE1_DERIVED: &[&str] = &[
     "lattice_vs_sa_speedup",
     "gamma_robust_speedup_vs_v5",
     "cell_store_warm_speedup",
+    "cell_store_thrash_overhead",
 ];
 
 const STAGE2_DERIVED: &[&str] = &[
@@ -1698,13 +1758,15 @@ fn check_pool_section(snapshot: &Value) -> Result<(), String> {
     }
 }
 
-/// Validates the stage-1 `cell_store` block and its two derived floors:
-/// the counters must describe a real prev→next catalog pair (hits from
-/// the shared applications, zero verify rejects, a fingerprint-identical
+/// Validates the stage-1 `cell_store` block and its derived bounds: the
+/// counters must describe a real prev→next catalog pair (hits from the
+/// shared applications, zero verify rejects, a fingerprint-identical
 /// engine), the store-warm build must clear the
-/// [`CELL_STORE_WARM_SPEEDUP_MIN`] ratio, and the screened Γ-robust
-/// solver must hold its [`GAMMA_ROBUST_SPEEDUP_MIN`]× margin over the
-/// committed v5 anchor.
+/// [`CELL_STORE_WARM_SPEEDUP_MIN`] ratio, the thrash pass must really
+/// thrash (a working set over twice the capacity, evictions recorded)
+/// at no more than [`CELL_STORE_THRASH_OVERHEAD_MAX`] times a storeless
+/// build, and the screened Γ-robust solver must hold its
+/// [`GAMMA_ROBUST_SPEEDUP_MIN`]× margin over the committed v5 anchor.
 fn check_cell_store_section(snapshot: &Value) -> Result<(), String> {
     let section = snapshot
         .get("cell_store")
@@ -1752,6 +1814,28 @@ fn check_cell_store_section(snapshot: &Value) -> Result<(), String> {
             "cell_store_warm_speedup {warm_speedup:.2} is below the \
              {CELL_STORE_WARM_SPEEDUP_MIN} floor — store resolution no longer \
              short-circuits the kernel"
+        ));
+    }
+    let thrash = section.get("thrash").ok_or("cell_store missing thrash")?;
+    let working_set = u64_field(thrash, "working_set_cells")?;
+    let thrash_capacity = u64_field(thrash, "capacity")?;
+    if working_set < 2 * thrash_capacity {
+        return Err(format!(
+            "cell_store thrash working set {working_set} is under twice the \
+             {thrash_capacity}-cell capacity"
+        ));
+    }
+    if u64_field(thrash, "evictions")? == 0 {
+        return Err("cell_store thrash pass evicted nothing".into());
+    }
+    let overhead = snapshot["derived"]["cell_store_thrash_overhead"]
+        .as_f64()
+        .ok_or("derived missing cell_store_thrash_overhead")?;
+    if overhead > CELL_STORE_THRASH_OVERHEAD_MAX {
+        return Err(format!(
+            "cell_store_thrash_overhead {overhead:.2} is above the \
+             {CELL_STORE_THRASH_OVERHEAD_MAX} ceiling — store-attached builds \
+             that evict cost too much over storeless ones"
         ));
     }
     let gamma_speedup = snapshot["derived"]["gamma_robust_speedup_vs_v5"]
@@ -2104,7 +2188,7 @@ fn main() {
     drop(results);
     let derived = snapshot["derived"].as_object().unwrap();
     for (key, v) in derived.iter() {
-        if key.ends_with("_speedup") {
+        if key.ends_with("_speedup") || key.ends_with("_overhead") {
             eprintln!("  {:<28} {:.2}x", key, v.as_f64().unwrap());
         } else {
             eprintln!("  {:<28} {:.3e}", key, v.as_f64().unwrap());

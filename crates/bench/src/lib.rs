@@ -5,8 +5,13 @@
 //! holds the common setup so each binary stays a short script.
 
 use cdsf_core::{Cdsf, CellResult, ImPolicy, RasPolicy, SimParams};
+use cdsf_ra::{CellStore, EngineBuild, Phi1Engine};
+use cdsf_serve::{LoadgenConfig, Request, WorkloadSpec};
+use cdsf_system::{Batch, Platform, ProcTypeId};
 use cdsf_workloads::generators::{degraded_case, BatchGenerator, PlatformGenerator};
 use cdsf_workloads::paper;
+use std::collections::HashSet;
+use std::hint::black_box;
 
 /// The simulation parameters of the golden snapshots: library defaults
 /// (seed included) with a fixed replicate count, so the grid is
@@ -71,6 +76,78 @@ pub fn stage2_golden_grids() -> Vec<(&'static str, Vec<CellResult>)> {
         .run_scenario(&lattice, &RasPolicy::Robust)
         .expect("the dual-stage instance runs");
     vec![("scenario4", paper.cells), ("dualstage", dualstage.cells)]
+}
+
+/// Engine builds in one pass over the cell-store thrash instance.
+pub const THRASH_BUILDS: usize = 3_000;
+
+/// The specs of [`thrash_instances`], in order.
+fn thrash_specs() -> Vec<WorkloadSpec> {
+    LoadgenConfig {
+        tenants: 48,
+        specs_per_tenant: 8,
+        shared_rate: 0.05,
+        skew: 0.5,
+        requests: 2 * THRASH_BUILDS,
+        seed: 42,
+        ..LoadgenConfig::default()
+    }
+    .stream()
+    .expect("the thrash stream config is valid")
+    .into_iter()
+    .filter_map(|req| match req {
+        Request::Submit(submit) => Some(submit.spec),
+        _ => None,
+    })
+    .take(THRASH_BUILDS)
+    .collect()
+}
+
+/// The cell-store thrash instance, expanded in order: the specs of the
+/// first [`THRASH_BUILDS`] submits of perfbench's canonical `churn`
+/// stream (seed 42) — 48 tenants cycling 8 specs each with a 0.5 Zipf
+/// skew, 5 % of submits drawing one of 2 shared specs. Each spec has
+/// 3–6 applications, 2–3 processor types and 5–8 pulses, as the loadgen
+/// draws [`WorkloadSpec::simple`] specs. Specs repeat, so some builds
+/// find their cells resident; but the distinct specs hold more than
+/// twice [`cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY`] cells, so a
+/// default store evicts on most inserts.
+pub fn thrash_instances() -> Vec<(Batch, Platform)> {
+    thrash_specs()
+        .iter()
+        .map(|spec| spec.expand().expect("loadgen specs expand"))
+        .collect()
+}
+
+/// Distinct cells the thrash instance's engines hold: the cells of each
+/// distinct spec, summed (specs seeded apart share no cell).
+pub fn thrash_working_set() -> usize {
+    let specs = thrash_specs();
+    let distinct: HashSet<&WorkloadSpec> = specs.iter().collect();
+    distinct
+        .into_iter()
+        .map(|spec| {
+            let (batch, platform) = spec.expand().expect("loadgen specs expand");
+            (0..platform.num_types())
+                .map(|t| {
+                    let options = platform.pow2_options(ProcTypeId(t));
+                    batch.len() * options.expect("generated types exist").len()
+                })
+                .sum::<usize>()
+        })
+        .sum()
+}
+
+/// Builds the engine of every instance in order on one thread, resolving
+/// cells against `store` when one is given.
+pub fn thrash_pass(instances: &[(Batch, Platform)], store: Option<&CellStore>) {
+    let opts = EngineBuild {
+        store,
+        ..EngineBuild::default()
+    };
+    for (batch, platform) in instances {
+        black_box(Phi1Engine::build_with(batch, platform, &opts).expect("thrash specs build"));
+    }
 }
 
 /// Builds the paper's CDSF instance at the fixture defaults.

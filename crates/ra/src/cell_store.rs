@@ -38,16 +38,21 @@
 //! shard is bounded in cells: inserts beyond the per-shard capacity evict
 //! the cell with the smallest last-use stamp (a global monotone counter,
 //! unique per cell), a deterministic least-recently-used rule under any
-//! serial operation sequence. Values are `Arc`-shared with every engine
-//! that resolved them, so eviction only drops the store's reference —
-//! engines keep their cells alive.
+//! serial operation sequence. A shard finds that cell through a lazy
+//! min-queue of stamps rather than a scan of its map, so eviction costs
+//! amortized O(log n) under the write lock and never depends on the map's
+//! iteration order. Values are `Arc`-shared with every engine that
+//! resolved them, so eviction only drops the store's reference — engines
+//! keep their cells alive.
 
 use crate::engine::Cell;
 use cdsf_pmf::hash::{fnv1a_seed, fnv1a_u64};
 use cdsf_pmf::Pmf;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -96,37 +101,61 @@ struct Slot {
     stamp: AtomicU64,
 }
 
-/// One lock's worth of families. The keys digest PMFs that tenants
-/// supply, so the map keeps the standard library's keyed hasher; its
-/// iteration order varies between runs, which eviction does not see
-/// because every cell's stamp is unique.
+/// One lock's worth of families, and the queue that picks their eviction
+/// victims. The keys digest PMFs that tenants supply, so the map keeps the
+/// standard library's keyed hasher; eviction never iterates the map, so
+/// its run-to-run iteration order is invisible.
 #[derive(Default)]
 struct Shard {
     families: HashMap<u64, Family>,
-    /// Cells resident in this shard.
-    cells: usize,
+    /// A lazy min-queue of `(stamp, pair, factor bits)`, one entry per
+    /// resident cell. An entry holds its cell's stamp as of when it was
+    /// queued; hits move the cell's stamp but leave the entry stale until
+    /// eviction reaches it.
+    queue: BinaryHeap<Reverse<(u64, u64, u64)>>,
 }
 
 impl Shard {
+    /// Cells resident in this shard.
+    fn cells(&self) -> usize {
+        self.queue.len()
+    }
+
     /// Drops the least-recently-used cell, and its family once empty.
+    ///
+    /// A stale head is re-queued with its cell's current stamp; the first
+    /// head whose stamp is still current is the victim. Entries are only
+    /// written under the write lock, and any later restamp of their cell
+    /// happens in a later critical section of this shard's lock with a
+    /// tick the clock handed out after that, so no entry's stamp exceeds
+    /// its cell's. A current head is then at most every resident cell's
+    /// stamp, and since stamps are unique it is the cell a scan for the
+    /// smallest stamp would pick.
     fn evict_lru(&mut self) {
-        let (_, pair, at) = self
-            .families
-            .iter()
-            .flat_map(|(&pair, f)| {
-                f.cells
-                    .iter()
-                    .enumerate()
-                    .map(move |(at, s)| (s.stamp.load(Ordering::Relaxed), pair, at))
-            })
-            .min()
-            .expect("a full shard is non-empty");
-        let family = self.families.get_mut(&pair).expect("victim exists");
-        family.cells.swap_remove(at);
-        if family.cells.is_empty() {
-            self.families.remove(&pair);
+        loop {
+            let mut head = self.queue.peek_mut().expect("a full shard is non-empty");
+            let Reverse((queued, pair, bits)) = *head;
+            let family = self
+                .families
+                .get_mut(&pair)
+                .expect("queued cells are resident");
+            let at = family
+                .cells
+                .iter()
+                .position(|s| s.factor_bits == bits)
+                .expect("queued cells are resident");
+            let stamp = family.cells[at].stamp.load(Ordering::Relaxed);
+            if stamp != queued {
+                *head = Reverse((stamp, pair, bits));
+                continue;
+            }
+            PeekMut::pop(head);
+            family.cells.swap_remove(at);
+            if family.cells.is_empty() {
+                self.families.remove(&pair);
+            }
+            return;
         }
-        self.cells -= 1;
     }
 }
 
@@ -286,7 +315,7 @@ impl CellStore {
                 s.stamp.store(stamp, Ordering::Relaxed);
                 continue;
             }
-            if shard.cells >= self.per_shard {
+            if shard.cells() >= self.per_shard {
                 shard.evict_lru();
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
@@ -300,14 +329,14 @@ impl CellStore {
                 cell,
                 stamp: AtomicU64::new(stamp),
             });
-            shard.cells += 1;
+            shard.queue.push(Reverse((stamp, pair, bits)));
             self.insertions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Cells currently resident across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().cells).sum()
+        self.shards.iter().map(|s| s.read().cells()).sum()
     }
 
     /// Whether no cell is resident.
@@ -335,9 +364,39 @@ impl CellStore {
 }
 
 #[cfg(test)]
+impl Shard {
+    /// The `(pair, factor bits)` a full scan picks as the LRU victim: the
+    /// resident cell with the smallest stamp. The eviction queue must
+    /// agree with it on every eviction.
+    fn scan_victim(&self) -> Option<(u64, u64)> {
+        self.families
+            .iter()
+            .flat_map(|(&pair, f)| {
+                f.cells
+                    .iter()
+                    .map(move |s| (s.stamp.load(Ordering::Relaxed), pair, s.factor_bits))
+            })
+            .min()
+            .map(|(_, pair, bits)| (pair, bits))
+    }
+
+    /// The `(pair, factor bits)` of every resident cell, sorted.
+    fn resident(&self) -> Vec<(u64, u64)> {
+        let mut cells: Vec<_> = self
+            .families
+            .iter()
+            .flat_map(|(&pair, f)| f.cells.iter().map(move |s| (pair, s.factor_bits)))
+            .collect();
+        cells.sort_unstable();
+        cells
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use cdsf_pmf::CombineScratch;
+    use proptest::prelude::*;
 
     fn mk_pmf(vals: &[(f64, f64)]) -> Pmf {
         Pmf::from_pairs(vals.iter().copied()).unwrap()
@@ -530,5 +589,84 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: CellStoreStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// Families the oracle test steers into one shard, and the factors
+    /// each may hold.
+    const FAMILIES: usize = 4;
+    const FACTORS: [f64; 3] = [1.0, 0.5, 0.25];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lazy queue evicts exactly the cell the full scan picks.
+        /// Random sequences of multi-factor hits, new and already
+        /// resident inserts and colliding newcomers run against one
+        /// shard holding 1–4 cells; before every evicting insert the scan
+        /// names its victim, and afterwards exactly that cell is gone and
+        /// the queue holds one entry per resident cell.
+        fn eviction_matches_the_scan_oracle(
+            per_shard in 1usize..=4,
+            ops in prop::collection::vec((0usize..4, 0usize..FAMILIES, 1usize..8), 1..80),
+        ) {
+            let store = CellStore::new(per_shard * SHARDS);
+            let avail = mk_pmf(&[(0.5, 0.5), (1.0, 0.5)]);
+            // Each family key has its own inputs and a rival's that
+            // collide with them.
+            let inputs: Vec<[Pmf; 2]> = (0..FAMILIES)
+                .map(|i| {
+                    let at = 100.0 + i as f64;
+                    [mk_pmf(&[(at, 0.5), (150.0, 0.5)]), mk_pmf(&[(at, 0.5), (999.0, 0.5)])]
+                })
+                .collect();
+            // Equal low key bits: every family lands in shard 0.
+            let key = |i: usize| (i as u64 + 1) << 3;
+            // Which inputs hold each key while it has resident cells.
+            let mut owner: [Option<usize>; FAMILIES] = [None; FAMILIES];
+            let mut evictions = 0;
+            for (kind, fam, pick) in ops {
+                let before = store.shards[0].read().resident();
+                let mut want = before.clone();
+                // Kinds 0 and 2 use a key's own inputs, 1 and 3 its rival's.
+                let who = kind % 2;
+                if kind < 2 {
+                    // A multi-factor lookup: the factors in `pick`'s bits.
+                    let factors: Vec<f64> = (0..FACTORS.len())
+                        .filter(|k| (pick >> k) & 1 == 1)
+                        .map(|k| FACTORS[k])
+                        .collect();
+                    let mut out = vec![None; factors.len()];
+                    store.get_family(key(fam), &inputs[fam][who], &avail, &factors, &mut out);
+                } else {
+                    // One cell: new, already resident (a stamp refresh),
+                    // or a colliding newcomer, which is not interned.
+                    let factor = FACTORS[pick % FACTORS.len()];
+                    let id = (key(fam), factor.to_bits());
+                    let free = owner[fam].unwrap_or(who) == who;
+                    if free && before.binary_search(&id).is_err() {
+                        if before.len() == per_shard {
+                            let victim = store.shards[0].read().scan_victim().unwrap();
+                            want.retain(|&c| c != victim);
+                            evictions += 1;
+                        }
+                        want.push(id);
+                        want.sort_unstable();
+                        owner[fam] = Some(who);
+                    }
+                    let exec = &inputs[fam][who];
+                    let cell = mk_cell(exec, factor, &avail);
+                    store.insert_family(key(fam), exec, &avail, [(factor, cell)]);
+                }
+                for (f, o) in owner.iter_mut().enumerate() {
+                    if !want.iter().any(|&(pair, _)| pair == key(f)) {
+                        *o = None;
+                    }
+                }
+                let shard = store.shards[0].read();
+                prop_assert_eq!(shard.resident(), want, "op ({}, {}, {}) from {:?}", kind, fam, pick, before);
+                prop_assert_eq!(shard.queue.len(), want.len(), "one queue entry per resident cell");
+                prop_assert_eq!(store.stats().evictions, evictions);
+            }
+        }
     }
 }

@@ -15,12 +15,18 @@
 //!    build for the same inputs, and the whole sequence is
 //!    deterministic: replaying it on a second store produces the same
 //!    counters at every step.
+//!
+//! One more test drops the script and races builder threads against one
+//! tiny store, so read-lock hits restamp cells while other threads' inserts
+//! evict: the store's counters must still balance and every engine must
+//! still match its fresh build.
 
 use cdsf_events::remap::degraded_platform;
 use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
 use cdsf_ra::{CellStore, EngineBuild, Phi1Engine};
 use cdsf_system::{Batch, Platform, ProcTypeId};
 use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
+use std::sync::Barrier;
 
 fn base_instance() -> (Batch, Platform) {
     let platform = PlatformGenerator {
@@ -181,4 +187,59 @@ fn starved_cache_operation_sequence_is_deterministic() {
     let (batch, platforms) = working_set();
     let per_engine = cells(&batch, &platforms[0], 0) + cells(&batch, &platforms[0], 1);
     assert_replay_is_deterministic(&batch, &platforms, per_engine as usize / 2);
+}
+
+#[test]
+fn concurrent_hits_racing_evictions_keep_counters_and_bits_exact() {
+    let (batch, platforms) = working_set();
+    let fresh: Vec<u64> = platforms
+        .iter()
+        .map(|p| Phi1Engine::build(&batch, p).unwrap().table_fingerprint())
+        .collect();
+    let per_engine = cells(&batch, &platforms[0], 0) + cells(&batch, &platforms[0], 1);
+    let store = CellStore::new(per_engine as usize / 2);
+    let start = Barrier::new(4);
+    std::thread::scope(|scope| {
+        let builders: Vec<_> = (0..4u64)
+            .map(|t| {
+                let (batch, platforms, fresh, store) = (&batch, &platforms, &fresh, &store);
+                let start = &start;
+                scope.spawn(move || {
+                    let opts = EngineBuild {
+                        threads: 1,
+                        store: Some(store),
+                        ..EngineBuild::default()
+                    };
+                    // Every other build is the base platform, so threads
+                    // keep hitting cells that others' inserts evict.
+                    let mut rng = 0x9E37_79B9_7F4A_7C15 ^ (t + 1);
+                    start.wait();
+                    for step in 0..40 {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        let v = if step % 2 == 0 {
+                            0
+                        } else {
+                            (rng % platforms.len() as u64) as usize
+                        };
+                        let (engine, _) =
+                            Phi1Engine::build_with(batch, &platforms[v], &opts).unwrap();
+                        assert_eq!(
+                            engine.table_fingerprint(),
+                            fresh[v],
+                            "thread {t} step {step}: engine diverged from a fresh build"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for builder in builders {
+            builder.join().expect("no builder panicked");
+        }
+    });
+    let stats = store.stats();
+    assert_eq!(stats.insertions - stats.evictions, stats.resident);
+    assert!(stats.resident <= stats.capacity, "{stats:?}");
+    assert!(stats.evictions > 0 && stats.hits > 0, "no race: {stats:?}");
 }
