@@ -25,11 +25,11 @@
 //!   over, storeless and against a filled store where most inserts
 //!   evict: the store's overhead when it can rarely help.
 
-use cdsf_bench::{thrash_instances, thrash_pass};
+use cdsf_bench::{catalog_app, thrash_instances, thrash_pass};
 use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
 use cdsf_ra::{CellStore, EngineBuild, Phi1Engine};
 use cdsf_system::{Application, Batch, Platform};
-use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
+use cdsf_workloads::generators::{PlatformGenerator, Range};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -45,23 +45,6 @@ fn catalog_platform() -> Platform {
     }
     .generate(11)
     .unwrap()
-}
-
-/// One catalog application: generated alone from its own seed, exactly
-/// like a serve `WorkloadSpec` with `app_seeds` does it.
-fn catalog_app(platform: &Platform, seed: u64) -> Application {
-    BatchGenerator {
-        num_apps: 1,
-        total_iters: (1_000, 8_000),
-        serial_fraction: Range::new(0.02, 0.2).unwrap(),
-        mean_exec_time: Range::new(1_000.0, 6_000.0).unwrap(),
-        type_heterogeneity: Range::new(0.6, 1.8).unwrap(),
-        pulses: 384,
-    }
-    .generate(platform, seed)
-    .unwrap()
-    .apps()[0]
-        .clone()
 }
 
 /// Two 16-app batches drawn from a 17-app catalog: `prev` holds apps

@@ -3,59 +3,15 @@
 //! engine builds, SoA table derivation, and incremental SA
 //! mutation-evaluation throughput vs. the full O(N)-lookup recompute.
 
+use cdsf_bench::{bench_instance, full_fitness, legacy_cdf};
 use cdsf_pmf::discretize::{Discretize, Normal};
-use cdsf_pmf::Pmf;
-use cdsf_ra::robustness::ProbabilityTable;
 use cdsf_ra::{Assignment, DeltaFitness, OptionProbs, Phi1Engine};
-use cdsf_system::{Batch, Platform};
-use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 const DEADLINE: f64 = 2_800.0;
-
-/// The pre-rewrite `Pmf::cdf`: partition point plus a prefix re-sum.
-fn legacy_cdf(pmf: &Pmf, x: f64) -> f64 {
-    let idx = pmf.pulses().partition_point(|p| p.value <= x);
-    pmf.pulses()[..idx].iter().map(|p| p.prob).sum()
-}
-
-/// The pre-rewrite `Landscape::fitness`: a full probability-table walk.
-fn full_fitness(table: &ProbabilityTable, genome: &[Assignment]) -> f64 {
-    let mut p = 1.0;
-    for (i, asg) in genome.iter().enumerate() {
-        match table.prob(i, asg.proc_type, asg.procs) {
-            Some(q) => p *= q,
-            None => return 0.0,
-        }
-    }
-    p
-}
-
-/// A Stage-I instance big enough that per-candidate scoring dominates.
-fn bench_instance(num_apps: usize) -> (Batch, Platform) {
-    let platform = PlatformGenerator {
-        num_types: 3,
-        procs_per_type: (8, 16),
-        availability_pulses: 3,
-        availability_range: Range::new(0.3, 1.0).unwrap(),
-    }
-    .generate(11)
-    .unwrap();
-    let batch = BatchGenerator {
-        num_apps,
-        total_iters: (1_000, 8_000),
-        serial_fraction: Range::new(0.02, 0.2).unwrap(),
-        mean_exec_time: Range::new(1_000.0, 6_000.0).unwrap(),
-        type_heterogeneity: Range::new(0.6, 1.8).unwrap(),
-        pulses: 12,
-    }
-    .generate(&platform, 12)
-    .unwrap();
-    (batch, platform)
-}
 
 fn bench_cdf_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("phi1/cdf");

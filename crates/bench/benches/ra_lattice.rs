@@ -4,37 +4,13 @@
 //! reused) solve that path actually runs, the cold full-build path, the
 //! Γ-robust worst-case variant, and the SA baseline it replaces.
 
+use cdsf_bench::bench_instance;
 use cdsf_ra::allocators::SimulatedAnnealing;
 use cdsf_ra::{Allocator, GammaRobust, Lattice, LatticeScratch, Phi1Engine};
-use cdsf_system::{Batch, Platform};
-use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 const DEADLINE: f64 = 2_800.0;
-
-/// The `bench_snapshot` apps16 instance (seeds 11/12), bit for bit.
-fn bench_instance(num_apps: usize) -> (Batch, Platform) {
-    let platform = PlatformGenerator {
-        num_types: 3,
-        procs_per_type: (8, 16),
-        availability_pulses: 3,
-        availability_range: Range::new(0.3, 1.0).unwrap(),
-    }
-    .generate(11)
-    .unwrap();
-    let batch = BatchGenerator {
-        num_apps,
-        total_iters: (1_000, 8_000),
-        serial_fraction: Range::new(0.02, 0.2).unwrap(),
-        mean_exec_time: Range::new(1_000.0, 6_000.0).unwrap(),
-        type_heterogeneity: Range::new(0.6, 1.8).unwrap(),
-        pulses: 12,
-    }
-    .generate(&platform, 12)
-    .unwrap();
-    (batch, platform)
-}
 
 /// Warm solve: the engine and scratch are reused across calls, exactly
 /// like the serve shard's repeated allocations against a cached engine.

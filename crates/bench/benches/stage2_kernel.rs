@@ -5,87 +5,18 @@
 //! vs. fresh per-replicate allocation, and the replicate-parallel
 //! simulation grid across thread counts.
 
+use cdsf_bench::{legacy_finish_time, legacy_work_between, stage2_spec, warmed_timeline};
 use cdsf_core::simulation::simulate_grid;
 use cdsf_core::SimParams;
 use cdsf_dls::executor::{execute, execute_in, ExecutorConfig, ExecutorScratch};
 use cdsf_dls::TechniqueKind;
-use cdsf_pmf::Pmf;
 use cdsf_ra::{Allocation, Assignment};
-use cdsf_system::availability::{AvailabilitySpec, Timeline};
 use cdsf_system::ProcTypeId;
 use cdsf_workloads::paper;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::hint::black_box;
-
-/// The pre-rewrite `Timeline::finish_time`: locate the dispatch segment by
-/// a forward walk, then subtract each segment's capacity until the work is
-/// exhausted. O(S) per query against the kernel's O(log S).
-fn legacy_finish_time(starts: &[f64], levels: &[f64], start: f64, work: f64) -> f64 {
-    let mut k = 0;
-    while k + 1 < starts.len() && starts[k + 1] <= start {
-        k += 1;
-    }
-    let mut t = start;
-    let mut remaining = work;
-    loop {
-        let end = starts.get(k + 1).copied().unwrap_or(f64::INFINITY);
-        let cap = (end - t) * levels[k];
-        if cap >= remaining {
-            return t + remaining / levels[k];
-        }
-        remaining -= cap;
-        t = end;
-        k += 1;
-    }
-}
-
-/// The pre-rewrite `Timeline::work_between`: accumulate the overlap of
-/// every materialized segment with `[t0, t1]`.
-fn legacy_work_between(starts: &[f64], levels: &[f64], t0: f64, t1: f64) -> f64 {
-    let mut acc = 0.0;
-    for (k, &level) in levels.iter().enumerate() {
-        let seg_start = starts[k];
-        if seg_start >= t1 {
-            break;
-        }
-        let seg_end = starts.get(k + 1).copied().unwrap_or(f64::INFINITY);
-        let lo = seg_start.max(t0);
-        let hi = seg_end.min(t1);
-        if hi > lo {
-            acc += (hi - lo) * level;
-        }
-    }
-    acc
-}
-
-fn bench_spec() -> AvailabilitySpec {
-    AvailabilitySpec::Renewal {
-        pmf: Pmf::from_pairs([(0.3, 0.25), (0.6, 0.35), (1.0, 0.4)]).unwrap(),
-        mean_dwell: 5.0,
-    }
-}
-
-/// A timeline materialized out to `horizon` (≈ `horizon / 5` segments),
-/// plus query points that stay inside the materialized range so the
-/// benchmarked lookups never extend the realization (and never touch the
-/// RNG — identical realization for both kernels).
-fn warmed_timeline(horizon: f64) -> (Timeline, Vec<(f64, f64)>) {
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut tl = Timeline::new(&bench_spec()).unwrap();
-    tl.work_between(0.0, horizon, &mut rng);
-    let mut qrng = StdRng::seed_from_u64(7);
-    let queries: Vec<(f64, f64)> = (0..64)
-        .map(|_| {
-            (
-                qrng.gen_range(0.0..horizon * 0.8),
-                qrng.gen_range(1.0..horizon * 0.05),
-            )
-        })
-        .collect();
-    (tl, queries)
-}
 
 fn bench_finish_time(c: &mut Criterion) {
     let mut group = c.benchmark_group("stage2/finish_time");
@@ -190,7 +121,7 @@ fn replicate_cfg() -> ExecutorConfig {
         .parallel_iters(2_048)
         .iter_time_mean_sigma(1.0, 0.1)
         .unwrap()
-        .availability(bench_spec())
+        .availability(stage2_spec())
         .overhead(0.01)
         .build()
         .unwrap()

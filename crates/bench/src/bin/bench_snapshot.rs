@@ -30,21 +30,22 @@
 //! then verifies the *committed* snapshot exists and is schema-valid,
 //! without overwriting it — the CI guard.
 
-use cdsf_bench::{thrash_instances, thrash_pass, thrash_working_set, THRASH_BUILDS};
+use cdsf_bench::{
+    bench_instance, catalog_app, full_fitness, legacy_cdf, legacy_finish_time, legacy_work_between,
+    stage2_spec, thrash_instances, thrash_pass, thrash_working_set, warmed_timeline, THRASH_BUILDS,
+};
 use cdsf_core::simulation::simulate_grid;
 use cdsf_core::SimParams;
 use cdsf_dls::executor::{execute, execute_in, ExecutorConfig, ExecutorScratch};
 use cdsf_dls::TechniqueKind;
 use cdsf_pmf::discretize::{Discretize, Normal};
-use cdsf_pmf::{CombineScratch, Pmf};
+use cdsf_pmf::CombineScratch;
 use cdsf_ra::cell_store::DEFAULT_CELL_CAPACITY;
-use cdsf_ra::robustness::ProbabilityTable;
 use cdsf_ra::{
     Allocation, Assignment, CellStore, DeltaFitness, EngineBuild, OptionProbs, Phi1Engine,
 };
-use cdsf_serve::loadgen::{run_local, LoadgenConfig};
+use cdsf_serve::loadgen::{run_local, LoadgenConfig, REPORT_SCHEMA_VERSION};
 use cdsf_serve::ServeConfig;
-use cdsf_system::availability::{AvailabilitySpec, Timeline};
 use cdsf_system::parallel_time::{amdahl_rescale, loaded_time_pmf_in};
 use cdsf_system::{Application, Batch, Platform, ProcTypeId};
 use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
@@ -114,25 +115,6 @@ const SCHEMA_VERSION: u64 = 10;
 /// v2 added the host-aware `grid_thread4_speedup` floor (≥ 3× on hosts
 /// with ≥ 4 cores, no-regression bound elsewhere).
 const STAGE2_SCHEMA_VERSION: u64 = 2;
-
-/// Serve snapshot schema this guard understands — must match
-/// [`cdsf_serve::LoadgenReport`]'s `schema_version`. v2 is the pipelined
-/// data plane: the loadgen runs a closed-loop send window instead of
-/// lockstep request/reply, discards a warm-up prefix from the latency
-/// percentiles, and records `pipeline`, `warmup_discarded`,
-/// `host_threads`, and `latency_p999_us` so the throughput/latency
-/// guards below can be host-aware. v3 added `policy_mix`: the replay
-/// routes that fraction of submits through the explicit "sa"/"lattice"
-/// policies, so the committed snapshot exercises both Stage-I solvers
-/// (`sa_multistart_runs` was silently 0 before). v4 added
-/// `catalog_overlap` (the fraction of tenant specs drawing their
-/// applications from a shared catalog) and the service-wide
-/// content-addressed cell-store counters
-/// (`cell_store_hits`/`_misses`/`_verify_rejects`/`_hit_rate`). The
-/// canonical replay keeps `catalog_overlap` at 0.0 so the throughput
-/// floors keep measuring the uncontended data plane; the CI smoke
-/// separately drives an overlapping stream and asserts nonzero hits.
-const SERVE_SCHEMA_VERSION: u64 = 4;
 
 /// Floors the ISSUE pins for the committed serve benchmark: the replay
 /// must exercise real multi-tenant sharding, not a toy stream.
@@ -252,24 +234,6 @@ fn measure<F: FnMut()>(samples: usize, iters: usize, mut f: F) -> f64 {
     }
     medians.sort_by(f64::total_cmp);
     medians[medians.len() / 2]
-}
-
-/// The pre-rewrite `Pmf::cdf`: partition point plus a prefix re-sum.
-fn legacy_cdf(pmf: &Pmf, x: f64) -> f64 {
-    let idx = pmf.pulses().partition_point(|p| p.value <= x);
-    pmf.pulses()[..idx].iter().map(|p| p.prob).sum()
-}
-
-/// The pre-rewrite `Landscape::fitness`: a full probability-table walk.
-fn full_fitness(table: &ProbabilityTable, genome: &[Assignment]) -> f64 {
-    let mut p = 1.0;
-    for (i, asg) in genome.iter().enumerate() {
-        match table.prob(i, asg.proc_type, asg.procs) {
-            Some(q) => p *= q,
-            None => return 0.0,
-        }
-    }
-    p
 }
 
 /// `app` with every per-type execution PMF rescaled by `frac` (the shape a
@@ -397,28 +361,6 @@ fn engine_cells(batch: &Batch, platform: &Platform) -> Vec<(usize, ProcTypeId, u
     cells
 }
 
-fn bench_instance(num_apps: usize) -> (Batch, Platform) {
-    let platform = PlatformGenerator {
-        num_types: 3,
-        procs_per_type: (8, 16),
-        availability_pulses: 3,
-        availability_range: Range::new(0.3, 1.0).unwrap(),
-    }
-    .generate(11)
-    .unwrap();
-    let batch = BatchGenerator {
-        num_apps,
-        total_iters: (1_000, 8_000),
-        serial_fraction: Range::new(0.02, 0.2).unwrap(),
-        mean_exec_time: Range::new(1_000.0, 6_000.0).unwrap(),
-        type_heterogeneity: Range::new(0.6, 1.8).unwrap(),
-        pulses: 12,
-    }
-    .generate(&platform, 12)
-    .unwrap();
-    (batch, platform)
-}
-
 /// A pulse-rich instance for the PMF-construction benches: 384 execution
 /// pulses against the usual 3 availability pulses, the regime where the
 /// legacy two-step chain's comparison sort and intermediate PMF dominate.
@@ -449,25 +391,6 @@ const CATALOG_APPS: usize = 24;
 /// The one application `catalog_instance`'s second batch replaces.
 const CATALOG_SWAP_INDEX: usize = 11;
 const CATALOG_SWAP_SEED: u64 = 777;
-
-/// One catalog application on the pulse-rich platform: generated alone
-/// from its own seed, exactly like a serve `WorkloadSpec` with
-/// `app_seeds` does it, so two batches naming the same seed carry
-/// bit-identical applications.
-fn catalog_app(platform: &Platform, seed: u64) -> Application {
-    BatchGenerator {
-        num_apps: 1,
-        total_iters: (1_000, 8_000),
-        serial_fraction: Range::new(0.02, 0.2).unwrap(),
-        mean_exec_time: Range::new(1_000.0, 6_000.0).unwrap(),
-        type_heterogeneity: Range::new(0.6, 1.8).unwrap(),
-        pulses: 384,
-    }
-    .generate(platform, seed)
-    .unwrap()
-    .apps()[0]
-        .clone()
-}
 
 /// The cell-store bench instance: two 24-app batches on the pulse-rich
 /// platform sharing 23 applications (`next` swaps one mid-batch app for
@@ -1031,73 +954,6 @@ fn ra_lattice_section(scale: usize) -> Value {
 }
 
 // --- Stage-II suite ------------------------------------------------------
-
-/// The pre-rewrite `Timeline::finish_time`: locate the dispatch segment by
-/// a forward walk, then subtract each segment's capacity until the work is
-/// exhausted. O(S) per query against the kernel's O(log S).
-fn legacy_finish_time(starts: &[f64], levels: &[f64], start: f64, work: f64) -> f64 {
-    let mut k = 0;
-    while k + 1 < starts.len() && starts[k + 1] <= start {
-        k += 1;
-    }
-    let mut t = start;
-    let mut remaining = work;
-    loop {
-        let end = starts.get(k + 1).copied().unwrap_or(f64::INFINITY);
-        let cap = (end - t) * levels[k];
-        if cap >= remaining {
-            return t + remaining / levels[k];
-        }
-        remaining -= cap;
-        t = end;
-        k += 1;
-    }
-}
-
-/// The pre-rewrite `Timeline::work_between`: accumulate the overlap of
-/// every materialized segment with `[t0, t1]`.
-fn legacy_work_between(starts: &[f64], levels: &[f64], t0: f64, t1: f64) -> f64 {
-    let mut acc = 0.0;
-    for (k, &level) in levels.iter().enumerate() {
-        let seg_start = starts[k];
-        if seg_start >= t1 {
-            break;
-        }
-        let seg_end = starts.get(k + 1).copied().unwrap_or(f64::INFINITY);
-        let lo = seg_start.max(t0);
-        let hi = seg_end.min(t1);
-        if hi > lo {
-            acc += (hi - lo) * level;
-        }
-    }
-    acc
-}
-
-fn stage2_spec() -> AvailabilitySpec {
-    AvailabilitySpec::Renewal {
-        pmf: Pmf::from_pairs([(0.3, 0.25), (0.6, 0.35), (1.0, 0.4)]).unwrap(),
-        mean_dwell: 5.0,
-    }
-}
-
-/// A timeline materialized out to `horizon` plus query points that stay
-/// inside the materialized range, so the timed lookups never extend the
-/// realization (both kernels see the identical segment table).
-fn warmed_timeline(horizon: f64) -> (Timeline, Vec<(f64, f64)>) {
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut tl = Timeline::new(&stage2_spec()).unwrap();
-    tl.work_between(0.0, horizon, &mut rng);
-    let mut qrng = StdRng::seed_from_u64(7);
-    let queries: Vec<(f64, f64)> = (0..64)
-        .map(|_| {
-            (
-                qrng.gen_range(0.0..horizon * 0.8),
-                qrng.gen_range(1.0..horizon * 0.05),
-            )
-        })
-        .collect();
-    (tl, queries)
-}
 
 const STAGE2_SEGMENTS: usize = 10_000;
 const STAGE2_REPLICATES: u64 = 25;
@@ -1892,10 +1748,13 @@ fn validate_stage2(snapshot: &Value) -> Result<(), String> {
 /// in-process server, with 2% of submits routed through the explicit
 /// "sa"/"lattice" policies — enough to exercise the multi-start SA and
 /// exact-lattice counters without the solver work drowning the
-/// data-plane signal the floors track. `--check` shrinks the stream but
-/// keeps the tenant/shard multiplicity and the loadgen's default
-/// (heavier) policy mix, so the smoke pass crosses shards *and* both
-/// explicit solver paths.
+/// data-plane signal the floors track — and `catalog_overlap` 0.0, so
+/// the throughput floors measure the uncontended data plane (the CI
+/// smoke drives an overlapping stream separately).
+///
+/// `--check` shrinks the stream but keeps the tenant/shard multiplicity
+/// and the loadgen's default (heavier) policy mix, so the smoke pass
+/// crosses shards *and* both explicit solver paths.
 fn serve_configs(check: bool) -> (LoadgenConfig, ServeConfig) {
     let load = if check {
         LoadgenConfig {
@@ -1940,9 +1799,9 @@ fn f64_field(snapshot: &Value, key: &str) -> Result<f64, String> {
 /// error, and carry a coherent per-shard stats block.
 fn validate_serve(snapshot: &Value) -> Result<(), String> {
     let schema = u64_field(snapshot, "schema_version")?;
-    if schema != SERVE_SCHEMA_VERSION {
+    if schema != u64::from(REPORT_SCHEMA_VERSION) {
         return Err(format!(
-            "schema_version {schema} != supported {SERVE_SCHEMA_VERSION}"
+            "schema_version {schema} != supported {REPORT_SCHEMA_VERSION}"
         ));
     }
     let requests = u64_field(snapshot, "requests")?;

@@ -2,14 +2,21 @@
 //!
 //! Everything here is a thin layer over `cdsf-core`/`cdsf-workloads`: the
 //! binaries regenerate the paper's tables and figures, and this module
-//! holds the common setup so each binary stays a short script.
+//! holds the common setup so each binary stays a short script. The bench
+//! instances and legacy baselines that both `bench_snapshot` and a
+//! criterion bench time are defined here once.
 
 use cdsf_core::{Cdsf, CellResult, ImPolicy, RasPolicy, SimParams};
-use cdsf_ra::{CellStore, EngineBuild, Phi1Engine};
+use cdsf_pmf::Pmf;
+use cdsf_ra::robustness::ProbabilityTable;
+use cdsf_ra::{Assignment, CellStore, EngineBuild, Phi1Engine};
 use cdsf_serve::{LoadgenConfig, Request, WorkloadSpec};
-use cdsf_system::{Batch, Platform, ProcTypeId};
-use cdsf_workloads::generators::{degraded_case, BatchGenerator, PlatformGenerator};
+use cdsf_system::availability::{AvailabilitySpec, Timeline};
+use cdsf_system::{Application, Batch, Platform, ProcTypeId};
+use cdsf_workloads::generators::{degraded_case, BatchGenerator, PlatformGenerator, Range};
 use cdsf_workloads::paper;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::hint::black_box;
 
@@ -76,6 +83,143 @@ pub fn stage2_golden_grids() -> Vec<(&'static str, Vec<CellResult>)> {
         .run_scenario(&lattice, &RasPolicy::Robust)
         .expect("the dual-stage instance runs");
     vec![("scenario4", paper.cells), ("dualstage", dualstage.cells)]
+}
+
+/// The Stage-I bench instance: `num_apps` applications with 12-pulse
+/// execution PMFs on 3 processor types of 8–16 processors (platform
+/// seed 11, batch seed 12).
+pub fn bench_instance(num_apps: usize) -> (Batch, Platform) {
+    let platform = PlatformGenerator {
+        num_types: 3,
+        procs_per_type: (8, 16),
+        availability_pulses: 3,
+        availability_range: Range::new(0.3, 1.0).unwrap(),
+    }
+    .generate(11)
+    .unwrap();
+    let batch = BatchGenerator {
+        num_apps,
+        total_iters: (1_000, 8_000),
+        serial_fraction: Range::new(0.02, 0.2).unwrap(),
+        mean_exec_time: Range::new(1_000.0, 6_000.0).unwrap(),
+        type_heterogeneity: Range::new(0.6, 1.8).unwrap(),
+        pulses: 12,
+    }
+    .generate(&platform, 12)
+    .unwrap();
+    (batch, platform)
+}
+
+/// One catalog application on the pulse-rich platform: generated alone
+/// from its own seed, exactly like a serve `WorkloadSpec` with
+/// `app_seeds` does it, so two batches naming the same seed carry
+/// bit-identical applications.
+pub fn catalog_app(platform: &Platform, seed: u64) -> Application {
+    BatchGenerator {
+        num_apps: 1,
+        total_iters: (1_000, 8_000),
+        serial_fraction: Range::new(0.02, 0.2).unwrap(),
+        mean_exec_time: Range::new(1_000.0, 6_000.0).unwrap(),
+        type_heterogeneity: Range::new(0.6, 1.8).unwrap(),
+        pulses: 384,
+    }
+    .generate(platform, seed)
+    .unwrap()
+    .apps()[0]
+        .clone()
+}
+
+/// The pre-rewrite `Pmf::cdf`: partition point plus a prefix re-sum.
+#[inline]
+pub fn legacy_cdf(pmf: &Pmf, x: f64) -> f64 {
+    let idx = pmf.pulses().partition_point(|p| p.value <= x);
+    pmf.pulses()[..idx].iter().map(|p| p.prob).sum()
+}
+
+/// The pre-rewrite `Landscape::fitness`: a full probability-table walk.
+#[inline]
+pub fn full_fitness(table: &ProbabilityTable, genome: &[Assignment]) -> f64 {
+    let mut p = 1.0;
+    for (i, asg) in genome.iter().enumerate() {
+        match table.prob(i, asg.proc_type, asg.procs) {
+            Some(q) => p *= q,
+            None => return 0.0,
+        }
+    }
+    p
+}
+
+/// The pre-rewrite `Timeline::finish_time`: locate the dispatch segment by
+/// a forward walk, then subtract each segment's capacity until the work is
+/// exhausted. O(S) per query against the kernel's O(log S).
+#[inline]
+pub fn legacy_finish_time(starts: &[f64], levels: &[f64], start: f64, work: f64) -> f64 {
+    let mut k = 0;
+    while k + 1 < starts.len() && starts[k + 1] <= start {
+        k += 1;
+    }
+    let mut t = start;
+    let mut remaining = work;
+    loop {
+        let end = starts.get(k + 1).copied().unwrap_or(f64::INFINITY);
+        let cap = (end - t) * levels[k];
+        if cap >= remaining {
+            return t + remaining / levels[k];
+        }
+        remaining -= cap;
+        t = end;
+        k += 1;
+    }
+}
+
+/// The pre-rewrite `Timeline::work_between`: accumulate the overlap of
+/// every materialized segment with `[t0, t1]`.
+#[inline]
+pub fn legacy_work_between(starts: &[f64], levels: &[f64], t0: f64, t1: f64) -> f64 {
+    let mut acc = 0.0;
+    for (k, &level) in levels.iter().enumerate() {
+        let seg_start = starts[k];
+        if seg_start >= t1 {
+            break;
+        }
+        let seg_end = starts.get(k + 1).copied().unwrap_or(f64::INFINITY);
+        let lo = seg_start.max(t0);
+        let hi = seg_end.min(t1);
+        if hi > lo {
+            acc += (hi - lo) * level;
+        }
+    }
+    acc
+}
+
+/// The availability process of the Stage-II benches: a renewal process
+/// over three availability levels with mean dwell 5.
+pub fn stage2_spec() -> AvailabilitySpec {
+    AvailabilitySpec::Renewal {
+        pmf: Pmf::from_pairs([(0.3, 0.25), (0.6, 0.35), (1.0, 0.4)]).unwrap(),
+        mean_dwell: 5.0,
+    }
+}
+
+/// A [`stage2_spec`] timeline materialized out to `horizon`
+/// (≈ `horizon / 5` segments), plus query points that stay inside the
+/// materialized range, so the timed lookups never extend the realization
+/// (and never touch the RNG — both kernels see the identical segment
+/// table).
+pub fn warmed_timeline(horizon: f64) -> (Timeline, Vec<(f64, f64)>) {
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut tl = Timeline::new(&stage2_spec()).unwrap();
+    tl.work_between(0.0, horizon, &mut rng);
+    let mut qrng = StdRng::seed_from_u64(7);
+    let queries: Vec<(f64, f64)> = (0..64)
+        .map(|_| {
+            (
+                qrng.gen_range(0.0..horizon * 0.8),
+                qrng.gen_range(1.0..horizon * 0.05),
+            )
+        })
+        .collect();
+    (tl, queries)
 }
 
 /// Engine builds in one pass over the cell-store thrash instance.

@@ -16,6 +16,14 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         phi1_threshold: args.get_parsed("threshold", ServeConfig::default().phi1_threshold)?,
         ..ServeConfig::default()
     };
+    // Shards refuse a threshold outside (0, 1], so a server started with
+    // one would refuse every submit that names no threshold of its own.
+    if !ServeConfig::threshold_ok(cfg.phi1_threshold) {
+        return Err(CliError::BadValue {
+            flag: "--threshold".to_string(),
+            value: args.get("threshold").unwrap_or_default().to_string(),
+        });
+    }
     if let Some(allocator) = args.get("allocator") {
         if cdsf_core::ImPolicy::by_name(allocator).is_none() {
             return Err(CliError::BadValue {

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `cdsf` binary itself (not the library layer):
 //! exit codes, stdout/stderr routing, and JSON well-formedness.
 
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn cdsf(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_cdsf"))
@@ -89,4 +90,47 @@ fn init_and_run_config_through_the_binary() {
     assert_eq!(v["name"], "paper-example");
     assert!(v["robustness"]["rho1"].as_f64().unwrap() > 0.5);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `cdsf serve` with `args` and returns its output once it exits,
+/// killing it first if it is still running after `limit` — a server
+/// that started instead of refusing its flags.
+fn serve_within(args: &[&str], limit: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cdsf"))
+        .arg("serve")
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let start = Instant::now();
+    while child.try_wait().expect("child status").is_none() {
+        if start.elapsed() > limit {
+            let _ = child.kill();
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("child output")
+}
+
+#[test]
+fn serve_refuses_an_out_of_range_threshold_before_binding() {
+    for value in ["0", "1.5", "nan"] {
+        let out = serve_within(
+            &["--port", "0", "--threshold", value],
+            Duration::from_secs(10),
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            !stdout.contains("listening"),
+            "--threshold {value}: the server started: {stdout}"
+        );
+        assert!(!out.status.success(), "--threshold {value}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--threshold") && err.contains(value),
+            "--threshold {value}: {err}"
+        );
+    }
 }

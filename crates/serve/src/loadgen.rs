@@ -281,10 +281,25 @@ impl LoadgenConfig {
     }
 }
 
+/// Schema version of [`LoadgenReport`] (bump on breaking shape changes).
+/// v2 is the pipelined data plane: the loadgen runs a closed-loop send
+/// window instead of lockstep request/reply, discards a warm-up prefix
+/// from the latency percentiles, and records `pipeline`,
+/// `warmup_discarded`, `host_threads` and `latency_p999_us` so the
+/// throughput/latency guards can be host-aware. v3 added `policy_mix`:
+/// the replay routes that fraction of submits through the explicit
+/// "sa"/"lattice" policies, so a snapshot exercises both Stage-I solvers
+/// (`sa_multistart_runs` was silently 0 before). v4 added
+/// `catalog_overlap` (the fraction of tenant specs drawing their
+/// applications from a shared catalog) and the service-wide
+/// content-addressed cell-store counters
+/// (`cell_store_hits`/`_misses`/`_verify_rejects`/`_hit_rate`).
+pub const REPORT_SCHEMA_VERSION: u32 = 4;
+
 /// What a replay measured. Serialized verbatim into `BENCH_serve.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct LoadgenReport {
-    /// Report schema version (bump on breaking shape changes).
+    /// [`REPORT_SCHEMA_VERSION`].
     pub schema_version: u32,
     /// Requests replayed.
     pub requests: u64,
@@ -447,7 +462,7 @@ pub fn run<A: ToSocketAddrs + Clone + Send + 'static>(
     };
     let replayed = ok + errors;
     Ok(LoadgenReport {
-        schema_version: 4,
+        schema_version: REPORT_SCHEMA_VERSION,
         requests: replayed,
         tenants: cfg.tenants as u64,
         connections: cfg.connections as u64,

@@ -201,130 +201,177 @@ pub enum FallbackReason {
 /// 64–127, ≥128.
 pub const DRAIN_DEPTH_BUCKETS: usize = 8;
 
-/// One shard's counters.
-///
-/// `Serialize`/`Deserialize` are hand-written (the vendored serde
-/// stand-in's derive cannot express skip-if-`None`): the `shard` field is
-/// *omitted* — not `null` — on the totals row, and every counter added
-/// after schema v1 defaults to zero/empty when absent, so v1 payloads
-/// still parse.
-#[derive(Debug, Clone, Default)]
-pub struct ShardStats {
-    /// Shard index; `None` on the aggregated totals row.
-    pub shard: Option<u64>,
+/// How a counter folds into the totals row: a `u64` adds, a `Vec<u64>`
+/// histogram adds bucket by bucket (the shorter padded with zeros).
+trait Merge {
+    fn merge(&mut self, other: &Self);
+}
+
+impl Merge for u64 {
+    fn merge(&mut self, other: &u64) {
+        *self += other;
+    }
+}
+
+impl Merge for Vec<u64> {
+    fn merge(&mut self, other: &Vec<u64>) {
+        if self.len() < other.len() {
+            self.resize(other.len(), 0);
+        }
+        for (a, b) in self.iter_mut().zip(other) {
+            *a += b;
+        }
+    }
+}
+
+/// A wire field that may be absent: it parses to its default, so
+/// payloads written before a counter existed still parse.
+fn field_or_default<T: Deserialize + Default>(
+    entries: &[(String, serde::Content)],
+    name: &str,
+) -> Result<T, serde::DeError> {
+    match serde::__field(entries, name) {
+        Some(c) => T::from_content(c),
+        None => Ok(T::default()),
+    }
+}
+
+/// Declares [`ShardStats`] from one list of counters. Each entry's doc,
+/// name and type give the public field, its term in
+/// [`ShardStats::merge`], its wire key (in declaration order, after
+/// `shard`) and its defaulting parse, so adding a counter is one entry.
+/// `Serialize`/`Deserialize` are generated here rather than derived
+/// because the vendored derive cannot omit a `None`: the totals row
+/// leaves `shard` out entirely instead of writing `null`.
+macro_rules! shard_stats {
+    ($($(#[doc = $doc:literal])* $name:ident: $ty:ty,)*) => {
+        /// One shard's counters.
+        ///
+        /// The totals row of a [`StatsReply`] is the [`merge`] of the
+        /// per-shard rows and omits the `shard` key. Every counter is
+        /// optional on the wire, so schema-v1 payloads still parse.
+        ///
+        /// [`merge`]: ShardStats::merge
+        #[derive(Debug, Clone, Default)]
+        pub struct ShardStats {
+            /// Shard index; `None` on the aggregated totals row.
+            pub shard: Option<u64>,
+            $($(#[doc = $doc])* pub $name: $ty,)*
+        }
+
+        impl ShardStats {
+            /// Folds another shard's counters into this one (used for the
+            /// service-wide totals row; `shard` keeps `self`'s).
+            pub fn merge(&mut self, other: &ShardStats) {
+                $(Merge::merge(&mut self.$name, &other.$name);)*
+            }
+        }
+
+        impl Serialize for ShardStats {
+            fn to_content(&self) -> serde::Content {
+                let mut m = Vec::new();
+                if let Some(id) = self.shard {
+                    m.push(("shard".to_string(), id.to_content()));
+                }
+                $(m.push((stringify!($name).to_string(), self.$name.to_content()));)*
+                serde::Content::Map(m)
+            }
+        }
+
+        impl Deserialize for ShardStats {
+            fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
+                let serde::Content::Map(entries) = content else {
+                    return Err(serde::DeError::custom(format!(
+                        "expected map for ShardStats, got {content:?}"
+                    )));
+                };
+                Ok(ShardStats {
+                    shard: field_or_default(entries, "shard")?,
+                    $($name: field_or_default(entries, stringify!($name))?,)*
+                })
+            }
+        }
+    };
+}
+
+shard_stats! {
     /// Tenants resident on this shard.
-    pub tenants: u64,
+    tenants: u64,
     /// `Submit` requests served.
-    pub submits: u64,
+    submits: u64,
     /// `Inject` requests served.
-    pub injects: u64,
+    injects: u64,
     /// `Snapshot` requests served.
-    pub snapshots: u64,
+    snapshots: u64,
     /// `Restore` requests served.
-    pub restores: u64,
+    restores: u64,
     /// Requests answered with an error.
-    pub errors: u64,
-    /// Allocations that fell back to equal-share after the requested
-    /// heuristic found no feasible packing.
-    pub alloc_fallbacks: u64,
+    errors: u64,
+    /// Answers carrying a fallback, cached answers included: the
+    /// requested heuristic claimed infeasibility and the exact lattice
+    /// optimum was served, or another Stage-I failure fell back to
+    /// equal-share. Always `alloc_fallbacks_infeasible +
+    /// alloc_fallbacks_other`.
+    alloc_fallbacks: u64,
     /// Fallbacks whose primary failure was `NoFeasibleAllocation` —
     /// a property of the spec/deadline, never of the serving shard.
     /// Always `alloc_fallbacks_infeasible_proven +
     /// alloc_fallbacks_infeasible_heuristic`.
-    pub alloc_fallbacks_infeasible: u64,
+    alloc_fallbacks_infeasible: u64,
     /// Infeasibility claims the exact lattice solver *confirmed*: no
     /// allocation of the instance reaches positive φ₁ at the deadline.
-    pub alloc_fallbacks_infeasible_proven: u64,
+    alloc_fallbacks_infeasible_proven: u64,
     /// Infeasibility claims the exact solver *refuted*: a feasible
     /// allocation existed and was served in place of the heuristic's.
-    pub alloc_fallbacks_infeasible_heuristic: u64,
-    /// Fallbacks absorbed for any other Stage-I failure.
-    pub alloc_fallbacks_other: u64,
+    alloc_fallbacks_infeasible_heuristic: u64,
+    /// Fallbacks to equal-share for any other Stage-I failure.
+    alloc_fallbacks_other: u64,
     /// Spec-expansion cache hits (submission reused an expanded
     /// `(batch, platform, key)` triple without regenerating it).
-    pub spec_cache_hits: u64,
+    spec_cache_hits: u64,
     /// Spec-expansion cache misses (fresh generator run + input hash).
-    pub spec_cache_misses: u64,
+    spec_cache_misses: u64,
     /// Allocation-result cache hits: `(engine key, deadline bits,
     /// allocator)` seen before, so no allocator or evaluator ran at all.
-    pub alloc_cache_hits: u64,
+    alloc_cache_hits: u64,
     /// Allocation-result cache misses (the allocator actually ran).
-    pub alloc_cache_misses: u64,
+    alloc_cache_misses: u64,
     /// Admission batch-depth histogram in log₂ buckets
     /// ([`DRAIN_DEPTH_BUCKETS`]): how many requests each queue drain
     /// coalesced into one batch.
-    pub drain_depths: Vec<u64>,
+    drain_depths: Vec<u64>,
     /// Pooled multi-start SA runs this shard executed.
-    pub sa_multistart_runs: u64,
+    sa_multistart_runs: u64,
     /// Wins per SA restart-chain index (`sa_restart_wins[c]` counts runs
     /// chain `c` won) — evidence the extra restarts earn their keep.
-    pub sa_restart_wins: Vec<u64>,
+    sa_restart_wins: Vec<u64>,
     /// Engine assemblies whose every cell came from the shared cell store
     /// (no kernel ran). Submits and injects assemble only on an
     /// allocation-cache miss; restores and fingerprints always do.
-    pub cache_hits: u64,
+    cache_hits: u64,
     /// Engine assemblies that ran the build kernel for at least one cell.
-    pub cache_misses: u64,
+    cache_misses: u64,
     /// Injects whose engine assembly ran the kernel (a subset of
     /// `cache_misses`).
-    pub cache_rebuilds: u64,
+    cache_rebuilds: u64,
     /// Submits, injects and restores that ran no kernel for an engine key
     /// an earlier request of the *same admission batch* built — they
     /// found its cached answer or its interned cells: the work one kernel
     /// run absorbed on behalf of its whole group.
-    pub coalesced: u64,
+    coalesced: u64,
     /// Engine assemblies for submits, injects and restores that ran the
     /// kernel (`cache_misses` less the fingerprints').
-    pub builds: u64,
+    builds: u64,
     /// Work-stealing pool runs absorbed by this shard's assemblies (one
     /// per assembly, tasks or none).
-    pub pool_runs: u64,
+    pool_runs: u64,
     /// Pool tasks executed, summed over runs and workers.
-    pub pool_tasks_run: u64,
+    pool_tasks_run: u64,
     /// Pool chunks stolen, summed over runs and workers.
-    pub pool_chunks_stolen: u64,
+    pool_chunks_stolen: u64,
 }
 
 impl ShardStats {
-    /// Folds another shard's counters into this one (used for the
-    /// service-wide totals row; `shard` keeps `self`'s).
-    pub fn merge(&mut self, other: &ShardStats) {
-        fn merge_hist(into: &mut Vec<u64>, from: &[u64]) {
-            if into.len() < from.len() {
-                into.resize(from.len(), 0);
-            }
-            for (a, b) in into.iter_mut().zip(from) {
-                *a += b;
-            }
-        }
-        self.tenants += other.tenants;
-        self.submits += other.submits;
-        self.injects += other.injects;
-        self.snapshots += other.snapshots;
-        self.restores += other.restores;
-        self.errors += other.errors;
-        self.alloc_fallbacks += other.alloc_fallbacks;
-        self.alloc_fallbacks_infeasible += other.alloc_fallbacks_infeasible;
-        self.alloc_fallbacks_infeasible_proven += other.alloc_fallbacks_infeasible_proven;
-        self.alloc_fallbacks_infeasible_heuristic += other.alloc_fallbacks_infeasible_heuristic;
-        self.alloc_fallbacks_other += other.alloc_fallbacks_other;
-        self.spec_cache_hits += other.spec_cache_hits;
-        self.spec_cache_misses += other.spec_cache_misses;
-        self.alloc_cache_hits += other.alloc_cache_hits;
-        self.alloc_cache_misses += other.alloc_cache_misses;
-        merge_hist(&mut self.drain_depths, &other.drain_depths);
-        self.sa_multistart_runs += other.sa_multistart_runs;
-        merge_hist(&mut self.sa_restart_wins, &other.sa_restart_wins);
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_rebuilds += other.cache_rebuilds;
-        self.coalesced += other.coalesced;
-        self.builds += other.builds;
-        self.pool_runs += other.pool_runs;
-        self.pool_tasks_run += other.pool_tasks_run;
-        self.pool_chunks_stolen += other.pool_chunks_stolen;
-    }
-
     /// Share of engine assemblies served entirely from the cell store
     /// (`0.0` before any assembly).
     pub fn cache_hit_rate(&self) -> f64 {
@@ -344,138 +391,6 @@ impl ShardStats {
         } else {
             (self.builds + self.coalesced) as f64 / self.builds as f64
         }
-    }
-}
-
-impl Serialize for ShardStats {
-    fn to_content(&self) -> serde::Content {
-        let mut m: Vec<(String, serde::Content)> = Vec::with_capacity(27);
-        // Omitted entirely (not `null`) on the totals row.
-        if let Some(id) = self.shard {
-            m.push(("shard".to_string(), id.to_content()));
-        }
-        m.push(("tenants".to_string(), self.tenants.to_content()));
-        m.push(("submits".to_string(), self.submits.to_content()));
-        m.push(("injects".to_string(), self.injects.to_content()));
-        m.push(("snapshots".to_string(), self.snapshots.to_content()));
-        m.push(("restores".to_string(), self.restores.to_content()));
-        m.push(("errors".to_string(), self.errors.to_content()));
-        m.push((
-            "alloc_fallbacks".to_string(),
-            self.alloc_fallbacks.to_content(),
-        ));
-        m.push((
-            "alloc_fallbacks_infeasible".to_string(),
-            self.alloc_fallbacks_infeasible.to_content(),
-        ));
-        m.push((
-            "alloc_fallbacks_infeasible_proven".to_string(),
-            self.alloc_fallbacks_infeasible_proven.to_content(),
-        ));
-        m.push((
-            "alloc_fallbacks_infeasible_heuristic".to_string(),
-            self.alloc_fallbacks_infeasible_heuristic.to_content(),
-        ));
-        m.push((
-            "alloc_fallbacks_other".to_string(),
-            self.alloc_fallbacks_other.to_content(),
-        ));
-        m.push((
-            "spec_cache_hits".to_string(),
-            self.spec_cache_hits.to_content(),
-        ));
-        m.push((
-            "spec_cache_misses".to_string(),
-            self.spec_cache_misses.to_content(),
-        ));
-        m.push((
-            "alloc_cache_hits".to_string(),
-            self.alloc_cache_hits.to_content(),
-        ));
-        m.push((
-            "alloc_cache_misses".to_string(),
-            self.alloc_cache_misses.to_content(),
-        ));
-        m.push(("drain_depths".to_string(), self.drain_depths.to_content()));
-        m.push((
-            "sa_multistart_runs".to_string(),
-            self.sa_multistart_runs.to_content(),
-        ));
-        m.push((
-            "sa_restart_wins".to_string(),
-            self.sa_restart_wins.to_content(),
-        ));
-        m.push(("cache_hits".to_string(), self.cache_hits.to_content()));
-        m.push(("cache_misses".to_string(), self.cache_misses.to_content()));
-        m.push((
-            "cache_rebuilds".to_string(),
-            self.cache_rebuilds.to_content(),
-        ));
-        m.push(("coalesced".to_string(), self.coalesced.to_content()));
-        m.push(("builds".to_string(), self.builds.to_content()));
-        m.push(("pool_runs".to_string(), self.pool_runs.to_content()));
-        m.push((
-            "pool_tasks_run".to_string(),
-            self.pool_tasks_run.to_content(),
-        ));
-        m.push((
-            "pool_chunks_stolen".to_string(),
-            self.pool_chunks_stolen.to_content(),
-        ));
-        serde::Content::Map(m)
-    }
-}
-
-impl Deserialize for ShardStats {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
-        let serde::Content::Map(entries) = content else {
-            return Err(serde::DeError::custom(format!(
-                "expected map for ShardStats, got {content:?}"
-            )));
-        };
-        // Every counter defaults when absent, so schema-v1 payloads
-        // (no histograms, no per-reason fallbacks) still parse.
-        fn get<T: Deserialize + Default>(
-            entries: &[(String, serde::Content)],
-            name: &str,
-        ) -> Result<T, serde::DeError> {
-            match serde::__field(entries, name) {
-                Some(c) => T::from_content(c),
-                None => Ok(T::default()),
-            }
-        }
-        Ok(ShardStats {
-            shard: get(entries, "shard")?,
-            tenants: get(entries, "tenants")?,
-            submits: get(entries, "submits")?,
-            injects: get(entries, "injects")?,
-            snapshots: get(entries, "snapshots")?,
-            restores: get(entries, "restores")?,
-            errors: get(entries, "errors")?,
-            alloc_fallbacks: get(entries, "alloc_fallbacks")?,
-            alloc_fallbacks_infeasible: get(entries, "alloc_fallbacks_infeasible")?,
-            alloc_fallbacks_infeasible_proven: get(entries, "alloc_fallbacks_infeasible_proven")?,
-            alloc_fallbacks_infeasible_heuristic: get(
-                entries,
-                "alloc_fallbacks_infeasible_heuristic",
-            )?,
-            alloc_fallbacks_other: get(entries, "alloc_fallbacks_other")?,
-            spec_cache_hits: get(entries, "spec_cache_hits")?,
-            spec_cache_misses: get(entries, "spec_cache_misses")?,
-            alloc_cache_hits: get(entries, "alloc_cache_hits")?,
-            alloc_cache_misses: get(entries, "alloc_cache_misses")?,
-            drain_depths: get(entries, "drain_depths")?,
-            sa_multistart_runs: get(entries, "sa_multistart_runs")?,
-            sa_restart_wins: get(entries, "sa_restart_wins")?,
-            cache_hits: get(entries, "cache_hits")?,
-            cache_misses: get(entries, "cache_misses")?,
-            cache_rebuilds: get(entries, "cache_rebuilds")?,
-            coalesced: get(entries, "coalesced")?,
-            builds: get(entries, "builds")?,
-            pool_runs: get(entries, "pool_runs")?,
-            pool_tasks_run: get(entries, "pool_tasks_run")?,
-            pool_chunks_stolen: get(entries, "pool_chunks_stolen")?,
-        })
     }
 }
 
@@ -808,8 +723,86 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// A per-shard row whose every counter is distinct: counter `i` of
+    /// the declaration reads `k + i`.
+    fn distinct_row(
+        shard: u64,
+        k: u64,
+        drain_depths: Vec<u64>,
+        sa_restart_wins: Vec<u64>,
+    ) -> ShardStats {
+        ShardStats {
+            shard: Some(shard),
+            tenants: k + 1,
+            submits: k + 2,
+            injects: k + 3,
+            snapshots: k + 4,
+            restores: k + 5,
+            errors: k + 6,
+            alloc_fallbacks: k + 7,
+            alloc_fallbacks_infeasible: k + 8,
+            alloc_fallbacks_infeasible_proven: k + 9,
+            alloc_fallbacks_infeasible_heuristic: k + 10,
+            alloc_fallbacks_other: k + 11,
+            spec_cache_hits: k + 12,
+            spec_cache_misses: k + 13,
+            alloc_cache_hits: k + 14,
+            alloc_cache_misses: k + 15,
+            drain_depths,
+            sa_multistart_runs: k + 17,
+            sa_restart_wins,
+            cache_hits: k + 19,
+            cache_misses: k + 20,
+            cache_rebuilds: k + 21,
+            coalesced: k + 22,
+            builds: k + 23,
+            pool_runs: k + 24,
+            pool_tasks_run: k + 25,
+            pool_chunks_stolen: k + 26,
+        }
+    }
+
+    /// The encoded `Stats` reply of [`totals_row_omits_the_shard_field`],
+    /// recorded from the hand-written serializer the counter declaration
+    /// replaced. Every reader of `Stats` looks its keys up by name.
+    const STATS_LINE: &str = concat!(
+        r#"{"Stats":{"shards":2,"per_shard":[{"shard":0,"tenants":101,"submits":102,"#,
+        r#""injects":103,"snapshots":104,"restores":105,"errors":106,"alloc_fallbacks":107,"#,
+        r#""alloc_fallbacks_infeasible":108,"alloc_fallbacks_infeasible_proven":109,"#,
+        r#""alloc_fallbacks_infeasible_heuristic":110,"alloc_fallbacks_other":111,"#,
+        r#""spec_cache_hits":112,"spec_cache_misses":113,"alloc_cache_hits":114,"#,
+        r#""alloc_cache_misses":115,"drain_depths":[131,132,133],"sa_multistart_runs":117,"#,
+        r#""sa_restart_wins":[141],"cache_hits":119,"cache_misses":120,"cache_rebuilds":121,"#,
+        r#""coalesced":122,"builds":123,"pool_runs":124,"pool_tasks_run":125,"#,
+        r#""pool_chunks_stolen":126},"#,
+        r#"{"shard":1,"tenants":201,"submits":202,"#,
+        r#""injects":203,"snapshots":204,"restores":205,"errors":206,"alloc_fallbacks":207,"#,
+        r#""alloc_fallbacks_infeasible":208,"alloc_fallbacks_infeasible_proven":209,"#,
+        r#""alloc_fallbacks_infeasible_heuristic":210,"alloc_fallbacks_other":211,"#,
+        r#""spec_cache_hits":212,"spec_cache_misses":213,"alloc_cache_hits":214,"#,
+        r#""alloc_cache_misses":215,"drain_depths":[231,232,233,234],"sa_multistart_runs":217,"#,
+        r#""sa_restart_wins":[241,242,243],"cache_hits":219,"cache_misses":220,"#,
+        r#""cache_rebuilds":221,"coalesced":222,"builds":223,"pool_runs":224,"#,
+        r#""pool_tasks_run":225,"pool_chunks_stolen":226}],"#,
+        r#""total":{"tenants":302,"submits":304,"#,
+        r#""injects":306,"snapshots":308,"restores":310,"errors":312,"alloc_fallbacks":314,"#,
+        r#""alloc_fallbacks_infeasible":316,"alloc_fallbacks_infeasible_proven":318,"#,
+        r#""alloc_fallbacks_infeasible_heuristic":320,"alloc_fallbacks_other":322,"#,
+        r#""spec_cache_hits":324,"spec_cache_misses":326,"alloc_cache_hits":328,"#,
+        r#""alloc_cache_misses":330,"drain_depths":[362,364,366,234],"sa_multistart_runs":334,"#,
+        r#""sa_restart_wins":[382,242,243],"cache_hits":338,"cache_misses":340,"#,
+        r#""cache_rebuilds":342,"coalesced":344,"builds":346,"pool_runs":348,"#,
+        r#""pool_tasks_run":350,"pool_chunks_stolen":352},"#,
+        r#""codec":{"reply_bytes":901,"reply_frames":902,"flushes":903},"#,
+        r#""cell_store":{"hits":911,"misses":912,"verify_rejects":913,"insertions":914,"#,
+        r#""evictions":915,"resident":916,"capacity":917}}}"#,
+        "\n"
+    );
+
     #[test]
     fn totals_row_omits_the_shard_field() {
+        // A row with shorter histograms merged after a longer one (a shard
+        // that ran no SA reports `sa_restart_wins: []`) keeps the tail.
         let mut total = ShardStats::default();
         total.merge(&ShardStats {
             shard: Some(0),
@@ -825,10 +818,112 @@ mod tests {
             sa_restart_wins: vec![2],
             ..ShardStats::default()
         });
+        total.merge(&ShardStats {
+            shard: Some(2),
+            ..ShardStats::default()
+        });
         assert_eq!(total.shard, None);
         assert_eq!(total.submits, 7);
         assert_eq!(total.drain_depths, vec![6, 2]);
         assert_eq!(total.sa_restart_wins, vec![2, 1, 0, 0]);
+
+        let per_shard = vec![
+            distinct_row(0, 100, vec![131, 132, 133], vec![141]),
+            distinct_row(1, 200, vec![231, 232, 233, 234], vec![241, 242, 243]),
+        ];
+        let mut total = ShardStats::default();
+        for row in &per_shard {
+            total.merge(row);
+        }
+        assert_eq!(total.shard, None);
+        assert_eq!(total.submits, 304);
+        assert_eq!(total.drain_depths, vec![362, 364, 366, 234]);
+        assert_eq!(total.sa_restart_wins, vec![382, 242, 243]);
+        let reply = Response::Stats(StatsReply {
+            shards: 2,
+            per_shard,
+            total: total.clone(),
+            codec: CodecStats {
+                reply_bytes: 901,
+                reply_frames: 902,
+                flushes: 903,
+            },
+            cell_store: cdsf_ra::CellStoreStats {
+                hits: 911,
+                misses: 912,
+                verify_rejects: 913,
+                insertions: 914,
+                evictions: 915,
+                resident: 916,
+                capacity: 917,
+            },
+        });
+        let mut line = Vec::new();
+        encode_line(&mut line, &reply).unwrap();
+        let line = String::from_utf8(line).unwrap();
+        assert_eq!(line, STATS_LINE, "the Stats wire bytes changed");
+
+        // Only the per-shard rows carry `shard`; every other key of the
+        // totals row is the sum of the rows, bucket by bucket for the
+        // histograms.
+        let v: serde_json::Value = serde_json::from_str(&line).unwrap();
+        let rows = v["Stats"]["per_shard"].as_array().unwrap();
+        let totals = v["Stats"]["total"].as_object().unwrap();
+        assert!(rows.iter().all(|r| r.get("shard").is_some()));
+        let row_keys: Vec<&String> = rows[0]
+            .as_object()
+            .unwrap()
+            .keys()
+            .filter(|k| *k != "shard")
+            .collect();
+        assert_eq!(totals.keys().collect::<Vec<_>>(), row_keys);
+        for (key, value) in totals.iter() {
+            if let Some(sum) = value.as_u64() {
+                let rows_sum: u64 = rows.iter().map(|r| r[key.as_str()].as_u64().unwrap()).sum();
+                assert_eq!(sum, rows_sum, "{key}");
+            } else {
+                let buckets = |r: &serde_json::Value| -> Vec<u64> {
+                    let a = r
+                        .as_array()
+                        .unwrap_or_else(|| panic!("{key}: not a histogram"));
+                    a.iter().map(|b| b.as_u64().unwrap()).collect()
+                };
+                let mut rows_sum = Vec::new();
+                for row in rows {
+                    let b = buckets(&row[key.as_str()]);
+                    rows_sum.resize(rows_sum.len().max(b.len()), 0);
+                    rows_sum.iter_mut().zip(&b).for_each(|(s, x)| *s += x);
+                }
+                assert_eq!(buckets(value), rows_sum, "{key}");
+            }
+        }
+
+        // Every key of a per-shard row may be absent: the row still
+        // parses, with exactly that field at its default.
+        let Response::Stats(stats) = &reply else {
+            unreachable!()
+        };
+        let serde::Content::Map(full) = stats.per_shard[0].to_content() else {
+            panic!("a row is a map");
+        };
+        let serde::Content::Map(defaults) = ShardStats::default().to_content() else {
+            panic!("a row is a map");
+        };
+        for (i, (key, _)) in full.iter().enumerate() {
+            let mut dropped = full.clone();
+            dropped.remove(i);
+            let parsed = ShardStats::from_content(&serde::Content::Map(dropped))
+                .unwrap_or_else(|e| panic!("without `{key}`: {e}"));
+            let mut expected = full.clone();
+            match defaults.iter().find(|(k, _)| k == key) {
+                Some((_, default)) => expected[i].1 = default.clone(),
+                None => {
+                    expected.remove(i);
+                }
+            }
+            assert_eq!(parsed.to_content(), serde::Content::Map(expected), "{key}");
+        }
+
         let json = serde_json::to_string(&total).unwrap();
         assert!(
             !json.contains("18446744073709551615") && !json.contains("\"shard\""),

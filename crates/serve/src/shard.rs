@@ -54,7 +54,6 @@ use cdsf_ra::{
     inputs_key, Allocation, CellStore, EngineBuild, GammaRobust, Lattice, LatticeScratch,
     MultiStartReport, Phi1Engine, RaError, SimulatedAnnealing,
 };
-use cdsf_system::pool::PoolTotals;
 use cdsf_system::{Batch, Platform};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::{mpsc, Arc};
@@ -103,6 +102,11 @@ impl ServeConfig {
         self.drain_limit = self.drain_limit.max(1);
         self.cell_store_capacity = self.cell_store_capacity.max(1);
         self
+    }
+
+    /// Whether `t` is a usable φ₁ threshold: in (0, 1], so not NaN.
+    pub fn threshold_ok(t: f64) -> bool {
+        t > 0.0 && t <= 1.0
     }
 }
 
@@ -204,43 +208,34 @@ struct AllocEntry {
     answer: Answer,
 }
 
-/// Engine assembly against the shared cell store, with the counters the
-/// shard reports for it.
-struct Assembler {
-    store: Arc<CellStore>,
-    /// Assemblies whose every cell came from the store.
-    hits: u64,
-    /// Assemblies that ran the build kernel.
-    misses: u64,
-    pool: PoolTotals,
-}
-
-impl Assembler {
-    /// The engine for `(batch, platform)`, built by `threads` pool
-    /// workers and bit-identical to a fresh build, plus whether the build
-    /// kernel ran for any of its cells.
-    fn assemble(
-        &mut self,
-        batch: &Batch,
-        platform: &Platform,
-        threads: usize,
-    ) -> Result<(Phi1Engine, bool)> {
-        let opts = EngineBuild {
-            threads,
-            store: Some(&self.store),
-            ..EngineBuild::default()
-        };
-        let (engine, stats) = Phi1Engine::build_with(batch, platform, &opts)?;
-        self.pool.absorb(&stats);
-        // Only pairs with cells left to compute become pool tasks.
-        let kernel_ran = stats.total_tasks() > 0;
-        if kernel_ran {
-            self.misses += 1;
-        } else {
-            self.hits += 1;
-        }
-        Ok((engine, kernel_ran))
+/// The engine for `(batch, platform)`, assembled against `store` by
+/// `threads` pool workers and bit-identical to a fresh build, plus
+/// whether the build kernel ran for any of its cells. The assembly's hit
+/// or miss and its pool run are counted into `counters`.
+fn assemble(
+    store: &CellStore,
+    counters: &mut ShardStats,
+    batch: &Batch,
+    platform: &Platform,
+    threads: usize,
+) -> Result<(Phi1Engine, bool)> {
+    let opts = EngineBuild {
+        threads,
+        store: Some(store),
+        ..EngineBuild::default()
+    };
+    let (engine, pool) = Phi1Engine::build_with(batch, platform, &opts)?;
+    counters.pool_runs += 1;
+    counters.pool_tasks_run += pool.total_tasks() as u64;
+    counters.pool_chunks_stolen += pool.total_steals() as u64;
+    // Only pairs with cells left to compute become pool tasks.
+    let kernel_ran = pool.total_tasks() > 0;
+    if kernel_ran {
+        counters.cache_misses += 1;
+    } else {
+        counters.cache_hits += 1;
     }
+    Ok((engine, kernel_ran))
 }
 
 /// One shard's entire state. Public so tests (and the loadgen's in-process
@@ -248,31 +243,13 @@ impl Assembler {
 pub struct ShardCore {
     id: usize,
     cfg: ServeConfig,
-    engines: Assembler,
+    store: Arc<CellStore>,
     tenants: BTreeMap<String, TenantState>,
     spec_cache: VecDeque<SpecEntry>,
     alloc_cache: VecDeque<AllocEntry>,
-    submits: u64,
-    injects: u64,
-    snapshots: u64,
-    restores: u64,
-    errors: u64,
-    alloc_fallbacks: u64,
-    alloc_fallbacks_infeasible: u64,
-    alloc_fallbacks_infeasible_proven: u64,
-    alloc_fallbacks_infeasible_heuristic: u64,
-    alloc_fallbacks_other: u64,
-    spec_cache_hits: u64,
-    spec_cache_misses: u64,
-    alloc_cache_hits: u64,
-    alloc_cache_misses: u64,
-    drain_depths: [u64; DRAIN_DEPTH_BUCKETS],
-    sa_multistart_runs: u64,
-    sa_restart_wins: Vec<u64>,
-    coalesced: u64,
-    builds: u64,
-    /// Injects whose assembly ran the kernel, reported as `cache_rebuilds`.
-    rebuilds: u64,
+    /// Every counter the shard reports except its id and tenant count,
+    /// which [`ShardCore::stats`] fills in.
+    counters: ShardStats,
 }
 
 impl ShardCore {
@@ -290,36 +267,15 @@ impl ShardCore {
         let cfg = cfg.normalized();
         Self {
             id,
-            engines: Assembler {
-                store,
-                hits: 0,
-                misses: 0,
-                pool: PoolTotals::default(),
-            },
             cfg,
+            store,
             tenants: BTreeMap::new(),
             spec_cache: VecDeque::new(),
             alloc_cache: VecDeque::new(),
-            submits: 0,
-            injects: 0,
-            snapshots: 0,
-            restores: 0,
-            errors: 0,
-            alloc_fallbacks: 0,
-            alloc_fallbacks_infeasible: 0,
-            alloc_fallbacks_infeasible_proven: 0,
-            alloc_fallbacks_infeasible_heuristic: 0,
-            alloc_fallbacks_other: 0,
-            spec_cache_hits: 0,
-            spec_cache_misses: 0,
-            alloc_cache_hits: 0,
-            alloc_cache_misses: 0,
-            drain_depths: [0; DRAIN_DEPTH_BUCKETS],
-            sa_multistart_runs: 0,
-            sa_restart_wins: Vec::new(),
-            coalesced: 0,
-            builds: 0,
-            rebuilds: 0,
+            counters: ShardStats {
+                drain_depths: vec![0; DRAIN_DEPTH_BUCKETS],
+                ..ShardStats::default()
+            },
         }
     }
 
@@ -348,7 +304,7 @@ impl ShardCore {
         match self.dispatch(req, keys_built) {
             Ok(resp) => resp,
             Err(e) => {
-                self.errors += 1;
+                self.counters.errors += 1;
                 Response::Error {
                     message: e.to_string(),
                 }
@@ -374,10 +330,10 @@ impl ShardCore {
     /// request of its batch built is coalesced.
     fn account(&mut self, key: u64, kernel_ran: bool, keys_built: &mut HashSet<u64>) {
         if kernel_ran {
-            self.builds += 1;
+            self.counters.builds += 1;
             keys_built.insert(key);
         } else if keys_built.contains(&key) {
-            self.coalesced += 1;
+            self.counters.coalesced += 1;
         }
     }
 
@@ -386,26 +342,28 @@ impl ShardCore {
     /// independent of cache warmth.
     fn record_fallback(&mut self, fallback: Option<FallbackReason>) {
         let Some(reason) = fallback else { return };
-        self.alloc_fallbacks += 1;
+        let c = &mut self.counters;
+        c.alloc_fallbacks += 1;
         match reason {
             FallbackReason::Infeasible { proven } => {
-                self.alloc_fallbacks_infeasible += 1;
+                c.alloc_fallbacks_infeasible += 1;
                 if proven {
-                    self.alloc_fallbacks_infeasible_proven += 1;
+                    c.alloc_fallbacks_infeasible_proven += 1;
                 } else {
-                    self.alloc_fallbacks_infeasible_heuristic += 1;
+                    c.alloc_fallbacks_infeasible_heuristic += 1;
                 }
             }
-            FallbackReason::Other => self.alloc_fallbacks_other += 1,
+            FallbackReason::Other => c.alloc_fallbacks_other += 1,
         }
     }
 
     fn record_sa(&mut self, report: &MultiStartReport) {
-        self.sa_multistart_runs += 1;
-        if self.sa_restart_wins.len() < report.restarts {
-            self.sa_restart_wins.resize(report.restarts, 0);
+        self.counters.sa_multistart_runs += 1;
+        let wins = &mut self.counters.sa_restart_wins;
+        if wins.len() < report.restarts {
+            wins.resize(report.restarts, 0);
         }
-        self.sa_restart_wins[report.winner] += 1;
+        wins[report.winner] += 1;
     }
 
     /// The expansion of `spec` with its inputs key, from the spec cache
@@ -414,14 +372,14 @@ impl ShardCore {
     fn expand(&mut self, spec: &WorkloadSpec) -> Result<(u64, Arc<(Batch, Platform)>)> {
         match self.spec_cache.iter().position(|e| &e.spec == spec) {
             Some(pos) => {
-                self.spec_cache_hits += 1;
+                self.counters.spec_cache_hits += 1;
                 if pos > 0 {
                     let e = self.spec_cache.remove(pos).expect("position exists");
                     self.spec_cache.push_front(e);
                 }
             }
             None => {
-                self.spec_cache_misses += 1;
+                self.counters.spec_cache_misses += 1;
                 let (batch, platform) = spec.expand()?;
                 let key = inputs_key(&batch, &platform);
                 self.spec_cache.push_front(SpecEntry {
@@ -456,7 +414,7 @@ impl ShardCore {
         });
         let (answer, kernel_ran) = match cached {
             Some(pos) => {
-                self.alloc_cache_hits += 1;
+                self.counters.alloc_cache_hits += 1;
                 let entry = self.alloc_cache.remove(pos).expect("position exists");
                 let answer = entry.answer.clone();
                 self.alloc_cache.push_front(entry);
@@ -465,7 +423,8 @@ impl ShardCore {
             None => {
                 let (batch, platform) = inputs;
                 let threads = self.cfg.build_threads;
-                let (engine, kernel_ran) = self.engines.assemble(batch, platform, threads)?;
+                let (engine, kernel_ran) =
+                    assemble(&self.store, &mut self.counters, batch, platform, threads)?;
                 let run =
                     allocate_or_fallback(policy, batch, platform, &engine, deadline, threads)?;
                 let report = evaluate_with_engine(&engine, batch, platform, &run.alloc, deadline)?;
@@ -479,7 +438,7 @@ impl ShardCore {
                     joint: report.joint,
                     fallback: run.fallback,
                 };
-                self.alloc_cache_misses += 1;
+                self.counters.alloc_cache_misses += 1;
                 self.alloc_cache.push_front(AllocEntry {
                     engine_key: key,
                     deadline_bits,
@@ -510,7 +469,7 @@ impl ShardCore {
             )));
         }
         let threshold = threshold.unwrap_or(self.cfg.phi1_threshold);
-        if !(threshold > 0.0) || threshold > 1.0 {
+        if !ServeConfig::threshold_ok(threshold) {
             return Err(ServeError::Protocol(format!(
                 "threshold {threshold} out of (0, 1]"
             )));
@@ -572,7 +531,7 @@ impl ShardCore {
                 );
             }
         }
-        self.submits += 1;
+        self.counters.submits += 1;
         Ok(Response::Submit(SubmitReply {
             tenant,
             engine_key: key,
@@ -603,14 +562,14 @@ impl ShardCore {
         let (answer, kernel_ran) =
             self.answer(key, &inputs, deadline, &allocator_name, &policy, keys_built)?;
         if kernel_ran {
-            self.rebuilds += 1;
+            self.counters.cache_rebuilds += 1;
         }
 
         let state = self.tenants.get_mut(&tenant).expect("checked above");
         (state.batch, state.platform) = inputs;
         state.engine_key = key;
         state.events_applied += 1;
-        self.injects += 1;
+        self.counters.injects += 1;
         Ok(Response::Inject(InjectReply {
             tenant,
             engine_key: key,
@@ -636,7 +595,7 @@ impl ShardCore {
         // the expensive serialization of this reply happens on the
         // connection's writer thread, off the shard loop.
         let snapshot = state.snapshot(&tenant);
-        self.snapshots += 1;
+        self.counters.snapshots += 1;
         Ok(Response::Snapshot { snapshot })
     }
 
@@ -646,15 +605,19 @@ impl ShardCore {
         keys_built: &mut HashSet<u64>,
     ) -> Result<Response> {
         let mut state = TenantState::from_snapshot(&snapshot);
-        let (engine, kernel_ran) =
-            self.engines
-                .assemble(&state.batch, &state.platform, self.cfg.build_threads)?;
+        let (engine, kernel_ran) = assemble(
+            &self.store,
+            &mut self.counters,
+            &state.batch,
+            &state.platform,
+            self.cfg.build_threads,
+        )?;
         let key = inputs_key(&state.batch, &state.platform);
         self.account(key, kernel_ran, keys_built);
         state.engine_key = key;
         let tenant = snapshot.tenant;
         self.tenants.insert(tenant.clone(), state);
-        self.restores += 1;
+        self.counters.restores += 1;
         Ok(Response::Restored(RestoreReply {
             tenant,
             engine_key: key,
@@ -670,9 +633,13 @@ impl ShardCore {
         // Assembled from the tenant's stored inputs; the build is
         // deterministic, so the digest is the one every earlier engine of
         // these inputs had.
-        let (engine, _) =
-            self.engines
-                .assemble(&state.batch, &state.platform, self.cfg.build_threads)?;
+        let (engine, _) = assemble(
+            &self.store,
+            &mut self.counters,
+            &state.batch,
+            &state.platform,
+            self.cfg.build_threads,
+        )?;
         Ok(Response::Fingerprint(FingerprintReply {
             engine_key: state.engine_key,
             tenant,
@@ -686,40 +653,15 @@ impl ShardCore {
             return;
         }
         let bucket = (usize::BITS - 1 - depth.leading_zeros()) as usize;
-        self.drain_depths[bucket.min(DRAIN_DEPTH_BUCKETS - 1)] += 1;
+        self.counters.drain_depths[bucket.min(DRAIN_DEPTH_BUCKETS - 1)] += 1;
     }
 
     /// The shard's counters, engine-assembly and pool telemetry included.
     pub fn stats(&self) -> ShardStats {
-        let pool = &self.engines.pool;
         ShardStats {
             shard: Some(self.id as u64),
             tenants: self.tenants.len() as u64,
-            submits: self.submits,
-            injects: self.injects,
-            snapshots: self.snapshots,
-            restores: self.restores,
-            errors: self.errors,
-            alloc_fallbacks: self.alloc_fallbacks,
-            alloc_fallbacks_infeasible: self.alloc_fallbacks_infeasible,
-            alloc_fallbacks_infeasible_proven: self.alloc_fallbacks_infeasible_proven,
-            alloc_fallbacks_infeasible_heuristic: self.alloc_fallbacks_infeasible_heuristic,
-            alloc_fallbacks_other: self.alloc_fallbacks_other,
-            spec_cache_hits: self.spec_cache_hits,
-            spec_cache_misses: self.spec_cache_misses,
-            alloc_cache_hits: self.alloc_cache_hits,
-            alloc_cache_misses: self.alloc_cache_misses,
-            drain_depths: self.drain_depths.to_vec(),
-            sa_multistart_runs: self.sa_multistart_runs,
-            sa_restart_wins: self.sa_restart_wins.clone(),
-            cache_hits: self.engines.hits,
-            cache_misses: self.engines.misses,
-            cache_rebuilds: self.rebuilds,
-            coalesced: self.coalesced,
-            builds: self.builds,
-            pool_runs: pool.runs,
-            pool_tasks_run: pool.tasks_run,
-            pool_chunks_stolen: pool.chunks_stolen,
+            ..self.counters.clone()
         }
     }
 }

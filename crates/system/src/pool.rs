@@ -92,40 +92,6 @@ impl PoolStats {
     }
 }
 
-/// Running totals over many [`run`] invocations — the shape a long-lived
-/// caller (a serving shard, the bench harness) wants: instead of dropping
-/// each build's [`PoolStats`] on the floor, absorb them here and report
-/// the aggregate through a stats endpoint.
-#[derive(Debug, Clone, Default)]
-pub struct PoolTotals {
-    /// Pool runs absorbed.
-    pub runs: u64,
-    /// Tasks executed, summed over runs and workers.
-    pub tasks_run: u64,
-    /// Chunks stolen, summed over runs and workers.
-    pub chunks_stolen: u64,
-    /// Widest worker count any absorbed run used.
-    pub max_workers: usize,
-}
-
-impl PoolTotals {
-    /// Folds one run's scheduling metadata into the totals.
-    pub fn absorb(&mut self, stats: &PoolStats) {
-        self.runs += 1;
-        self.tasks_run += stats.total_tasks() as u64;
-        self.chunks_stolen += stats.total_steals() as u64;
-        self.max_workers = self.max_workers.max(stats.workers);
-    }
-
-    /// Merges another accumulator (e.g. a sibling shard's) into this one.
-    pub fn merge(&mut self, other: &PoolTotals) {
-        self.runs += other.runs;
-        self.tasks_run += other.tasks_run;
-        self.chunks_stolen += other.chunks_stolen;
-        self.max_workers = self.max_workers.max(other.max_workers);
-    }
-}
-
 /// A contiguous run of task indices, claimed and executed as a unit.
 #[derive(Debug, Clone, Copy)]
 struct Chunk {
