@@ -109,7 +109,15 @@ use std::time::Instant;
 /// counters in the section's `thrash` block, and the derived
 /// `cell_store_thrash_overhead`, guarded to at most
 /// [`CELL_STORE_THRASH_OVERHEAD_MAX`].
-const SCHEMA_VERSION: u64 = 10;
+/// v11 added the lattice at one and two workers over a prebuilt engine
+/// on both sides of its serial-first budget:
+/// `ra/lattice_allocate/apps24_d2000_t1` and `_t2`, a search of about a
+/// thousand nodes, with the derived `lattice_split_overhead` (`t2 / t1`)
+/// guarded to at most [`LATTICE_SPLIT_OVERHEAD_MAX`]; and
+/// `ra/lattice_allocate/apps16_d7000_t1` and `_t2`, a search of
+/// 322 670 nodes, with the derived `lattice_split_speedup` (`t1 / t2`)
+/// guarded by [`lattice_split_speedup_floor`].
+const SCHEMA_VERSION: u64 = 11;
 
 /// Current stage-2 snapshot schema. Bump when the JSON shape changes.
 /// v2 added the host-aware `grid_thread4_speedup` floor (≥ 3× on hosts
@@ -205,6 +213,35 @@ const CELL_STORE_WARM_SPEEDUP_MIN: f64 = 5.0;
 /// 1.1–1.4×.
 const CELL_STORE_THRASH_OVERHEAD_MAX: f64 = 1.6;
 
+/// Ceiling for the lattice at two workers over one worker on a search
+/// short enough to finish inside the serial-first budget. Both sides are
+/// medians of alternating samples from the same run, so the ratio
+/// divides out the clock. Splitting every search read 37–38× on a
+/// 2-vCPU host; the serial-first search, 1.01–1.03×.
+const LATTICE_SPLIT_OVERHEAD_MAX: f64 = 1.5;
+
+/// Deadline of the long lattice search on `bench_instance(16)`: 322 670
+/// nodes at one worker, about five times the serial-first budget, so two
+/// workers split it.
+const SPLIT_DEADLINE: f64 = 7_000.0;
+
+/// Floor for the lattice at one worker over two on the long search. On
+/// a host with two or more cores the split must pay; a serial search at
+/// both widths reads 1.0, and the split read 1.34–1.37× on a 2-vCPU
+/// host. On one core the two workers share it, and the floor degrades
+/// to the pool's narrow-host bound.
+const LATTICE_SPLIT_SPEEDUP_MIN: f64 = 1.15;
+
+/// The [`LATTICE_SPLIT_SPEEDUP_MIN`] floor for a host with `host_threads`
+/// cores.
+fn lattice_split_speedup_floor(host_threads: u64) -> f64 {
+    if host_threads >= 2 {
+        LATTICE_SPLIT_SPEEDUP_MIN
+    } else {
+        PARALLEL_SPEEDUP_MIN_NARROW_HOST
+    }
+}
+
 const DEADLINE: f64 = 2_800.0;
 
 /// Node ceiling of the 1-thread lattice search on the contended
@@ -224,16 +261,32 @@ fn snapshot_path(name: &str) -> PathBuf {
 /// Median wall-clock nanoseconds per call over `samples` samples of
 /// `iters` calls each.
 fn measure<F: FnMut()>(samples: usize, iters: usize, mut f: F) -> f64 {
-    let mut medians = Vec::with_capacity(samples);
+    let [ns] = measure_alternating(samples, iters, |_| f());
+    ns
+}
+
+/// [`measure`] for `N` sides that take turns sample by sample, so host
+/// drift moves them alike and their ratio divides it out. `f(side)` makes
+/// one call of side `side`.
+fn measure_alternating<const N: usize, F: FnMut(usize)>(
+    samples: usize,
+    iters: usize,
+    mut f: F,
+) -> [f64; N] {
+    let mut times: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(samples));
     for _ in 0..samples {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
+        for (side, t) in times.iter_mut().enumerate() {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                f(side);
+            }
+            t.push(t0.elapsed().as_nanos() as f64 / iters as f64);
         }
-        medians.push(t0.elapsed().as_nanos() as f64 / iters as f64);
     }
-    medians.sort_by(f64::total_cmp);
-    medians[medians.len() / 2]
+    times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    })
 }
 
 /// `app` with every per-type execution PMF rescaled by `frac` (the shape a
@@ -709,6 +762,42 @@ fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
             per_unit: "allocation",
         },
     );
+    // The same solver at one and two workers on both sides of its
+    // serial-first budget: a short search, as the serve's `lattice`
+    // policy runs it at the shard's build width, and a search long
+    // enough that the root split pays.
+    let (short_batch, short_platform) = bench_instance(24);
+    let short_engine = Phi1Engine::build(&short_batch, &short_platform).unwrap();
+    let workers = [1, 2].map(|threads| cdsf_ra::Lattice::new(threads).unwrap());
+    let [short_t1, short_t2] = measure_alternating(samples, 20 * scale, |side| {
+        black_box(
+            workers[side]
+                .allocate_with_engine(&short_batch, &short_platform, &short_engine, 2_000.0)
+                .unwrap(),
+        );
+    });
+    let [long_t1, long_t2] = measure_alternating(samples, scale.max(1), |side| {
+        black_box(
+            workers[side]
+                .allocate_with_engine(&sa_batch, &sa_platform, &sa_engine, SPLIT_DEADLINE)
+                .unwrap(),
+        );
+    });
+    for (name, median_ns) in [
+        ("ra/lattice_allocate/apps24_d2000_t1", short_t1),
+        ("ra/lattice_allocate/apps24_d2000_t2", short_t2),
+        ("ra/lattice_allocate/apps16_d7000_t1", long_t1),
+        ("ra/lattice_allocate/apps16_d7000_t2", long_t2),
+    ] {
+        push(
+            &mut out,
+            BenchResult {
+                name,
+                median_ns,
+                per_unit: "allocation",
+            },
+        );
+    }
     let robust = cdsf_ra::GammaRobust {
         threads: 1,
         ..Default::default()
@@ -1250,6 +1339,10 @@ fn to_json(results: &[BenchResult], remap_loop: Value, mode: &str, scale: usize)
     let sa_alloc = median_of(results, "ra/sa_allocate/apps16");
     let lattice_alloc = median_of(results, "ra/lattice_allocate/apps16");
     let gamma_alloc = median_of(results, "ra/gamma_robust_allocate/apps16");
+    let split_t1 = median_of(results, "ra/lattice_allocate/apps24_d2000_t1");
+    let split_t2 = median_of(results, "ra/lattice_allocate/apps24_d2000_t2");
+    let long_t1 = median_of(results, "ra/lattice_allocate/apps16_d7000_t1");
+    let long_t2 = median_of(results, "ra/lattice_allocate/apps16_d7000_t2");
     let store_cold = median_of(results, "cell_store/engine_build_cold/catalog24_p384");
     let store_warm = median_of(
         results,
@@ -1293,6 +1386,8 @@ fn to_json(results: &[BenchResult], remap_loop: Value, mode: &str, scale: usize)
             "engine_build_t4_vs_t1": t1 / t4,
             "remap_rebuild_speedup": full_rebuild / remap,
             "lattice_vs_sa_speedup": sa_alloc / lattice_alloc,
+            "lattice_split_overhead": split_t2 / split_t1,
+            "lattice_split_speedup": long_t1 / long_t2,
             "gamma_robust_speedup_vs_v5": GAMMA_ROBUST_BASELINE_V5_NS / gamma_alloc,
             "cell_store_warm_speedup": store_cold / store_warm,
             "cell_store_thrash_overhead": thrash_attached / thrash_storeless,
@@ -1399,6 +1494,8 @@ const STAGE1_DERIVED: &[&str] = &[
     "engine_build_t4_vs_t1",
     "remap_rebuild_speedup",
     "lattice_vs_sa_speedup",
+    "lattice_split_overhead",
+    "lattice_split_speedup",
     "gamma_robust_speedup_vs_v5",
     "cell_store_warm_speedup",
     "cell_store_thrash_overhead",
@@ -1441,8 +1538,9 @@ fn check_speedup_floor(
 /// record a deterministic search (nodes and leaves observed) and its
 /// optimum must dominate the SA baseline — `lattice_phi1 >= sa_phi1`
 /// compared on the recorded values, which `serde_json` round-trips
-/// bit-exactly for finite `f64`s. The speedup floor is checked against
-/// the derived ratio the same snapshot records.
+/// bit-exactly for finite `f64`s. The speedup floor and the split
+/// ceiling are checked against the derived ratios the same snapshot
+/// records.
 fn check_ra_lattice_section(snapshot: &Value) -> Result<(), String> {
     let section = snapshot
         .get("ra_lattice")
@@ -1509,6 +1607,16 @@ fn check_ra_lattice_section(snapshot: &Value) -> Result<(), String> {
         return Err(format!(
             "lattice_vs_sa_speedup {speedup:.2} is below the \
              {LATTICE_VS_SA_SPEEDUP_MIN} floor"
+        ));
+    }
+    let split = snapshot["derived"]["lattice_split_overhead"]
+        .as_f64()
+        .ok_or("derived missing lattice_split_overhead")?;
+    if split > LATTICE_SPLIT_OVERHEAD_MAX {
+        return Err(format!(
+            "lattice_split_overhead {split:.2} is above the \
+             {LATTICE_SPLIT_OVERHEAD_MAX} ceiling — two workers split a search \
+             one finishes alone"
         ));
     }
     Ok(())
@@ -1733,6 +1841,11 @@ fn validate(snapshot: &Value) -> Result<(), String> {
     check_pool_section(snapshot)?;
     check_ra_lattice_section(snapshot)?;
     check_cell_store_section(snapshot)?;
+    check_speedup_floor(
+        snapshot,
+        "lattice_split_speedup",
+        lattice_split_speedup_floor,
+    )?;
     check_speedup_floor(snapshot, "engine_build_t4_vs_t1", parallel_speedup_floor)
 }
 

@@ -47,10 +47,11 @@ impl Default for SimParams {
 }
 
 /// Default worker-thread count: the machine's available parallelism with a
-/// floor of 1. Thread counts never affect results — every grid cell and
-/// every φ₁ table entry derives its own seed — so the default can safely
-/// track the host. (Canonical definition lives in `cdsf-system` so the
-/// lower crates share it.)
+/// floor of 1, probed once per process. Thread counts never affect
+/// results — every grid cell and every φ₁ table entry derives its own
+/// seed — so the default can follow the host it starts on; a later CPU
+/// quota or affinity change is not seen. (Canonical definition lives in
+/// `cdsf-system` so the lower crates share it.)
 pub use cdsf_system::default_threads;
 
 impl SimParams {

@@ -397,7 +397,7 @@ fn wrap(rng: &mut dyn RngCore) -> impl Rng + '_ {
 /// handed to techniques at each dispatch.
 ///
 /// One run builds these; [`execute_in`] then reuses them across
-/// replicates. [`ExecutorScratch::prepare`] starts every worker on a fresh
+/// replicates. `ExecutorScratch::prepare` starts every worker on a fresh
 /// realization, restarting its availability process in place
 /// ([`Timeline::restart`]) when `cfg.availability` equals the specs it was
 /// built from and building one only for a changed spec or a new worker.

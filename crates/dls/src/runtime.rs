@@ -5,7 +5,7 @@
 //! *performs* it. [`run_parallel_loop`] spawns worker threads (std
 //! scoped, no 'static bound on the body), and each worker repeatedly:
 //!
-//! 1. locks the shared [`Scheduler`], asks the technique for a chunk
+//! 1. locks the shared `Scheduler`, asks the technique for a chunk
 //!    (observing live per-worker statistics, exactly as in the simulator),
 //! 2. executes the body for every iteration in the chunk,
 //! 3. reports the measured wall-clock duration back, updating its

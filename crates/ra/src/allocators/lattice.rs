@@ -65,12 +65,17 @@
 //!
 //! # Parallelism
 //!
-//! Root-level branches (the first permuted application's options) fan
-//! out over the [`cdsf_system::pool`] work-stealing pool. Workers share
-//! a monotonic worst-case-`φ₁` lower bound (atomic `f64`-bits max) that
-//! only ever prunes subtrees *strictly* beaten on the primary key, and
-//! each branch's winner lands in its own slot; the final argmax is a
-//! strict in-order reduction, so results are bit-identical for every
+//! At several workers each phase first searches serially for at most
+//! `SERIAL_BUDGET` nodes below the root and returns that winner when the
+//! search ends inside the budget. Only a longer phase splits, and only
+//! what the serial prefix left: along the path it was on, every later
+//! sibling at every depth and the child it had just reached become
+//! tasks on the [`cdsf_system::pool`] work-stealing pool. Each task
+//! starts from the prefix's incumbent. Workers share a monotonic
+//! worst-case-`φ₁` lower bound (atomic `f64`-bits max) that only ever
+//! prunes subtrees *strictly* beaten on the primary key, and each
+//! task's winner lands in its own slot; the final argmax is a reduction
+//! under the strict total order, so results are bit-identical for every
 //! worker count and steal interleaving.
 //!
 //! # Γ-robust tier
@@ -127,6 +132,15 @@ const SUM_BAND: f64 = 1.0 + 1e-9;
 
 /// Sentinel for "application not yet assigned" in the canonical path.
 const UNSET: u32 = u32::MAX;
+
+/// Nodes below the root a search phase at several workers spends
+/// serially before it splits what is left. A phase that finishes inside
+/// the budget returns the serial winner; only a longer one pays the
+/// pool's start-up. Measured (EXPERIMENTS.md, "Host width read once,
+/// serial-first root split"): the largest `dualstage` pool solve takes
+/// 58 081 nodes, and two workers beat one by 1.5× on a 1.24 M-node
+/// search.
+const SERIAL_BUDGET: u64 = 1 << 16;
 
 /// One candidate option with its precomputed bound data.
 #[derive(Debug, Clone, Copy)]
@@ -384,9 +398,20 @@ struct SearchState {
     /// Set when the search ran out of its node budget: the incumbent is
     /// then unproven.
     exhausted: bool,
+    /// The path an exhausted search was on: `chosen` when it ran out.
+    cut: Vec<u32>,
 }
 
 impl SearchState {
+    /// Marks the search exhausted and keeps the path it was on. Out of
+    /// line, so the budget costs the search's hot loop one compare.
+    #[cold]
+    #[inline(never)]
+    fn run_out(&mut self) {
+        self.exhausted = true;
+        self.cut.clone_from(&self.chosen);
+    }
+
     /// Resets for a fresh (sub)tree rooted at full capacity.
     fn reset(&mut self, num_apps: usize, root_free: &[u32], nmasks: usize) {
         self.chosen.clear();
@@ -406,6 +431,7 @@ impl SearchState {
         self.best.path.resize(num_apps, UNSET);
         self.counters = LatticeCounters::default();
         self.exhausted = false;
+        self.cut.clear();
     }
 }
 
@@ -508,6 +534,42 @@ impl Ctx<'_> {
             st.prune_bits = bits;
             st.ln_prune = f64::from_bits(bits).ln();
         }
+    }
+
+    /// Takes option `idx` for the application at permuted depth `depth`
+    /// on the way down, from the parent's `(chosen_log, zero_terms,
+    /// chosen_sum)` (see [`Ctx::dfs`]) to the child's. The split's tasks
+    /// retrace a path with it; `dfs` makes the same steps inline, where
+    /// calling this measured 6–7 % slower.
+    #[inline]
+    fn assign(
+        &self,
+        st: &mut SearchState,
+        depth: usize,
+        idx: u32,
+        (chosen_log, zero_terms, chosen_sum): (f64, u32, f64),
+    ) -> (f64, u32, f64) {
+        let app = self.perm[depth];
+        let o = self.opt(app, idx);
+        let nm = self.subsets.len();
+        let oi = (self.apps[app].start + idx) as usize;
+        for mi in 0..nm {
+            st.wstack[(depth + 1) * nm + mi] =
+                st.wstack[depth * nm + mi] + self.wopt_log[oi * nm + mi];
+        }
+        st.chosen[app] = idx;
+        st.free[o.asg.proc_type.0] -= o.asg.procs;
+        st.free_total -= o.asg.procs;
+        let log = if o.d_zero == 0 {
+            chosen_log + o.d_log
+        } else {
+            chosen_log
+        };
+        (
+            log,
+            zero_terms + u32::from(o.d_zero),
+            chosen_sum + o.exp_time,
+        )
     }
 
     /// The exact-product confirmation for the subtree where `st.chosen`
@@ -618,7 +680,7 @@ impl Ctx<'_> {
     ) {
         st.counters.nodes += 1;
         if st.counters.nodes > self.node_budget {
-            st.exhausted = true;
+            st.run_out();
             return;
         }
         let n = self.apps.len();
@@ -1123,65 +1185,114 @@ fn search_serial(scratch: &mut LatticeScratch, positive_only: bool, node_budget:
     scratch.state = st;
 }
 
+/// Where an exhausted serial search stopped: per depth of the path it
+/// was on, root first, the position of the path's child in that depth's
+/// child order. Empty when the search was not exhausted.
+fn cut_path(scratch: &LatticeScratch) -> Vec<usize> {
+    let st = &scratch.state;
+    scratch
+        .perm
+        .iter()
+        .zip(&st.orders)
+        .map_while(|(&app, order)| {
+            let idx = *st.cut.get(app)?;
+            (idx != UNSET).then(|| {
+                order
+                    .iter()
+                    .position(|c| c.3 == idx)
+                    .expect("the path's children were ordered")
+            })
+        })
+        .collect()
+}
+
 /// One search phase at `threads` workers: the winning slot (`None` when
 /// the phase committed no leaf), its counters left in
-/// `scratch.state.counters`.
+/// `scratch.state.counters`. Several workers first search serially for
+/// at most `serial_budget` nodes below the root; only a phase that
+/// outruns it is split, and the split searches only what the prefix left.
 fn search_phase(
     scratch: &mut LatticeScratch,
     threads: usize,
     positive_only: bool,
+    serial_budget: u64,
 ) -> Result<Option<BestSlot>> {
-    if threads == 1 {
-        search_serial(scratch, positive_only, u64::MAX);
+    // The root's own visit is free, so even a zero budget orders the
+    // root's children before it splits.
+    let budget = if threads > 1 {
+        serial_budget.saturating_add(1)
+    } else {
+        u64::MAX
+    };
+    search_serial(scratch, positive_only, budget);
+    if !scratch.state.exhausted {
         return Ok(scratch.state.best.valid.then(|| scratch.state.best.clone()));
     }
     let s: &LatticeScratch = scratch;
     let n = s.apps.len();
     let nmasks = s.subsets.len();
-    let shared = AtomicU64::new(0);
+    let prefix = &s.state;
+    let path = cut_path(s);
+    let levels = path.len();
 
-    // Root split: one task per option of the first permuted application,
-    // fanned out over the work-stealing pool. Each task's winner lands
-    // in its own slot; the merge below is a strict in-order reduction,
-    // so the argmax is bit-identical for every worker count.
-    let first = s.perm[0];
-    let ab = s.apps[first];
+    // The split: one task per child the prefix left, fanned out over the
+    // work-stealing pool. A task `(depth, idx)` takes option `idx` below
+    // the path's node at `depth`: the later siblings at every depth, and
+    // at the deepest, the child the prefix had only just reached.
+    // Everything else it finished, so no leaf there beats its incumbent.
+    let mut tasks: Vec<(usize, u32)> = Vec::new();
+    for (depth, &pos) in path.iter().enumerate() {
+        let from = pos + usize::from(depth + 1 < levels);
+        tasks.extend(prefix.orders[depth][from..].iter().map(|c| (depth, c.3)));
+    }
+    // The incumbent is a committed leaf: it seeds the shared bound and
+    // every task's own incumbent, so ties on the primary key prune as
+    // they would have serially, and each slot's winner is at least as
+    // good as it.
+    let shared = AtomicU64::new(if prefix.best.valid {
+        prefix.best.worst.to_bits()
+    } else {
+        0
+    });
+    // Each task's winner lands in its own slot; the merge below is a
+    // reduction under the strict total order, so the argmax is
+    // bit-identical for every worker count.
     let slots: Vec<OnceLock<(Option<BestSlot>, LatticeCounters)>> =
-        (0..ab.len as usize).map(|_| OnceLock::new()).collect();
+        tasks.iter().map(|_| OnceLock::new()).collect();
     pool::run(
         threads,
-        ab.len as usize,
+        tasks.len(),
         None,
         SearchState::default,
-        |idx, st: &mut SearchState| -> Result<()> {
+        |task, st: &mut SearchState| -> Result<()> {
             let ctx = s.ctx(&shared, positive_only, u64::MAX);
             st.reset(n, &s.root_free, nmasks);
-            let o = *ctx.opt(first, idx as u32);
-            // The root's own screen, for the child this task owns:
-            // phase 1 never enters a zero-probability option.
-            let enter =
-                st.free[o.asg.proc_type.0] >= o.asg.procs && !(positive_only && o.d_zero != 0);
-            if enter {
-                st.chosen[first] = idx as u32;
-                st.free[o.asg.proc_type.0] -= o.asg.procs;
-                st.free_total -= o.asg.procs;
-                let first_log = if o.d_zero == 0 { o.d_log } else { 0.0 };
-                let oi = (ab.start + idx as u32) as usize;
-                for mi in 0..nmasks {
-                    st.wstack[nmasks + mi] = s.wopt_log[oi * nmasks + mi];
-                }
-                ctx.dfs(st, 1, first_log, u32::from(o.d_zero), o.exp_time);
+            if prefix.best.valid {
+                st.best.clone_from(&prefix.best);
+            }
+            // Retrace the path to the task's node, then take its child.
+            let (depth, idx) = tasks[task];
+            let mut acc = (0.0, 0, 0.0);
+            for d in 0..depth {
+                acc = ctx.assign(st, d, prefix.cut[s.perm[d]], acc);
+            }
+            // The parent's screen, for the child this task owns: phase 1
+            // never enters a zero-probability option.
+            if !(positive_only && ctx.opt(s.perm[depth], idx).d_zero != 0) {
+                let (log, zeros, sum) = ctx.assign(st, depth, idx, acc);
+                ctx.dfs(st, depth + 1, log, zeros, sum);
             }
             let best = st.best.valid.then(|| st.best.clone());
-            slots[idx]
+            slots[task]
                 .set((best, st.counters))
-                .expect("each root branch runs once");
+                .expect("each split task runs once");
             Ok(())
         },
     )?;
 
     let mut merged: Option<BestSlot> = None;
-    let mut counters = LatticeCounters::default();
+    // The exhausted serial prefix's visits count too.
+    let mut counters = prefix.counters;
     for slot in slots {
         let (best, c) = slot.into_inner().expect("error-free run fills every slot");
         counters.add(&c);
@@ -1221,16 +1332,20 @@ fn root_may_be_positive(scratch: &LatticeScratch) -> bool {
 /// Runs the full branch-and-bound for a prepared scratch and returns the
 /// winning slot; `None` when no capacity-feasible allocation exists. The
 /// counters of both phases end up in `scratch.state.counters`.
-fn search(scratch: &mut LatticeScratch, threads: usize) -> Result<Option<BestSlot>> {
+fn search(
+    scratch: &mut LatticeScratch,
+    threads: usize,
+    serial_budget: u64,
+) -> Result<Option<BestSlot>> {
     let mut first = LatticeCounters::default();
     if root_may_be_positive(scratch) {
-        let positive = search_phase(scratch, threads, true)?;
+        let positive = search_phase(scratch, threads, true, serial_budget)?;
         if positive.as_ref().is_some_and(|b| b.worst > 0.0) {
             return Ok(positive);
         }
         first = scratch.state.counters;
     }
-    let best = search_phase(scratch, threads, false)?;
+    let best = search_phase(scratch, threads, false, serial_budget)?;
     scratch.state.counters.add(&first);
     Ok(best)
 }
@@ -1267,7 +1382,7 @@ fn optimum(
         }
     }
     prepare(scratch, engine, platform, deadline, gamma)?;
-    let best = search(scratch, threads)?.ok_or(RaError::NoFeasibleAllocation)?;
+    let best = search(scratch, threads, SERIAL_BUDGET)?.ok_or(RaError::NoFeasibleAllocation)?;
 
     let report = LatticeReport {
         phi1: best.worst,
@@ -1726,6 +1841,11 @@ mod tests {
             ("contended", contended_batch(32), paper_platform()),
             ("contended-wide", contended_batch(32), wide_platform()),
         ];
+        // Serial prefixes this short run out a few nodes past their first
+        // dive's leaf: inside the first root child, or in a later one
+        // after finishing the child that holds the optimum.
+        const FEW: [u64; 2] = [6, 12];
+        let (mut cut_first, mut kept) = (0, 0);
         let mut scratch = LatticeScratch::new();
         for (name, b, p) in &instances {
             let engine = Phi1Engine::build(b, p).unwrap();
@@ -1733,15 +1853,40 @@ mod tests {
                 for gamma in [None, Some((1, 0.9)), Some((2, 0.7))] {
                     prepare(&mut scratch, &engine, p, deadline, gamma).unwrap();
                     let reference = unpruned_best(&scratch).unwrap();
-                    for threads in [1, 2] {
-                        let pruned = search(&mut scratch, threads).unwrap().unwrap();
+                    // At two workers: budget 0 splits every root child, a
+                    // few nodes run the serial prefix out mid-search so the
+                    // split takes the children it left, and the default
+                    // budget finishes serially.
+                    for (threads, budget) in [
+                        (1, SERIAL_BUDGET),
+                        (2, 0),
+                        (2, FEW[0]),
+                        (2, FEW[1]),
+                        (2, SERIAL_BUDGET),
+                    ] {
+                        let pruned = search(&mut scratch, threads, budget).unwrap().unwrap();
                         assert_slots_bit_equal(
                             &pruned,
                             &reference,
                             &format!(
-                                "{name}, deadline {deadline}, gamma {gamma:?}, {threads} workers"
+                                "{name}, deadline {deadline}, gamma {gamma:?}, \
+                                 {threads} workers, serial budget {budget}"
                             ),
                         );
+                        // The prefix's own state outlives the split.
+                        let root = match cut_path(&scratch).first() {
+                            Some(&pos) if FEW.contains(&budget) => pos,
+                            _ => continue,
+                        };
+                        let winner = pruned.path[scratch.perm[0]];
+                        if root == 0 {
+                            cut_first += 1;
+                        } else if scratch.state.orders[0][..root]
+                            .iter()
+                            .any(|c| c.3 == winner)
+                        {
+                            kept += 1;
+                        }
                     }
                     if deadline == DEADLINE && gamma.is_none() {
                         assert_eq!(
@@ -1753,6 +1898,8 @@ mod tests {
                 }
             }
         }
+        assert!(cut_first > 0, "no prefix ran out in its first root child");
+        assert!(kept > 0, "no prefix finished the optimum's root child");
     }
 
     #[test]
@@ -1824,44 +1971,35 @@ mod tests {
     fn thread_count_does_not_change_result() {
         let (b, p) = (paper_batch(32), paper_platform());
         let engine = Phi1Engine::build(&b, &p).unwrap();
+        let robust = GammaRobust::default();
         let mut scratch = LatticeScratch::new();
         for deadline in [2500.0, DEADLINE] {
-            let baseline = Lattice::new(1)
-                .unwrap()
-                .solve_with_engine(&p, &engine, deadline, &mut scratch)
-                .unwrap();
-            let gamma_baseline = GammaRobust {
-                threads: 1,
-                ..GammaRobust::default()
-            }
-            .solve_with_engine(&p, &engine, deadline, &mut scratch)
-            .unwrap();
-            for threads in [2, 4, 7] {
-                let plain = Lattice::new(threads)
-                    .unwrap()
-                    .solve_with_engine(&p, &engine, deadline, &mut scratch)
-                    .unwrap();
-                assert_eq!(plain.0, baseline.0, "lattice, {threads} workers");
-                assert_eq!(
-                    plain.1.phi1.to_bits(),
-                    baseline.1.phi1.to_bits(),
-                    "lattice φ₁ bits, {threads} workers"
-                );
-                let robust = GammaRobust {
-                    threads,
-                    ..GammaRobust::default()
+            // The plain lattice, then the Γ-robust one.
+            for gamma in [None, Some((robust.budget, robust.degradation))] {
+                prepare(&mut scratch, &engine, &p, deadline, gamma).unwrap();
+                let serial = search(&mut scratch, 1, SERIAL_BUDGET).unwrap().unwrap();
+                // Budget 0 splits every root child, 6 nodes split the
+                // children a cut-short prefix left, and the default
+                // finishes this instance serially.
+                for budget in [0, 6, SERIAL_BUDGET] {
+                    for threads in [2, 4, 7] {
+                        let what = format!(
+                            "deadline {deadline}, gamma {gamma:?}, {threads} workers, \
+                             serial budget {budget}"
+                        );
+                        let split = search(&mut scratch, threads, budget).unwrap().unwrap();
+                        assert_eq!(
+                            path_allocation(&scratch, &split.path),
+                            path_allocation(&scratch, &serial.path),
+                            "{what}"
+                        );
+                        assert_eq!(
+                            split.worst.to_bits(),
+                            serial.worst.to_bits(),
+                            "φ₁ bits, {what}"
+                        );
+                    }
                 }
-                .solve_with_engine(&p, &engine, deadline, &mut scratch)
-                .unwrap();
-                assert_eq!(
-                    robust.0, gamma_baseline.0,
-                    "gamma-robust, {threads} workers"
-                );
-                assert_eq!(
-                    robust.1.phi1.to_bits(),
-                    gamma_baseline.1.phi1.to_bits(),
-                    "gamma-robust φ₁ bits, {threads} workers"
-                );
             }
         }
     }

@@ -27,7 +27,7 @@
 //! by a flat `(app, type) → (start, len)` offset table, so a triple lookup
 //! is two array reads and an add — no nested `Vec<Vec<Option<Vec<_>>>>`
 //! pointer chasing. The hot query paths never walk the `Pmf` pulse
-//! structs: each [`Cell`] caches its loaded PMF's pulse values as a
+//! structs: each `Cell` caches its loaded PMF's pulse values as a
 //! contiguous structure-of-arrays slice plus its expectation at
 //! construction, so [`Phi1Engine::prob`] is a binary search over a
 //! contiguous `f64` run (the prefix-CDF read comes from the `Pmf`'s own

@@ -170,8 +170,11 @@ impl LoadgenConfig {
         };
 
         // Per-tenant spec pools. Sizes stay small enough that a single
-        // engine build is milliseconds, large enough to exercise the
-        // pool-backed parallel kernels.
+        // engine build is milliseconds. They are too small for the
+        // engine-build pool: the largest spec (6 apps, 3 types, 8
+        // pulses, at most 6 options per type on 3-pulse availability)
+        // estimates 2 592 pulse-pair operations, far below
+        // `PARALLEL_BUILD_MIN_WORK`, so every build runs on one worker.
         let mut pools: Vec<Vec<WorkloadSpec>> = Vec::with_capacity(cfg.tenants);
         for t in 0..cfg.tenants {
             let mut pool = Vec::with_capacity(cfg.specs_per_tenant);
@@ -513,6 +516,20 @@ pub fn run_local(cfg: &LoadgenConfig, serve_cfg: ServeConfig) -> Result<LoadgenR
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_largest_stream_spec_builds_on_one_worker() {
+        use cdsf_ra::{EngineBuild, Phi1Engine};
+        for seed in 0..8 {
+            let (batch, platform) = WorkloadSpec::simple(6, 3, 8, seed).expand().unwrap();
+            let opts = EngineBuild {
+                threads: 2,
+                ..EngineBuild::default()
+            };
+            let (_, pool) = Phi1Engine::build_with(&batch, &platform, &opts).unwrap();
+            assert_eq!(pool.workers, 1, "seed {seed}");
+        }
+    }
 
     #[test]
     fn stream_is_deterministic_and_well_formed() {

@@ -45,9 +45,20 @@ pub type Result<T> = std::result::Result<T, SystemError>;
 /// workspace is thread-count-invariant in its *results* (see `DESIGN.md`),
 /// so this only tunes speed — except Monte-Carlo estimators, whose
 /// configs keep fixed thread defaults for cross-machine reproducibility.
+///
+/// The host is probed once per process and the answer kept: on Linux
+/// [`std::thread::available_parallelism`] re-reads the cgroup quota and
+/// the affinity mask on every call, tens of microseconds each, and
+/// allocator constructors on the serve request path call this. The value
+/// is therefore a start-up snapshot: a later change of the cgroup CPU
+/// quota or of the affinity mask is not seen, just as a running server's
+/// engine-build width does not follow it.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .max(1)
+    static HOST_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HOST_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+            .max(1)
+    })
 }

@@ -204,13 +204,14 @@ fn pooled_multi_start_annealing_is_thread_count_invariant() {
     }
 }
 
-/// The exact lattice branch-and-bound splits its root branches across
-/// the pool and merges them with a strict in-order argmax, so the
-/// solution — allocation, φ1 bits, and the Γ-robust variant's worst-case
-/// objective — is a function of the inputs alone, never of how the pool
-/// interleaved the root subtrees. Both search phases split: at the
-/// paper deadline the first finds the optimum, at Δ = 800 it finds no
-/// positive allocation and the second runs.
+/// The exact lattice branch-and-bound is a function of the inputs
+/// alone — allocation, φ1 bits, and the Γ-robust variant's worst-case
+/// objective — at any worker count. On the paper instance every search
+/// ends inside the serial-first budget, so several workers return the
+/// serial winner: at the paper deadline the first phase finds the
+/// optimum, at Δ = 800 it finds no positive allocation and the second
+/// runs. `lattice_split_is_thread_count_invariant` covers a search that
+/// splits.
 #[test]
 fn lattice_solvers_are_thread_count_invariant() {
     use cdsf_ra::{GammaRobust, Lattice, LatticeScratch, LatticeSolution};
@@ -269,6 +270,92 @@ fn lattice_solvers_are_thread_count_invariant() {
                 "γ-robust φ1 bits differ at {threads} threads, Δ = {deadline}"
             );
         }
+    }
+}
+
+/// A search longer than the lattice's serial-first budget (2¹⁶ nodes):
+/// several workers split what the serial prefix left over the pool, one
+/// task per unfinished subtree along the prefix's last path, and merge
+/// the slots by the strict total order, so the solution still cannot
+/// depend on how the pool interleaved them. Which subtrees the split
+/// must search is pinned against an unpruned reference by the lattice's
+/// own tests, at budgets that cut the prefix short where it matters.
+#[test]
+fn lattice_split_is_thread_count_invariant() {
+    use cdsf_ra::{GammaRobust, Lattice, LatticeScratch};
+    use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
+    let platform = PlatformGenerator {
+        num_types: 3,
+        procs_per_type: (8, 16),
+        availability_pulses: 3,
+        availability_range: Range::new(0.3, 1.0).unwrap(),
+    }
+    .generate(11)
+    .unwrap();
+    let batch = BatchGenerator {
+        num_apps: 12,
+        total_iters: (1_000, 8_000),
+        serial_fraction: Range::new(0.02, 0.2).unwrap(),
+        mean_exec_time: Range::new(1_000.0, 6_000.0).unwrap(),
+        type_heterogeneity: Range::new(0.6, 1.8).unwrap(),
+        pulses: 12,
+    }
+    .generate(&platform, 12)
+    .unwrap();
+    let engine = Phi1Engine::build(&batch, &platform).unwrap();
+    // Past the budget at one worker: 68 934 nodes for the plain solver at
+    // Δ = 8 000, 82 173 for the Γ-robust one at Δ = 9 000.
+    let mut scratch = LatticeScratch::new();
+    let plain = |threads: usize, scratch: &mut LatticeScratch| {
+        Lattice::new(threads)
+            .unwrap()
+            .optimum_with_engine(&platform, &engine, 8_000.0, scratch)
+            .unwrap()
+    };
+    let (want, want_report) = plain(1, &mut scratch);
+    assert!(
+        want_report.counters.nodes > 1 << 16,
+        "the search fits the budget"
+    );
+    for threads in THREAD_COUNTS {
+        let (alloc, report) = plain(threads, &mut scratch);
+        assert_eq!(
+            alloc, want,
+            "lattice allocation differs at {threads} threads"
+        );
+        assert_eq!(
+            (report.phi1.to_bits(), report.sum_exp.to_bits()),
+            (want_report.phi1.to_bits(), want_report.sum_exp.to_bits()),
+            "lattice φ1 / Σ E[T] bits differ at {threads} threads"
+        );
+    }
+    let robust = |threads: usize, scratch: &mut LatticeScratch| {
+        GammaRobust {
+            threads,
+            ..Default::default()
+        }
+        .solve_with_engine(&platform, &engine, 9_000.0, scratch)
+        .unwrap()
+    };
+    let (want, want_report) = robust(1, &mut scratch);
+    assert!(
+        want_report.counters.nodes > 1 << 16,
+        "the search fits the budget"
+    );
+    for threads in THREAD_COUNTS {
+        let (solution, report) = robust(threads, &mut scratch);
+        assert_eq!(
+            solution, want,
+            "γ-robust solution differs at {threads} threads"
+        );
+        assert_eq!(
+            (report.phi1.to_bits(), report.nominal_phi1.to_bits()),
+            (
+                want_report.phi1.to_bits(),
+                want_report.nominal_phi1.to_bits()
+            ),
+            "γ-robust φ1 bits differ at {threads} threads"
+        );
     }
 }
 
