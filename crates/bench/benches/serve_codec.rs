@@ -11,18 +11,14 @@
 //! - `encode_line/fresh` — the same serializer but a fresh buffer per
 //!   line, isolating what buffer reuse saves;
 //! - `to_string/baseline` — the old `serde_json::to_string` + copy path;
-//! - `view/borrowed` — `ResponseView` (no owned `Response` built at all),
-//!   the embedder/golden-test codec surface;
 //! - `read_line/retained` — the request decode path with a retained line
 //!   buffer.
 
 use cdsf_serve::protocol::{
-    encode_line, read_line_into, Request, ResponseView, RobustVerdict, SubmitReply,
-    SubmitReplyView, WireAssignment,
+    encode_line, read_line_into, Request, RobustVerdict, SubmitReply, WireAssignment,
 };
 use cdsf_serve::Response;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use std::borrow::Cow;
 use std::hint::black_box;
 use std::io::BufReader;
 
@@ -80,28 +76,6 @@ fn bench_encode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_borrowed_view(c: &mut Criterion) {
-    let reply = sample_reply();
-    let mut group = c.benchmark_group("serve_codec/view");
-    let mut retained = Vec::with_capacity(4096);
-    group.bench_function("view/borrowed", |b| {
-        b.iter(|| {
-            let view = ResponseView::Submit(SubmitReplyView {
-                tenant: Cow::Borrowed(reply.tenant.as_str()),
-                engine_key: reply.engine_key,
-                assignments: &reply.assignments,
-                per_app_phi1: &reply.per_app_phi1,
-                expected_times: &reply.expected_times,
-                verdict: &reply.verdict,
-            });
-            retained.clear();
-            encode_line(&mut retained, black_box(&view)).unwrap();
-            black_box(retained.len())
-        })
-    });
-    group.finish();
-}
-
 fn bench_decode(c: &mut Criterion) {
     // A burst of submit requests, as the shard reader sees them.
     let mut wire = Vec::new();
@@ -128,5 +102,5 @@ fn bench_decode(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_borrowed_view, bench_decode);
+criterion_group!(benches, bench_encode, bench_decode);
 criterion_main!(benches);

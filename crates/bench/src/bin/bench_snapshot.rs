@@ -117,7 +117,11 @@ use std::time::Instant;
 /// `ra/lattice_allocate/apps16_d7000_t1` and `_t2`, a search of
 /// 322 670 nodes, with the derived `lattice_split_speedup` (`t1 / t2`)
 /// guarded by [`lattice_split_speedup_floor`].
-const SCHEMA_VERSION: u64 = 11;
+/// v12 added the `largest_pool` block to `ra_lattice`: the 1-thread
+/// search counters of the dual-stage pool's largest solve, guarded to at
+/// most [`LARGEST_POOL_MAX_NODES`] nodes, the lattice's serial-first
+/// budget.
+const SCHEMA_VERSION: u64 = 12;
 
 /// Current stage-2 snapshot schema. Bump when the JSON shape changes.
 /// v2 added the host-aware `grid_thread4_speedup` floor (≥ 3× on hosts
@@ -245,7 +249,7 @@ fn lattice_split_speedup_floor(host_threads: u64) -> f64 {
 const DEADLINE: f64 = 2_800.0;
 
 /// Node ceiling of the 1-thread lattice search on the contended
-/// instance ([`contended_instance`]). The search without per-type
+/// instance ([`CONTENDED_POOL`]). The search without per-type
 /// tables and its positive-first phase visited 1 331 842 nodes, with
 /// them 7 250; counts at one worker are deterministic, so the ceiling
 /// binds on every host.
@@ -254,6 +258,18 @@ const CONTENDED_MAX_NODES: u64 = 20_000;
 /// Seed and index of the contended instance in the dual-stage pool.
 const CONTENDED_POOL: (u64, u64) = (42, 16);
 
+/// Node ceiling of the 1-thread lattice search on the dual-stage pool's
+/// largest solve ([`LARGEST_POOL`]): 65 536, the lattice's serial-first
+/// budget (`SERIAL_BUDGET` in `cdsf_ra`'s lattice module). Below it a
+/// two-worker `dualstage` solve never leaves the serial prefix. It took
+/// 58 081 nodes when recorded; counts at one worker are deterministic,
+/// so the ceiling binds on every host.
+const LARGEST_POOL_MAX_NODES: u64 = 1 << 16;
+
+/// Seed and index of the dual-stage pool's largest 1-thread lattice
+/// solve among its 200 instances (the mean takes about 2 200 nodes).
+const LARGEST_POOL: (u64, u64) = (42, 177);
+
 fn snapshot_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}"))
 }
@@ -261,26 +277,27 @@ fn snapshot_path(name: &str) -> PathBuf {
 /// Median wall-clock nanoseconds per call over `samples` samples of
 /// `iters` calls each.
 fn measure<F: FnMut()>(samples: usize, iters: usize, mut f: F) -> f64 {
-    let [ns] = measure_alternating(samples, iters, |_| f());
+    let [ns] = measure_alternating(samples, [iters], |_| f());
     ns
 }
 
 /// [`measure`] for `N` sides that take turns sample by sample, so host
 /// drift moves them alike and their ratio divides it out. `f(side)` makes
-/// one call of side `side`.
+/// one call of side `side`; a sample of side `side` makes `iters[side]`
+/// calls.
 fn measure_alternating<const N: usize, F: FnMut(usize)>(
     samples: usize,
-    iters: usize,
+    iters: [usize; N],
     mut f: F,
 ) -> [f64; N] {
     let mut times: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(samples));
     for _ in 0..samples {
         for (side, t) in times.iter_mut().enumerate() {
             let t0 = Instant::now();
-            for _ in 0..iters {
+            for _ in 0..iters[side] {
                 f(side);
             }
-            t.push(t0.elapsed().as_nanos() as f64 / iters as f64);
+            t.push(t0.elapsed().as_nanos() as f64 / iters[side] as f64);
         }
     }
     times.map(|mut t| {
@@ -481,6 +498,25 @@ fn push(out: &mut Vec<BenchResult>, r: BenchResult) {
     out.push(r);
 }
 
+/// Pushes one row per side of a [`measure_alternating`] result.
+fn push_sides<const N: usize>(
+    out: &mut Vec<BenchResult>,
+    names: [&'static str; N],
+    per_unit: &'static str,
+    medians: [f64; N],
+) {
+    for (name, median_ns) in names.into_iter().zip(medians) {
+        push(
+            out,
+            BenchResult {
+                name,
+                median_ns,
+                per_unit,
+            },
+        );
+    }
+}
+
 /// Runs the stage-1 suite; returns its results and the remap loop's
 /// counters.
 fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
@@ -488,25 +524,18 @@ fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
 
     // --- pmf_ops territory: single-CDF lookup, prefix vs re-sum ---------
     let pmf = Normal::new(1_000.0, 100.0).unwrap().equiprobable(1024);
-    push(
+    let cdf = measure_alternating(samples, [2_000 * scale, 500 * scale], |side| {
+        if side == 0 {
+            black_box(pmf.cdf(black_box(1_050.0)));
+        } else {
+            black_box(legacy_cdf(&pmf, black_box(1_050.0)));
+        }
+    });
+    push_sides(
         &mut out,
-        BenchResult {
-            name: "pmf/cdf/prefix_1024",
-            median_ns: measure(samples, 2_000 * scale, || {
-                black_box(pmf.cdf(black_box(1_050.0)));
-            }),
-            per_unit: "lookup",
-        },
-    );
-    push(
-        &mut out,
-        BenchResult {
-            name: "pmf/cdf/legacy_scan_1024",
-            median_ns: measure(samples, 500 * scale, || {
-                black_box(legacy_cdf(&pmf, black_box(1_050.0)));
-            }),
-            per_unit: "lookup",
-        },
+        ["pmf/cdf/prefix_1024", "pmf/cdf/legacy_scan_1024"],
+        "lookup",
+        cdf,
     );
 
     // --- batched deadline sweep ------------------------------------------
@@ -540,25 +569,15 @@ fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
     // what the old apps32/pulses12 instance silently measured).
     let (batch, platform) = bench_instance(32);
     let (rich_batch, rich_platform) = rich_instance();
-    push(
+    let builds = measure_alternating(samples, [scale.max(1); 2], |side| {
+        let threads = [1, 4][side];
+        black_box(Phi1Engine::build_parallel(&rich_batch, &rich_platform, threads).unwrap());
+    });
+    push_sides(
         &mut out,
-        BenchResult {
-            name: "phi1/engine_build/t1_p384",
-            median_ns: measure(samples, scale.max(1), || {
-                black_box(Phi1Engine::build(&rich_batch, &rich_platform).unwrap());
-            }),
-            per_unit: "build",
-        },
-    );
-    push(
-        &mut out,
-        BenchResult {
-            name: "phi1/engine_build/t4_p384",
-            median_ns: measure(samples, scale.max(1), || {
-                black_box(Phi1Engine::build_parallel(&rich_batch, &rich_platform, 4).unwrap());
-            }),
-            per_unit: "build",
-        },
+        ["phi1/engine_build/t1_p384", "phi1/engine_build/t4_p384"],
+        "build",
+        builds,
     );
 
     // --- pmf_build: fused loaded-PMF kernel vs two-step reference ---------
@@ -569,38 +588,32 @@ fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
     let cells = engine_cells(&rich_batch, &rich_platform);
     let n_cells = cells.len() as f64;
     let rich_apps = rich_batch.apps();
-    push(
+    let pmf_build = measure_alternating(samples, [2 * scale; 2], |side| {
+        if side == 0 {
+            let mut scratch = CombineScratch::new();
+            for &(i, j, n) in &cells {
+                black_box(
+                    loaded_time_pmf_in(&rich_apps[i], &rich_platform, j, n, &mut scratch).unwrap(),
+                );
+            }
+        } else {
+            for &(i, j, n) in &cells {
+                let app = &rich_apps[i];
+                let avail = rich_platform.proc_type(j).unwrap().availability();
+                let parallel =
+                    amdahl_rescale(app.exec_time(j).unwrap(), app.serial_fraction(), n).unwrap();
+                black_box(parallel.quotient(avail).unwrap());
+            }
+        }
+    });
+    push_sides(
         &mut out,
-        BenchResult {
-            name: "pmf_build/loaded_fused_p384",
-            median_ns: measure(samples, 2 * scale, || {
-                let mut scratch = CombineScratch::new();
-                for &(i, j, n) in &cells {
-                    black_box(
-                        loaded_time_pmf_in(&rich_apps[i], &rich_platform, j, n, &mut scratch)
-                            .unwrap(),
-                    );
-                }
-            }) / n_cells,
-            per_unit: "cell",
-        },
-    );
-    push(
-        &mut out,
-        BenchResult {
-            name: "pmf_build/loaded_two_step_p384",
-            median_ns: measure(samples, 2 * scale, || {
-                for &(i, j, n) in &cells {
-                    let app = &rich_apps[i];
-                    let avail = rich_platform.proc_type(j).unwrap().availability();
-                    let parallel =
-                        amdahl_rescale(app.exec_time(j).unwrap(), app.serial_fraction(), n)
-                            .unwrap();
-                    black_box(parallel.quotient(avail).unwrap());
-                }
-            }) / n_cells,
-            per_unit: "cell",
-        },
+        [
+            "pmf_build/loaded_fused_p384",
+            "pmf_build/loaded_two_step_p384",
+        ],
+        "cell",
+        pmf_build.map(|ns| ns / n_cells),
     );
 
     let remap = remap_benches(&mut out, samples, 2 * scale, &batch, &platform);
@@ -608,40 +621,31 @@ fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
     // --- probability-table derivation: SoA pass vs legacy nested scan -----
     let engine = Phi1Engine::build(&batch, &platform).unwrap();
     let deadlines: Vec<f64> = (0..32).map(|i| 1_200.0 + 100.0 * i as f64).collect();
-    push(
-        &mut out,
-        BenchResult {
-            name: "phi1/table_sweep/soa_32d",
-            median_ns: measure(samples, 5 * scale, || {
-                for &d in &deadlines {
-                    black_box(engine.table(d).unwrap());
+    let sweeps = measure_alternating(samples, [5 * scale; 2], |side| {
+        for &d in &deadlines {
+            if side == 0 {
+                black_box(engine.table(d).unwrap());
+                continue;
+            }
+            let mut probs = Vec::with_capacity(engine.num_apps());
+            for app in 0..engine.num_apps() {
+                let mut per_type: Vec<Option<Vec<f64>>> = vec![None; engine.num_types()];
+                for asg in engine.options(app) {
+                    let pmf = engine.loaded_pmf(app, asg.proc_type, asg.procs).unwrap();
+                    per_type[asg.proc_type.0]
+                        .get_or_insert_with(Vec::new)
+                        .push(legacy_cdf(pmf, d));
                 }
-            }),
-            per_unit: "sweep",
-        },
-    );
-    push(
+                probs.push(per_type);
+            }
+            black_box(probs);
+        }
+    });
+    push_sides(
         &mut out,
-        BenchResult {
-            name: "phi1/table_sweep/legacy_32d",
-            median_ns: measure(samples, 5 * scale, || {
-                for &d in &deadlines {
-                    let mut probs = Vec::with_capacity(engine.num_apps());
-                    for app in 0..engine.num_apps() {
-                        let mut per_type: Vec<Option<Vec<f64>>> = vec![None; engine.num_types()];
-                        for asg in engine.options(app) {
-                            let pmf = engine.loaded_pmf(app, asg.proc_type, asg.procs).unwrap();
-                            per_type[asg.proc_type.0]
-                                .get_or_insert_with(Vec::new)
-                                .push(legacy_cdf(pmf, d));
-                        }
-                        probs.push(per_type);
-                    }
-                    black_box(probs);
-                }
-            }),
-            per_unit: "sweep",
-        },
+        ["phi1/table_sweep/soa_32d", "phi1/table_sweep/legacy_32d"],
+        "sweep",
+        sweeps,
     );
 
     // --- SA mutation-evaluation throughput --------------------------------
@@ -661,37 +665,31 @@ fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
         })
         .collect();
     let n_moves = moves.len() as f64;
-    push(
+    let mutations = measure_alternating(samples, [scale.max(1); 2], |side| {
+        let mut acc = 0.0;
+        if side == 0 {
+            let mut delta = DeltaFitness::new(&probs, &genome);
+            for &(app, asg) in &moves {
+                delta.set_gene(app, asg);
+                acc += delta.fitness();
+            }
+        } else {
+            let mut g = genome.clone();
+            for &(app, asg) in &moves {
+                g[app] = asg;
+                acc += full_fitness(&table, &g);
+            }
+        }
+        black_box(acc);
+    });
+    push_sides(
         &mut out,
-        BenchResult {
-            name: "phi1/sa_mutation/delta_apps64",
-            median_ns: measure(samples, scale.max(1), || {
-                let mut delta = DeltaFitness::new(&probs, &genome);
-                let mut acc = 0.0;
-                for &(app, asg) in &moves {
-                    delta.set_gene(app, asg);
-                    acc += delta.fitness();
-                }
-                black_box(acc);
-            }) / n_moves,
-            per_unit: "mutation_eval",
-        },
-    );
-    push(
-        &mut out,
-        BenchResult {
-            name: "phi1/sa_mutation/full_recompute_apps64",
-            median_ns: measure(samples, scale.max(1), || {
-                let mut g = genome.clone();
-                let mut acc = 0.0;
-                for &(app, asg) in &moves {
-                    g[app] = asg;
-                    acc += full_fitness(&table, &g);
-                }
-                black_box(acc);
-            }) / n_moves,
-            per_unit: "mutation_eval",
-        },
+        [
+            "phi1/sa_mutation/delta_apps64",
+            "phi1/sa_mutation/full_recompute_apps64",
+        ],
+        "mutation_eval",
+        mutations.map(|ns| ns / n_moves),
     );
 
     // --- ra_search territory: one full SA allocation ----------------------
@@ -706,16 +704,24 @@ fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
         ..Default::default()
     };
     use cdsf_ra::Allocator;
-    push(
-        &mut out,
-        BenchResult {
-            name: "ra/sa_allocate/apps16",
-            median_ns: measure(samples, 1, || {
-                black_box(sa.allocate(&sa_batch, &sa_platform, DEADLINE).unwrap());
-            }),
-            per_unit: "allocation",
-        },
-    );
+    // The lattice's warm path (engine + scratch reused) is what a serve
+    // shard's repeated allocations against a cached engine pay; it
+    // alternates with SA as the two sides of `lattice_vs_sa_speedup`.
+    let sa_engine = Phi1Engine::build(&sa_batch, &sa_platform).unwrap();
+    let lattice = cdsf_ra::Lattice::new(1).unwrap();
+    let mut lattice_scratch = cdsf_ra::LatticeScratch::new();
+    let [sa_ns, lattice_ns] = measure_alternating(samples, [1, 20 * scale], |side| {
+        if side == 0 {
+            black_box(sa.allocate(&sa_batch, &sa_platform, DEADLINE).unwrap());
+        } else {
+            black_box(
+                lattice
+                    .solve_with_engine(&sa_platform, &sa_engine, DEADLINE, &mut lattice_scratch)
+                    .unwrap(),
+            );
+        }
+    });
+    push_sides(&mut out, ["ra/sa_allocate/apps16"], "allocation", [sa_ns]);
 
     // Default SA on a serve-sized spec against a prebuilt engine, as a
     // shard runs it. The ceiling engages here: the lattice proves the
@@ -742,25 +748,11 @@ fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
     );
 
     // --- exact lattice branch-and-bound on the same instance --------------
-    // Warm path (engine + scratch reused) is what a serve shard's repeated
-    // allocations against a cached engine actually pay; it is the
-    // numerator host of `lattice_vs_sa_speedup`.
-    let sa_engine = Phi1Engine::build(&sa_batch, &sa_platform).unwrap();
-    let lattice = cdsf_ra::Lattice::new(1).unwrap();
-    let mut lattice_scratch = cdsf_ra::LatticeScratch::new();
-    push(
+    push_sides(
         &mut out,
-        BenchResult {
-            name: "ra/lattice_allocate/apps16",
-            median_ns: measure(samples, 20 * scale, || {
-                black_box(
-                    lattice
-                        .solve_with_engine(&sa_platform, &sa_engine, DEADLINE, &mut lattice_scratch)
-                        .unwrap(),
-                );
-            }),
-            per_unit: "allocation",
-        },
+        ["ra/lattice_allocate/apps16"],
+        "allocation",
+        [lattice_ns],
     );
     // The same solver at one and two workers on both sides of its
     // serial-first budget: a short search, as the serve's `lattice`
@@ -769,35 +761,31 @@ fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
     let (short_batch, short_platform) = bench_instance(24);
     let short_engine = Phi1Engine::build(&short_batch, &short_platform).unwrap();
     let workers = [1, 2].map(|threads| cdsf_ra::Lattice::new(threads).unwrap());
-    let [short_t1, short_t2] = measure_alternating(samples, 20 * scale, |side| {
+    let [short_t1, short_t2] = measure_alternating(samples, [20 * scale; 2], |side| {
         black_box(
             workers[side]
                 .allocate_with_engine(&short_batch, &short_platform, &short_engine, 2_000.0)
                 .unwrap(),
         );
     });
-    let [long_t1, long_t2] = measure_alternating(samples, scale.max(1), |side| {
+    let [long_t1, long_t2] = measure_alternating(samples, [scale.max(1); 2], |side| {
         black_box(
             workers[side]
                 .allocate_with_engine(&sa_batch, &sa_platform, &sa_engine, SPLIT_DEADLINE)
                 .unwrap(),
         );
     });
-    for (name, median_ns) in [
-        ("ra/lattice_allocate/apps24_d2000_t1", short_t1),
-        ("ra/lattice_allocate/apps24_d2000_t2", short_t2),
-        ("ra/lattice_allocate/apps16_d7000_t1", long_t1),
-        ("ra/lattice_allocate/apps16_d7000_t2", long_t2),
-    ] {
-        push(
-            &mut out,
-            BenchResult {
-                name,
-                median_ns,
-                per_unit: "allocation",
-            },
-        );
-    }
+    push_sides(
+        &mut out,
+        [
+            "ra/lattice_allocate/apps24_d2000_t1",
+            "ra/lattice_allocate/apps24_d2000_t2",
+            "ra/lattice_allocate/apps16_d7000_t1",
+            "ra/lattice_allocate/apps16_d7000_t2",
+        ],
+        "allocation",
+        [short_t1, short_t2, long_t1, long_t2],
+    );
     let robust = cdsf_ra::GammaRobust {
         threads: 1,
         ..Default::default()
@@ -862,28 +850,18 @@ fn run_suite(samples: usize, scale: usize) -> (Vec<BenchResult>, Value) {
     let thrash = thrash_instances();
     let store = CellStore::new(DEFAULT_CELL_CAPACITY);
     thrash_pass(&thrash, Some(&store));
-    let (mut storeless_ns, mut attached_ns) = (Vec::new(), Vec::new());
-    for _ in 0..samples {
-        for (times, store) in [(&mut storeless_ns, None), (&mut attached_ns, Some(&store))] {
-            let t0 = Instant::now();
-            thrash_pass(&thrash, store);
-            times.push(t0.elapsed().as_nanos() as f64 / THRASH_BUILDS as f64);
-        }
-    }
-    for (name, mut times) in [
-        ("cell_store/thrash_build/storeless_churn3000", storeless_ns),
-        ("cell_store/thrash_build/store_churn3000", attached_ns),
-    ] {
-        times.sort_by(f64::total_cmp);
-        push(
-            &mut out,
-            BenchResult {
-                name,
-                median_ns: times[times.len() / 2],
-                per_unit: "build",
-            },
-        );
-    }
+    let passes = measure_alternating(samples, [1; 2], |side| {
+        thrash_pass(&thrash, [None, Some(&store)][side]);
+    });
+    push_sides(
+        &mut out,
+        [
+            "cell_store/thrash_build/storeless_churn3000",
+            "cell_store/thrash_build/store_churn3000",
+        ],
+        "build",
+        passes.map(|ns| ns / THRASH_BUILDS as f64),
+    );
 
     (out, remap)
 }
@@ -927,14 +905,13 @@ fn serve_sa_instance() -> ServeSaInstance {
         .expect("the default stream names `sa` on a feasible spec")
 }
 
-/// Instance 16 of the benchmark's dual-stage pool (seed 42): 8
+/// Instance `index` of the benchmark's dual-stage pool seeded `seed`: 8
 /// applications with 16-pulse PMFs on 4 types of 8–16 processors, at
-/// Δ = 4 000. App 0's only option with a positive deadline probability
-/// needs 8 of type 2's 13 processors, so it fits beside no other
-/// application taking 8 there — a fullness the lattice's total-budget
-/// bound cannot see.
-fn contended_instance() -> (Batch, Platform, f64) {
-    let (seed, index) = CONTENDED_POOL;
+/// Δ = 4 000. In instance 16 ([`CONTENDED_POOL`]), app 0's only option
+/// with a positive deadline probability needs 8 of type 2's 13
+/// processors, so it fits beside no other application taking 8 there — a
+/// fullness the lattice's total-budget bound cannot see.
+fn pool_instance((seed, index): (u64, u64)) -> (Batch, Platform, f64) {
     let mix = |a: u64| {
         let mut z = seed ^ a.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -976,7 +953,8 @@ fn counters_json(c: &cdsf_ra::allocators::LatticeCounters) -> Value {
 /// exact runs the speedup ratio is built from. `sa_steps` and the
 /// `sa_serve` block record how many proposal steps the two timed SA runs
 /// take: all of them on apps16, a fraction on the serve spec. The
-/// `contended` block holds the 1-thread counters of [`contended_instance`].
+/// `contended` and `largest_pool` blocks hold the 1-thread counters of
+/// the pool instances [`CONTENDED_POOL`] and [`LARGEST_POOL`].
 fn ra_lattice_section(scale: usize) -> Value {
     use cdsf_ra::robustness::evaluate;
 
@@ -1008,11 +986,25 @@ fn ra_lattice_section(scale: usize) -> Value {
     let (_, serve_report) = serve_sa
         .allocate_multi_start(&serve.platform, &serve.engine, serve.deadline)
         .expect("SA must allocate on the serve spec");
-    let (c_batch, c_platform, c_deadline) = contended_instance();
-    let c_engine = Phi1Engine::build(&c_batch, &c_platform).unwrap();
-    let (_, c_report) = lattice
-        .solve_with_engine(&c_platform, &c_engine, c_deadline, &mut scratch)
-        .expect("lattice solve must succeed on the contended instance");
+    let mut pool_block = |pool: (u64, u64)| {
+        let (batch, platform, deadline) = pool_instance(pool);
+        let engine = Phi1Engine::build(&batch, &platform).unwrap();
+        let (_, report) = lattice
+            .solve_with_engine(&platform, &engine, deadline, &mut scratch)
+            .expect("lattice solve must succeed on the pool instance");
+        json!({
+            "pool_seed": pool.0,
+            "pool_index": pool.1,
+            "apps": batch.len(),
+            "types": platform.num_types(),
+            "deadline": deadline,
+            "threads": 1,
+            "phi1": report.phi1,
+            "counters": counters_json(&report.counters),
+        })
+    };
+    let contended = pool_block(CONTENDED_POOL);
+    let largest_pool = pool_block(LARGEST_POOL);
     json!({
         "apps": 16,
         "deadline": DEADLINE,
@@ -1023,16 +1015,8 @@ fn ra_lattice_section(scale: usize) -> Value {
         "lattice_phi1": report.phi1,
         "sa_phi1": sa_phi1,
         "counters": counters_json(&report.counters),
-        "contended": json!({
-            "pool_seed": CONTENDED_POOL.0,
-            "pool_index": CONTENDED_POOL.1,
-            "apps": c_batch.len(),
-            "types": c_platform.num_types(),
-            "deadline": c_deadline,
-            "threads": 1,
-            "phi1": c_report.phi1,
-            "counters": counters_json(&c_report.counters),
-        }),
+        "contended": contended,
+        "largest_pool": largest_pool,
         "sa_serve": json!({
             "spec": serve.spec,
             "deadline": serve.deadline,
@@ -1051,95 +1035,80 @@ fn run_stage2_suite(samples: usize, scale: usize) -> Vec<BenchResult> {
     let mut out = Vec::new();
 
     // --- Timeline queries: prefix kernels vs legacy linear walks ----------
+    // The queries stay inside the warmed range, so the timeline never
+    // grows and the legacy walks see the same segment table.
     let (mut tl, queries) = warmed_timeline(STAGE2_SEGMENTS as f64 * 5.0);
     let mut rng = StdRng::seed_from_u64(1);
     let n_q = queries.len() as f64;
-    push(
-        &mut out,
-        BenchResult {
-            name: "timeline/finish_time/prefix_10k",
-            median_ns: measure(samples, 200 * scale, || {
-                let mut acc = 0.0;
-                for &(start, work) in &queries {
-                    acc += tl.finish_time(black_box(start), black_box(work), &mut rng);
-                }
-                black_box(acc);
-            }) / n_q,
-            per_unit: "lookup",
-        },
-    );
     let (starts, levels, _) = tl.segments();
     let (starts, levels) = (starts.to_vec(), levels.to_vec());
-    push(
+    let iters = [200 * scale, 2 * scale];
+    let finish = measure_alternating(samples, iters, |side| {
+        let mut acc = 0.0;
+        if side == 0 {
+            for &(start, work) in &queries {
+                acc += tl.finish_time(black_box(start), black_box(work), &mut rng);
+            }
+        } else {
+            for &(start, work) in &queries {
+                acc += legacy_finish_time(&starts, &levels, black_box(start), work);
+            }
+        }
+        black_box(acc);
+    });
+    push_sides(
         &mut out,
-        BenchResult {
-            name: "timeline/finish_time/legacy_walk_10k",
-            median_ns: measure(samples, 2 * scale, || {
-                let mut acc = 0.0;
-                for &(start, work) in &queries {
-                    acc += legacy_finish_time(&starts, &levels, black_box(start), work);
-                }
-                black_box(acc);
-            }) / n_q,
-            per_unit: "lookup",
-        },
+        [
+            "timeline/finish_time/prefix_10k",
+            "timeline/finish_time/legacy_walk_10k",
+        ],
+        "lookup",
+        finish.map(|ns| ns / n_q),
     );
-    push(
+    let work = measure_alternating(samples, iters, |side| {
+        let mut acc = 0.0;
+        if side == 0 {
+            for &(t0, span) in &queries {
+                acc += tl.work_between(black_box(t0), black_box(t0 + span), &mut rng);
+            }
+        } else {
+            for &(t0, span) in &queries {
+                acc += legacy_work_between(&starts, &levels, black_box(t0), t0 + span);
+            }
+        }
+        black_box(acc);
+    });
+    push_sides(
         &mut out,
-        BenchResult {
-            name: "timeline/work_between/prefix_10k",
-            median_ns: measure(samples, 200 * scale, || {
-                let mut acc = 0.0;
-                for &(t0, span) in &queries {
-                    acc += tl.work_between(black_box(t0), black_box(t0 + span), &mut rng);
-                }
-                black_box(acc);
-            }) / n_q,
-            per_unit: "lookup",
-        },
+        [
+            "timeline/work_between/prefix_10k",
+            "timeline/work_between/legacy_scan_10k",
+        ],
+        "lookup",
+        work.map(|ns| ns / n_q),
     );
-    push(
+    let mean = measure_alternating(samples, iters, |side| {
+        let mut acc = 0.0;
+        if side == 0 {
+            for &(t, _) in &queries {
+                acc += tl.mean_availability_until(black_box(t.max(1.0)), &mut rng);
+            }
+        } else {
+            for &(t, _) in &queries {
+                let t = t.max(1.0);
+                acc += legacy_work_between(&starts, &levels, 0.0, black_box(t)) / t;
+            }
+        }
+        black_box(acc);
+    });
+    push_sides(
         &mut out,
-        BenchResult {
-            name: "timeline/work_between/legacy_scan_10k",
-            median_ns: measure(samples, 2 * scale, || {
-                let mut acc = 0.0;
-                for &(t0, span) in &queries {
-                    acc += legacy_work_between(&starts, &levels, black_box(t0), t0 + span);
-                }
-                black_box(acc);
-            }) / n_q,
-            per_unit: "lookup",
-        },
-    );
-    push(
-        &mut out,
-        BenchResult {
-            name: "timeline/mean_avail/prefix_10k",
-            median_ns: measure(samples, 200 * scale, || {
-                let mut acc = 0.0;
-                for &(t, _) in &queries {
-                    acc += tl.mean_availability_until(black_box(t.max(1.0)), &mut rng);
-                }
-                black_box(acc);
-            }) / n_q,
-            per_unit: "lookup",
-        },
-    );
-    push(
-        &mut out,
-        BenchResult {
-            name: "timeline/mean_avail/legacy_scan_10k",
-            median_ns: measure(samples, 2 * scale, || {
-                let mut acc = 0.0;
-                for &(t, _) in &queries {
-                    let t = t.max(1.0);
-                    acc += legacy_work_between(&starts, &levels, 0.0, black_box(t)) / t;
-                }
-                black_box(acc);
-            }) / n_q,
-            per_unit: "lookup",
-        },
+        [
+            "timeline/mean_avail/prefix_10k",
+            "timeline/mean_avail/legacy_scan_10k",
+        ],
+        "lookup",
+        mean.map(|ns| ns / n_q),
     );
 
     // --- executor replicates: scratch arena vs fresh allocation -----------
@@ -1152,40 +1121,27 @@ fn run_stage2_suite(samples: usize, scale: usize) -> Vec<BenchResult> {
         .overhead(0.01)
         .build()
         .unwrap();
-    push(
+    let replicates = measure_alternating(samples, [scale.max(1); 2], |side| {
+        let mut scratch = (side == 0).then(ExecutorScratch::new);
+        let mut acc = 0.0;
+        for r in 0..STAGE2_REPLICATES {
+            let mut rng = StdRng::seed_from_u64(100 + r);
+            let run = match &mut scratch {
+                Some(scratch) => execute_in(&TechniqueKind::Fac, &cfg, scratch, &mut rng),
+                None => execute(&TechniqueKind::Fac, &cfg, &mut rng),
+            };
+            acc += run.unwrap().makespan;
+        }
+        black_box(acc);
+    });
+    push_sides(
         &mut out,
-        BenchResult {
-            name: "executor/replicates25/scratch_arena",
-            median_ns: measure(samples, scale.max(1), || {
-                let mut scratch = ExecutorScratch::new();
-                let mut acc = 0.0;
-                for r in 0..STAGE2_REPLICATES {
-                    let mut rng = StdRng::seed_from_u64(100 + r);
-                    acc += execute_in(&TechniqueKind::Fac, &cfg, &mut scratch, &mut rng)
-                        .unwrap()
-                        .makespan;
-                }
-                black_box(acc);
-            }) / STAGE2_REPLICATES as f64,
-            per_unit: "replicate",
-        },
-    );
-    push(
-        &mut out,
-        BenchResult {
-            name: "executor/replicates25/fresh_alloc",
-            median_ns: measure(samples, scale.max(1), || {
-                let mut acc = 0.0;
-                for r in 0..STAGE2_REPLICATES {
-                    let mut rng = StdRng::seed_from_u64(100 + r);
-                    acc += execute(&TechniqueKind::Fac, &cfg, &mut rng)
-                        .unwrap()
-                        .makespan;
-                }
-                black_box(acc);
-            }) / STAGE2_REPLICATES as f64,
-            per_unit: "replicate",
-        },
+        [
+            "executor/replicates25/scratch_arena",
+            "executor/replicates25/fresh_alloc",
+        ],
+        "replicate",
+        replicates.map(|ns| ns / STAGE2_REPLICATES as f64),
     );
 
     // --- replicate-parallel grid wall-clock --------------------------------
@@ -1206,36 +1162,30 @@ fn run_stage2_suite(samples: usize, scale: usize) -> Vec<BenchResult> {
             procs: 8,
         },
     ]);
-    for (name, threads) in [
-        ("grid/replicates25/threads1", 1usize),
-        ("grid/replicates25/threads4", 4),
-    ] {
-        let params = SimParams {
-            replicates: STAGE2_REPLICATES as usize,
-            threads,
-            ..Default::default()
-        };
-        push(
-            &mut out,
-            BenchResult {
-                name,
-                median_ns: measure(samples, scale.max(1), || {
-                    black_box(
-                        simulate_grid(
-                            &batch,
-                            &alloc,
-                            &cases,
-                            &techniques,
-                            paper::DEADLINE,
-                            &params,
-                        )
-                        .unwrap(),
-                    );
-                }),
-                per_unit: "grid",
-            },
+    let params = [1, 4].map(|threads| SimParams {
+        replicates: STAGE2_REPLICATES as usize,
+        threads,
+        ..Default::default()
+    });
+    let grids = measure_alternating(samples, [scale.max(1); 2], |side| {
+        black_box(
+            simulate_grid(
+                &batch,
+                &alloc,
+                &cases,
+                &techniques,
+                paper::DEADLINE,
+                &params[side],
+            )
+            .unwrap(),
         );
-    }
+    });
+    push_sides(
+        &mut out,
+        ["grid/replicates25/threads1", "grid/replicates25/threads4"],
+        "grid",
+        grids,
+    );
 
     out
 }
@@ -1623,7 +1573,8 @@ fn check_ra_lattice_section(snapshot: &Value) -> Result<(), String> {
 }
 
 /// The contended instance's 1-thread search must stay within
-/// [`CONTENDED_MAX_NODES`] nodes and reach a positive optimum.
+/// [`CONTENDED_MAX_NODES`] nodes and reach a positive optimum, and the
+/// pool's largest solve within [`LARGEST_POOL_MAX_NODES`].
 fn check_contended_nodes(ra_lattice: &Value) -> Result<(), String> {
     let contended = ra_lattice
         .get("contended")
@@ -1636,6 +1587,16 @@ fn check_contended_nodes(ra_lattice: &Value) -> Result<(), String> {
             "the lattice visits {nodes} nodes on the contended instance, above the \
              {CONTENDED_MAX_NODES} ceiling — the per-type tables or the positive-first \
              phase stopped cutting"
+        ));
+    }
+    let largest = ra_lattice["largest_pool"]["counters"]["nodes"]
+        .as_u64()
+        .ok_or("ra_lattice missing largest_pool.counters.nodes")?;
+    if largest > LARGEST_POOL_MAX_NODES {
+        return Err(format!(
+            "the lattice visits {largest} nodes on the dual-stage pool's largest \
+             solve, above the {LARGEST_POOL_MAX_NODES}-node serial-first budget — \
+             two-worker dualstage solves now split"
         ));
     }
     match contended["phi1"].as_f64() {
@@ -2170,7 +2131,7 @@ fn main() {
 
     if check {
         // Node counts at one worker are deterministic, so the smoke
-        // pass's own contended search is held to the ceiling too.
+        // pass's own pool searches are held to their ceilings too.
         if !stage2 {
             if let Err(msg) = check_contended_nodes(&snapshot["ra_lattice"]) {
                 eprintln!("error: {msg}");

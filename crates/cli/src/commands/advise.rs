@@ -4,15 +4,12 @@ use crate::args::{Args, CliError};
 use crate::commands::paper_cdsf;
 use cdsf_core::advisor::{Advisor, VerdictSource};
 use cdsf_core::report::pct;
-use cdsf_core::{AsciiTable, ImPolicy, RasPolicy};
+use cdsf_core::{AsciiTable, RasPolicy};
 
 /// Runs the command.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let cdsf = paper_cdsf(args)?;
-    let im = match args.get("allocator") {
-        None => ImPolicy::Robust,
-        Some(name) => ImPolicy::Custom(super::stage1::allocator_by_name(name)?),
-    };
+    let im = super::allocator_policy(args.get("allocator").unwrap_or("robust"))?;
     let advice = Advisor::default()
         .advise(&cdsf, &im, &RasPolicy::Robust)
         .map_err(|e| CliError::Framework(e.to_string()))?;

@@ -2,7 +2,7 @@
 
 use crate::args::{Args, CliError};
 use cdsf_core::report::pct;
-use cdsf_core::{AsciiTable, ImPolicy};
+use cdsf_core::AsciiTable;
 use cdsf_ra::correlation::correlation_sweep;
 use cdsf_ra::robustness::MonteCarloConfig;
 use serde::Serialize;
@@ -28,7 +28,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let err = |e: String| CliError::Framework(e);
 
     let cdsf = super::paper_cdsf(args)?;
-    let policy = ImPolicy::Custom(super::stage1::allocator_by_name(&allocator)?);
+    let policy = super::allocator_policy(&allocator)?;
     let (alloc, report) = cdsf.stage_one(&policy).map_err(|e| err(e.to_string()))?;
 
     let rhos: Vec<f64> = (0..=steps).map(|k| k as f64 / steps as f64).collect();

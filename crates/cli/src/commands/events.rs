@@ -3,7 +3,7 @@
 
 use crate::args::{Args, CliError};
 use cdsf_core::report::pct;
-use cdsf_core::{AsciiTable, ImPolicy};
+use cdsf_core::AsciiTable;
 use cdsf_events::{EngineConfig, EventEngine, LogEntry, RunReport};
 use cdsf_workloads::faults;
 use serde::Serialize;
@@ -41,10 +41,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     cfg.threads = args.get_parsed("threads", cfg.threads)?;
     cfg.remap = args.get_parsed("remap", 1u8)? != 0;
     if let Some(name) = args.get("allocator") {
-        cfg.allocator = ImPolicy::by_name(name).ok_or_else(|| CliError::BadValue {
-            flag: "--allocator".to_string(),
-            value: name.to_string(),
-        })?;
+        cfg.allocator = super::allocator_policy(name)?;
     }
 
     let batch = cdsf_workloads::paper::batch_with_pulses(pulses);

@@ -15,7 +15,7 @@ pub mod surface;
 pub mod sweep;
 
 use crate::args::{Args, CliError};
-use cdsf_core::{Cdsf, SimParams};
+use cdsf_core::{Cdsf, ImPolicy, SimParams};
 use cdsf_workloads::paper as paper_fixture;
 
 /// The `cdsf help` text.
@@ -27,9 +27,7 @@ USAGE: cdsf <command> [--flag value]... [--json]
 COMMANDS:
   paper       reproduce the paper's small-scale example end to end
   stage1      run a Stage-I mapping on the paper instance
-              [--allocator equal-share|exhaustive|greedy-min-time|
-                           greedy-max-robust|sufferage|annealing|genetic]
-              [--pulses N] [--deadline D]
+              [--allocator NAME (default exhaustive)] [--pulses N] [--deadline D]
   scenarios   run the four scenarios (Figures 3-6)
               [--replicates N] [--dwell T] [--overhead H] [--seed S]
   sweep       availability-decrease sweep of the robustness envelope
@@ -55,7 +53,20 @@ COMMANDS:
               [--threads N] [--allocator NAME] [--threshold P]
   help        this text
 
+--allocator NAME, wherever taken: naive | equal-share, robust | exhaustive,
+  lattice, gamma-robust, greedy-min-time, greedy-max-robust, sufferage,
+  sa | annealing, ga | genetic.
+
 All commands accept --json for machine-readable output."
+}
+
+/// Shared: the Stage-I policy named by `--allocator`, resolved through
+/// [`ImPolicy::by_name`]; an unknown name is a bad flag value.
+pub fn allocator_policy(name: &str) -> Result<ImPolicy, CliError> {
+    ImPolicy::by_name(name).ok_or_else(|| CliError::BadValue {
+        flag: "--allocator".to_string(),
+        value: name.to_string(),
+    })
 }
 
 /// Shared: builds the paper-fixture CDSF with CLI-tunable simulation

@@ -25,12 +25,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         });
     }
     if let Some(allocator) = args.get("allocator") {
-        if cdsf_core::ImPolicy::by_name(allocator).is_none() {
-            return Err(CliError::BadValue {
-                flag: "--allocator".to_string(),
-                value: allocator.to_string(),
-            });
-        }
+        super::allocator_policy(allocator)?;
         cfg.default_allocator = allocator.to_string();
     }
 

@@ -1,14 +1,9 @@
 //! `cdsf stage1` — run one Stage-I mapping on the paper instance.
 
 use crate::args::{Args, CliError};
-use crate::commands::paper_cdsf;
+use crate::commands::{allocator_policy, paper_cdsf};
 use cdsf_core::report::pct;
-use cdsf_core::{AsciiTable, ImPolicy};
-use cdsf_ra::allocators::{
-    EqualShare, Exhaustive, GammaRobust, GeneticAlgorithm, GreedyMaxRobust, GreedyMinTime, Lattice,
-    SimulatedAnnealing, Sufferage,
-};
-use cdsf_ra::Allocator;
+use cdsf_core::AsciiTable;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -23,34 +18,13 @@ struct Stage1Json {
     system_radius: f64,
 }
 
-/// Builds the allocator named on the command line.
-pub fn allocator_by_name(name: &str) -> Result<Box<dyn Allocator + Send + Sync>, CliError> {
-    Ok(match name {
-        "equal-share" => Box::new(EqualShare::new()),
-        "exhaustive" => Box::new(Exhaustive::default()),
-        "greedy-min-time" => Box::new(GreedyMinTime::new()),
-        "greedy-max-robust" => Box::new(GreedyMaxRobust::new()),
-        "sufferage" => Box::new(Sufferage::new()),
-        "annealing" => Box::new(SimulatedAnnealing::default()),
-        "genetic" => Box::new(GeneticAlgorithm::default()),
-        "lattice" => Box::new(Lattice::default()),
-        "gamma-robust" => Box::new(GammaRobust::default()),
-        other => {
-            return Err(CliError::BadValue {
-                flag: "--allocator".to_string(),
-                value: other.to_string(),
-            })
-        }
-    })
-}
-
 /// Runs the command.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let name = args.get("allocator").unwrap_or("exhaustive").to_string();
-    let allocator = allocator_by_name(&name)?;
+    let policy = allocator_policy(&name)?;
     let cdsf = paper_cdsf(args)?;
     let (alloc, report) = cdsf
-        .stage_one(&ImPolicy::Custom(allocator))
+        .stage_one(&policy)
         .map_err(|e| CliError::Framework(e.to_string()))?;
     let radius =
         cdsf_ra::radius::robustness_radius(cdsf.batch(), cdsf.reference(), &alloc, cdsf.deadline())
@@ -122,23 +96,6 @@ mod tests {
             run(&args("stage1 --allocator nope")),
             Err(CliError::BadValue { .. })
         ));
-    }
-
-    #[test]
-    fn every_named_allocator_builds() {
-        for name in [
-            "equal-share",
-            "exhaustive",
-            "greedy-min-time",
-            "greedy-max-robust",
-            "sufferage",
-            "annealing",
-            "genetic",
-            "lattice",
-            "gamma-robust",
-        ] {
-            assert!(allocator_by_name(name).is_ok(), "{name}");
-        }
     }
 
     #[test]

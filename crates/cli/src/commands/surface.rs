@@ -4,7 +4,7 @@
 use crate::args::{Args, CliError};
 use crate::commands::paper_cdsf;
 use cdsf_core::report::pct;
-use cdsf_core::{AsciiTable, ImPolicy};
+use cdsf_core::AsciiTable;
 use cdsf_ra::surface::{diagonal_tolerance, robustness_surface, surface_to_csv};
 
 /// Runs the command.
@@ -27,7 +27,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
     let cdsf = paper_cdsf(args)?;
     let allocator = args.get("allocator").unwrap_or("exhaustive");
-    let policy = ImPolicy::Custom(super::stage1::allocator_by_name(allocator)?);
+    let policy = super::allocator_policy(allocator)?;
     let (alloc, _) = cdsf.stage_one(&policy).map_err(|e| err(e.to_string()))?;
 
     let scales: Vec<f64> = (0..steps)

@@ -92,6 +92,55 @@ fn init_and_run_config_through_the_binary() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn stage1_runs_the_annealer_by_its_short_name() {
+    let out = cdsf(&["stage1", "--allocator", "sa", "--pulses", "8", "--json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let v: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
+    assert_eq!(v["allocator"], "sa");
+    assert!(v["phi1"].as_f64().unwrap() > 0.5);
+}
+
+#[test]
+fn run_config_runs_a_lattice_spec() {
+    let dir = std::env::temp_dir().join("cdsf-e2e-lattice");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("exp.json");
+    let path_s = path.to_str().unwrap();
+    let out = cdsf(&[
+        "init-config",
+        "--file",
+        path_s,
+        "--pulses",
+        "8",
+        "--replicates",
+        "2",
+    ]);
+    assert!(out.status.success());
+    let spec = std::fs::read_to_string(&path).unwrap();
+    assert!(spec.contains("\"im\": \"robust\""), "{spec}");
+    std::fs::write(
+        &path,
+        spec.replace("\"im\": \"robust\"", "\"im\": \"lattice\""),
+    )
+    .unwrap();
+
+    let out = cdsf(&["run-config", "--file", path_s, "--json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let v: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
+    assert_eq!(v["scenario"]["im_name"], "Lattice");
+    assert!(v["scenario"]["phi1"].as_f64().unwrap() > 0.5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Runs `cdsf serve` with `args` and returns its output once it exits,
 /// killing it first if it is still running after `limit` — a server
 /// that started instead of refusing its flags.

@@ -20,9 +20,8 @@
 //! }
 //! ```
 //!
-//! `im` names: `naive` / `equal-share`, `robust` / `exhaustive`,
-//! `greedy-min-time`, `greedy-max-robust`, `sufferage`, `annealing`,
-//! `genetic`. `ras` entries parse per
+//! `im` is any name [`ImPolicy::by_name`] accepts (README's policy
+//! table), matched case-insensitively. `ras` entries parse per
 //! [`TechniqueKind::from_str`](cdsf_dls::TechniqueKind) (`"STATIC"`,
 //! `"FAC"`, `"FSC:128"`, …); the special value `["naive"]` selects STATIC
 //! and `["robust"]` the paper's robust set.
@@ -31,9 +30,6 @@ use crate::policy::{ImPolicy, RasPolicy};
 use crate::simulation::SimParams;
 use crate::{Cdsf, CoreError, Result, ScenarioResult, SystemRobustness};
 use cdsf_dls::TechniqueKind;
-use cdsf_ra::allocators::{
-    EqualShare, GeneticAlgorithm, GreedyMaxRobust, GreedyMinTime, SimulatedAnnealing, Sufferage,
-};
 use cdsf_system::{Batch, Platform};
 use serde::{Deserialize, Serialize};
 
@@ -69,26 +65,6 @@ pub struct ExperimentResult {
     pub scenario: ScenarioResult,
     /// `(ρ₁, ρ₂)` over the spec's runtime cases.
     pub robustness: SystemRobustness,
-}
-
-/// Resolves a Stage-I policy by name.
-pub fn im_policy_by_name(name: &str) -> Result<ImPolicy> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "naive" | "equal-share" => ImPolicy::Naive,
-        "robust" | "exhaustive" => ImPolicy::Robust,
-        "greedy-min-time" => ImPolicy::Custom(Box::new(GreedyMinTime::new())),
-        "greedy-max-robust" => ImPolicy::Custom(Box::new(GreedyMaxRobust::new())),
-        "sufferage" => ImPolicy::Custom(Box::new(Sufferage::new())),
-        "annealing" => ImPolicy::Custom(Box::new(SimulatedAnnealing::default())),
-        "genetic" => ImPolicy::Custom(Box::new(GeneticAlgorithm::default())),
-        // EqualShare is reachable as "naive"; keep the explicit name too.
-        "equal_share" => ImPolicy::Custom(Box::new(EqualShare::new())),
-        _ => {
-            return Err(CoreError::BadConfig {
-                what: "unknown im policy name",
-            })
-        }
-    })
 }
 
 /// Resolves a Stage-II policy from technique names.
@@ -146,7 +122,9 @@ impl ExperimentSpec {
     /// Runs the experiment end to end.
     pub fn run(&self) -> Result<ExperimentResult> {
         let cdsf = self.build()?;
-        let im = im_policy_by_name(&self.im)?;
+        let im = ImPolicy::by_name(&self.im.to_ascii_lowercase()).ok_or(CoreError::BadConfig {
+            what: "unknown im policy name",
+        })?;
         let ras = ras_policy_from_names(&self.ras)?;
         let scenario = cdsf.run_scenario(&im, &ras)?;
         let robustness = cdsf.system_robustness(&scenario);
@@ -212,21 +190,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_name_resolution() {
-        for name in [
-            "naive",
-            "robust",
-            "exhaustive",
-            "equal-share",
-            "greedy-min-time",
-            "greedy-max-robust",
-            "sufferage",
-            "annealing",
-            "genetic",
-        ] {
-            assert!(im_policy_by_name(name).is_ok(), "{name}");
-        }
-        assert!(im_policy_by_name("bogus").is_err());
+    fn ras_name_resolution() {
         assert!(ras_policy_from_names(&[]).is_err());
         assert!(ras_policy_from_names(&["bogus".into()]).is_err());
         assert_eq!(

@@ -31,16 +31,18 @@ impl ImPolicy {
         !matches!(self, ImPolicy::Naive)
     }
 
-    /// Resolves a CLI-style allocator name to a policy. Accepts the two
-    /// paper policies plus every allocator shipped by `cdsf-ra`.
+    /// Resolves an allocator name to a policy: the two paper policies plus
+    /// every allocator shipped by `cdsf-ra`. This is the one name table;
+    /// the CLI, experiment specs and the service all resolve through it.
+    /// Names are case-sensitive.
     pub fn by_name(name: &str) -> Option<ImPolicy> {
         use cdsf_ra::allocators as ra;
         Some(match name {
             "naive" | "equal-share" => ImPolicy::Naive,
             "robust" | "exhaustive" => ImPolicy::Robust,
-            "greedy-min-time" => ImPolicy::Custom(Box::new(ra::GreedyMinTime::new())),
-            "greedy-max-robust" => ImPolicy::Custom(Box::new(ra::GreedyMaxRobust::new())),
-            "sufferage" => ImPolicy::Custom(Box::new(ra::Sufferage::new())),
+            "greedy-min-time" => ImPolicy::Custom(Box::new(ra::GreedyMinTime)),
+            "greedy-max-robust" => ImPolicy::Custom(Box::new(ra::GreedyMaxRobust)),
+            "sufferage" => ImPolicy::Custom(Box::new(ra::Sufferage)),
             "sa" | "annealing" => ImPolicy::Custom(Box::new(ra::SimulatedAnnealing::default())),
             "ga" | "genetic" => ImPolicy::Custom(Box::new(ra::GeneticAlgorithm::default())),
             "lattice" => ImPolicy::Custom(Box::new(ra::Lattice::default())),
@@ -49,24 +51,21 @@ impl ImPolicy {
         })
     }
 
-    /// Runs the policy.
+    /// Runs the policy, building the φ₁ engine at the host width
+    /// ([`cdsf_system::default_threads`]); the engine's bits, and so the
+    /// allocation, do not depend on the width.
     pub fn allocate(
         &self,
         batch: &Batch,
         platform: &Platform,
         deadline: f64,
     ) -> Result<Allocation> {
-        let alloc = match self {
-            ImPolicy::Naive => EqualShare::new().allocate(batch, platform, deadline)?,
-            ImPolicy::Robust => Exhaustive::default().allocate(batch, platform, deadline)?,
-            ImPolicy::Custom(a) => a.allocate(batch, platform, deadline)?,
-        };
-        Ok(alloc)
+        let engine = Phi1Engine::build_parallel(batch, platform, cdsf_system::default_threads())?;
+        self.allocate_with_engine(batch, platform, &engine, deadline)
     }
 
     /// Runs the policy against a prebuilt [`Phi1Engine`] for
-    /// `(batch, platform)`, skipping the per-policy PMF cache rebuild.
-    /// Bit-identical to [`ImPolicy::allocate`].
+    /// `(batch, platform)`.
     pub fn allocate_with_engine(
         &self,
         batch: &Batch,
@@ -74,16 +73,13 @@ impl ImPolicy {
         engine: &Phi1Engine,
         deadline: f64,
     ) -> Result<Allocation> {
-        let alloc = match self {
-            ImPolicy::Naive => {
-                EqualShare::new().allocate_with_engine(batch, platform, engine, deadline)?
-            }
+        Ok(match self {
+            ImPolicy::Naive => EqualShare.allocate_with_engine(batch, platform, engine, deadline),
             ImPolicy::Robust => {
-                Exhaustive::default().allocate_with_engine(batch, platform, engine, deadline)?
+                Exhaustive::default().allocate_with_engine(batch, platform, engine, deadline)
             }
-            ImPolicy::Custom(a) => a.allocate_with_engine(batch, platform, engine, deadline)?,
-        };
-        Ok(alloc)
+            ImPolicy::Custom(a) => a.allocate_with_engine(batch, platform, engine, deadline),
+        }?)
     }
 }
 
@@ -237,7 +233,7 @@ mod tests {
             let (im, ras) = s.policies();
             assert_eq!(Scenario::classify(&im, &ras), Some(s));
         }
-        let custom = ImPolicy::Custom(Box::new(cdsf_ra::allocators::Sufferage::new()));
+        let custom = ImPolicy::Custom(Box::new(cdsf_ra::allocators::Sufferage));
         assert_eq!(Scenario::classify(&custom, &RasPolicy::Naive), None);
     }
 

@@ -35,14 +35,6 @@ impl Allocator for EqualShare {
         "EqualShare"
     }
 
-    fn allocate(&self, batch: &Batch, platform: &Platform, deadline: f64) -> Result<Allocation> {
-        if batch.is_empty() {
-            return Err(RaError::EmptyBatch);
-        }
-        let table = ProbabilityTable::build(batch, platform, deadline)?;
-        self.place(batch, platform, &table)
-    }
-
     fn allocate_with_engine(
         &self,
         batch: &Batch,
@@ -54,17 +46,6 @@ impl Allocator for EqualShare {
             return Err(RaError::EmptyBatch);
         }
         let table = engine.table(deadline)?;
-        self.place(batch, platform, &table)
-    }
-}
-
-impl EqualShare {
-    fn place(
-        &self,
-        batch: &Batch,
-        platform: &Platform,
-        table: &ProbabilityTable,
-    ) -> Result<Allocation> {
         let n = batch.len() as u32;
         let share = prev_power_of_two(platform.total_processors() / n).max(1);
 
@@ -78,7 +59,7 @@ impl EqualShare {
         dfs(
             batch,
             platform,
-            table,
+            &table,
             share,
             &mut current,
             &mut cap,

@@ -32,7 +32,8 @@ use cdsf_system::{Batch, Platform};
 /// lexicographically by option path.
 #[derive(Debug, Clone, Copy)]
 pub struct Exhaustive {
-    /// Number of worker threads for the engine build and the search.
+    /// Number of worker threads for the search. The engine is built by
+    /// the caller, or by [`Allocator::allocate`] at the host width.
     pub threads: usize,
 }
 
@@ -261,14 +262,6 @@ fn dfs(
 impl Allocator for Exhaustive {
     fn name(&self) -> &'static str {
         "Exhaustive"
-    }
-
-    fn allocate(&self, batch: &Batch, platform: &Platform, deadline: f64) -> Result<Allocation> {
-        if batch.is_empty() {
-            return Err(RaError::EmptyBatch);
-        }
-        let engine = Phi1Engine::build_parallel(batch, platform, self.threads)?;
-        self.allocate_with_engine(batch, platform, &engine, deadline)
     }
 
     fn allocate_with_engine(

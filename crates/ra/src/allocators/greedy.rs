@@ -6,8 +6,9 @@
 //! evaluating candidates on the memoized `Pr(T ≤ Δ)` table rather than on
 //! deterministic completion times. All run in `O(N² · options)` or better —
 //! polynomial where [`super::Exhaustive`] is exponential. All candidate
-//! probabilities and expected times are served by the shared
-//! [`Phi1Engine`], whose cache build is parallelized over `threads`.
+//! probabilities and expected times are served by the [`Phi1Engine`]
+//! handed to `allocate_with_engine`; the policies themselves are
+//! single-threaded and carry no settings.
 
 use super::{engine_options, Allocator, Capacity};
 use crate::allocation::{Allocation, Assignment};
@@ -45,38 +46,19 @@ fn leaves_others_feasible(
 /// Max-min analogue on expectations; it ignores the deadline entirely,
 /// which makes it a useful "efficiency-only" baseline for the robustness
 /// heuristics.
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyMinTime {
-    /// Worker threads for the [`Phi1Engine`] cache build.
-    pub threads: usize,
-}
-
-impl Default for GreedyMinTime {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GreedyMinTime;
 
 impl GreedyMinTime {
-    /// Creates the policy with the default thread count.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self {
-            threads: cdsf_system::default_threads(),
-        }
+        Self
     }
 }
 
 impl Allocator for GreedyMinTime {
     fn name(&self) -> &'static str {
         "GreedyMinTime"
-    }
-
-    fn allocate(&self, batch: &Batch, platform: &Platform, deadline: f64) -> Result<Allocation> {
-        if batch.is_empty() {
-            return Err(RaError::EmptyBatch);
-        }
-        let engine = Phi1Engine::build_parallel(batch, platform, self.threads)?;
-        self.allocate_with_engine(batch, platform, &engine, deadline)
     }
 
     fn allocate_with_engine(
@@ -151,38 +133,19 @@ impl Allocator for GreedyMinTime {
 /// Repeatedly pick the unassigned application whose *best* feasible
 /// `Pr(T ≤ Δ)` is lowest (it is the bottleneck for the joint product) and
 /// give it that best option.
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyMaxRobust {
-    /// Worker threads for the [`Phi1Engine`] cache build.
-    pub threads: usize,
-}
-
-impl Default for GreedyMaxRobust {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GreedyMaxRobust;
 
 impl GreedyMaxRobust {
-    /// Creates the policy with the default thread count.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self {
-            threads: cdsf_system::default_threads(),
-        }
+        Self
     }
 }
 
 impl Allocator for GreedyMaxRobust {
     fn name(&self) -> &'static str {
         "GreedyMaxRobust"
-    }
-
-    fn allocate(&self, batch: &Batch, platform: &Platform, deadline: f64) -> Result<Allocation> {
-        if batch.is_empty() {
-            return Err(RaError::EmptyBatch);
-        }
-        let engine = Phi1Engine::build_parallel(batch, platform, self.threads)?;
-        self.allocate_with_engine(batch, platform, &engine, deadline)
     }
 
     fn allocate_with_engine(
@@ -241,38 +204,19 @@ impl Allocator for GreedyMaxRobust {
 /// Sufferage value = best `Pr(T ≤ Δ)` − second-best `Pr(T ≤ Δ)` among
 /// currently-feasible options; the largest sufferage gets its best option
 /// first.
-#[derive(Debug, Clone, Copy)]
-pub struct Sufferage {
-    /// Worker threads for the [`Phi1Engine`] cache build.
-    pub threads: usize,
-}
-
-impl Default for Sufferage {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sufferage;
 
 impl Sufferage {
-    /// Creates the policy with the default thread count.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self {
-            threads: cdsf_system::default_threads(),
-        }
+        Self
     }
 }
 
 impl Allocator for Sufferage {
     fn name(&self) -> &'static str {
         "Sufferage"
-    }
-
-    fn allocate(&self, batch: &Batch, platform: &Platform, deadline: f64) -> Result<Allocation> {
-        if batch.is_empty() {
-            return Err(RaError::EmptyBatch);
-        }
-        let engine = Phi1Engine::build_parallel(batch, platform, self.threads)?;
-        self.allocate_with_engine(batch, platform, &engine, deadline)
     }
 
     fn allocate_with_engine(

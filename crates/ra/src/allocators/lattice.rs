@@ -1483,7 +1483,8 @@ thread_local! {
 /// [`super::Exhaustive`] — at a fraction of the node count.
 #[derive(Debug, Clone, Copy)]
 pub struct Lattice {
-    /// Worker threads for the engine build and the root-level split.
+    /// Worker threads for the root-level split. The engine is built by
+    /// the caller, or by [`Allocator::allocate`] at the host width.
     pub threads: usize,
 }
 
@@ -1539,14 +1540,6 @@ impl Allocator for Lattice {
         "Lattice"
     }
 
-    fn allocate(&self, batch: &Batch, platform: &Platform, deadline: f64) -> Result<Allocation> {
-        if batch.is_empty() {
-            return Err(RaError::EmptyBatch);
-        }
-        let engine = Phi1Engine::build_parallel(batch, platform, self.threads)?;
-        self.allocate_with_engine(batch, platform, &engine, deadline)
-    }
-
     fn allocate_with_engine(
         &self,
         batch: &Batch,
@@ -1577,7 +1570,8 @@ impl Allocator for Lattice {
 /// deadline — a proof, not a fallback.
 #[derive(Debug, Clone, Copy)]
 pub struct GammaRobust {
-    /// Worker threads for the engine build and the root-level split.
+    /// Worker threads for the root-level split. The engine is built by
+    /// the caller, or by [`Allocator::allocate`] at the host width.
     pub threads: usize,
     /// Γ: how many processor types the adversary may degrade at once.
     pub budget: usize,
@@ -1620,14 +1614,6 @@ impl GammaRobust {
 impl Allocator for GammaRobust {
     fn name(&self) -> &'static str {
         "GammaRobust"
-    }
-
-    fn allocate(&self, batch: &Batch, platform: &Platform, deadline: f64) -> Result<Allocation> {
-        if batch.is_empty() {
-            return Err(RaError::EmptyBatch);
-        }
-        let engine = Phi1Engine::build_parallel(batch, platform, self.threads)?;
-        self.allocate_with_engine(batch, platform, &engine, deadline)
     }
 
     fn allocate_with_engine(

@@ -211,7 +211,8 @@ pub struct SimulatedAnnealing {
     pub seed: u64,
     /// Number of independent restart chains.
     pub restarts: usize,
-    /// Worker threads for the engine build and the restart chains.
+    /// Worker threads for the restart chains. The engine is built by the
+    /// caller, or by [`Allocator::allocate`] at the host width.
     pub threads: usize,
 }
 
@@ -506,11 +507,6 @@ impl Allocator for SimulatedAnnealing {
         "SimulatedAnnealing"
     }
 
-    fn allocate(&self, batch: &Batch, platform: &Platform, deadline: f64) -> Result<Allocation> {
-        let engine = Phi1Engine::build_parallel(batch, platform, self.threads.max(1))?;
-        self.allocate_with_engine(batch, platform, &engine, deadline)
-    }
-
     fn allocate_with_engine(
         &self,
         _batch: &Batch,
@@ -541,7 +537,8 @@ pub struct GeneticAlgorithm {
     pub tournament: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for the engine build and the fitness sweeps.
+    /// Worker threads for the fitness sweeps. The engine is built by the
+    /// caller, or by [`Allocator::allocate`] at the host width.
     pub threads: usize,
 }
 
@@ -627,11 +624,6 @@ impl GeneticAlgorithm {
 impl Allocator for GeneticAlgorithm {
     fn name(&self) -> &'static str {
         "GeneticAlgorithm"
-    }
-
-    fn allocate(&self, batch: &Batch, platform: &Platform, deadline: f64) -> Result<Allocation> {
-        let engine = Phi1Engine::build_parallel(batch, platform, self.threads.max(1))?;
-        self.allocate_with_engine(batch, platform, &engine, deadline)
     }
 
     fn allocate_with_engine(

@@ -17,8 +17,9 @@
 //!   at a fraction of the cost. [`GammaRobust`] is its Γ-budget
 //!   worst-case variant with provable infeasibility.
 //!
-//! All policies implement [`Allocator`] and are deterministic: the
-//! metaheuristics take explicit seeds.
+//! All policies implement [`Allocator`] through its one required method,
+//! `allocate_with_engine`, and are deterministic: the metaheuristics take
+//! explicit seeds.
 
 mod equal_share;
 mod exhaustive;
@@ -45,27 +46,33 @@ use cdsf_system::ProcTypeId;
 use cdsf_system::{Batch, Platform};
 
 /// A Stage-I allocation policy.
+///
+/// A policy writes one method, [`Allocator::allocate_with_engine`], and
+/// answers every probability and expected-time query from the prebuilt
+/// [`Phi1Engine`] it is handed. [`Allocator::allocate`] builds that
+/// engine itself; callers that need a given build width, or allocate
+/// more than once on the same inputs, build it themselves.
 pub trait Allocator {
     /// Policy name for reports (e.g. `"EqualShare"`).
     fn name(&self) -> &'static str;
 
     /// Produces a feasible allocation for `batch` on `platform` targeting
-    /// the common deadline.
-    fn allocate(&self, batch: &Batch, platform: &Platform, deadline: f64) -> Result<Allocation>;
-
-    /// As [`Allocator::allocate`], reusing a prebuilt [`Phi1Engine`] for
-    /// `(batch, platform)` instead of recomputing the PMF cache. Every
-    /// policy in this crate overrides this to serve probability and
-    /// expected-time queries from the engine; results are bit-identical to
-    /// [`Allocator::allocate`], which simply builds the engine itself.
+    /// the common deadline, with `engine` built for `(batch, platform)`.
     fn allocate_with_engine(
         &self,
         batch: &Batch,
         platform: &Platform,
-        _engine: &Phi1Engine,
+        engine: &Phi1Engine,
         deadline: f64,
-    ) -> Result<Allocation> {
-        self.allocate(batch, platform, deadline)
+    ) -> Result<Allocation>;
+
+    /// As [`Allocator::allocate_with_engine`], building the engine at the
+    /// host width ([`cdsf_system::default_threads`]). The engine's bits do
+    /// not depend on the width, so neither does the answer. An empty batch
+    /// is rejected by the build.
+    fn allocate(&self, batch: &Batch, platform: &Platform, deadline: f64) -> Result<Allocation> {
+        let engine = Phi1Engine::build_parallel(batch, platform, cdsf_system::default_threads())?;
+        self.allocate_with_engine(batch, platform, &engine, deadline)
     }
 }
 

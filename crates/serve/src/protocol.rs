@@ -18,7 +18,6 @@
 
 use crate::tenant::{TenantEvent, TenantSnapshot, WorkloadSpec};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::io::{BufRead, Write};
 
 /// A client request.
@@ -455,78 +454,6 @@ pub enum Response {
     },
 }
 
-/// A borrowed, serialize-only view of the hot [`Response`] variants.
-///
-/// Variant and field names mirror [`Response`] exactly, and the vendored
-/// `serde_json` emits identical bytes for a borrowed `&str`/slice and its
-/// owned counterpart — so `encode_line(buf, &view)` produces the same
-/// line `encode_line(buf, &response)` would, without ever cloning the
-/// tenant id, error message, or result vectors into an owned `Response`.
-/// The server's own data plane gets zero-clone replies by *moving* owned
-/// strings out of the request; this view is for encoders that only hold
-/// borrows (in-process embedders, benches, golden tests).
-#[derive(Debug)]
-pub enum ResponseView<'a> {
-    /// Borrowed form of [`Response::Submit`].
-    Submit(SubmitReplyView<'a>),
-    /// Borrowed form of [`Response::Error`].
-    Error {
-        /// Human-readable cause.
-        message: Cow<'a, str>,
-    },
-}
-
-/// Borrowed form of [`SubmitReply`]: same field names, identical bytes.
-#[derive(Debug)]
-pub struct SubmitReplyView<'a> {
-    /// Echoed tenant.
-    pub tenant: Cow<'a, str>,
-    /// Input fingerprint of the engine that served this request.
-    pub engine_key: u64,
-    /// The Stage-I allocation, one assignment per application.
-    pub assignments: &'a [WireAssignment],
-    /// Per-application `Pr(T_i ≤ Δ)` under the allocation.
-    pub per_app_phi1: &'a [f64],
-    /// Per-application expected completion times.
-    pub expected_times: &'a [f64],
-    /// The verdict (joint φ₁ and threshold call).
-    pub verdict: &'a RobustVerdict,
-}
-
-// The stand-in derive does not take lifetime-generic types, so the views
-// spell out the same external conventions the derive uses: newtype
-// variant -> single-entry object, struct variant -> single-entry object
-// of a field map, fields in declaration order.
-impl Serialize for ResponseView<'_> {
-    fn to_content(&self) -> serde::Content {
-        match self {
-            ResponseView::Submit(v) => {
-                serde::Content::Map(vec![("Submit".to_string(), v.to_content())])
-            }
-            ResponseView::Error { message } => serde::Content::Map(vec![(
-                "Error".to_string(),
-                serde::Content::Map(vec![("message".to_string(), message.as_ref().to_content())]),
-            )]),
-        }
-    }
-}
-
-impl Serialize for SubmitReplyView<'_> {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            ("tenant".to_string(), self.tenant.as_ref().to_content()),
-            ("engine_key".to_string(), self.engine_key.to_content()),
-            ("assignments".to_string(), self.assignments.to_content()),
-            ("per_app_phi1".to_string(), self.per_app_phi1.to_content()),
-            (
-                "expected_times".to_string(),
-                self.expected_times.to_content(),
-            ),
-            ("verdict".to_string(), self.verdict.to_content()),
-        ])
-    }
-}
-
 /// Serializes one message as a JSON line appended to `buf` (no flush, no
 /// intermediate `String`). Callers that retain `buf` across calls pay
 /// zero allocations per line once the buffer has grown to the working
@@ -669,58 +596,6 @@ mod tests {
         // A retained buffer appends, preserving earlier lines.
         encode_line(&mut via_encode, &resp).unwrap();
         assert_eq!(via_encode.len(), 2 * via_write.len());
-    }
-
-    #[test]
-    fn borrowed_response_view_serializes_byte_identically() {
-        let owned = Response::Submit(SubmitReply {
-            tenant: "tenant-007".into(),
-            engine_key: 42,
-            assignments: vec![
-                WireAssignment {
-                    proc_type: 0,
-                    procs: 2,
-                },
-                WireAssignment {
-                    proc_type: 2,
-                    procs: 1,
-                },
-            ],
-            per_app_phi1: vec![0.9, 0.99],
-            expected_times: vec![100.5, 7.0 / 3.0],
-            verdict: RobustVerdict {
-                phi1: 0.891,
-                threshold: 0.8,
-                robust: true,
-                guaranteed_tier: None,
-            },
-        });
-        let Response::Submit(reply) = &owned else {
-            unreachable!()
-        };
-        let view = ResponseView::Submit(SubmitReplyView {
-            tenant: Cow::Borrowed(&reply.tenant),
-            engine_key: reply.engine_key,
-            assignments: &reply.assignments,
-            per_app_phi1: &reply.per_app_phi1,
-            expected_times: &reply.expected_times,
-            verdict: &reply.verdict,
-        });
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        encode_line(&mut a, &owned).unwrap();
-        encode_line(&mut b, &view).unwrap();
-        assert_eq!(a, b, "borrowed view changed the wire bytes");
-
-        let owned_err = Response::Error {
-            message: "bad request line: trailing garbage".into(),
-        };
-        let view_err = ResponseView::Error {
-            message: Cow::Borrowed("bad request line: trailing garbage"),
-        };
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        encode_line(&mut a, &owned_err).unwrap();
-        encode_line(&mut b, &view_err).unwrap();
-        assert_eq!(a, b);
     }
 
     /// A per-shard row whose every counter is distinct: counter `i` of

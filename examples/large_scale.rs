@@ -119,10 +119,11 @@ fn main() {
         fn name(&self) -> &'static str {
             "best-heuristic"
         }
-        fn allocate(
+        fn allocate_with_engine(
             &self,
             _: &cdsf_system::Batch,
             _: &cdsf_system::Platform,
+            _: &cdsf_ra::Phi1Engine,
             _: f64,
         ) -> cdsf_ra::Result<cdsf_ra::Allocation> {
             Ok(self.0.clone())

@@ -116,7 +116,7 @@ fn allocations_are_thread_count_invariant() {
             .collect()
     };
     let reference = Phi1Engine::build(&batch, &platform).unwrap();
-    let greedy = GreedyMaxRobust::default();
+    let greedy = GreedyMaxRobust;
     let equal = EqualShare;
     let want_greedy = greedy
         .allocate_with_engine(&batch, &platform, &reference, paper::DEADLINE)
