@@ -25,10 +25,11 @@
 //! cargo run --release -p cdsf-bench --bin bench_snapshot -- --serve --check
 //! ```
 //!
-//! `--check` runs a reduced-iteration smoke pass (validating that every
-//! kernel still executes — for `--serve`, a short error-free replay) and
-//! then verifies the *committed* snapshot exists and is schema-valid,
-//! without overwriting it — the CI guard.
+//! `--check` runs a reduced-iteration smoke pass (for `--serve`, a short
+//! replay) and holds its results to every guard row that bounds no
+//! timing and no replay size, then holds the *committed* snapshot to
+//! every row of its [`Suite`] and recomputes its derived ratios, without
+//! overwriting it — the CI guard.
 
 use cdsf_bench::{
     bench_instance, catalog_app, full_fitness, legacy_cdf, legacy_finish_time, legacy_work_between,
@@ -100,27 +101,24 @@ use std::time::Instant;
 /// `lru_hits` field went with the engine LRU.
 /// v9 added the `contended` block to `ra_lattice`: the 1-thread search
 /// counters of a capacity-contended instance generated like the
-/// benchmark's dual-stage pool, guarded to at most
-/// [`CONTENDED_MAX_NODES`] nodes.
+/// benchmark's dual-stage pool, guarded to at most 20 000 nodes.
 /// v10 added the thrash rows to `cell_store`: a fixed sequence of
 /// churn-shaped specs built through a default-capacity store whose
 /// working set is over twice its capacity, timed per build with and
 /// without the store (`cell_store/thrash_build/*`), one pass's store
 /// counters in the section's `thrash` block, and the derived
-/// `cell_store_thrash_overhead`, guarded to at most
-/// [`CELL_STORE_THRASH_OVERHEAD_MAX`].
+/// `cell_store_thrash_overhead`, guarded to at most 1.6×.
 /// v11 added the lattice at one and two workers over a prebuilt engine
 /// on both sides of its serial-first budget:
 /// `ra/lattice_allocate/apps24_d2000_t1` and `_t2`, a search of about a
 /// thousand nodes, with the derived `lattice_split_overhead` (`t2 / t1`)
-/// guarded to at most [`LATTICE_SPLIT_OVERHEAD_MAX`]; and
+/// guarded to at most 1.5×; and
 /// `ra/lattice_allocate/apps16_d7000_t1` and `_t2`, a search of
 /// 322 670 nodes, with the derived `lattice_split_speedup` (`t1 / t2`)
-/// guarded by [`lattice_split_speedup_floor`].
+/// guarded to at least 1.15× on two or more host threads, 0.7× on one.
 /// v12 added the `largest_pool` block to `ra_lattice`: the 1-thread
 /// search counters of the dual-stage pool's largest solve, guarded to at
-/// most [`LARGEST_POOL_MAX_NODES`] nodes, the lattice's serial-first
-/// budget.
+/// most 65 536 nodes, the lattice's serial-first budget.
 const SCHEMA_VERSION: u64 = 12;
 
 /// Current stage-2 snapshot schema. Bump when the JSON shape changes.
@@ -128,147 +126,260 @@ const SCHEMA_VERSION: u64 = 12;
 /// with ≥ 4 cores, no-regression bound elsewhere).
 const STAGE2_SCHEMA_VERSION: u64 = 2;
 
-/// Floors the ISSUE pins for the committed serve benchmark: the replay
-/// must exercise real multi-tenant sharding, not a toy stream.
-const SERVE_MIN_REQUESTS: u64 = 10_000;
-const SERVE_MIN_TENANTS: u64 = 4;
-const SERVE_MIN_SHARDS: u64 = 2;
-
-/// Performance floors for the committed serve snapshot. The v2 stream
-/// was pure cache/data-plane traffic, anchored to the lockstep v1
-/// snapshot (8 484.86 req/s at p99 1 309 µs; the pipelined rewrite had
-/// to clear 3× that throughput at half the p99). The v3 canonical
-/// stream deliberately routes a 2% `policy_mix` of submits through the
-/// explicit "sa"/"lattice" Stage-I solvers, which puts a few dozen
-/// multi-start SA runs (~20 ms each, single-threaded) *inside* the
-/// replay — so the floors re-anchor to the first v3 runs on a 1-core
-/// host (4.6-5.7 k req/s, 65 SA runs) with margin for the solver-bound
-/// run-to-run spread, and the
-/// wide-host p99 ceiling moves to the solver tail: an SA cache miss
-/// *is* the p99 path now. Narrow hosts (CI containers are routinely
-/// 1-2 cores) keep a degraded throughput bound so a thin runner cannot
-/// mask a real regression on a real host. Selected by the snapshot's
-/// recorded `host_threads` — numbers are always measured, never
-/// assumed.
-const SERVE_THROUGHPUT_MIN_WIDE_HOST: f64 = 9_000.0;
-const SERVE_P99_MAX_WIDE_US: u64 = 50_000;
-const SERVE_THROUGHPUT_MIN_NARROW_HOST: f64 = 3_500.0;
-
-/// Parallel-speedup floors for the 4-thread bench guards. A host with at
-/// least 4 cores must show real scaling from the work-stealing pool; on
-/// narrower hosts (CI containers are routinely 1-2 cores) a 4-thread run
-/// *cannot* beat serial, so the guard degrades to a bound proving the
-/// pool at least does not wreck single-core throughput. The floor is
-/// selected by the `host_threads` recorded in the snapshot's instance
-/// block — numbers are always measured, never assumed.
-const PARALLEL_SPEEDUP_MIN_WIDE_HOST: f64 = 3.0;
-const PARALLEL_SPEEDUP_MIN_NARROW_HOST: f64 = 0.7;
-
-/// The 4-thread speedup floor for a host with `host_threads` cores.
-fn parallel_speedup_floor(host_threads: u64) -> f64 {
-    if host_threads >= 4 {
-        PARALLEL_SPEEDUP_MIN_WIDE_HOST
-    } else {
-        PARALLEL_SPEEDUP_MIN_NARROW_HOST
-    }
-}
-
-/// The Stage-II grid clamps its worker count to the host width (and runs
-/// strictly inline at one worker), so on a narrow host the `threads4`
-/// configuration executes the *identical* serial code as `threads1` —
-/// the ratio must not dip below parity anymore (it measured 0.93 when
-/// 4 workers oversubscribed 1 core). Wide hosts keep the scaling floor.
-fn grid_speedup_floor(host_threads: u64) -> f64 {
-    if host_threads >= 4 {
-        PARALLEL_SPEEDUP_MIN_WIDE_HOST
-    } else {
-        1.0
-    }
-}
-
-/// Floor for the exact-lattice vs SA headline ratio. Both sides are
-/// single-threaded CPU-bound medians on the same host, so the ratio
-/// divides out the clock and needs no host awareness.
-const LATTICE_VS_SA_SPEEDUP_MIN: f64 = 10.0;
-
-/// The v5 snapshot's committed `ra/gamma_robust_allocate/apps16` median
-/// (full mode, the repo's canonical 1-core bench host). The suffix-DP
-/// screen added with the v6 schema must keep the Γ-robust solve at
-/// least [`GAMMA_ROBUST_SPEEDUP_MIN`]× faster than this anchor. The
-/// comparison is absolute nanoseconds against a committed baseline, so
-/// it only binds snapshots regenerated on the same host class — which
-/// is exactly how the committed artifact is produced; the margin
-/// (measured ~2.4-2.6×) absorbs normal clock spread.
-const GAMMA_ROBUST_BASELINE_V5_NS: f64 = 525_892.3;
-const GAMMA_ROBUST_SPEEDUP_MIN: f64 = 2.0;
-
-/// Floor for the store-warm partial-overlap engine build vs the cold
-/// kernel path on the 24-app catalog. Both sides are single-threaded
-/// medians from the same run, so the ratio divides out the clock.
-/// Measured ~7.4× on the canonical host (23 of 24 applications
-/// resident); 5× leaves room for run-to-run spread while still failing
-/// if store resolution stops short-circuiting the kernel.
-const CELL_STORE_WARM_SPEEDUP_MIN: f64 = 5.0;
-
-/// Ceiling for a store-attached build over a storeless one on the thrash
-/// instance, where most inserts evict. Both sides are single-threaded
-/// medians from the same run, so the ratio divides out the clock.
-/// Eviction by a scan of the shard read 2.3–3.0×; by the lazy queue,
-/// 1.1–1.4×.
-const CELL_STORE_THRASH_OVERHEAD_MAX: f64 = 1.6;
-
-/// Ceiling for the lattice at two workers over one worker on a search
-/// short enough to finish inside the serial-first budget. Both sides are
-/// medians of alternating samples from the same run, so the ratio
-/// divides out the clock. Splitting every search read 37–38× on a
-/// 2-vCPU host; the serial-first search, 1.01–1.03×.
-const LATTICE_SPLIT_OVERHEAD_MAX: f64 = 1.5;
-
 /// Deadline of the long lattice search on `bench_instance(16)`: 322 670
 /// nodes at one worker, about five times the serial-first budget, so two
 /// workers split it.
 const SPLIT_DEADLINE: f64 = 7_000.0;
 
-/// Floor for the lattice at one worker over two on the long search. On
-/// a host with two or more cores the split must pay; a serial search at
-/// both widths reads 1.0, and the split read 1.34–1.37× on a 2-vCPU
-/// host. On one core the two workers share it, and the floor degrades
-/// to the pool's narrow-host bound.
-const LATTICE_SPLIT_SPEEDUP_MIN: f64 = 1.15;
-
-/// The [`LATTICE_SPLIT_SPEEDUP_MIN`] floor for a host with `host_threads`
-/// cores.
-fn lattice_split_speedup_floor(host_threads: u64) -> f64 {
-    if host_threads >= 2 {
-        LATTICE_SPLIT_SPEEDUP_MIN
-    } else {
-        PARALLEL_SPEEDUP_MIN_NARROW_HOST
-    }
-}
-
 const DEADLINE: f64 = 2_800.0;
-
-/// Node ceiling of the 1-thread lattice search on the contended
-/// instance ([`CONTENDED_POOL`]). The search without per-type
-/// tables and its positive-first phase visited 1 331 842 nodes, with
-/// them 7 250; counts at one worker are deterministic, so the ceiling
-/// binds on every host.
-const CONTENDED_MAX_NODES: u64 = 20_000;
 
 /// Seed and index of the contended instance in the dual-stage pool.
 const CONTENDED_POOL: (u64, u64) = (42, 16);
 
-/// Node ceiling of the 1-thread lattice search on the dual-stage pool's
-/// largest solve ([`LARGEST_POOL`]): 65 536, the lattice's serial-first
-/// budget (`SERIAL_BUDGET` in `cdsf_ra`'s lattice module). Below it a
-/// two-worker `dualstage` solve never leaves the serial prefix. It took
-/// 58 081 nodes when recorded; counts at one worker are deterministic,
-/// so the ceiling binds on every host.
-const LARGEST_POOL_MAX_NODES: u64 = 1 << 16;
-
 /// Seed and index of the dual-stage pool's largest 1-thread lattice
 /// solve among its 200 instances (the mean takes about 2 200 nodes).
 const LARGEST_POOL: (u64, u64) = (42, 177);
+
+/// One snapshot file: its schema, the ratios derived from its medians
+/// and the guard rows that hold it. `--check` holds the smoke pass's own
+/// snapshot to the schema, the invariants and the ratios'
+/// recomputation, and the committed file to all of them and the floors;
+/// a full recording must pass everything before it is written.
+///
+/// A ratio reads `key = numerator / denominator`: the denominator is a
+/// bench's median, the numerator a bench's median or a number.
+///
+/// A guard row reads `lhs op rhs[ if lhs op rhs]: reason`, where `op` is
+/// one of `<`, `<=`, `==`, `>=` and `>`. Each side is built from
+/// numbers, `true`, `false`, JSON paths (`a.b.c`; a numeric key indexes
+/// an array), `+`, `*` and `/` (`*` and `/` bind tighter), and the
+/// functions `len` (of an array or a string), `sum` (of an array's
+/// non-negative integers), `has` (present and not null) and `ceil`. A
+/// `.*` key checks the row at every element of the array before it. A
+/// row whose condition (after `if`) is false is skipped. A side that
+/// reads a missing path or a value of the wrong kind refuses its row, in
+/// a condition too.
+struct Suite {
+    /// The committed snapshot's file name at the repository root.
+    file: &'static str,
+    /// The `schema_version` the snapshot must carry.
+    schema: u64,
+    /// The `derived` block, in the order it is written. Each ratio must be
+    /// positive and equal, bit for bit, its recomputation from the
+    /// snapshot's own medians.
+    ratios: &'static [&'static str],
+    /// Rows every run must pass, the `--check` smoke pass's included.
+    invariants: &'static [&'static str],
+    /// Rows on timings, timing ratios and the replay's size, which the
+    /// reduced `--check` pass does not measure.
+    floors: &'static [&'static str],
+}
+
+const STAGE1: Suite = Suite {
+    file: "BENCH_stage1.json",
+    schema: SCHEMA_VERSION,
+    ratios: &[
+        "sa_mutation_speedup = phi1/sa_mutation/full_recompute_apps64 / phi1/sa_mutation/delta_apps64",
+        "table_sweep_speedup = phi1/table_sweep/legacy_32d / phi1/table_sweep/soa_32d",
+        "cdf_lookup_speedup = pmf/cdf/legacy_scan_1024 / pmf/cdf/prefix_1024",
+        "candidate_evals_per_sec = 1e9 / phi1/sa_mutation/delta_apps64",
+        "pmf_build_fused_speedup = pmf_build/loaded_two_step_p384 / pmf_build/loaded_fused_p384",
+        "engine_build_t4_vs_t1 = phi1/engine_build/t1_p384 / phi1/engine_build/t4_p384",
+        "remap_rebuild_speedup = pmf_build/rebuild_full_1app32 / pmf_build/rebuild_remap_1app32",
+        "lattice_vs_sa_speedup = ra/sa_allocate/apps16 / ra/lattice_allocate/apps16",
+        "lattice_split_overhead = ra/lattice_allocate/apps24_d2000_t2 / ra/lattice_allocate/apps24_d2000_t1",
+        "lattice_split_speedup = ra/lattice_allocate/apps16_d7000_t1 / ra/lattice_allocate/apps16_d7000_t2",
+        // 525 892.3 ns is the v5 snapshot's committed
+        // `ra/gamma_robust_allocate/apps16` median (full mode, on the
+        // repo's canonical 1-core bench host). A ratio against an absolute
+        // baseline only binds snapshots recorded on the same host class,
+        // which is how the committed one is produced.
+        "gamma_robust_speedup_vs_v5 = 525892.3 / ra/gamma_robust_allocate/apps16",
+        "cell_store_warm_speedup = cell_store/engine_build_cold/catalog24_p384 / cell_store/engine_build_warm_partial/catalog24_p384",
+        "cell_store_thrash_overhead = cell_store/thrash_build/store_churn3000 / cell_store/thrash_build/storeless_churn3000",
+    ],
+    invariants: &[
+        "len(benches) > 0: the snapshot records no bench",
+        "len(benches.*.name) >= 0: a bench has no name",
+        // Every timed remap is a real miss whose kernel builds exactly the
+        // changed app's cells; the rest come from the store.
+        "remap.kernel_cells == remap.calls * remap.changed_app_cells: the remap loop built other cells than the changed app's",
+        "remap.store_hits > 0: the remap loop took no cells from the store",
+        // The instrumented 4-thread build's pool stats are consistent and
+        // no worker starved. The initial seeding is a pure function of the
+        // task weights and the worker count, so unlike the scheduling-noise
+        // columns it carries a hard balance bound: every worker starts with
+        // work, and none with more than twice the even share. The bench
+        // instance's near-uniform cell weights make the task-count bound
+        // valid; the pre-v6 seeding (everything after the reserved first
+        // chunks on one deque, [1, 21, 1, 1] here) fails it outright.
+        "pool.workers > 0: the pool ran no workers",
+        "pool.tasks_total > 0: the pool ran no tasks",
+        "len(pool.tasks_per_worker) == pool.workers: tasks_per_worker has not one entry per worker",
+        "len(pool.tasks_seeded_per_worker) == pool.workers: tasks_seeded_per_worker has not one entry per worker",
+        "sum(pool.tasks_seeded_per_worker) == pool.tasks_total: the seeding no longer covers the grid",
+        "pool.tasks_seeded_per_worker.* > 0: a pool worker was seeded no tasks",
+        "pool.tasks_seeded_per_worker.* <= 2 * ceil(pool.tasks_total / pool.workers): a pool worker was seeded above twice the even share — the weight-balanced seeding has regressed",
+        "pool.chunks_stolen_total >= 0: the pool lacks chunks_stolen_total",
+        "pool.no_worker_starved == true: the pool starved a worker",
+        // The exact solver's optimum dominates SA's. serde_json round-trips
+        // a finite f64 exactly, so the recorded values compare bit for bit.
+        "ra_lattice.lattice_phi1 >= ra_lattice.sa_phi1: exactness violated — the branch-and-bound is no longer optimal",
+        "ra_lattice.counters.nodes > 0: no lattice search ran",
+        "ra_lattice.counters.screen_pruned >= 0: the lattice counters lack screen_pruned",
+        "ra_lattice.counters.confirm_pruned >= 0: the lattice counters lack confirm_pruned",
+        "ra_lattice.counters.capacity_pruned >= 0: the lattice counters lack capacity_pruned",
+        "ra_lattice.counters.leaves > 0: the lattice search reached no leaf",
+        // Node counts at one worker are deterministic, so these ceilings
+        // bind on every host. On the contended instance the search without
+        // per-type tables and its positive-first phase visited 1 331 842
+        // nodes, with them 7 250. The pool's largest solve took 58 081
+        // nodes when recorded; 65 536 is the lattice's serial-first budget
+        // (`SERIAL_BUDGET` in `cdsf_ra`'s lattice module), below which a
+        // two-worker `dualstage` solve never leaves the serial prefix.
+        "ra_lattice.contended.counters.nodes <= 20000: the per-type tables or the positive-first phase stopped cutting on the contended instance",
+        "ra_lattice.contended.phi1 > 0: the contended instance has no positive optimum",
+        "ra_lattice.largest_pool.counters.nodes <= 65536: the dual-stage pool's largest solve left the serial-first budget, so two-worker dualstage solves now split",
+        "ra_lattice.sa_serve.steps < ra_lattice.sa_serve.full_steps: SA ran every step on the serve spec — the certified early exit no longer engages",
+        // The store counters describe a real prev→next catalog pair (hits
+        // from the shared applications, no verify rejects, an engine that
+        // fingerprints like a storeless build), and the thrash pass really
+        // thrashes.
+        "cell_store.hits > 0: the overlapping build resolved nothing from the store",
+        "cell_store.misses > 0: the cold build never consulted the store",
+        "cell_store.verify_rejects == 0: structural hashes collided on the bench instance",
+        "cell_store.resident <= cell_store.capacity: the store holds more cells than its capacity",
+        "cell_store.hit_rate >= 0: the store's hit rate is below 0",
+        "cell_store.hit_rate <= 1: the store's hit rate is above 1",
+        "cell_store.fingerprint_match == true: a store-resolved engine diverged from the storeless build",
+        "cell_store.thrash.working_set_cells >= 2 * cell_store.thrash.capacity: the thrash working set is under twice the store's capacity",
+        "cell_store.thrash.evictions > 0: the thrash pass evicted nothing",
+    ],
+    floors: &[
+        "benches.*.median_ns > 0: a bench has no positive median",
+        // Both sides of these ratios are single-threaded medians from the
+        // same run, so they divide out the clock and need no host
+        // awareness. The store-warm build read about 7.4× when its floor
+        // was set (23 of 24 applications resident). The thrash overhead
+        // read 2.3–3.0× with eviction by a scan of the shard, 1.1–1.4× by
+        // the lazy queue. Splitting every lattice search read 37–38× on a
+        // 2-vCPU host, the serial-first search 1.01–1.03×. The screened
+        // Γ-robust solve read 2.4–2.6× its v5 anchor.
+        "derived.lattice_vs_sa_speedup >= 10: the exact lattice lost its 10× lead over SA",
+        "derived.lattice_split_overhead <= 1.5: two workers split a search one finishes alone",
+        "derived.cell_store_warm_speedup >= 5: store resolution no longer short-circuits the kernel",
+        "derived.cell_store_thrash_overhead <= 1.6: store-attached builds that evict cost too much over storeless ones",
+        "derived.gamma_robust_speedup_vs_v5 >= 2: the screened Γ-robust solve lost its 2× margin over the v5 anchor",
+        // Parallel floors read the `host_threads` the snapshot records:
+        // numbers are measured, never assumed. With two or more cores the
+        // lattice's root split must pay (a serial search reads 1.0 at both
+        // widths; the split read 1.34–1.37× on a 2-vCPU host), and with
+        // four the work-stealing pool must scale. On narrower hosts (CI
+        // containers are routinely 1–2 cores) more workers cannot beat
+        // serial, so the floor only proves they do not wreck single-core
+        // throughput.
+        "derived.lattice_split_speedup >= 1.15 if instance.host_threads >= 2: the lattice's root split stopped paying",
+        "derived.lattice_split_speedup >= 0.7 if instance.host_threads < 2: the lattice's root split wrecks single-core throughput",
+        "derived.engine_build_t4_vs_t1 >= 3 if instance.host_threads >= 4: the work-stealing pool has regressed",
+        "derived.engine_build_t4_vs_t1 >= 0.7 if instance.host_threads < 4: the work-stealing pool has regressed",
+    ],
+};
+
+const STAGE2: Suite = Suite {
+    file: "BENCH_stage2.json",
+    schema: STAGE2_SCHEMA_VERSION,
+    ratios: &[
+        "finish_time_speedup = timeline/finish_time/legacy_walk_10k / timeline/finish_time/prefix_10k",
+        "work_between_speedup = timeline/work_between/legacy_scan_10k / timeline/work_between/prefix_10k",
+        "mean_availability_speedup = timeline/mean_avail/legacy_scan_10k / timeline/mean_avail/prefix_10k",
+        "executor_scratch_speedup = executor/replicates25/fresh_alloc / executor/replicates25/scratch_arena",
+        "grid_thread4_speedup = grid/replicates25/threads1 / grid/replicates25/threads4",
+        "finish_lookups_per_sec = 1e9 / timeline/finish_time/prefix_10k",
+    ],
+    invariants: &[
+        "len(benches) > 0: the snapshot records no bench",
+        "len(benches.*.name) >= 0: a bench has no name",
+    ],
+    floors: &[
+        "benches.*.median_ns > 0: a bench has no positive median",
+        // The grid clamps its worker count to the host width and runs
+        // strictly inline at one worker, so on a narrow host `threads4`
+        // runs the same serial code as `threads1` and the ratio must not
+        // dip below parity (it read 0.93 when 4 workers oversubscribed 1
+        // core). Wide hosts keep the pool's scaling floor.
+        "derived.grid_thread4_speedup >= 3 if instance.host_threads >= 4: the replicate-parallel grid stopped scaling",
+        "derived.grid_thread4_speedup >= 1 if instance.host_threads < 4: the grid at 4 workers is slower than at 1",
+    ],
+};
+
+const SERVE: Suite = Suite {
+    file: "BENCH_serve.json",
+    schema: REPORT_SCHEMA_VERSION as u64,
+    ratios: &[],
+    invariants: &[
+        "ok > 0: no request succeeded",
+        "errors == 0: the replay had request errors",
+        "pipeline > 0: the pipeline window is zero",
+        // The canonical replay discards 200 warm-up requests.
+        "warmup_discarded > 0: the percentiles include cold builds",
+        "latency_p99_us >= latency_p50_us: latency p99 is below p50",
+        "latency_p999_us >= latency_p99_us: latency p999 is below p99",
+        "host_threads > 0: the report records no host threads",
+        "cache_hit_rate >= 0: the cache hit rate is below 0",
+        "cache_hit_rate <= 1: the cache hit rate is above 1",
+        "coalescing_factor >= 1: the coalescing factor is below 1",
+        "len(stats.per_shard) == shards: stats has not one row per shard",
+        "stats.total.submits > 0: the stats total has no submits",
+        "stats.total.pool_runs >= 0: the stats total lacks pool_runs",
+        // A positive policy mix must drive the SA path: the exact-lattice
+        // path shares the cache counters, so SA runs are the visible
+        // signal that the mix routed around the default policy.
+        "policy_mix >= 0: the policy mix is below 0",
+        "policy_mix <= 1: the policy mix is above 1",
+        "stats.total.sa_multistart_runs > 0 if policy_mix > 0: the policy mix routed no submits through the SA policy",
+        // Every engine build goes through the shared cell store, so a
+        // replay with submits records misses at least. Hits are required
+        // only of overlapping streams: the canonical replay keeps
+        // `catalog_overlap` at 0, where cross-tenant hits are coincidental.
+        "catalog_overlap >= 0: the catalog overlap is below 0",
+        "catalog_overlap <= 1: the catalog overlap is above 1",
+        "cell_store_hits + cell_store_misses > 0: engine builds bypassed the cell store",
+        "cell_store_verify_rejects == 0: the replay recorded cell-store verify rejects",
+        "cell_store_hit_rate >= 0: the cell-store hit rate is below 0",
+        "cell_store_hit_rate <= 1: the cell-store hit rate is above 1",
+        // The totals row carries no shard id (the old `u64::MAX` sentinel
+        // must never reappear on the wire), batched drains were observed,
+        // and the reply codec flushed in bursts.
+        "has(stats.total.shard) == false: the stats total row carries a shard id",
+        "sum(stats.total.drain_depths) > 0: the drain-depth histogram is empty",
+        "stats.codec.reply_frames > 0: the codec recorded no reply frames",
+        "stats.codec.flushes <= stats.codec.reply_frames: the codec flushed more often than it wrote reply frames",
+    ],
+    floors: &[
+        // The replay must exercise real multi-tenant sharding, not a toy
+        // stream.
+        "requests >= 10000: the replay is below the 10 000-request floor",
+        "tenants >= 4: the replay is below the 4-tenant floor",
+        "shards >= 2: the replay is below the 2-shard floor",
+        "throughput_rps > 0: the throughput is not positive",
+        // The v2 stream was pure cache and data-plane traffic, anchored to
+        // the lockstep v1 snapshot (8 484.86 req/s at p99 1 309 µs; the
+        // pipelined rewrite had to clear 3× that throughput at half the
+        // p99). The v3 canonical stream routes a 2% `policy_mix` of submits
+        // through the explicit "sa"/"lattice" solvers, which puts a few
+        // dozen multi-start SA runs (~20 ms each, single-threaded) inside
+        // the replay. So the floors re-anchor to the first v3 runs on a
+        // 1-core host (4.6–5.7 k req/s, 65 SA runs) with margin for the
+        // solver-bound spread, and the wide-host p99 ceiling moves to the
+        // solver tail: an SA cache miss is the p99 path now. Narrow hosts
+        // (CI containers are routinely 1–2 cores) keep a degraded
+        // throughput floor so a thin runner cannot mask a real regression.
+        // The floors read the `host_threads` the report records.
+        "throughput_rps >= 9000 if host_threads >= 4: the throughput is below the wide-host floor of the policy-mixed v3 stream",
+        "latency_p99_us <= 50000 if host_threads >= 4: p99 is above the wide-host ceiling, the solver-tail bound of the policy-mixed v3 stream",
+        "throughput_rps >= 3500 if host_threads < 4: the throughput is below the narrow-host floor of the policy-mixed v3 stream",
+    ],
+};
 
 fn snapshot_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}"))
@@ -1265,41 +1376,18 @@ fn cell_store_section() -> Value {
     })
 }
 
-fn median_of(results: &[BenchResult], name: &str) -> f64 {
+/// The `benches` array of a snapshot: each result's name, median and unit.
+fn benches_json(results: &[BenchResult]) -> Value {
     results
         .iter()
-        .find(|r| r.name == name)
-        .unwrap_or_else(|| panic!("missing bench {name}"))
-        .median_ns
+        .map(|r| json!({"name": r.name, "median_ns": r.median_ns, "per": r.per_unit}))
+        .collect::<Vec<_>>()
+        .into()
 }
 
 fn to_json(results: &[BenchResult], remap_loop: Value, mode: &str, scale: usize) -> Value {
-    let delta = median_of(results, "phi1/sa_mutation/delta_apps64");
-    let full = median_of(results, "phi1/sa_mutation/full_recompute_apps64");
-    let soa = median_of(results, "phi1/table_sweep/soa_32d");
-    let legacy_table = median_of(results, "phi1/table_sweep/legacy_32d");
-    let prefix = median_of(results, "pmf/cdf/prefix_1024");
-    let scan = median_of(results, "pmf/cdf/legacy_scan_1024");
-    let fused = median_of(results, "pmf_build/loaded_fused_p384");
-    let two_step = median_of(results, "pmf_build/loaded_two_step_p384");
-    let t1 = median_of(results, "phi1/engine_build/t1_p384");
-    let t4 = median_of(results, "phi1/engine_build/t4_p384");
-    let remap = median_of(results, "pmf_build/rebuild_remap_1app32");
-    let full_rebuild = median_of(results, "pmf_build/rebuild_full_1app32");
-    let sa_alloc = median_of(results, "ra/sa_allocate/apps16");
-    let lattice_alloc = median_of(results, "ra/lattice_allocate/apps16");
-    let gamma_alloc = median_of(results, "ra/gamma_robust_allocate/apps16");
-    let split_t1 = median_of(results, "ra/lattice_allocate/apps24_d2000_t1");
-    let split_t2 = median_of(results, "ra/lattice_allocate/apps24_d2000_t2");
-    let long_t1 = median_of(results, "ra/lattice_allocate/apps16_d7000_t1");
-    let long_t2 = median_of(results, "ra/lattice_allocate/apps16_d7000_t2");
-    let store_cold = median_of(results, "cell_store/engine_build_cold/catalog24_p384");
-    let store_warm = median_of(
-        results,
-        "cell_store/engine_build_warm_partial/catalog24_p384",
-    );
-    let thrash_storeless = median_of(results, "cell_store/thrash_build/storeless_churn3000");
-    let thrash_attached = median_of(results, "cell_store/thrash_build/store_churn3000");
+    let benches = benches_json(results);
+    let derived = Value::Object(derive(STAGE1.ratios, &benches));
     json!({
         "schema_version": SCHEMA_VERSION,
         "mode": mode,
@@ -1318,44 +1406,18 @@ fn to_json(results: &[BenchResult], remap_loop: Value, mode: &str, scale: usize)
             "deadline": DEADLINE,
             "host_threads": cdsf_core::default_threads(),
         }),
-        "benches": results.iter().map(|r| json!({
-            "name": r.name,
-            "median_ns": r.median_ns,
-            "per": r.per_unit,
-        })).collect::<Vec<_>>(),
+        "benches": benches,
         "pool": pool_section(),
         "ra_lattice": ra_lattice_section(scale),
         "cell_store": cell_store_section(),
         "remap": remap_loop,
-        "derived": json!({
-            "sa_mutation_speedup": full / delta,
-            "table_sweep_speedup": legacy_table / soa,
-            "cdf_lookup_speedup": scan / prefix,
-            "candidate_evals_per_sec": 1e9 / delta,
-            "pmf_build_fused_speedup": two_step / fused,
-            "engine_build_t4_vs_t1": t1 / t4,
-            "remap_rebuild_speedup": full_rebuild / remap,
-            "lattice_vs_sa_speedup": sa_alloc / lattice_alloc,
-            "lattice_split_overhead": split_t2 / split_t1,
-            "lattice_split_speedup": long_t1 / long_t2,
-            "gamma_robust_speedup_vs_v5": GAMMA_ROBUST_BASELINE_V5_NS / gamma_alloc,
-            "cell_store_warm_speedup": store_cold / store_warm,
-            "cell_store_thrash_overhead": thrash_attached / thrash_storeless,
-        }),
+        "derived": derived,
     })
 }
 
 fn to_stage2_json(results: &[BenchResult], mode: &str) -> Value {
-    let ft_prefix = median_of(results, "timeline/finish_time/prefix_10k");
-    let ft_legacy = median_of(results, "timeline/finish_time/legacy_walk_10k");
-    let wb_prefix = median_of(results, "timeline/work_between/prefix_10k");
-    let wb_legacy = median_of(results, "timeline/work_between/legacy_scan_10k");
-    let ma_prefix = median_of(results, "timeline/mean_avail/prefix_10k");
-    let ma_legacy = median_of(results, "timeline/mean_avail/legacy_scan_10k");
-    let scratch = median_of(results, "executor/replicates25/scratch_arena");
-    let fresh = median_of(results, "executor/replicates25/fresh_alloc");
-    let grid1 = median_of(results, "grid/replicates25/threads1");
-    let grid4 = median_of(results, "grid/replicates25/threads4");
+    let benches = benches_json(results);
+    let derived = Value::Object(derive(STAGE2.ratios, &benches));
     json!({
         "schema_version": STAGE2_SCHEMA_VERSION,
         "mode": mode,
@@ -1367,452 +1429,233 @@ fn to_stage2_json(results: &[BenchResult], mode: &str) -> Value {
             "grid_cells": 6,
             "host_threads": cdsf_core::default_threads(),
         }),
-        "benches": results.iter().map(|r| json!({
-            "name": r.name,
-            "median_ns": r.median_ns,
-            "per": r.per_unit,
-        })).collect::<Vec<_>>(),
-        "derived": json!({
-            "finish_time_speedup": ft_legacy / ft_prefix,
-            "work_between_speedup": wb_legacy / wb_prefix,
-            "mean_availability_speedup": ma_legacy / ma_prefix,
-            "executor_scratch_speedup": fresh / scratch,
-            "grid_thread4_speedup": grid1 / grid4,
-            "finish_lookups_per_sec": 1e9 / ft_prefix,
-        }),
+        "benches": benches,
+        "derived": derived,
     })
 }
 
-/// Validates a committed snapshot's schema; returns an error string on
-/// the first violation. `derived_keys` and the expected schema version
-/// distinguish the stage-1 and stage-2 shapes.
-fn validate_with(
-    snapshot: &Value,
-    expected_schema: u64,
-    derived_keys: &[&str],
-) -> Result<(), String> {
-    let schema = snapshot
-        .get("schema_version")
-        .and_then(Value::as_u64)
-        .ok_or("missing schema_version")?;
-    if schema != expected_schema {
-        return Err(format!(
-            "schema_version {schema} != supported {expected_schema}"
-        ));
+/// The `derived` block of a snapshot whose `benches` array is `benches`:
+/// each of `ratios` (see [`Suite`]) in declaration order, `null` where a
+/// bench it names is missing.
+fn derive(ratios: &[&str], benches: &Value) -> serde_json::Map {
+    let median =
+        |name: &str| benches.as_array()?.iter().find(|b| b["name"] == name)?["median_ns"].as_f64();
+    let mut derived = serde_json::Map::new();
+    for ratio in ratios {
+        let syntax = "a ratio reads `key = numerator / denominator`";
+        let (key, quotient) = ratio.split_once(" = ").expect(syntax);
+        let (numerator, denominator) = quotient.split_once(" / ").expect(syntax);
+        let numerator = numerator.parse().ok().or_else(|| median(numerator));
+        let value = numerator
+            .zip(median(denominator))
+            .map(|(n, d): (f64, f64)| n / d);
+        derived.insert(key.to_string(), value.map_or(Value::Null, Value::from));
     }
-    let benches = snapshot
-        .get("benches")
-        .and_then(Value::as_array)
-        .ok_or("missing benches array")?;
-    if benches.is_empty() {
-        return Err("benches array is empty".into());
+    derived
+}
+
+impl Suite {
+    /// The suite's rows: the schema row and the invariants, then with
+    /// `floors` a row per ratio that it is positive, and the floors.
+    fn rows(&self, floors: bool) -> Vec<String> {
+        let schema = self.schema;
+        let mut rows = vec![format!(
+            "schema_version == {schema}: the snapshot is not schema version {schema}"
+        )];
+        rows.extend(self.invariants.iter().map(|row| row.to_string()));
+        if floors {
+            for ratio in self.ratios {
+                let (key, _) = ratio.split_once(" = ").expect("a ratio reads `key = ...`");
+                rows.push(format!(
+                    "derived.{key} > 0: the ratio is missing or not positive"
+                ));
+            }
+            rows.extend(self.floors.iter().map(|row| row.to_string()));
+        }
+        rows
     }
-    for b in benches {
-        let name = b
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("bench entry missing name")?;
-        let ns = b
-            .get("median_ns")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("bench {name} missing median_ns"))?;
-        if !(ns > 0.0) || !ns.is_finite() {
-            return Err(format!("bench {name} has invalid median_ns {ns}"));
+
+    /// Why `snapshot` fails the suite: each row that refuses it (the
+    /// floors only with `floors`), then each recorded ratio that is not,
+    /// bit for bit, its recomputation from the snapshot's medians.
+    fn refusals(&self, snapshot: &Value, floors: bool) -> Vec<String> {
+        let mut refusals: Vec<String> = self
+            .rows(floors)
+            .iter()
+            .filter_map(|row| refusal(snapshot, row))
+            .collect();
+        for (key, value) in derive(self.ratios, &snapshot["benches"]).iter() {
+            let recorded = &snapshot["derived"][key.as_str()];
+            let bits = |v: &Value| v.as_f64().map(f64::to_bits);
+            if bits(value).is_none() || bits(value) != bits(recorded) {
+                refusals.push(format!(
+                    "derived.{key} records {recorded}, but its medians give {value}"
+                ));
+            }
+        }
+        refusals
+    }
+}
+
+/// A guard row's test, its condition and its reason (see [`Suite`]).
+fn row_parts(row: &str) -> (&str, Option<&str>, &str) {
+    let (test, why) = row
+        .split_once(": ")
+        .expect("a guard row ends in `: reason`");
+    match test.split_once(" if ") {
+        Some((test, condition)) => (test, Some(condition), why),
+        None => (test, None, why),
+    }
+}
+
+/// A test's left side, comparison and right side.
+fn test_parts(test: &str) -> (&str, &str, &str) {
+    ["<=", ">=", "==", "<", ">"]
+        .into_iter()
+        .find_map(|op| {
+            let (lhs, rhs) = test.split_once(&format!(" {op} "))?;
+            Some((lhs, op, rhs))
+        })
+        .unwrap_or_else(|| panic!("guard `{test}` has no comparison"))
+}
+
+/// Why `row` refuses `snapshot`, or `None` if it holds.
+fn refusal(snapshot: &Value, row: &str) -> Option<String> {
+    let (test, condition, why) = row_parts(row);
+    if let Some(condition) = condition {
+        match compare(snapshot, condition) {
+            (Some(true), _) => {}
+            (Some(false), _) => return None,
+            (None, read) => return Some(format!("{condition} reads {read}: {why}")),
         }
     }
-    let derived = snapshot
-        .get("derived")
-        .ok_or("missing derived metrics object")?;
-    for key in derived_keys {
-        let v = derived
-            .get(*key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("derived missing {key}"))?;
-        if !(v > 0.0) || !v.is_finite() {
-            return Err(format!("derived {key} is invalid: {v}"));
+    let tests = match test.split_once(".*") {
+        None => vec![test.to_string()],
+        Some((head, _)) => {
+            let array = head.rsplit([' ', '(']).next().unwrap_or(head);
+            let Some(items) = resolve(snapshot, array).as_array() else {
+                return Some(format!("{array} is not an array: {why}"));
+            };
+            (0..items.len())
+                .map(|i| test.replace(".*", &format!(".{i}")))
+                .collect()
         }
-    }
-    Ok(())
+    };
+    tests.iter().find_map(|test| match compare(snapshot, test) {
+        (Some(true), _) => None,
+        (_, read) => Some(format!("{test} reads {read}: {why}")),
+    })
 }
 
-const STAGE1_DERIVED: &[&str] = &[
-    "sa_mutation_speedup",
-    "table_sweep_speedup",
-    "cdf_lookup_speedup",
-    "candidate_evals_per_sec",
-    "pmf_build_fused_speedup",
-    "engine_build_t4_vs_t1",
-    "remap_rebuild_speedup",
-    "lattice_vs_sa_speedup",
-    "lattice_split_overhead",
-    "lattice_split_speedup",
-    "gamma_robust_speedup_vs_v5",
-    "cell_store_warm_speedup",
-    "cell_store_thrash_overhead",
-];
-
-const STAGE2_DERIVED: &[&str] = &[
-    "finish_time_speedup",
-    "work_between_speedup",
-    "mean_availability_speedup",
-    "executor_scratch_speedup",
-    "grid_thread4_speedup",
-    "finish_lookups_per_sec",
-];
-
-/// Enforces a host-aware parallel-speedup floor on one derived metric:
-/// the 4-thread run must beat the serial one by `floor_for(host_threads)`
-/// for the `host_threads` recorded in the snapshot's instance block.
-fn check_speedup_floor(
-    snapshot: &Value,
-    key: &str,
-    floor_for: fn(u64) -> f64,
-) -> Result<(), String> {
-    let ratio = snapshot["derived"][key]
-        .as_f64()
-        .ok_or_else(|| format!("derived missing {key}"))?;
-    let host = snapshot["instance"]["host_threads"]
-        .as_u64()
-        .ok_or("instance missing host_threads")?;
-    let floor = floor_for(host);
-    if ratio < floor {
-        return Err(format!(
-            "{key} {ratio:.3} is below the {floor} floor for a {host}-thread \
-             host — the work-stealing pool has regressed"
-        ));
-    }
-    Ok(())
+/// Whether `test` (`lhs op rhs`) holds on `snapshot`, `None` when its
+/// sides cannot be read or compared, and the values it read.
+fn compare(snapshot: &Value, test: &str) -> (Option<bool>, String) {
+    let (lhs, op, rhs) = test_parts(test);
+    let (a, b) = (eval(snapshot, lhs), eval(snapshot, rhs));
+    let order = match (&a, &b) {
+        (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
+        _ => a
+            .as_f64()
+            .zip(b.as_f64())
+            .and_then(|(a, b)| a.partial_cmp(&b)),
+    };
+    let holds = order.map(|order| match op {
+        "<=" => order.is_le(),
+        ">=" => order.is_ge(),
+        "==" => order.is_eq(),
+        "<" => order.is_lt(),
+        _ => order.is_gt(),
+    });
+    (holds, format!("{a} {op} {b}"))
 }
 
-/// Validates the stage-1 `ra_lattice` block: the exact solver must
-/// record a deterministic search (nodes and leaves observed) and its
-/// optimum must dominate the SA baseline — `lattice_phi1 >= sa_phi1`
-/// compared on the recorded values, which `serde_json` round-trips
-/// bit-exactly for finite `f64`s. The speedup floor and the split
-/// ceiling are checked against the derived ratios the same snapshot
-/// records.
-fn check_ra_lattice_section(snapshot: &Value) -> Result<(), String> {
-    let section = snapshot
-        .get("ra_lattice")
-        .ok_or("missing ra_lattice section")?;
-    let lattice_phi1 = section
-        .get("lattice_phi1")
-        .and_then(Value::as_f64)
-        .ok_or("ra_lattice missing lattice_phi1")?;
-    let sa_phi1 = section
-        .get("sa_phi1")
-        .and_then(Value::as_f64)
-        .ok_or("ra_lattice missing sa_phi1")?;
-    if !lattice_phi1.is_finite() || !sa_phi1.is_finite() {
-        return Err(format!(
-            "ra_lattice φ1 values are not finite: lattice {lattice_phi1}, sa {sa_phi1}"
-        ));
-    }
-    if lattice_phi1 < sa_phi1 {
-        return Err(format!(
-            "exactness violated: lattice_phi1 {lattice_phi1} < sa_phi1 {sa_phi1} — \
-             the branch-and-bound is no longer optimal"
-        ));
-    }
-    let counters = section
-        .get("counters")
-        .ok_or("ra_lattice missing counters")?;
-    for key in [
-        "nodes",
-        "screen_pruned",
-        "confirm_pruned",
-        "capacity_pruned",
-        "leaves",
-    ] {
-        let v = counters
-            .get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("ra_lattice counters missing {key}"))?;
-        if (key == "nodes" || key == "leaves") && v == 0 {
-            return Err(format!("ra_lattice counter {key} is 0 — no search ran"));
-        }
-    }
-    check_contended_nodes(section)?;
-    let serve = section
-        .get("sa_serve")
-        .ok_or("ra_lattice missing sa_serve")?;
-    let steps = serve
-        .get("steps")
-        .and_then(Value::as_u64)
-        .ok_or("ra_lattice sa_serve missing steps")?;
-    let full_steps = serve
-        .get("full_steps")
-        .and_then(Value::as_u64)
-        .ok_or("ra_lattice sa_serve missing full_steps")?;
-    if steps >= full_steps {
-        return Err(format!(
-            "SA ran {steps} of {full_steps} steps on the serve spec — the \
-             certified early exit no longer engages"
-        ));
-    }
-    let speedup = snapshot["derived"]["lattice_vs_sa_speedup"]
-        .as_f64()
-        .ok_or("derived missing lattice_vs_sa_speedup")?;
-    if speedup < LATTICE_VS_SA_SPEEDUP_MIN {
-        return Err(format!(
-            "lattice_vs_sa_speedup {speedup:.2} is below the \
-             {LATTICE_VS_SA_SPEEDUP_MIN} floor"
-        ));
-    }
-    let split = snapshot["derived"]["lattice_split_overhead"]
-        .as_f64()
-        .ok_or("derived missing lattice_split_overhead")?;
-    if split > LATTICE_SPLIT_OVERHEAD_MAX {
-        return Err(format!(
-            "lattice_split_overhead {split:.2} is above the \
-             {LATTICE_SPLIT_OVERHEAD_MAX} ceiling — two workers split a search \
-             one finishes alone"
-        ));
-    }
-    Ok(())
+type Tokens<'a> = std::iter::Peekable<std::str::SplitWhitespace<'a>>;
+
+/// The value of one side of a guard row in `snapshot`: `null` when it
+/// reads a missing path or applies an operation to a value of the wrong
+/// kind.
+fn eval(snapshot: &Value, side: &str) -> Value {
+    let spaced = side.replace('(', " ( ").replace(')', " ) ");
+    let mut tokens = spaced.split_whitespace().peekable();
+    let value = eval_sum(snapshot, &mut tokens);
+    assert!(
+        tokens.next().is_none(),
+        "guard side `{side}` has trailing tokens"
+    );
+    value
 }
 
-/// The contended instance's 1-thread search must stay within
-/// [`CONTENDED_MAX_NODES`] nodes and reach a positive optimum, and the
-/// pool's largest solve within [`LARGEST_POOL_MAX_NODES`].
-fn check_contended_nodes(ra_lattice: &Value) -> Result<(), String> {
-    let contended = ra_lattice
-        .get("contended")
-        .ok_or("ra_lattice missing contended")?;
-    let nodes = contended["counters"]["nodes"]
-        .as_u64()
-        .ok_or("ra_lattice contended missing counters.nodes")?;
-    if nodes > CONTENDED_MAX_NODES {
-        return Err(format!(
-            "the lattice visits {nodes} nodes on the contended instance, above the \
-             {CONTENDED_MAX_NODES} ceiling — the per-type tables or the positive-first \
-             phase stopped cutting"
-        ));
+/// `product (+ product)*`.
+fn eval_sum(snapshot: &Value, tokens: &mut Tokens) -> Value {
+    let mut sum = eval_product(snapshot, tokens);
+    while let Some(op) = tokens.next_if_eq(&"+") {
+        sum = arithmetic(&sum, op, &eval_product(snapshot, tokens));
     }
-    let largest = ra_lattice["largest_pool"]["counters"]["nodes"]
-        .as_u64()
-        .ok_or("ra_lattice missing largest_pool.counters.nodes")?;
-    if largest > LARGEST_POOL_MAX_NODES {
-        return Err(format!(
-            "the lattice visits {largest} nodes on the dual-stage pool's largest \
-             solve, above the {LARGEST_POOL_MAX_NODES}-node serial-first budget — \
-             two-worker dualstage solves now split"
-        ));
+    sum
+}
+
+/// `atom ((* | /) atom)*`.
+fn eval_product(snapshot: &Value, tokens: &mut Tokens) -> Value {
+    let mut product = eval_atom(snapshot, tokens);
+    while let Some(op) = tokens.next_if(|token| ["*", "/"].contains(token)) {
+        product = arithmetic(&product, op, &eval_atom(snapshot, tokens));
     }
-    match contended["phi1"].as_f64() {
-        Some(phi1) if phi1 > 0.0 => Ok(()),
-        other => Err(format!(
-            "ra_lattice contended phi1 is {other:?}, not a positive optimum"
-        )),
+    product
+}
+
+/// A number, `true`, `false`, a path, or a function of a sum.
+fn eval_atom(snapshot: &Value, tokens: &mut Tokens) -> Value {
+    let word = tokens.next().expect("a guard side ends early");
+    if tokens.next_if_eq(&"(").is_some() {
+        let arg = eval_sum(snapshot, tokens);
+        assert_eq!(tokens.next(), Some(")"), "`{word}(` is not closed");
+        let value = match word {
+            "len" => arg
+                .as_array()
+                .map(Vec::len)
+                .or(arg.as_str().map(str::len))
+                .map(Value::from),
+            "sum" => arg
+                .as_array()
+                .map(|items| items.iter().filter_map(Value::as_u64).sum::<u64>().into()),
+            "has" => Some(Value::Bool(!arg.is_null())),
+            "ceil" => arg.as_f64().map(|x| x.ceil().into()),
+            _ => panic!("unknown guard function `{word}`"),
+        };
+        return value.unwrap_or(Value::Null);
+    }
+    match word {
+        "true" | "false" => Value::Bool(word == "true"),
+        _ if word.starts_with(|c: char| c.is_ascii_digit()) => word
+            .parse::<f64>()
+            .unwrap_or_else(|_| panic!("bad guard number `{word}`"))
+            .into(),
+        _ => resolve(snapshot, word).clone(),
     }
 }
 
-/// Validates the stage-1 `pool` block: the instrumented build's stats
-/// must be internally consistent and starvation-free.
-fn check_pool_section(snapshot: &Value) -> Result<(), String> {
-    let pool = snapshot.get("pool").ok_or("missing pool section")?;
-    let workers = pool
-        .get("workers")
-        .and_then(Value::as_u64)
-        .ok_or("pool missing workers")?;
-    if workers == 0 {
-        return Err("pool workers is 0".into());
-    }
-    let tasks = pool
-        .get("tasks_total")
-        .and_then(Value::as_u64)
-        .ok_or("pool missing tasks_total")?;
-    if tasks == 0 {
-        return Err("pool tasks_total is 0".into());
-    }
-    let per_worker = pool
-        .get("tasks_per_worker")
-        .and_then(Value::as_array)
-        .ok_or("pool missing tasks_per_worker")?;
-    if per_worker.len() != workers as usize {
-        return Err(format!(
-            "pool tasks_per_worker has {} entries for {workers} workers",
-            per_worker.len()
-        ));
-    }
-    // The initial seeding is deterministic (a pure function of the task
-    // weights and worker count), so unlike the scheduling-noise columns
-    // it can carry a hard balance bound: every worker starts with work,
-    // and no deque holds more than twice the even share. The bench
-    // instance's near-uniform cell weights make the task-count bound
-    // valid; the pre-v6 seeding (everything after the reserved first
-    // chunks on one deque — [1, 21, 1, 1] here) fails it outright.
-    let seeded: Vec<u64> = pool
-        .get("tasks_seeded_per_worker")
-        .and_then(Value::as_array)
-        .ok_or("pool missing tasks_seeded_per_worker")?
-        .iter()
-        .map(|v| v.as_u64().ok_or("tasks_seeded_per_worker entry not a u64"))
-        .collect::<Result<_, _>>()?;
-    if seeded.len() != workers as usize {
-        return Err(format!(
-            "pool tasks_seeded_per_worker has {} entries for {workers} workers",
-            seeded.len()
-        ));
-    }
-    if seeded.iter().sum::<u64>() != tasks {
-        return Err(format!(
-            "pool seeded {} tasks but ran {tasks} — the seeding no longer covers the grid",
-            seeded.iter().sum::<u64>()
-        ));
-    }
-    let even_share = tasks.div_ceil(workers);
-    for (w, &s) in seeded.iter().enumerate() {
-        if s == 0 {
-            return Err(format!("pool worker {w} was seeded no tasks"));
-        }
-        if s > 2 * even_share {
-            return Err(format!(
-                "pool worker {w} was seeded {s} tasks, above 2× the even share \
-                 {even_share} — the weight-balanced seeding has regressed"
-            ));
-        }
-    }
-    pool.get("chunks_stolen_total")
-        .and_then(Value::as_u64)
-        .ok_or("pool missing chunks_stolen_total")?;
-    match pool.get("no_worker_starved").and_then(Value::as_bool) {
-        Some(true) => Ok(()),
-        Some(false) => Err("pool reports a starved worker".into()),
-        None => Err("pool missing no_worker_starved".into()),
-    }
+/// The value at `path` in `snapshot` (`.`-separated keys; a numeric key
+/// indexes an array), or `null`.
+fn resolve<'a>(snapshot: &'a Value, path: &str) -> &'a Value {
+    path.split('.')
+        .fold(snapshot, |value, key| match key.parse::<usize>() {
+            Ok(index) => &value[index],
+            Err(_) => &value[key],
+        })
 }
 
-/// Validates the stage-1 `cell_store` block and its derived bounds: the
-/// counters must describe a real prev→next catalog pair (hits from the
-/// shared applications, zero verify rejects, a fingerprint-identical
-/// engine), the store-warm build must clear the
-/// [`CELL_STORE_WARM_SPEEDUP_MIN`] ratio, the thrash pass must really
-/// thrash (a working set over twice the capacity, evictions recorded)
-/// at no more than [`CELL_STORE_THRASH_OVERHEAD_MAX`] times a storeless
-/// build, and the screened Γ-robust solver must hold its
-/// [`GAMMA_ROBUST_SPEEDUP_MIN`]× margin over the committed v5 anchor.
-fn check_cell_store_section(snapshot: &Value) -> Result<(), String> {
-    let section = snapshot
-        .get("cell_store")
-        .ok_or("missing cell_store section")?;
-    let hits = u64_field(section, "hits")?;
-    let misses = u64_field(section, "misses")?;
-    if hits == 0 {
-        return Err("cell_store recorded no hits — the overlapping build resolved nothing".into());
+/// `a op b` for `op` one of `+`, `*` and `/`, or `null` if either side is
+/// not a number or the result is not finite.
+fn arithmetic(a: &Value, op: &str, b: &Value) -> Value {
+    let Some((a, b)) = a.as_f64().zip(b.as_f64()) else {
+        return Value::Null;
+    };
+    match op {
+        "+" => a + b,
+        "*" => a * b,
+        _ => a / b,
     }
-    if misses == 0 {
-        return Err("cell_store recorded no misses — the cold build never consulted it".into());
-    }
-    let rejects = u64_field(section, "verify_rejects")?;
-    if rejects != 0 {
-        return Err(format!(
-            "cell_store recorded {rejects} verify rejects — structural hashes \
-             collided on the bench instance"
-        ));
-    }
-    let resident = u64_field(section, "resident")?;
-    let capacity = u64_field(section, "capacity")?;
-    if resident > capacity {
-        return Err(format!(
-            "cell_store resident {resident} exceeds capacity {capacity}"
-        ));
-    }
-    let hit_rate = f64_field(section, "hit_rate")?;
-    if !(0.0..=1.0).contains(&hit_rate) {
-        return Err(format!("cell_store hit_rate {hit_rate} outside [0, 1]"));
-    }
-    match section.get("fingerprint_match").and_then(Value::as_bool) {
-        Some(true) => {}
-        Some(false) => {
-            return Err("cell_store fingerprint_match is false — a store-resolved \
-                 engine diverged from the storeless build"
-                .into())
-        }
-        None => return Err("cell_store missing fingerprint_match".into()),
-    }
-    let warm_speedup = snapshot["derived"]["cell_store_warm_speedup"]
-        .as_f64()
-        .ok_or("derived missing cell_store_warm_speedup")?;
-    if warm_speedup < CELL_STORE_WARM_SPEEDUP_MIN {
-        return Err(format!(
-            "cell_store_warm_speedup {warm_speedup:.2} is below the \
-             {CELL_STORE_WARM_SPEEDUP_MIN} floor — store resolution no longer \
-             short-circuits the kernel"
-        ));
-    }
-    let thrash = section.get("thrash").ok_or("cell_store missing thrash")?;
-    let working_set = u64_field(thrash, "working_set_cells")?;
-    let thrash_capacity = u64_field(thrash, "capacity")?;
-    if working_set < 2 * thrash_capacity {
-        return Err(format!(
-            "cell_store thrash working set {working_set} is under twice the \
-             {thrash_capacity}-cell capacity"
-        ));
-    }
-    if u64_field(thrash, "evictions")? == 0 {
-        return Err("cell_store thrash pass evicted nothing".into());
-    }
-    let overhead = snapshot["derived"]["cell_store_thrash_overhead"]
-        .as_f64()
-        .ok_or("derived missing cell_store_thrash_overhead")?;
-    if overhead > CELL_STORE_THRASH_OVERHEAD_MAX {
-        return Err(format!(
-            "cell_store_thrash_overhead {overhead:.2} is above the \
-             {CELL_STORE_THRASH_OVERHEAD_MAX} ceiling — store-attached builds \
-             that evict cost too much over storeless ones"
-        ));
-    }
-    let gamma_speedup = snapshot["derived"]["gamma_robust_speedup_vs_v5"]
-        .as_f64()
-        .ok_or("derived missing gamma_robust_speedup_vs_v5")?;
-    if gamma_speedup < GAMMA_ROBUST_SPEEDUP_MIN {
-        return Err(format!(
-            "gamma_robust_speedup_vs_v5 {gamma_speedup:.2} is below the \
-             {GAMMA_ROBUST_SPEEDUP_MIN} floor against the committed \
-             {GAMMA_ROBUST_BASELINE_V5_NS} ns anchor"
-        ));
-    }
-    Ok(())
-}
-
-/// Validates the stage-1 `remap` block: every timed remap was a real
-/// miss whose kernel built exactly the changed app's cells, the rest
-/// coming from the store.
-fn check_remap_section(snapshot: &Value) -> Result<(), String> {
-    let section = snapshot.get("remap").ok_or("missing remap section")?;
-    let calls = u64_field(section, "calls")?;
-    let kernel_cells = u64_field(section, "kernel_cells")?;
-    let per_call = u64_field(section, "changed_app_cells")?;
-    if kernel_cells != calls * per_call {
-        return Err(format!(
-            "remap loop built {kernel_cells} cells in {calls} calls, not the changed \
-             app's {per_call} per call"
-        ));
-    }
-    if u64_field(section, "store_hits")? == 0 {
-        return Err("remap loop took no cells from the store".into());
-    }
-    Ok(())
-}
-
-fn validate(snapshot: &Value) -> Result<(), String> {
-    validate_with(snapshot, SCHEMA_VERSION, STAGE1_DERIVED)?;
-    check_remap_section(snapshot)?;
-    check_pool_section(snapshot)?;
-    check_ra_lattice_section(snapshot)?;
-    check_cell_store_section(snapshot)?;
-    check_speedup_floor(
-        snapshot,
-        "lattice_split_speedup",
-        lattice_split_speedup_floor,
-    )?;
-    check_speedup_floor(snapshot, "engine_build_t4_vs_t1", parallel_speedup_floor)
-}
-
-fn validate_stage2(snapshot: &Value) -> Result<(), String> {
-    validate_with(snapshot, STAGE2_SCHEMA_VERSION, STAGE2_DERIVED)?;
-    check_speedup_floor(snapshot, "grid_thread4_speedup", grid_speedup_floor)
+    .into()
 }
 
 // --- Serve suite ---------------------------------------------------------
@@ -1850,190 +1693,9 @@ fn serve_configs(check: bool) -> (LoadgenConfig, ServeConfig) {
     (load, serve)
 }
 
-fn u64_field(snapshot: &Value, key: &str) -> Result<u64, String> {
-    snapshot
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing {key}"))
-}
-
-fn f64_field(snapshot: &Value, key: &str) -> Result<f64, String> {
-    let v = snapshot
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing {key}"))?;
-    if !v.is_finite() {
-        return Err(format!("{key} is not finite: {v}"));
-    }
-    Ok(v)
-}
-
-/// Validates a serve snapshot ([`cdsf_serve::LoadgenReport`] JSON): the
-/// replay must meet the multi-tenant floors, finish without a single
-/// error, and carry a coherent per-shard stats block.
-fn validate_serve(snapshot: &Value) -> Result<(), String> {
-    let schema = u64_field(snapshot, "schema_version")?;
-    if schema != u64::from(REPORT_SCHEMA_VERSION) {
-        return Err(format!(
-            "schema_version {schema} != supported {REPORT_SCHEMA_VERSION}"
-        ));
-    }
-    let requests = u64_field(snapshot, "requests")?;
-    let tenants = u64_field(snapshot, "tenants")?;
-    let shards = u64_field(snapshot, "shards")?;
-    if requests < SERVE_MIN_REQUESTS || tenants < SERVE_MIN_TENANTS || shards < SERVE_MIN_SHARDS {
-        return Err(format!(
-            "replay {requests} requests / {tenants} tenants / {shards} shards is below \
-             the {SERVE_MIN_REQUESTS}/{SERVE_MIN_TENANTS}/{SERVE_MIN_SHARDS} floors"
-        ));
-    }
-    if u64_field(snapshot, "ok")? == 0 {
-        return Err("no request succeeded".into());
-    }
-    let errors = u64_field(snapshot, "errors")?;
-    if errors != 0 {
-        return Err(format!("committed replay has {errors} request errors"));
-    }
-    let throughput = f64_field(snapshot, "throughput_rps")?;
-    if !(throughput > 0.0) {
-        return Err("throughput_rps is not positive".into());
-    }
-    if u64_field(snapshot, "pipeline")? == 0 {
-        return Err("pipeline window is zero".into());
-    }
-    // Warm-up discard must be recorded (it may legitimately be 0 only if
-    // the run was configured that way; the canonical replay discards 200).
-    let warmup = u64_field(snapshot, "warmup_discarded")?;
-    if warmup == 0 {
-        return Err("warmup_discarded is zero — percentiles include cold builds".into());
-    }
-    let p50 = u64_field(snapshot, "latency_p50_us")?;
-    let p99 = u64_field(snapshot, "latency_p99_us")?;
-    let p999 = u64_field(snapshot, "latency_p999_us")?;
-    if p99 < p50 {
-        return Err(format!("latency p99 {p99}us below p50 {p50}us"));
-    }
-    if p999 < p99 {
-        return Err(format!("latency p999 {p999}us below p99 {p99}us"));
-    }
-    let host_threads = u64_field(snapshot, "host_threads")?;
-    if host_threads == 0 {
-        return Err("host_threads is zero".into());
-    }
-    if host_threads >= 4 {
-        if throughput < SERVE_THROUGHPUT_MIN_WIDE_HOST {
-            return Err(format!(
-                "throughput {throughput:.0} req/s below the wide-host floor \
-                 {SERVE_THROUGHPUT_MIN_WIDE_HOST:.0} for the policy-mixed v3 stream"
-            ));
-        }
-        if p99 > SERVE_P99_MAX_WIDE_US {
-            return Err(format!(
-                "p99 {p99}us above the wide-host ceiling {SERVE_P99_MAX_WIDE_US}us \
-                 (the solver-tail bound of the policy-mixed v3 stream)"
-            ));
-        }
-    } else if throughput < SERVE_THROUGHPUT_MIN_NARROW_HOST {
-        return Err(format!(
-            "throughput {throughput:.0} req/s below the narrow-host floor \
-             {SERVE_THROUGHPUT_MIN_NARROW_HOST:.0} for the policy-mixed v3 stream"
-        ));
-    }
-    let hit_rate = f64_field(snapshot, "cache_hit_rate")?;
-    if !(0.0..=1.0).contains(&hit_rate) {
-        return Err(format!("cache_hit_rate {hit_rate} outside [0, 1]"));
-    }
-    if f64_field(snapshot, "coalescing_factor")? < 1.0 {
-        return Err("coalescing_factor below 1".into());
-    }
-    let stats = snapshot.get("stats").ok_or("missing stats block")?;
-    let per_shard = stats
-        .get("per_shard")
-        .and_then(Value::as_array)
-        .ok_or("stats missing per_shard")?;
-    if per_shard.len() != shards as usize {
-        return Err(format!(
-            "stats has {} per-shard entries for {shards} shards",
-            per_shard.len()
-        ));
-    }
-    let total = stats.get("total").ok_or("stats missing total")?;
-    if u64_field(total, "submits")? == 0 {
-        return Err("stats total has no submits".into());
-    }
-    u64_field(total, "pool_runs")?;
-    // v3 invariants: the replay declares its policy mix and, when it is
-    // positive, must actually have driven the SA path (the exact-lattice
-    // path shares the cache counters, so SA runs are the visible signal
-    // that the mix routed around the default policy).
-    let mix = f64_field(snapshot, "policy_mix")?;
-    if !(0.0..=1.0).contains(&mix) {
-        return Err(format!("policy_mix {mix} outside [0, 1]"));
-    }
-    if mix > 0.0 && u64_field(total, "sa_multistart_runs")? == 0 {
-        return Err(format!(
-            "policy_mix {mix} routed no submits through the SA policy"
-        ));
-    }
-    // v4 invariants: the replay declares its catalog overlap and carries
-    // coherent service-wide cell-store counters. Every engine build goes
-    // through the shared store, so a replay with submits must at least
-    // have recorded misses; hits are only required of overlapping
-    // streams (the canonical replay keeps `catalog_overlap` at 0.0, and
-    // per-tenant seeds make cross-tenant hits coincidental there).
-    let overlap = f64_field(snapshot, "catalog_overlap")?;
-    if !(0.0..=1.0).contains(&overlap) {
-        return Err(format!("catalog_overlap {overlap} outside [0, 1]"));
-    }
-    let cs_hits = u64_field(snapshot, "cell_store_hits")?;
-    let cs_misses = u64_field(snapshot, "cell_store_misses")?;
-    if cs_hits + cs_misses == 0 {
-        return Err("cell store was never consulted — engine builds bypassed it".into());
-    }
-    let cs_rejects = u64_field(snapshot, "cell_store_verify_rejects")?;
-    if cs_rejects != 0 {
-        return Err(format!(
-            "replay recorded {cs_rejects} cell-store verify rejects"
-        ));
-    }
-    let cs_rate = f64_field(snapshot, "cell_store_hit_rate")?;
-    if !(0.0..=1.0).contains(&cs_rate) {
-        return Err(format!("cell_store_hit_rate {cs_rate} outside [0, 1]"));
-    }
-    // v2 invariants: the totals row carries no shard id (the old
-    // `u64::MAX` sentinel must never reappear on the wire), batched
-    // drains were observed, and the reply codec flushed in bursts.
-    if total.get("shard").is_some_and(|s| !s.is_null()) {
-        return Err("stats total row carries a shard id".into());
-    }
-    let drains: u64 = total
-        .get("drain_depths")
-        .and_then(Value::as_array)
-        .ok_or("stats total missing drain_depths")?
-        .iter()
-        .filter_map(Value::as_u64)
-        .sum();
-    if drains == 0 {
-        return Err("drain-depth histogram is empty".into());
-    }
-    let codec = stats.get("codec").ok_or("stats missing codec block")?;
-    let frames = u64_field(codec, "reply_frames")?;
-    let flushes = u64_field(codec, "flushes")?;
-    if frames == 0 {
-        return Err("codec recorded no reply frames".into());
-    }
-    if flushes > frames {
-        return Err(format!(
-            "codec flushes {flushes} exceed reply frames {frames}"
-        ));
-    }
-    Ok(())
-}
-
-/// The `--serve` entry point: replay the loadgen stream, then either
-/// write the fresh report (full mode) or guard the committed one
-/// (`--check`). Returns the process exit path directly like `main`.
-fn run_serve(check: bool, path: &std::path::Path) {
+/// Replays the loadgen stream of [`serve_configs`] against an in-process
+/// server and returns its report.
+fn serve_report(check: bool) -> Value {
     let (load_cfg, serve_cfg) = serve_configs(check);
     eprintln!(
         "running serve replay ({} mode): {} requests, {} tenants, {} shards...",
@@ -2056,109 +1718,435 @@ fn run_serve(check: bool, path: &std::path::Path) {
         report.coalescing_factor,
         report.errors,
     );
-    if report.errors != 0 {
-        eprintln!("error: smoke replay produced {} errors", report.errors);
-        std::process::exit(1);
-    }
+    serde_json::to_value(&report)
+}
 
-    if check {
-        let raw = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!(
-                "error: committed snapshot {} unreadable: {e}",
-                path.display()
-            );
-            std::process::exit(1);
-        });
-        let committed: Value = serde_json::from_str(&raw).unwrap_or_else(|e| {
-            eprintln!("error: committed snapshot is not valid JSON: {e}");
-            std::process::exit(1);
-        });
-        if let Err(msg) = validate_serve(&committed) {
-            eprintln!("error: committed snapshot is schema-invalid: {msg}");
-            std::process::exit(1);
-        }
-        eprintln!("ok: committed {} is schema-valid", path.display());
-    } else {
-        let snapshot = serde_json::to_value(&report);
-        validate_serve(&snapshot).expect("freshly-produced serve snapshot must be schema-valid");
-        std::fs::write(path, serde_json::to_string_pretty(&snapshot).unwrap())
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        eprintln!("wrote {}", path.display());
+/// Prints each of `refusals` of `what` and exits 1, if there are any.
+fn exit_on(refusals: Vec<String>, what: &str) {
+    for refusal in &refusals {
+        eprintln!("error: {what}: {refusal}");
+    }
+    if !refusals.is_empty() {
+        std::process::exit(1);
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let stage2 = args.iter().any(|a| a == "--stage2");
-    let serve = args.iter().any(|a| a == "--serve");
-    if serve {
-        run_serve(check, &snapshot_path("BENCH_serve.json"));
-        return;
-    }
-    let path = snapshot_path(if stage2 {
-        "BENCH_stage2.json"
-    } else {
-        "BENCH_stage1.json"
-    });
-
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let check = flag("--check");
     let (samples, scale, mode) = if check {
         (3, 1, "check")
     } else {
         (9, 4, "full")
     };
-    let (results, snapshot) = if stage2 {
+    let (suite, fresh) = if flag("--serve") {
+        (&SERVE, serve_report(check))
+    } else if flag("--stage2") {
         eprintln!("running Stage-II kernel suite ({mode} mode)...");
-        let results = run_stage2_suite(samples, scale);
-        let snapshot = to_stage2_json(&results, mode);
-        (results, snapshot)
+        (
+            &STAGE2,
+            to_stage2_json(&run_stage2_suite(samples, scale), mode),
+        )
     } else {
         eprintln!("running φ₁ kernel suite ({mode} mode)...");
         let (results, remap) = run_suite(samples, scale);
-        let snapshot = to_json(&results, remap, mode, scale);
-        (results, snapshot)
+        (&STAGE1, to_json(&results, remap, mode, scale))
     };
-    drop(results);
-    let derived = snapshot["derived"].as_object().unwrap();
-    for (key, v) in derived.iter() {
+    for (key, v) in fresh["derived"].as_object().iter().flat_map(|d| d.iter()) {
         if key.ends_with("_speedup") || key.ends_with("_overhead") {
             eprintln!("  {:<28} {:.2}x", key, v.as_f64().unwrap());
         } else {
             eprintln!("  {:<28} {:.3e}", key, v.as_f64().unwrap());
         }
     }
-    let validator = if stage2 { validate_stage2 } else { validate };
-
+    let path = snapshot_path(suite.file);
+    // A smoke pass is too short to time anything, so its own results are
+    // held to the rows that bound no timing and no replay size.
+    exit_on(suite.refusals(&fresh, !check), "fresh snapshot");
     if check {
-        // Node counts at one worker are deterministic, so the smoke
-        // pass's own pool searches are held to their ceilings too.
-        if !stage2 {
-            if let Err(msg) = check_contended_nodes(&snapshot["ra_lattice"]) {
-                eprintln!("error: {msg}");
+        let committed = std::fs::read_to_string(&path)
+            .map_err(|e| format!("unreadable: {e}"))
+            .and_then(|raw| serde_json::from_str(&raw).map_err(|e| format!("not valid JSON: {e}")))
+            .unwrap_or_else(|e| {
+                eprintln!("error: committed snapshot {} is {e}", path.display());
                 std::process::exit(1);
-            }
-        }
-        // Smoke pass done; now guard the committed snapshot.
-        let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!(
-                "error: committed snapshot {} unreadable: {e}",
-                path.display()
-            );
-            std::process::exit(1);
-        });
-        let committed: Value = serde_json::from_str(&raw).unwrap_or_else(|e| {
-            eprintln!("error: committed snapshot is not valid JSON: {e}");
-            std::process::exit(1);
-        });
-        if let Err(msg) = validator(&committed) {
-            eprintln!("error: committed snapshot is schema-invalid: {msg}");
-            std::process::exit(1);
-        }
-        eprintln!("ok: committed {} is schema-valid", path.display());
+            });
+        exit_on(suite.refusals(&committed, true), "committed snapshot");
+        eprintln!("ok: committed {} passes every guard", path.display());
     } else {
-        validator(&snapshot).expect("freshly-produced snapshot must be schema-valid");
-        std::fs::write(&path, serde_json::to_string_pretty(&snapshot).unwrap())
+        std::fs::write(&path, serde_json::to_string_pretty(&fresh).unwrap())
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         eprintln!("wrote {}", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SUITES: [&Suite; 3] = [&STAGE1, &STAGE2, &SERVE];
+
+    fn committed(suite: &Suite) -> Value {
+        let raw = std::fs::read_to_string(snapshot_path(suite.file))
+            .expect("the committed snapshot is readable");
+        serde_json::from_str(&raw).expect("the committed snapshot is JSON")
+    }
+
+    /// `snapshot` with the value at `path` set to `value`, or removed
+    /// when `value` is `None`.
+    fn edit(snapshot: &Value, path: &str, value: Option<Value>) -> Value {
+        let (key, rest) = match path.split_once('.') {
+            Some((key, rest)) => (key, Some(rest)),
+            None => (path, None),
+        };
+        let child = |old: &Value| match rest {
+            Some(rest) => Some(edit(old, rest, value.clone())),
+            None => value.clone(),
+        };
+        match snapshot {
+            Value::Array(items) => {
+                let index: usize = key.parse().expect("an array index");
+                let mut items = items.clone();
+                match child(&items[index]) {
+                    Some(item) => items[index] = item,
+                    None => drop(items.remove(index)),
+                }
+                Value::Array(items)
+            }
+            Value::Object(map) => {
+                let mut out = serde_json::Map::new();
+                for (k, v) in map.iter() {
+                    match (k == key).then(|| child(v)) {
+                        None => out.insert(k.clone(), v.clone()),
+                        Some(Some(v)) => out.insert(k.clone(), v),
+                        Some(None) => None,
+                    };
+                }
+                if !map.contains_key(key) {
+                    out.insert(key.to_string(), value.expect("a new leaf has a value"));
+                }
+                Value::Object(out)
+            }
+            _ => panic!("`{key}` indexes a scalar"),
+        }
+    }
+
+    /// The rows of `suite`, floors included, that refuse `snapshot`.
+    fn failing(suite: &Suite, snapshot: &Value) -> Vec<String> {
+        let rows = suite.rows(true).into_iter();
+        rows.filter(|row| refusal(snapshot, row).is_some())
+            .collect()
+    }
+
+    /// The verdict of `suite`'s rows on `snapshot`.
+    fn accepts(suite: &Suite, snapshot: &Value) -> bool {
+        failing(suite, snapshot).is_empty()
+    }
+
+    /// `snapshot` with the one path on the left of `test` set just on its
+    /// holding (`hold`) or failing side of the right: one away for an
+    /// integer, a billionth away for a fraction.
+    fn nudge(snapshot: &Value, test: &str, hold: bool) -> Value {
+        let (lhs, op, rhs) = test_parts(test);
+        let path = lhs.replace(".*", ".0");
+        let value = match eval(snapshot, rhs) {
+            Value::Bool(bound) => Value::Bool(bound == hold),
+            bound => {
+                let bound = bound.as_f64().expect("a numeric bound");
+                let integer = resolve(snapshot, &path).as_u64().is_some();
+                let step = if integer {
+                    1.0
+                } else {
+                    1e-9 * bound.abs().max(1.0)
+                };
+                let value = match (op, hold) {
+                    (">=" | "<=" | "==", true) | (">" | "<", false) => bound,
+                    (">", true) | ("<=" | "==", false) => bound + step,
+                    ("<", true) | (">=", false) => bound - step,
+                    _ => panic!("no nudge for `{test}`"),
+                };
+                if integer {
+                    Value::from(value as i64)
+                } else {
+                    Value::from(value)
+                }
+            }
+        };
+        edit(snapshot, &path, Some(value))
+    }
+
+    /// `snapshot` with `pool.tasks_seeded_per_worker` rewritten by `f`.
+    fn reseed(snapshot: &Value, f: fn(&mut Vec<u64>)) -> Value {
+        let seeded = snapshot["pool"]["tasks_seeded_per_worker"]
+            .as_array()
+            .unwrap();
+        let mut tasks: Vec<u64> = seeded.iter().map(|t| t.as_u64().unwrap()).collect();
+        f(&mut tasks);
+        edit(snapshot, "pool.tasks_seeded_per_worker", Some(tasks.into()))
+    }
+
+    fn set(snapshot: &Value, path: &str, value: Value) -> Value {
+        edit(snapshot, path, Some(value))
+    }
+
+    type Edit = fn(&Value) -> Value;
+
+    /// Violations of the rows a [`nudge`] of their left side cannot break
+    /// without breaking another row too.
+    const EDITS: &[(&str, Edit)] = &[
+        ("len(benches) > 0", |s| set(s, "benches", json!([]))),
+        ("len(benches.*.name) >= 0", |s| {
+            set(s, "benches.0.name", json!(1))
+        }),
+        ("len(pool.tasks_per_worker) == pool.workers", |s| {
+            let mut tasks = s["pool"]["tasks_per_worker"].as_array().unwrap().clone();
+            tasks.push(json!(0));
+            set(s, "pool.tasks_per_worker", tasks.into())
+        }),
+        ("len(pool.tasks_seeded_per_worker) == pool.workers", |s| {
+            reseed(s, |t| {
+                let last = t.pop().unwrap();
+                t.extend([last - 1, 1]);
+            })
+        }),
+        (
+            "sum(pool.tasks_seeded_per_worker) == pool.tasks_total",
+            |s| reseed(s, |t| *t.iter_mut().min().unwrap() += 1),
+        ),
+        ("pool.tasks_seeded_per_worker.* > 0", |s| {
+            reseed(s, |t| {
+                t.sort();
+                t[1] += t[0];
+                t[0] = 0;
+            })
+        }),
+        // The pre-v6 seeding: everything on one deque.
+        (
+            "pool.tasks_seeded_per_worker.* <= 2 * ceil(pool.tasks_total / pool.workers)",
+            |s| {
+                reseed(s, |t| {
+                    let total: u64 = t.iter().sum();
+                    let others = t.len() as u64 - 1;
+                    t.fill(1);
+                    t[0] = total - others;
+                })
+            },
+        ),
+        ("len(stats.per_shard) == shards", |s| {
+            set(s, "shards", json!(s["shards"].as_u64().unwrap() + 1))
+        }),
+        ("shards >= 2", |s| {
+            let one_row = json!([s["stats"]["per_shard"][0].clone()]);
+            set(&set(s, "shards", json!(1)), "stats.per_shard", one_row)
+        }),
+        ("cell_store_hits + cell_store_misses > 0", |s| {
+            set(
+                &set(s, "cell_store_hits", json!(0)),
+                "cell_store_misses",
+                json!(0),
+            )
+        }),
+        ("has(stats.total.shard) == false", |s| {
+            set(s, "stats.total.shard", json!(0))
+        }),
+        ("sum(stats.total.drain_depths) > 0", |s| {
+            set(s, "stats.total.drain_depths", json!([0]))
+        }),
+        ("stats.codec.reply_frames > 0", |s| {
+            let s = set(s, "stats.codec.reply_frames", json!(0));
+            set(&s, "stats.codec.flushes", json!(0))
+        }),
+    ];
+
+    /// Rows that other rows imply, so that breaking one breaks those too.
+    const IMPLIED: &[&str] = &[
+        "pool.workers > 0",
+        "pool.tasks_total > 0",
+        "throughput_rps > 0",
+        "derived.lattice_vs_sa_speedup > 0",
+        "derived.lattice_split_speedup > 0",
+        "derived.engine_build_t4_vs_t1 > 0",
+        "derived.gamma_robust_speedup_vs_v5 > 0",
+        "derived.cell_store_warm_speedup > 0",
+        "derived.grid_thread4_speedup > 0",
+    ];
+
+    fn violate(snapshot: &Value, test: &str) -> Value {
+        match EDITS.iter().find(|(row, _)| *row == test) {
+            Some((_, edit)) => edit(snapshot),
+            None => nudge(snapshot, test, false),
+        }
+    }
+
+    /// `snapshot` with the left side of every refusing row nudged until
+    /// the rows accept it.
+    fn repair(suite: &Suite, mut snapshot: Value) -> Value {
+        for _ in 0..4 {
+            let rows = failing(suite, &snapshot);
+            if rows.is_empty() {
+                return snapshot;
+            }
+            for row in rows {
+                snapshot = nudge(&snapshot, row_parts(&row).0, true);
+            }
+        }
+        panic!("{} cannot be repaired", suite.file)
+    }
+
+    /// The paths `text` reads, `.*` read at element 0.
+    fn paths(text: &str) -> Vec<String> {
+        let words = text.replace(['(', ')'], " ");
+        let words = words.split_whitespace();
+        let keywords = ["len", "sum", "has", "ceil", "true", "false", "if"];
+        words
+            .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic()) && !keywords.contains(w))
+            .map(|w| w.replace(".*", ".0"))
+            .collect()
+    }
+
+    /// Each committed snapshot passes every row and ratio. Each row, on
+    /// the side of its condition where it binds (its condition made true
+    /// and the rows that then refuse repaired, where it is false on the
+    /// committed file), refuses a copy that breaks only it and a copy
+    /// without any path it reads, and stays silent when its condition is
+    /// false.
+    #[test]
+    fn every_row_refuses_what_it_guards() {
+        for suite in SUITES {
+            let base = committed(suite);
+            let refusals = suite.refusals(&base, true);
+            assert!(refusals.is_empty(), "{}: {refusals:?}", suite.file);
+            for row in suite.rows(true) {
+                let (test, condition, _) = row_parts(&row);
+                let binding = match condition {
+                    Some(c) if !compare(&base, c).0.unwrap() => {
+                        repair(suite, nudge(&base, c, true))
+                    }
+                    _ => base.clone(),
+                };
+                assert!(
+                    accepts(suite, &binding),
+                    "{row}: the repaired copy is refused"
+                );
+                let broken = failing(suite, &violate(&binding, test));
+                assert!(broken.contains(&row), "{row}: breaking it leaves it silent");
+                assert_eq!(
+                    broken.len() > 1,
+                    IMPLIED.contains(&test),
+                    "{row}: breaking it breaks {broken:?}"
+                );
+                let read = paths(row.split_once(": ").unwrap().0);
+                for path in read.iter().filter(|p| !resolve(&binding, p).is_null()) {
+                    let without = edit(&binding, path, None);
+                    assert!(
+                        !accepts(suite, &without),
+                        "{row}: accepts a copy without {path}"
+                    );
+                }
+                if let Some(c) = condition {
+                    let off = nudge(&binding, c, false);
+                    let broken = failing(suite, &violate(&off, test));
+                    assert!(!broken.contains(&row), "{row}: fires with `{c}` false");
+                }
+            }
+        }
+    }
+
+    /// The floors and ceilings the snapshots are held to, written apart
+    /// from the table: with `host` host threads recorded (and the rows
+    /// that then refuse repaired), `path` at `pass` passes every row and
+    /// at `fail` is refused.
+    #[test]
+    fn the_floors_and_ceilings_stay_where_they_were() {
+        let cases: &[(&Suite, Option<u64>, &str, f64, f64)] = &[
+            (&STAGE1, None, "derived.lattice_vs_sa_speedup", 10.0, 9.99),
+            (&STAGE1, None, "derived.lattice_split_overhead", 1.5, 1.51),
+            (
+                &STAGE1,
+                Some(2),
+                "derived.lattice_split_speedup",
+                1.15,
+                1.14,
+            ),
+            (&STAGE1, Some(1), "derived.lattice_split_speedup", 0.7, 0.69),
+            (&STAGE1, Some(4), "derived.engine_build_t4_vs_t1", 3.0, 2.99),
+            (&STAGE1, Some(3), "derived.engine_build_t4_vs_t1", 0.7, 0.69),
+            (&STAGE1, None, "derived.cell_store_warm_speedup", 5.0, 4.99),
+            (
+                &STAGE1,
+                None,
+                "derived.cell_store_thrash_overhead",
+                1.6,
+                1.61,
+            ),
+            (
+                &STAGE1,
+                None,
+                "derived.gamma_robust_speedup_vs_v5",
+                2.0,
+                1.99,
+            ),
+            (
+                &STAGE1,
+                None,
+                "ra_lattice.contended.counters.nodes",
+                20_000.0,
+                20_001.0,
+            ),
+            (
+                &STAGE1,
+                None,
+                "ra_lattice.largest_pool.counters.nodes",
+                65_536.0,
+                65_537.0,
+            ),
+            (&STAGE2, Some(4), "derived.grid_thread4_speedup", 3.0, 2.99),
+            (&STAGE2, Some(3), "derived.grid_thread4_speedup", 1.0, 0.99),
+            (&SERVE, None, "requests", 10_000.0, 9_999.0),
+            (&SERVE, None, "tenants", 4.0, 3.0),
+            (&SERVE, None, "shards", 2.0, 1.0),
+            (&SERVE, Some(4), "throughput_rps", 9_000.0, 8_999.0),
+            (&SERVE, Some(4), "latency_p99_us", 50_000.0, 50_001.0),
+            (&SERVE, Some(3), "throughput_rps", 3_500.0, 3_499.0),
+        ];
+        for &(suite, host, path, pass, fail) in cases {
+            let mut base = committed(suite);
+            if let Some(host) = host {
+                let at = if suite.ratios.is_empty() {
+                    "host_threads"
+                } else {
+                    "instance.host_threads"
+                };
+                base = repair(suite, set(&base, at, host.into()));
+            }
+            let at = |value: f64| failing(suite, &set(&base, path, value.into()));
+            assert_eq!(
+                at(pass),
+                Vec::<String>::new(),
+                "{path} = {pass} at {host:?} host threads"
+            );
+            assert_ne!(
+                at(fail),
+                Vec::<String>::new(),
+                "{path} = {fail} at {host:?} host threads"
+            );
+        }
+    }
+
+    /// A recorded ratio one ulp off its medians' is refused, and nothing
+    /// else about the copy is.
+    #[test]
+    fn a_derived_ratio_must_equal_its_medians_ratio() {
+        for suite in [&STAGE1, &STAGE2] {
+            let base = committed(suite);
+            for ratio in suite.ratios {
+                let path = format!("derived.{}", ratio.split_once(" = ").unwrap().0);
+                let off = f64::from_bits(resolve(&base, &path).as_f64().unwrap().to_bits() + 1);
+                let refusals = suite.refusals(&set(&base, &path, off.into()), true);
+                assert_eq!(refusals.len(), 1, "{path}: {refusals:?}");
+                assert!(refusals[0].starts_with(&path), "{path}: {refusals:?}");
+            }
+        }
     }
 }

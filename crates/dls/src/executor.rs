@@ -461,18 +461,6 @@ pub fn execute(
     execute_in(kind, cfg, &mut scratch, rng)
 }
 
-/// Runs one loop execution with an explicit technique instance.
-///
-/// The instance must be fresh (techniques are stateful across a run).
-pub fn execute_with(
-    technique: &mut dyn Technique,
-    cfg: &ExecutorConfig,
-    rng: &mut dyn RngCore,
-) -> Result<RunResult> {
-    let mut scratch = ExecutorScratch::new();
-    execute_with_in(technique, cfg, &mut scratch, rng)
-}
-
 /// Runs one loop execution inside a reusable scratch arena. Results are
 /// bit-identical to [`execute`] with the same RNG stream; only the
 /// allocation behaviour differs.
@@ -483,19 +471,9 @@ pub fn execute_in(
     rng: &mut dyn RngCore,
 ) -> Result<RunResult> {
     let mut technique = kind.build(cfg.num_workers, cfg.parallel_iters)?;
-    execute_with_in(technique.as_mut(), cfg, scratch, rng)
-}
-
-/// [`execute_with`] inside a reusable scratch arena.
-pub fn execute_with_in(
-    technique: &mut dyn Technique,
-    cfg: &ExecutorConfig,
-    scratch: &mut ExecutorScratch,
-    rng: &mut dyn RngCore,
-) -> Result<RunResult> {
     cfg.validate()?;
     scratch.prepare(cfg)?;
-    run_one_step(technique, cfg, scratch, 0.0, rng)
+    run_one_step(technique.as_mut(), cfg, scratch, 0.0, rng)
 }
 
 /// Executes one serial prologue + parallel loop starting at `start`,

@@ -257,23 +257,10 @@ pub fn monte_carlo_phi1_ci(
     mc_core(&exec_samplers, &avail_samplers, &type_of, deadline, cfg)
 }
 
-/// As [`monte_carlo_phi1`], but the samplers are built from a prebuilt
+/// As [`monte_carlo_phi1_ci`], but the samplers are built from a prebuilt
 /// [`Phi1Engine`]'s cached dedicated PMFs — no Amdahl rescale per call.
 /// The sampled distributions are bit-identical to the direct path, so the
-/// estimate matches [`monte_carlo_phi1`] exactly for the same seed.
-pub fn monte_carlo_phi1_with_engine(
-    engine: &Phi1Engine,
-    batch: &Batch,
-    platform: &Platform,
-    alloc: &Allocation,
-    deadline: f64,
-    cfg: &MonteCarloConfig,
-) -> Result<f64> {
-    monte_carlo_phi1_ci_with_engine(engine, batch, platform, alloc, deadline, cfg)
-        .map(|e| e.estimate)
-}
-
-/// As [`monte_carlo_phi1_ci`], served from a prebuilt [`Phi1Engine`].
+/// estimate matches [`monte_carlo_phi1_ci`] exactly for the same seed.
 pub fn monte_carlo_phi1_ci_with_engine(
     engine: &Phi1Engine,
     batch: &Batch,
