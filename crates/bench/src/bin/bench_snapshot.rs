@@ -119,7 +119,11 @@ use std::time::Instant;
 /// v12 added the `largest_pool` block to `ra_lattice`: the 1-thread
 /// search counters of the dual-stage pool's largest solve, guarded to at
 /// most 65 536 nodes, the lattice's serial-first budget.
-const SCHEMA_VERSION: u64 = 12;
+/// v13 added `exhaustive_phi1` to the `contended` block of `ra_lattice`:
+/// the φ₁ of exhaustive search on the contended instance, which the
+/// lattice's optimum must equal bit for bit. The apps16 exactness row
+/// compares the lattice with SA, which finds no positive φ₁ there.
+const SCHEMA_VERSION: u64 = 13;
 
 /// Current stage-2 snapshot schema. Bump when the JSON shape changes.
 /// v2 added the host-aware `grid_thread4_speedup` floor (≥ 3× on hosts
@@ -222,9 +226,12 @@ const STAGE1: Suite = Suite {
         "pool.tasks_seeded_per_worker.* <= 2 * ceil(pool.tasks_total / pool.workers): a pool worker was seeded above twice the even share — the weight-balanced seeding has regressed",
         "pool.chunks_stolen_total >= 0: the pool lacks chunks_stolen_total",
         "pool.no_worker_starved == true: the pool starved a worker",
-        // The exact solver's optimum dominates SA's. serde_json round-trips
-        // a finite f64 exactly, so the recorded values compare bit for bit.
+        // The exact solver's optimum dominates SA's, and equals exhaustive
+        // search's on the contended instance, the largest it finishes on
+        // in milliseconds. serde_json round-trips a finite f64 exactly, so
+        // the recorded values compare bit for bit.
         "ra_lattice.lattice_phi1 >= ra_lattice.sa_phi1: exactness violated — the branch-and-bound is no longer optimal",
+        "ra_lattice.contended.phi1 == ra_lattice.contended.exhaustive_phi1: exactness violated — the branch-and-bound's optimum differs from exhaustive search's",
         "ra_lattice.counters.nodes > 0: no lattice search ran",
         "ra_lattice.counters.screen_pruned >= 0: the lattice counters lack screen_pruned",
         "ra_lattice.counters.confirm_pruned >= 0: the lattice counters lack confirm_pruned",
@@ -244,7 +251,7 @@ const STAGE1: Suite = Suite {
         // The store counters describe a real prev→next catalog pair (hits
         // from the shared applications, no verify rejects, an engine that
         // fingerprints like a storeless build), and the thrash pass really
-        // thrashes.
+        // thrashes: it evicts, and the admission gate declines cells.
         "cell_store.hits > 0: the overlapping build resolved nothing from the store",
         "cell_store.misses > 0: the cold build never consulted the store",
         "cell_store.verify_rejects == 0: structural hashes collided on the bench instance",
@@ -254,6 +261,7 @@ const STAGE1: Suite = Suite {
         "cell_store.fingerprint_match == true: a store-resolved engine diverged from the storeless build",
         "cell_store.thrash.working_set_cells >= 2 * cell_store.thrash.capacity: the thrash working set is under twice the store's capacity",
         "cell_store.thrash.evictions > 0: the thrash pass evicted nothing",
+        "cell_store.thrash.insertions < cell_store.thrash.misses: the store interned every cell the thrash pass missed — its admission gate declined nothing",
     ],
     floors: &[
         "benches.*.median_ns > 0: a bench has no positive median",
@@ -262,13 +270,15 @@ const STAGE1: Suite = Suite {
         // awareness. The store-warm build read about 7.4× when its floor
         // was set (23 of 24 applications resident). The thrash overhead
         // read 2.3–3.0× with eviction by a scan of the shard, 1.1–1.4× by
-        // the lazy queue. Splitting every lattice search read 37–38× on a
-        // 2-vCPU host, the serial-first search 1.01–1.03×. The screened
-        // Γ-robust solve read 2.4–2.6× its v5 anchor.
+        // the lazy queue, and 0.74–0.80× behind the admission gate, which
+        // keeps the store from paying for cells it would evict unread.
+        // Splitting every lattice search read 37–38× on a 2-vCPU host,
+        // the serial-first search 1.01–1.03×. The screened Γ-robust solve
+        // read 2.4–2.6× its v5 anchor.
         "derived.lattice_vs_sa_speedup >= 10: the exact lattice lost its 10× lead over SA",
         "derived.lattice_split_overhead <= 1.5: two workers split a search one finishes alone",
         "derived.cell_store_warm_speedup >= 5: store resolution no longer short-circuits the kernel",
-        "derived.cell_store_thrash_overhead <= 1.6: store-attached builds that evict cost too much over storeless ones",
+        "derived.cell_store_thrash_overhead <= 1.0: store-attached builds on a working set the store cannot hold cost more than storeless ones",
         "derived.gamma_robust_speedup_vs_v5 >= 2: the screened Γ-robust solve lost its 2× margin over the v5 anchor",
         // Parallel floors read the `host_threads` the snapshot records:
         // numbers are measured, never assumed. With two or more cores the
@@ -1065,9 +1075,12 @@ fn counters_json(c: &cdsf_ra::allocators::LatticeCounters) -> Value {
 /// `sa_serve` block record how many proposal steps the two timed SA runs
 /// take: all of them on apps16, a fraction on the serve spec. The
 /// `contended` and `largest_pool` blocks hold the 1-thread counters of
-/// the pool instances [`CONTENDED_POOL`] and [`LARGEST_POOL`].
+/// the pool instances [`CONTENDED_POOL`] and [`LARGEST_POOL`]; the
+/// `contended` block also the φ1 of exhaustive search there, which the
+/// second exactness guard compares with the lattice's.
 fn ra_lattice_section(scale: usize) -> Value {
     use cdsf_ra::robustness::evaluate;
+    use cdsf_ra::Allocator;
 
     let (batch, platform) = bench_instance(16);
     let engine = Phi1Engine::build(&batch, &platform).unwrap();
@@ -1097,13 +1110,13 @@ fn ra_lattice_section(scale: usize) -> Value {
     let (_, serve_report) = serve_sa
         .allocate_multi_start(&serve.platform, &serve.engine, serve.deadline)
         .expect("SA must allocate on the serve spec");
-    let mut pool_block = |pool: (u64, u64)| {
+    let mut pool_block = |pool: (u64, u64), exact: bool| {
         let (batch, platform, deadline) = pool_instance(pool);
         let engine = Phi1Engine::build(&batch, &platform).unwrap();
         let (_, report) = lattice
             .solve_with_engine(&platform, &engine, deadline, &mut scratch)
             .expect("lattice solve must succeed on the pool instance");
-        json!({
+        let mut block = json!({
             "pool_seed": pool.0,
             "pool_index": pool.1,
             "apps": batch.len(),
@@ -1112,10 +1125,23 @@ fn ra_lattice_section(scale: usize) -> Value {
             "threads": 1,
             "phi1": report.phi1,
             "counters": counters_json(&report.counters),
-        })
+        });
+        if exact {
+            let alloc = cdsf_ra::allocators::Exhaustive::new(1)
+                .unwrap()
+                .allocate_with_engine(&batch, &platform, &engine, deadline)
+                .expect("exhaustive search must allocate on the pool instance");
+            let phi1 = evaluate(&batch, &platform, &alloc, deadline)
+                .expect("the exhaustive allocation must evaluate")
+                .joint;
+            if let Value::Object(map) = &mut block {
+                map.insert("exhaustive_phi1".into(), phi1.into());
+            }
+        }
+        block
     };
-    let contended = pool_block(CONTENDED_POOL);
-    let largest_pool = pool_block(LARGEST_POOL);
+    let contended = pool_block(CONTENDED_POOL, true);
+    let largest_pool = pool_block(LARGEST_POOL, false);
     json!({
         "apps": 16,
         "deadline": DEADLINE,
@@ -1947,6 +1973,18 @@ mod tests {
                 json!(0),
             )
         }),
+        // A suboptimal lattice answer: its φ₁ lowered.
+        (
+            "ra_lattice.contended.phi1 == ra_lattice.contended.exhaustive_phi1",
+            |s| {
+                let phi1 = s["ra_lattice"]["contended"]["phi1"].as_f64().unwrap();
+                set(s, "ra_lattice.contended.phi1", json!(phi1 * 0.5))
+            },
+        ),
+        ("ra_lattice.contended.phi1 > 0", |s| {
+            let s = set(s, "ra_lattice.contended.phi1", json!(0.0));
+            set(&s, "ra_lattice.contended.exhaustive_phi1", json!(0.0))
+        }),
         ("has(stats.total.shard) == false", |s| {
             set(s, "stats.total.shard", json!(0))
         }),
@@ -2077,8 +2115,8 @@ mod tests {
                 &STAGE1,
                 None,
                 "derived.cell_store_thrash_overhead",
-                1.6,
-                1.61,
+                1.0,
+                1.01,
             ),
             (
                 &STAGE1,

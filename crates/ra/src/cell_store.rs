@@ -44,6 +44,25 @@
 //! iteration order. Values are `Arc`-shared with every engine that
 //! resolved them, so eviction only drops the store's reference — engines
 //! keep their cells alive.
+//!
+//! # Admission
+//!
+//! Under traffic whose working set dwarfs the bound, most families are
+//! built once and never looked up again, and plain LRU interns each of
+//! them only to evict it unread. A TinyLFU gate (Einziger, Friedman and
+//! Manes, ACM TOS 2017) sits in front of the eviction: each shard counts
+//! every lookup of a pair, hit or miss, in a count-min sketch, and a
+//! family with no resident cell that arrives at a full shard is interned
+//! only if its estimated lookup count is strictly greater than that of
+//! the family owning the LRU victim. A declined family's cells stay with
+//! the build that computed them: nothing is inserted and nothing
+//! evicted, and the store's `misses − insertions` counts them. A
+//! resident family's new factors skip the gate. The sketch has 4 rows of
+//! saturating 4-bit counters, each row the next power of two at least
+//! twice the per-shard cell bound wide, and halves every counter after
+//! ten lookups per counter of a row, so counts age and a newly popular
+//! family displaces a formerly popular one. Its row hashes are fixed, so
+//! a serial operation sequence always leaves the same cells resident.
 
 use crate::engine::Cell;
 use cdsf_pmf::hash::{fnv1a_seed, fnv1a_u64};
@@ -51,14 +70,27 @@ use cdsf_pmf::Pmf;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Fixed shard count: hash-spread is what matters, not tunability, and a
 /// power of two keeps the shard pick a mask.
 const SHARDS: usize = 8;
+
+/// Rows of each shard's frequency sketch; a pair's estimate is the
+/// smallest of its counters across them.
+const SKETCH_ROWS: usize = 4;
+
+/// A sketch counter saturates here, as a 4-bit counter would.
+const SKETCH_MAX: u8 = 15;
+
+/// Narrowest sketch row, so that a store of a few cells per shard still
+/// tells a handful of families apart.
+const SKETCH_MIN_WIDTH: usize = 64;
+
+/// Lookups per counter of a row between two halvings of every counter.
+const SKETCH_SAMPLE: u64 = 10;
 
 /// Default total cell bound. Cells are small relative to engines (two
 /// PMFs), so the default is sized for many tenants' working sets: a
@@ -101,11 +133,70 @@ struct Slot {
     stamp: AtomicU64,
 }
 
-/// One lock's worth of families, and the queue that picks their eviction
-/// victims. The keys digest PMFs that tenants supply, so the map keeps the
-/// standard library's keyed hasher; eviction never iterates the map, so
-/// its run-to-run iteration order is invisible.
-#[derive(Default)]
+/// A count-min sketch of one shard's family lookups. Its counters are
+/// relaxed atomics, so lookups count under the shard's read lock; two
+/// racing lookups may lose a count, which only blurs an estimate.
+struct Sketch {
+    /// [`SKETCH_ROWS`] rows of `2^bits` counters, row after row.
+    counters: Box<[AtomicU8]>,
+    bits: u32,
+    /// Lookups counted so far; every `period`-th halves every counter.
+    lookups: AtomicU64,
+    period: u64,
+}
+
+impl Sketch {
+    fn new(per_shard: usize) -> Self {
+        let width = (2 * per_shard).next_power_of_two().max(SKETCH_MIN_WIDTH);
+        Self {
+            counters: (0..SKETCH_ROWS * width).map(|_| AtomicU8::new(0)).collect(),
+            bits: width.trailing_zeros(),
+            lookups: AtomicU64::new(0),
+            period: SKETCH_SAMPLE * width as u64,
+        }
+    }
+
+    /// `pair`'s counter in each row: a fixed splitmix64 mix of the pair
+    /// and the row, so the counters a pair lands on never vary from run
+    /// to run.
+    fn slots(&self, pair: u64) -> impl Iterator<Item = &AtomicU8> {
+        (0..SKETCH_ROWS).map(move |row| {
+            let mut z = pair.wrapping_add((row as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            &self.counters[(row << self.bits) + (z >> (64 - self.bits)) as usize]
+        })
+    }
+
+    /// Counts one lookup of `pair`, and ages every count by half at the
+    /// end of each sample period.
+    fn record(&self, pair: u64) {
+        for c in self.slots(pair) {
+            let n = c.load(Ordering::Relaxed);
+            if n < SKETCH_MAX {
+                c.store(n + 1, Ordering::Relaxed);
+            }
+        }
+        if (self.lookups.fetch_add(1, Ordering::Relaxed) + 1) % self.period == 0 {
+            for c in self.counters.iter() {
+                c.store(c.load(Ordering::Relaxed) >> 1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The estimated lookups of `pair` in the current sample: never below
+    /// the true count unless it saturated or was halved.
+    fn estimate(&self, pair: u64) -> u8 {
+        let counts = self.slots(pair).map(|c| c.load(Ordering::Relaxed));
+        counts.min().expect("the sketch has rows")
+    }
+}
+
+/// One lock's worth of families, the queue that picks their eviction
+/// victims and the sketch that gates their admission. The keys digest
+/// PMFs that tenants supply, so the map keeps the standard library's
+/// keyed hasher; eviction never iterates the map, so its run-to-run
+/// iteration order is invisible.
 struct Shard {
     families: HashMap<u64, Family>,
     /// A lazy min-queue of `(stamp, pair, factor bits)`, one entry per
@@ -113,15 +204,25 @@ struct Shard {
     /// queued; hits move the cell's stamp but leave the entry stale until
     /// eviction reaches it.
     queue: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    sketch: Sketch,
 }
 
 impl Shard {
+    fn new(per_shard: usize) -> Self {
+        Self {
+            families: HashMap::new(),
+            queue: BinaryHeap::new(),
+            sketch: Sketch::new(per_shard),
+        }
+    }
+
     /// Cells resident in this shard.
     fn cells(&self) -> usize {
         self.queue.len()
     }
 
-    /// Drops the least-recently-used cell, and its family once empty.
+    /// The `(pair, factor bits)` of the least-recently-used cell, which
+    /// the queue's head holds on return.
     ///
     /// A stale head is re-queued with its cell's current stamp; the first
     /// head whose stamp is still current is the victim. Entries are only
@@ -131,31 +232,41 @@ impl Shard {
     /// its cell's. A current head is then at most every resident cell's
     /// stamp, and since stamps are unique it is the cell a scan for the
     /// smallest stamp would pick.
-    fn evict_lru(&mut self) {
+    fn lru(&mut self) -> (u64, u64) {
         loop {
             let mut head = self.queue.peek_mut().expect("a full shard is non-empty");
             let Reverse((queued, pair, bits)) = *head;
-            let family = self
-                .families
-                .get_mut(&pair)
-                .expect("queued cells are resident");
-            let at = family
-                .cells
-                .iter()
-                .position(|s| s.factor_bits == bits)
-                .expect("queued cells are resident");
-            let stamp = family.cells[at].stamp.load(Ordering::Relaxed);
-            if stamp != queued {
-                *head = Reverse((stamp, pair, bits));
-                continue;
+            let slot = self.families.get(&pair).and_then(|f| f.slot(bits));
+            let stamp = slot
+                .expect("queued cells are resident")
+                .stamp
+                .load(Ordering::Relaxed);
+            if stamp == queued {
+                return (pair, bits);
             }
-            PeekMut::pop(head);
-            family.cells.swap_remove(at);
-            if family.cells.is_empty() {
-                self.families.remove(&pair);
-            }
-            return;
+            *head = Reverse((stamp, pair, bits));
         }
+    }
+
+    /// Drops the least-recently-used cell, and its family once empty.
+    fn evict_lru(&mut self) {
+        let (pair, bits) = self.lru();
+        self.queue.pop();
+        let family = self
+            .families
+            .get_mut(&pair)
+            .expect("queued cells are resident");
+        family.cells.retain(|s| s.factor_bits != bits);
+        if family.cells.is_empty() {
+            self.families.remove(&pair);
+        }
+    }
+
+    /// Whether a family with no resident cell may displace the LRU
+    /// victim's: only one looked up strictly more often.
+    fn admits(&mut self, pair: u64) -> bool {
+        let (victim, _) = self.lru();
+        self.sketch.estimate(pair) > self.sketch.estimate(victim)
     }
 }
 
@@ -171,7 +282,8 @@ pub struct CellStoreStats {
     pub verify_rejects: u64,
     /// Cells interned.
     pub insertions: u64,
-    /// Cells evicted by the per-shard LRU bound.
+    /// Cells evicted by the per-shard LRU bound. Cells the admission gate
+    /// declined are `misses − insertions`: never interned, never evicted.
     pub evictions: u64,
     /// Cells currently resident.
     pub resident: u64,
@@ -219,7 +331,9 @@ impl CellStore {
     pub fn new(capacity: usize) -> Self {
         let per_shard = capacity.div_ceil(SHARDS).max(1);
         Self {
-            shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| RwLock::new(Shard::new(per_shard)))
+                .collect(),
             per_shard,
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -251,7 +365,8 @@ impl CellStore {
     /// [`pair_hash`]`(exec, avail)`. The family's cells are served only
     /// after a bitwise comparison of its inputs with the probe's; every
     /// factor counts as a hit or a miss, and a colliding family is
-    /// counted once as a verify reject.
+    /// counted once as a verify reject. Every call counts once in the
+    /// shard's admission sketch.
     pub(crate) fn get_family(
         &self,
         pair: u64,
@@ -261,6 +376,7 @@ impl CellStore {
         out: &mut [Option<Arc<Cell>>],
     ) {
         let shard = self.shard_of(pair).read();
+        shard.sketch.record(pair);
         let mut hits = 0;
         match shard.families.get(&pair) {
             Some(family) if family.proves(exec, avail) => {
@@ -285,13 +401,16 @@ impl CellStore {
 
     /// Interns freshly computed cells of one pair family, keyed as in
     /// [`CellStore::get_family`], evicting the shard's least-recently-used
-    /// cell for each one beyond its bound. When a family with other inputs
-    /// holds the key (a hash collision), the newcomer's cells are not
-    /// interned: the resident family keeps its cells until the LRU drops
-    /// them, and the newcomer's builds compute theirs, so a collision
-    /// costs time, never a result. A cell whose factor is already
-    /// resident — a concurrent build interned it first — only has its
-    /// stamp refreshed, so residency never double-counts one cell
+    /// cell for each one beyond its bound. A family with no resident cell
+    /// that arrives at a full shard passes the admission gate first: it is
+    /// interned only if it was looked up more often than the LRU victim's
+    /// family, and otherwise nothing is interned or evicted. When a family
+    /// with other inputs holds the key (a hash collision), the newcomer's
+    /// cells are not interned: the resident family keeps its cells until
+    /// the LRU drops them, and the newcomer's builds compute theirs, so a
+    /// collision costs time, never a result. A cell whose factor is
+    /// already resident — a concurrent build interned it first — only has
+    /// its stamp refreshed, so residency never double-counts one cell
     /// identity.
     pub(crate) fn insert_family(
         &self,
@@ -302,10 +421,12 @@ impl CellStore {
     ) {
         let mut guard = self.shard_of(pair).write();
         let shard = &mut *guard;
-        if let Some(resident) = shard.families.get(&pair) {
-            if !resident.proves(exec, avail) {
-                return;
-            }
+        let admitted = match shard.families.get(&pair) {
+            Some(resident) => resident.proves(exec, avail),
+            None => shard.cells() < self.per_shard || shard.admits(pair),
+        };
+        if !admitted {
+            return;
         }
         for (factor, cell) in cells {
             let stamp = self.ticks(1);
@@ -432,6 +553,22 @@ mod tests {
         cell
     }
 
+    /// What an engine build does with one family: look its factors up,
+    /// then offer the cells that missed. Returns the hits.
+    fn build(store: &CellStore, pair: u64, exec: &Pmf, factors: &[f64], avail: &Pmf) -> usize {
+        let mut out = vec![None; factors.len()];
+        store.get_family(pair, exec, avail, factors, &mut out);
+        let missed = factors.iter().zip(&out).filter(|(_, c)| c.is_none());
+        let cells: Vec<_> = missed.map(|(&f, _)| (f, mk_cell(exec, f, avail))).collect();
+        store.insert_family(pair, exec, avail, cells);
+        out.iter().flatten().count()
+    }
+
+    /// The admission sketch's estimate for `pair` in its shard.
+    fn estimate(store: &CellStore, pair: u64) -> u8 {
+        store.shard_of(pair).read().sketch.estimate(pair)
+    }
+
     #[test]
     fn get_after_insert_round_trips_the_cell() {
         let store = CellStore::new(16);
@@ -517,19 +654,24 @@ mod tests {
     fn eviction_is_lru_and_bounded() {
         // Capacity 8 over 8 shards = 1 cell per shard; explicit keys with
         // equal low bits put every family in one shard, so the LRU rule
-        // is observable.
+        // is observable. Each newcomer is looked up more often than the
+        // resident family first, so the admission gate lets it in.
         let store = CellStore::new(8);
         let avail = mk_pmf(&[(1.0, 1.0)]);
         let execs: Vec<Pmf> = (0..3).map(|i| mk_pmf(&[(100.0 + i as f64, 1.0)])).collect();
         let key = |i: usize| (i as u64) << 3; // same low 3 bits → same shard
         insert(&store, key(0), &execs[0], 1.0, &avail);
+        assert!(get(&store, key(1), &execs[1], 1.0, &avail).is_none());
         insert(&store, key(1), &execs[1], 1.0, &avail);
         // Shard bound is 1: inserting family 1 evicted family 0.
         assert!(get(&store, key(0), &execs[0], 1.0, &avail).is_none());
         assert!(get(&store, key(1), &execs[1], 1.0, &avail).is_some());
         // Touch 1, insert 2 → 1 was most recent but the shard holds one
         // cell, so 1 is evicted anyway; with per-shard capacity 1 the
-        // newest always wins.
+        // newest admitted family always wins.
+        for _ in 0..3 {
+            assert!(get(&store, key(2), &execs[2], 1.0, &avail).is_none());
+        }
         insert(&store, key(2), &execs[2], 1.0, &avail);
         assert!(get(&store, key(1), &execs[1], 1.0, &avail).is_none());
         let s = store.stats();
@@ -540,7 +682,8 @@ mod tests {
     #[test]
     fn lru_victim_is_the_stalest_cell() {
         // Per-shard capacity 2 (capacity 16 / 8 shards): A and B
-        // resident, touch A, insert C → B (stalest) is evicted.
+        // resident, touch A, look C up once (B never was, so C passes the
+        // admission gate), insert C → B (stalest) is evicted.
         let store = CellStore::new(16);
         let avail = mk_pmf(&[(1.0, 1.0)]);
         let execs: Vec<Pmf> = (0..3).map(|i| mk_pmf(&[(100.0 + i as f64, 1.0)])).collect();
@@ -549,6 +692,7 @@ mod tests {
             insert(&store, key(i), exec, 1.0, &avail);
         }
         assert!(get(&store, key(0), &execs[0], 1.0, &avail).is_some());
+        assert!(get(&store, key(2), &execs[2], 1.0, &avail).is_none());
         insert(&store, key(2), &execs[2], 1.0, &avail);
         assert!(get(&store, key(0), &execs[0], 1.0, &avail).is_some());
         assert!(get(&store, key(1), &execs[1], 1.0, &avail).is_none());
@@ -560,6 +704,81 @@ mod tests {
         assert!(get(&store, key(2), &execs[2], 1.0, &avail).is_none());
         assert!(get(&store, key(0), &execs[0], 1.0, &avail).is_some());
         assert!(get(&store, key(0), &execs[0], 0.5, &avail).is_some());
+    }
+
+    #[test]
+    fn a_full_shard_admits_only_families_looked_up_more_than_the_victims() {
+        // Per-shard capacity 2, filled by family A's two cells, which two
+        // builds looked up. C, built once, is declined; D is declined
+        // until its third build, which outnumbers A's lookups and evicts
+        // both of A's cells.
+        let store = CellStore::new(16);
+        let avail = mk_pmf(&[(0.5, 0.5), (1.0, 0.5)]);
+        let execs: Vec<Pmf> = (0..3).map(|i| mk_pmf(&[(100.0 + i as f64, 1.0)])).collect();
+        let key = |i: usize| (i as u64 + 1) << 3;
+        let factors = [1.0, 0.5];
+        let [a, c, d] = [0, 1, 2];
+        assert_eq!(build(&store, key(a), &execs[a], &factors, &avail), 0);
+        assert_eq!(build(&store, key(a), &execs[a], &factors, &avail), 2);
+        assert_eq!(estimate(&store, key(a)), 2);
+        let full = store.shards[0].read().resident();
+        assert_eq!(full.len(), 2);
+
+        assert_eq!(build(&store, key(c), &execs[c], &factors, &avail), 0);
+        assert_eq!(
+            store.shards[0].read().resident(),
+            full,
+            "C was looked up less than A"
+        );
+        let s = store.stats();
+        assert_eq!((s.insertions, s.evictions), (2, 0));
+        assert_eq!(s.misses - s.insertions, 2, "C's two cells were declined");
+
+        for declined in 1..=2 {
+            assert_eq!(build(&store, key(d), &execs[d], &factors, &avail), 0);
+            assert_eq!(estimate(&store, key(d)), declined);
+            assert_eq!(
+                store.shards[0].read().resident(),
+                full,
+                "D ties or trails A"
+            );
+        }
+        assert_eq!(build(&store, key(d), &execs[d], &factors, &avail), 0);
+        let want: Vec<_> = factors.iter().map(|f| (key(d), f.to_bits())).collect();
+        let mut got = store.shards[0].read().resident();
+        got.sort_by_key(|&(_, bits)| factors.iter().position(|f| f.to_bits() == bits));
+        assert_eq!(got, want, "D outnumbers A and replaces both of its cells");
+        let s = store.stats();
+        assert_eq!((s.insertions, s.evictions), (4, 2));
+        assert_eq!(s.misses - s.insertions, 6, "C's build and D's first two");
+        assert_eq!(build(&store, key(a), &execs[a], &factors, &avail), 0);
+    }
+
+    #[test]
+    fn a_newly_popular_family_is_admitted_within_one_halving_period() {
+        // One cell per shard. A is built until its counters saturate;
+        // then only B is built. B ties A at the ceiling and stays out
+        // until the sketch halves both, and its next lookup outnumbers A.
+        let store = CellStore::new(8);
+        let period = store.shards[0].read().sketch.period;
+        let avail = mk_pmf(&[(1.0, 1.0)]);
+        let execs: Vec<Pmf> = (0..2).map(|i| mk_pmf(&[(100.0 + i as f64, 1.0)])).collect();
+        let key = |i: usize| (i as u64 + 1) << 3;
+        for _ in 0..2 * SKETCH_MAX {
+            build(&store, key(0), &execs[0], &[1.0], &avail);
+        }
+        assert_eq!(estimate(&store, key(0)), SKETCH_MAX);
+        let mut builds = 0;
+        while build(&store, key(1), &execs[1], &[1.0], &avail) == 0 {
+            builds += 1;
+            assert!(builds <= period, "B still declined after {builds} builds");
+        }
+        assert!(
+            builds > u64::from(SKETCH_MAX),
+            "B was admitted before it outnumbered A"
+        );
+        assert!(get(&store, key(0), &execs[0], 1.0, &avail).is_none());
+        assert_eq!(store.stats().evictions, 1);
     }
 
     #[test]
@@ -599,12 +818,44 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// Two stores fed the same serial sequence of builds end with the
+        /// same cells resident and the same counters: nothing the gate or
+        /// the LRU reads varies between stores, not even the maps' keyed
+        /// hasher. The 256 families share one shard, so they crowd the
+        /// sketch's 64-counter rows and the verdicts hang on which
+        /// families share counters.
+        fn the_same_operation_sequence_leaves_the_same_cells_resident(
+            per_shard in 1usize..=4,
+            ops in prop::collection::vec((0u64..256, 1usize..8), 1..400),
+        ) {
+            let avail = mk_pmf(&[(0.5, 0.5), (1.0, 0.5)]);
+            let exec = mk_pmf(&[(100.0, 0.5), (150.0, 0.5)]);
+            let stores = [0, 1].map(|_| CellStore::new(per_shard * SHARDS));
+            for (fam, pick) in ops {
+                let factors: Vec<f64> = (0..FACTORS.len())
+                    .filter(|k| (pick >> k) & 1 == 1)
+                    .map(|k| FACTORS[k])
+                    .collect();
+                for store in &stores {
+                    build(store, (fam + 1) << 3, &exec, &factors, &avail);
+                }
+            }
+            let [a, b] = stores.map(|s| {
+                let resident = s.shards[0].read().resident();
+                (resident, s.stats())
+            });
+            prop_assert_eq!(a, b);
+        }
+
         /// The lazy queue evicts exactly the cell the full scan picks.
         /// Random sequences of multi-factor hits, new and already
         /// resident inserts and colliding newcomers run against one
-        /// shard holding 1–4 cells; before every evicting insert the scan
-        /// names its victim, and afterwards exactly that cell is gone and
-        /// the queue holds one entry per resident cell.
+        /// shard holding 1–4 cells. Before every insert that must evict,
+        /// the scan names its victim; a family with no resident cell is
+        /// admitted only if the sketch counts it above the victim's
+        /// family. An admitted insert removes exactly the scan's victim,
+        /// a declined one changes nothing, and the queue holds one entry
+        /// per resident cell.
         fn eviction_matches_the_scan_oracle(
             per_shard in 1usize..=4,
             ops in prop::collection::vec((0usize..4, 0usize..FAMILIES, 1usize..8), 1..80),
@@ -623,7 +874,7 @@ mod tests {
             let key = |i: usize| (i as u64 + 1) << 3;
             // Which inputs hold each key while it has resident cells.
             let mut owner: [Option<usize>; FAMILIES] = [None; FAMILIES];
-            let mut evictions = 0;
+            let (mut evictions, mut insertions) = (0, 0);
             for (kind, fam, pick) in ops {
                 let before = store.shards[0].read().resident();
                 let mut want = before.clone();
@@ -644,14 +895,24 @@ mod tests {
                     let id = (key(fam), factor.to_bits());
                     let free = owner[fam].unwrap_or(who) == who;
                     if free && before.binary_search(&id).is_err() {
-                        if before.len() == per_shard {
-                            let victim = store.shards[0].read().scan_victim().unwrap();
-                            want.retain(|&c| c != victim);
-                            evictions += 1;
+                        let resident = before.iter().any(|&(pair, _)| pair == key(fam));
+                        let victim = store.shards[0].read().scan_victim();
+                        let admitted = match victim {
+                            Some(victim) if before.len() == per_shard && !resident => {
+                                estimate(&store, key(fam)) > estimate(&store, victim.0)
+                            }
+                            _ => true,
+                        };
+                        if admitted {
+                            if before.len() == per_shard {
+                                want.retain(|&c| Some(c) != victim);
+                                evictions += 1;
+                            }
+                            want.push(id);
+                            want.sort_unstable();
+                            owner[fam] = Some(who);
+                            insertions += 1;
                         }
-                        want.push(id);
-                        want.sort_unstable();
-                        owner[fam] = Some(who);
                     }
                     let exec = &inputs[fam][who];
                     let cell = mk_cell(exec, factor, &avail);
@@ -666,6 +927,7 @@ mod tests {
                 prop_assert_eq!(shard.resident(), want, "op ({}, {}, {}) from {:?}", kind, fam, pick, before);
                 prop_assert_eq!(shard.queue.len(), want.len(), "one queue entry per resident cell");
                 prop_assert_eq!(store.stats().evictions, evictions);
+                prop_assert_eq!(store.stats().insertions, insertions);
             }
         }
     }
