@@ -2,12 +2,15 @@
 //! shapes: prefix-table Timeline queries (binary-search `finish_time`,
 //! prefix-difference `work_between`, scaled-prefix mean availability) vs.
 //! the pre-rewrite linear segment walks, scratch-arena executor replicates
-//! vs. fresh per-replicate allocation, and the replicate-parallel
-//! simulation grid across thread counts.
+//! vs. fresh per-replicate allocation, the replicate-parallel
+//! simulation grid across thread counts, and the dual-stage pipeline's
+//! Stage-II grid at one thread.
 
-use cdsf_bench::{legacy_finish_time, legacy_work_between, stage2_spec, warmed_timeline};
+use cdsf_bench::{
+    dualstage_shape_grid, legacy_finish_time, legacy_work_between, stage2_spec, warmed_timeline,
+};
 use cdsf_core::simulation::simulate_grid;
-use cdsf_core::SimParams;
+use cdsf_core::{RasPolicy, SimParams};
 use cdsf_dls::executor::{execute, execute_in, ExecutorConfig, ExecutorScratch};
 use cdsf_dls::TechniqueKind;
 use cdsf_ra::{Allocation, Assignment};
@@ -206,6 +209,27 @@ fn bench_grid(c: &mut Criterion) {
             },
         );
     }
+    let (cdsf, alloc) = dualstage_shape_grid();
+    let techniques = RasPolicy::Robust.techniques();
+    let serial = SimParams {
+        threads: 1,
+        ..*cdsf.sim_params()
+    };
+    group.bench_function("dualstage_shape", |bench| {
+        bench.iter(|| {
+            black_box(
+                simulate_grid(
+                    cdsf.batch(),
+                    &alloc,
+                    cdsf.runtime_cases(),
+                    &techniques,
+                    cdsf.deadline(),
+                    &serial,
+                )
+                .unwrap(),
+            )
+        })
+    });
     group.finish();
 }
 

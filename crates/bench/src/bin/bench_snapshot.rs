@@ -32,11 +32,12 @@
 //! overwriting it — the CI guard.
 
 use cdsf_bench::{
-    bench_instance, catalog_app, full_fitness, legacy_cdf, legacy_finish_time, legacy_work_between,
-    stage2_spec, thrash_instances, thrash_pass, thrash_working_set, warmed_timeline, THRASH_BUILDS,
+    bench_instance, catalog_app, dualstage_shape_grid, full_fitness, legacy_cdf,
+    legacy_finish_time, legacy_work_between, stage2_spec, thrash_instances, thrash_pass,
+    thrash_working_set, warmed_timeline, THRASH_BUILDS,
 };
 use cdsf_core::simulation::simulate_grid;
-use cdsf_core::SimParams;
+use cdsf_core::{RasPolicy, SimParams};
 use cdsf_dls::executor::{execute, execute_in, ExecutorConfig, ExecutorScratch};
 use cdsf_dls::TechniqueKind;
 use cdsf_pmf::discretize::{Discretize, Normal};
@@ -128,7 +129,10 @@ const SCHEMA_VERSION: u64 = 13;
 /// Current stage-2 snapshot schema. Bump when the JSON shape changes.
 /// v2 added the host-aware `grid_thread4_speedup` floor (≥ 3× on hosts
 /// with ≥ 4 cores, no-regression bound elsewhere).
-const STAGE2_SCHEMA_VERSION: u64 = 2;
+/// v3 added the `grid/dualstage_shape` row: `simulate_grid` at one
+/// thread on the 128-cell grid of the dual-stage-shaped golden instance,
+/// the Stage II that the offline pipeline runs per instance.
+const STAGE2_SCHEMA_VERSION: u64 = 3;
 
 /// Deadline of the long lattice search on `bench_instance(16)`: 322 670
 /// nodes at one worker, about five times the serial-first budget, so two
@@ -1324,6 +1328,28 @@ fn run_stage2_suite(samples: usize, scale: usize) -> Vec<BenchResult> {
         grids,
     );
 
+    // --- the dual-stage pipeline's Stage II at one thread -----------------
+    let (cdsf, alloc) = dualstage_shape_grid();
+    let techniques = RasPolicy::Robust.techniques();
+    let serial = SimParams {
+        threads: 1,
+        ..*cdsf.sim_params()
+    };
+    let shape = measure(samples, scale.max(1), || {
+        black_box(
+            simulate_grid(
+                cdsf.batch(),
+                &alloc,
+                cdsf.runtime_cases(),
+                &techniques,
+                cdsf.deadline(),
+                &serial,
+            )
+            .unwrap(),
+        );
+    });
+    push_sides(&mut out, ["grid/dualstage_shape"], "grid", [shape]);
+
     out
 }
 
@@ -1453,6 +1479,7 @@ fn to_stage2_json(results: &[BenchResult], mode: &str) -> Value {
             "executor_workers": 12,
             "executor_parallel_iters": 2_048,
             "grid_cells": 6,
+            "dualstage_shape_cells": 128,
             "host_threads": cdsf_core::default_threads(),
         }),
         "benches": benches,

@@ -4,8 +4,9 @@
 //! VI) at the library-default simulation seed so `tests/paper_reproduction.rs`
 //! can detect any behavioural drift in the Stage-I engine or the Stage-II
 //! simulation, every `CellResult` of two Stage-II grids (pinned bit for bit
-//! by `crates/bench/tests/stage2_golden.rs`), plus the canonical
-//! crash-scenario event log pinned by the `cdsf-events` regression suite.
+//! by `crates/bench/tests/stage2_golden.rs`), plus the report of every
+//! named online fault scenario (`events_<name>.json`) pinned by the
+//! `cdsf-events` regression suite.
 //! Run this binary only when an intentional change shifts the reproduced
 //! numbers:
 //!
@@ -69,18 +70,23 @@ fn main() {
         "techniques": result.table6(cdsf.batch().len(), paper::NUM_CASES),
     });
 
-    // The canonical online fault scenario: staggered arrivals, a Type-1
-    // group crash at t = 600, reactive remapping on. The full report
-    // (event log + metrics) is pinned byte-for-byte.
-    let (batch, platform, plan) =
-        cdsf_events::paper_scenario("crash", faults::SCENARIO_PULSES).expect("crash scenario");
-    let mut events_cfg = EngineConfig::new(faults::SCENARIO_DEADLINE);
-    events_cfg.threads = 4;
-    let report = EventEngine::new(&batch, &platform, &plan, &events_cfg)
-        .expect("crash scenario validates")
-        .run()
-        .expect("crash scenario runs");
-    let events_crash = serde_json::to_value(&report);
+    // Every named online fault scenario at the canonical settings
+    // (reactive remapping on), the canonical crash among them. The full
+    // report (event log + metrics) is pinned byte-for-byte.
+    let events: Vec<(String, Value)> = faults::scenario_names()
+        .iter()
+        .map(|&name| {
+            let (batch, platform, plan) =
+                cdsf_events::paper_scenario(name, faults::SCENARIO_PULSES).expect("named scenario");
+            let mut events_cfg = EngineConfig::new(faults::SCENARIO_DEADLINE);
+            events_cfg.threads = 4;
+            let report = EventEngine::new(&batch, &platform, &plan, &events_cfg)
+                .expect("scenario validates")
+                .run()
+                .expect("scenario runs");
+            (format!("events_{name}.json"), serde_json::to_value(&report))
+        })
+        .collect();
 
     let mut stage2_cells = serde_json::Map::new();
     for (name, cells) in stage2_golden_grids() {
@@ -90,13 +96,14 @@ fn main() {
 
     let dir = golden_dir();
     std::fs::create_dir_all(&dir).expect("create tests/golden");
-    for (name, value) in [
+    let tables = [
         ("table4.json", &table4),
         ("table5.json", &table5),
         ("table6.json", &table6),
-        ("events_crash.json", &events_crash),
         ("stage2_cells.json", &stage2_cells),
-    ] {
+    ];
+    let events = events.iter().map(|(name, value)| (name.as_str(), value));
+    for (name, value) in tables.into_iter().chain(events) {
         let path = dir.join(name);
         let pretty = serde_json::to_string_pretty(value).expect("serialize golden value");
         std::fs::write(&path, format!("{pretty}\n")).expect("write golden file");

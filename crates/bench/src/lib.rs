@@ -9,7 +9,7 @@
 use cdsf_core::{Cdsf, CellResult, ImPolicy, RasPolicy, SimParams};
 use cdsf_pmf::Pmf;
 use cdsf_ra::robustness::ProbabilityTable;
-use cdsf_ra::{Assignment, CellStore, EngineBuild, Phi1Engine};
+use cdsf_ra::{Allocation, Assignment, CellStore, EngineBuild, Phi1Engine};
 use cdsf_serve::{LoadgenConfig, Request, WorkloadSpec};
 use cdsf_system::availability::{AvailabilitySpec, Timeline};
 use cdsf_system::{Application, Batch, Platform, ProcTypeId};
@@ -69,6 +69,10 @@ fn dualstage_golden_cdsf() -> Cdsf {
         .expect("generated instance is valid")
 }
 
+fn lattice() -> ImPolicy {
+    ImPolicy::by_name("lattice").expect("the lattice allocator is shipped")
+}
+
 /// Every Stage-II cell that `tests/golden/stage2_cells.json` pins bit for
 /// bit, by grid: the paper's scenario 4 (robust allocation, 4 cases, the
 /// robust technique set, [`golden_sim_params`]) and the robust set on the
@@ -78,11 +82,22 @@ pub fn stage2_golden_grids() -> Vec<(&'static str, Vec<CellResult>)> {
     let paper = paper_cdsf(golden_sim_params())
         .run_scenario(&ImPolicy::Robust, &RasPolicy::Robust)
         .expect("scenario 4 runs");
-    let lattice = ImPolicy::by_name("lattice").expect("the lattice allocator is shipped");
     let dualstage = dualstage_golden_cdsf()
-        .run_scenario(&lattice, &RasPolicy::Robust)
+        .run_scenario(&lattice(), &RasPolicy::Robust)
         .expect("the dual-stage instance runs");
     vec![("scenario4", paper.cells), ("dualstage", dualstage.cells)]
+}
+
+/// The dual-stage-shaped instance of [`stage2_golden_grids`] and its
+/// exact-lattice allocation: the inputs of that grid's `simulate_grid`,
+/// 128 cells of 5 replicates, for benches to time Stage II of the offline
+/// pipeline on its own.
+pub fn dualstage_shape_grid() -> (Cdsf, Allocation) {
+    let cdsf = dualstage_golden_cdsf();
+    let (alloc, _) = cdsf
+        .stage_one(&lattice())
+        .expect("the dual-stage instance has a lattice allocation");
+    (cdsf, alloc)
 }
 
 /// The Stage-I bench instance: `num_apps` applications with 12-pulse

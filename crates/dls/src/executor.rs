@@ -27,8 +27,6 @@ use crate::{DlsError, Result};
 use cdsf_pmf::stats::{imbalance_cov, Welford};
 use cdsf_system::availability::{AvailabilitySpec, Timeline};
 use rand::{Rng, RngCore};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Smallest admissible sampled work per iteration, as a fraction of the
 /// mean — keeps the normal approximation from producing non-positive work.
@@ -308,7 +306,8 @@ pub struct RunResult {
 
 /// Per-worker measurement state maintained by the executor. The
 /// worker's [`WorkerSnapshot`] lives beside it, in the buffer handed to
-/// techniques, and [`WorkerState::observe`] updates it there.
+/// techniques, and [`WorkerState::observe`] updates it there — for the
+/// techniques that read it ([`TechniqueKind::reads_worker_stats`]) only.
 struct WorkerState {
     timeline: Timeline,
     iter_times: Welford,
@@ -325,9 +324,9 @@ impl WorkerState {
     }
 
     /// Starts the worker over with zeroed statistics and a fresh
-    /// availability realization — rebuilt from `spec` when one is given,
-    /// else restarted in place — keeping the timeline's segment buffers.
-    /// Either way the worker is indistinguishable from a newly built one.
+    /// availability realization — rebuilt in place from `spec` when one is
+    /// given, else restarted — keeping the timeline's buffers. Either way
+    /// the worker is indistinguishable from a newly built one.
     fn reset(&mut self, spec: Option<&AvailabilitySpec>) -> Result<()> {
         match spec {
             Some(spec) => self.timeline.reset(spec)?,
@@ -354,66 +353,63 @@ impl WorkerState {
         self.iter_times_total.push(per_iter_total);
         snapshot.iters_done += size;
         snapshot.chunks_done += 1;
-        snapshot.mean_iter_time = self.iter_times.mean();
-        snapshot.var_iter_time = self.iter_times.variance();
-        snapshot.mean_iter_time_total = self.iter_times_total.mean();
+        snapshot.set_estimates(
+            self.iter_times.mean(),
+            self.iter_times.variance(),
+            self.iter_times_total.mean(),
+        );
     }
+}
+
+/// The worker the event loop serves next and the time it is free: the
+/// earliest free worker, ties to the lowest index — the order in which a
+/// min-heap of `(free time, worker)` pairs under `total_cmp` pops.
+fn earliest_free(mut free_at: impl Iterator<Item = f64>) -> (usize, f64) {
+    let mut next = (0, free_at.next().expect("at least one worker"));
+    for (i, t) in free_at.enumerate() {
+        if t.total_cmp(&next.1).is_lt() {
+            next = (i + 1, t);
+        }
+    }
+    next
 }
 
 /// Samples the dedicated-processor work of a chunk of `k` iterations:
 /// `N(kμ, kσ²)` truncated below at a positive floor.
-fn sample_chunk_work(k: u64, mean: f64, sigma: f64, rng: &mut dyn RngCore) -> f64 {
+fn sample_chunk_work<R: RngCore + ?Sized>(k: u64, mean: f64, sigma: f64, rng: &mut R) -> f64 {
     let mu = k as f64 * mean;
     if sigma == 0.0 {
         return mu;
     }
     let sd = (k as f64).sqrt() * sigma;
-    let u: f64 = wrap(rng).gen_range(f64::EPSILON..1.0);
+    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     let w = mu + sd * cdsf_pmf::stats::normal_inv_cdf(u);
     w.max(mu * WORK_FLOOR_FRACTION)
 }
 
-fn wrap(rng: &mut dyn RngCore) -> impl Rng + '_ {
-    struct W<'a>(&'a mut dyn RngCore);
-    impl RngCore for W<'_> {
-        fn next_u32(&mut self) -> u32 {
-            self.0.next_u32()
-        }
-        fn next_u64(&mut self) -> u64 {
-            self.0.next_u64()
-        }
-        fn fill_bytes(&mut self, dest: &mut [u8]) {
-            self.0.fill_bytes(dest)
-        }
-        fn try_fill_bytes(&mut self, dest: &mut [u8]) -> std::result::Result<(), rand::Error> {
-            self.0.try_fill_bytes(dest)
-        }
-    }
-    W(rng)
-}
-
 /// Reusable executor working memory: the per-worker state (availability
-/// timelines + statistics), the event heap, and the per-worker snapshots
-/// handed to techniques at each dispatch.
+/// timelines + statistics) and the per-worker snapshots handed to
+/// techniques at each dispatch.
 ///
 /// One run builds these; [`execute_in`] then reuses them across
 /// replicates. `ExecutorScratch::prepare` starts every worker on a fresh
 /// realization, restarting its availability process in place
 /// ([`Timeline::restart`]) when `cfg.availability` equals the specs it was
-/// built from and building one only for a changed spec or a new worker.
-/// Every buffer keeps its capacity, so a replicate on an unchanged
-/// configuration allocates only the technique instance and the returned
-/// `worker_finish`, whatever the worker and chunk counts. A reused scratch
-/// is bit-identical to a fresh one whatever its history of restarts and
+/// built from, rebuilding it in place ([`Timeline::reset`]) for a changed
+/// spec, and building one only for a new worker. Every buffer keeps its
+/// capacity, so a replicate allocates only the technique instance and the
+/// returned `worker_finish`, whatever the worker and chunk counts, and
+/// whether or not the specs changed (a renewal process over a PMF no
+/// longer than before rebuilds without allocating). A reused scratch is
+/// bit-identical to a fresh one whatever its history of restarts and
 /// rebuilds — the determinism contract the replicate-parallel simulation
 /// grid relies on, since each pool worker's scratch has its own history.
 #[derive(Default)]
 pub struct ExecutorScratch {
     workers: Vec<WorkerState>,
     /// The `availability` every worker in `workers` was built from (worker
-    /// `i` from its `spec_for(i)`); empty when unknown.
+    /// `i` from its `spec_for(i)`).
     built_from: Vec<AvailabilitySpec>,
-    heap: BinaryHeap<Reverse<(OrderedF64, usize)>>,
     snapshots: Vec<WorkerSnapshot>,
 }
 
@@ -430,9 +426,12 @@ impl ExecutorScratch {
         self.workers.truncate(cfg.num_workers);
         let rebuild = self.built_from != cfg.availability;
         if rebuild {
-            // Forgotten until every build below succeeds, so a failed one
-            // cannot leave workers recorded against specs they lack.
-            self.built_from.clear();
+            // Every spec is checked before any worker changes, so a bad
+            // one fails here and leaves the workers and their record as
+            // they were; the rebuilds below cannot fail.
+            for spec in &cfg.availability {
+                spec.validate()?;
+            }
         }
         for (i, w) in self.workers.iter_mut().enumerate() {
             w.reset(rebuild.then(|| cfg.spec_for(i)))?;
@@ -443,7 +442,6 @@ impl ExecutorScratch {
         if rebuild {
             self.built_from.clone_from(&cfg.availability);
         }
-        self.heap.clear();
         self.snapshots.clear();
         self.snapshots
             .resize(cfg.num_workers, WorkerSnapshot::default());
@@ -463,36 +461,38 @@ pub fn execute(
 
 /// Runs one loop execution inside a reusable scratch arena. Results are
 /// bit-identical to [`execute`] with the same RNG stream; only the
-/// allocation behaviour differs.
-pub fn execute_in(
+/// allocation behaviour differs. Generic over the generator, so a caller
+/// holding a concrete one (the simulation grid's `StdRng`) runs the event
+/// loop without dynamic dispatch.
+pub fn execute_in<R: RngCore + ?Sized>(
     kind: &TechniqueKind,
     cfg: &ExecutorConfig,
     scratch: &mut ExecutorScratch,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
 ) -> Result<RunResult> {
     let mut technique = kind.build(cfg.num_workers, cfg.parallel_iters)?;
     cfg.validate()?;
     scratch.prepare(cfg)?;
-    run_one_step(technique.as_mut(), cfg, scratch, 0.0, rng)
+    let observe = kind.reads_worker_stats();
+    run_one_step(technique.as_mut(), cfg, scratch, 0.0, observe, rng)
 }
 
 /// Executes one serial prologue + parallel loop starting at `start`,
-/// against the persistent worker state in `scratch` (the event heap is
-/// cleared here; worker statistics, snapshots and timelines carry over,
-/// which is what time-stepping needs).
-fn run_one_step(
+/// against the persistent worker state in `scratch` (worker statistics,
+/// snapshots and timelines carry over, which is what time-stepping
+/// needs). Chunk observations update the statistics only when `observe`
+/// is set, for a technique that reads them.
+fn run_one_step<R: RngCore + ?Sized>(
     technique: &mut dyn Technique,
     cfg: &ExecutorConfig,
     scratch: &mut ExecutorScratch,
     start: f64,
-    rng: &mut dyn RngCore,
+    observe: bool,
+    rng: &mut R,
 ) -> Result<RunResult> {
     let p = cfg.num_workers;
     let ExecutorScratch {
-        workers,
-        heap,
-        snapshots,
-        ..
+        workers, snapshots, ..
     } = scratch;
 
     // Serial prologue on worker 0.
@@ -504,16 +504,14 @@ fn run_one_step(
     };
     let serial_time = serial_end - start;
 
-    // Parallel loop: min-heap of (free_time, worker).
-    heap.clear();
-    heap.extend((0..p).map(|i| Reverse((OrderedF64(serial_end), i))));
+    // Parallel loop: each worker is free at its latest finish.
     let mut remaining = cfg.parallel_iters;
     let mut chunks = 0u64;
     let mut worker_finish = vec![serial_end; p];
     let mut chunk_log = cfg.record_chunks.then(Vec::new);
 
     while remaining > 0 {
-        let Reverse((OrderedF64(now), w)) = heap.pop().expect("heap never empties early");
+        let (w, now) = earliest_free(worker_finish.iter().copied());
         let ctx = SchedContext {
             worker: w,
             num_workers: p,
@@ -529,12 +527,14 @@ fn run_one_step(
         let work = sample_chunk_work(size, cfg.iter_mean, cfg.iter_sigma, rng);
         let compute_start = now + cfg.overhead;
         let finish = workers[w].timeline.finish_time(compute_start, work, rng);
-        workers[w].observe(
-            &mut snapshots[w],
-            size,
-            finish - compute_start,
-            finish - now,
-        );
+        if observe {
+            workers[w].observe(
+                &mut snapshots[w],
+                size,
+                finish - compute_start,
+                finish - now,
+            );
+        }
         worker_finish[w] = finish;
         if let Some(log) = chunk_log.as_mut() {
             log.push(ChunkRecord {
@@ -544,7 +544,6 @@ fn run_one_step(
                 finish,
             });
         }
-        heap.push(Reverse((OrderedF64(finish), w)));
     }
 
     let end = worker_finish.iter().copied().fold(serial_end, f64::max);
@@ -600,6 +599,7 @@ pub fn execute_timestepping(
     let mut technique = kind.build(cfg.num_workers, cfg.parallel_iters)?;
     let mut scratch = ExecutorScratch::new();
     scratch.prepare(cfg)?;
+    let observe = kind.reads_worker_stats();
     let mut step_durations = Vec::with_capacity(steps);
     let mut chunks = 0u64;
     let mut now = 0.0f64;
@@ -607,7 +607,7 @@ pub fn execute_timestepping(
         if step > 0 {
             technique.on_timestep();
         }
-        let run = run_one_step(technique.as_mut(), cfg, &mut scratch, now, rng)?;
+        let run = run_one_step(technique.as_mut(), cfg, &mut scratch, now, observe, rng)?;
         now += run.makespan;
         chunks += run.chunks;
         step_durations.push(run.makespan);
@@ -681,8 +681,11 @@ struct InFlight {
 pub struct ExecutorSession {
     cfg: ExecutorConfig,
     technique: Box<dyn Technique>,
+    /// Whether the technique reads the worker statistics.
+    observe: bool,
     workers: Vec<WorkerState>,
-    heap: BinaryHeap<Reverse<(OrderedF64, usize)>>,
+    /// Each worker's latest chunk; a worker is free at its finish, or at
+    /// the end of the serial prologue before its first.
     in_flight: Vec<Option<InFlight>>,
     /// One snapshot per worker, updated in place by
     /// [`WorkerState::observe`] (same role as [`ExecutorScratch::snapshots`]).
@@ -720,10 +723,8 @@ impl ExecutorSession {
         } else {
             start
         };
-        let heap = (0..cfg.num_workers)
-            .map(|i| Reverse((OrderedF64(serial_end), i)))
-            .collect();
         Ok(Self {
+            observe: kind.reads_worker_stats(),
             in_flight: vec![None; cfg.num_workers],
             snapshots: vec![WorkerSnapshot::default(); cfg.num_workers],
             remaining: cfg.parallel_iters,
@@ -732,7 +733,6 @@ impl ExecutorSession {
             serial_end,
             technique,
             workers,
-            heap,
             cfg,
         })
     }
@@ -796,13 +796,15 @@ impl ExecutorSession {
     /// whose worker frees at or before `t`, exactly as [`execute`] would.
     pub fn advance_until(&mut self, t: f64, rng: &mut dyn RngCore) -> SessionStatus {
         while self.remaining > 0 {
-            let &Reverse((OrderedF64(now), w)) = self.heap.peek().expect("heap never empties");
+            let serial_end = self.serial_end;
+            let (w, now) = earliest_free(
+                self.in_flight
+                    .iter()
+                    .map(|c| c.map_or(serial_end, |c| c.finish)),
+            );
             if now > t {
                 return SessionStatus::Paused;
             }
-            self.heap.pop();
-            // The worker's previous chunk (if any) completed at `now`.
-            self.in_flight[w] = None;
             let ctx = SchedContext {
                 worker: w,
                 num_workers: self.cfg.num_workers,
@@ -819,18 +821,20 @@ impl ExecutorSession {
             let finish = self.workers[w]
                 .timeline
                 .finish_time(compute_start, work, rng);
-            self.workers[w].observe(
-                &mut self.snapshots[w],
-                size,
-                finish - compute_start,
-                finish - now,
-            );
+            if self.observe {
+                self.workers[w].observe(
+                    &mut self.snapshots[w],
+                    size,
+                    finish - compute_start,
+                    finish - now,
+                );
+            }
+            // The worker's previous chunk (if any) completed at `now`.
             self.in_flight[w] = Some(InFlight {
                 size,
                 compute_start,
                 finish,
             });
-            self.heap.push(Reverse((OrderedF64(finish), w)));
         }
         let finish = self.lower_bound_finish();
         if finish <= t {
@@ -877,25 +881,6 @@ impl ExecutorSession {
             parallel_iters_left: self.remaining + aborted,
             wasted_work: wasted,
         }
-    }
-}
-
-/// `f64` wrapper with a total order for use in the event heap. Simulation
-/// times are always finite (validated inputs), so `total_cmp` is safe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrderedF64(f64);
-
-impl Eq for OrderedF64 {}
-
-impl PartialOrd for OrderedF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
     }
 }
 
@@ -1459,6 +1444,55 @@ mod tests {
         let reused = execute_in(&TechniqueKind::Fac, &valid, &mut scratch, &mut rng(2)).unwrap();
         let fresh = execute(&TechniqueKind::Fac, &valid, &mut rng(2)).unwrap();
         assert_eq!(reused.makespan.to_bits(), fresh.makespan.to_bits());
+    }
+
+    #[test]
+    fn unobserved_techniques_run_as_if_observed() {
+        // FAC, WF and the non-adaptive techniques never read the worker
+        // statistics, so skipping their upkeep must not move a bit: the
+        // same run with observation forced on gives the same chunk log.
+        let mut cfg = base_cfg();
+        cfg.serial_iters = 40;
+        cfg.iter_sigma = 0.3;
+        cfg.overhead = 0.5;
+        cfg.record_chunks = true;
+        cfg.availability = vec![AvailabilitySpec::Renewal {
+            pmf: cdsf_pmf::Pmf::from_pairs([(0.3, 0.4), (1.0, 0.6)]).unwrap(),
+            mean_dwell: 30.0,
+        }];
+        let unobserved: Vec<TechniqueKind> = TechniqueKind::all(32)
+            .into_iter()
+            .chain([
+                TechniqueKind::FacWithCov { cov: 0.3 },
+                TechniqueKind::Wf {
+                    weights: Some(vec![1.0, 2.0, 1.0, 0.5]),
+                },
+            ])
+            .filter(|kind| !kind.reads_worker_stats())
+            .collect();
+        assert!(unobserved.len() >= 8, "{unobserved:?}");
+        for kind in unobserved {
+            for seed in 0..4 {
+                let run = |observe: bool| {
+                    let mut technique = kind.build(cfg.num_workers, cfg.parallel_iters).unwrap();
+                    let mut scratch = ExecutorScratch::new();
+                    scratch.prepare(&cfg).unwrap();
+                    let mut r = rng(seed);
+                    run_one_step(technique.as_mut(), &cfg, &mut scratch, 0.0, observe, &mut r)
+                        .unwrap()
+                };
+                let (skipped, observed) = (run(false), run(true));
+                assert_eq!(skipped.chunk_log, observed.chunk_log, "{}", kind.name());
+                assert_eq!(
+                    skipped.makespan.to_bits(),
+                    observed.makespan.to_bits(),
+                    "{}",
+                    kind.name()
+                );
+                let public = execute(&kind, &cfg, &mut rng(seed)).unwrap();
+                assert_eq!(public.chunk_log, skipped.chunk_log, "{}", kind.name());
+            }
+        }
     }
 
     #[test]

@@ -106,10 +106,9 @@ impl Scheduler {
         let snap = &mut self.snapshots[worker];
         snap.iters_done += size;
         snap.chunks_done += 1;
-        snap.mean_iter_time = self.accumulators[worker].mean();
-        snap.var_iter_time = self.accumulators[worker].variance();
+        let mean = self.accumulators[worker].mean();
         // No master-side overhead measurement in-process; total ≈ compute.
-        snap.mean_iter_time_total = snap.mean_iter_time;
+        snap.set_estimates(mean, self.accumulators[worker].variance(), mean);
     }
 }
 

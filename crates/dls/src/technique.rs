@@ -30,12 +30,30 @@ pub struct WorkerSnapshot {
     /// Cumulative average time per iteration *including* scheduling
     /// overhead (the AWF-D/AWF-E refinement).
     pub mean_iter_time_total: f64,
+    /// `1 / mean_iter_time`: the measured rate, AF's term of `Σ 1/μ_j`.
+    /// Written with the mean by [`WorkerSnapshot::set_estimates`], so a
+    /// dispatch reads it instead of dividing.
+    pub rate: f64,
+    /// `var_iter_time / mean_iter_time`: AF's term of `D = Σ σ_j²/μ_j`,
+    /// written with the two by [`WorkerSnapshot::set_estimates`].
+    pub var_per_mean: f64,
 }
 
 impl WorkerSnapshot {
     /// Whether this worker has any measurements yet.
     pub fn has_history(&self) -> bool {
         self.chunks_done > 0 && self.mean_iter_time > 0.0
+    }
+
+    /// Writes the worker's iteration-time estimates — mean and variance
+    /// excluding overhead, mean including it — and the terms derived from
+    /// them, once per observation.
+    pub fn set_estimates(&mut self, mean: f64, var: f64, mean_total: f64) {
+        self.mean_iter_time = mean;
+        self.var_iter_time = var;
+        self.mean_iter_time_total = mean_total;
+        self.rate = 1.0 / mean;
+        self.var_per_mean = var / mean;
     }
 }
 
@@ -169,6 +187,14 @@ impl TechniqueKind {
             }
             TechniqueKind::Af => Box::new(AdaptiveFactoring::new(num_workers)?),
         })
+    }
+
+    /// Whether the technique reads the measured worker statistics
+    /// ([`SchedContext::workers`]): AF and the AWF variants. The executor
+    /// maintains them for these only; every other technique sees the
+    /// zeroed snapshots and never looks.
+    pub fn reads_worker_stats(&self) -> bool {
+        matches!(self, TechniqueKind::Awf { .. } | TechniqueKind::Af)
     }
 
     /// The paper's Stage-II robust set: `{FAC, WF, AWF-B, AF}`.

@@ -240,7 +240,9 @@ impl AdaptiveFactoring {
     ///
     /// Allocation-free: the observed means fold left to right from `-0.0`,
     /// exactly as the `Iterator::sum`s of the collecting version (kept as a
-    /// test reference) do, so every chunk is bit-identical.
+    /// test reference) do, and an observed worker's `σ²/μ` and `1/μ` are
+    /// the quotients its snapshot recorded, so every chunk is
+    /// bit-identical while a dispatch divides twice instead of `2P` times.
     fn af_chunk(&self, ctx: &SchedContext<'_>, budget: u64) -> Option<f64> {
         let me = &ctx.workers[ctx.worker];
         if !me.has_history() {
@@ -258,19 +260,22 @@ impl AdaptiveFactoring {
         debug_assert!(observed > 0);
         let mean_mu = mu_sum / observed as f64;
         let mean_var = var_sum / observed as f64;
+        // As in the reference: no estimate when a worker without history
+        // would stand in with a mean that is not positive.
+        if mean_mu <= 0.0 && ctx.workers.iter().any(|w| !w.has_history()) {
+            return None;
+        }
+        let (bootstrap_d, bootstrap_rate) = (mean_var / mean_mu, 1.0 / mean_mu);
         let mut d = 0.0;
         let mut rate_sum = 0.0;
         for w in ctx.workers {
-            let (mu, var) = if w.has_history() {
-                (w.mean_iter_time, w.var_iter_time)
+            let (dw, rate) = if w.has_history() {
+                (w.var_per_mean, w.rate)
             } else {
-                (mean_mu, mean_var)
+                (bootstrap_d, bootstrap_rate)
             };
-            if mu <= 0.0 {
-                return None;
-            }
-            d += var / mu;
-            rate_sum += 1.0 / mu;
+            d += dw;
+            rate_sum += rate;
         }
         let t = budget as f64 / rate_sum;
         let disc = (d * d + 4.0 * d * t).sqrt();
@@ -400,12 +405,14 @@ mod in_place_props {
             prop_oneof![Just(0.0), Just(-0.0), 0.0f64..4.0],
             prop_oneof![Just(0.0), 0.01f64..12.0],
         )
-            .prop_map(|(chunks_done, mean, var, total)| WorkerSnapshot {
-                iters_done: 16 * chunks_done,
-                chunks_done,
-                mean_iter_time: mean,
-                var_iter_time: var,
-                mean_iter_time_total: total,
+            .prop_map(|(chunks_done, mean, var, total)| {
+                let mut snapshot = WorkerSnapshot {
+                    iters_done: 16 * chunks_done,
+                    chunks_done,
+                    ..WorkerSnapshot::default()
+                };
+                snapshot.set_estimates(mean, var, total);
+                snapshot
             })
     }
 

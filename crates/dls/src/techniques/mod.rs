@@ -59,12 +59,14 @@ pub(crate) mod testutil {
         means
             .iter()
             .zip(vars)
-            .map(|(&m, &v)| WorkerSnapshot {
-                iters_done: 1000,
-                chunks_done: 10,
-                mean_iter_time: m,
-                var_iter_time: v,
-                mean_iter_time_total: m * 1.05,
+            .map(|(&m, &v)| {
+                let mut snapshot = WorkerSnapshot {
+                    iters_done: 1000,
+                    chunks_done: 10,
+                    ..WorkerSnapshot::default()
+                };
+                snapshot.set_estimates(m, v, m * 1.05);
+                snapshot
             })
             .collect()
     }

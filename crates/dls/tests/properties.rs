@@ -18,12 +18,14 @@ fn arb_loop() -> impl Strategy<Value = (usize, u64, Vec<WorkerSnapshot>)> {
         prop::collection::vec((0.1f64..10.0, 0.0f64..4.0), p).prop_map(move |params| {
             let stats = params
                 .iter()
-                .map(|&(mean, var)| WorkerSnapshot {
-                    iters_done: 100,
-                    chunks_done: 4,
-                    mean_iter_time: mean,
-                    var_iter_time: var,
-                    mean_iter_time_total: mean * 1.1,
+                .map(|&(mean, var)| {
+                    let mut snapshot = WorkerSnapshot {
+                        iters_done: 100,
+                        chunks_done: 4,
+                        ..WorkerSnapshot::default()
+                    };
+                    snapshot.set_estimates(mean, var, mean * 1.1);
+                    snapshot
                 })
                 .collect();
             (p, n, stats)

@@ -4,12 +4,13 @@
 //! run must hand back or build fresh: the technique instance (its `Box`
 //! and, for WF and AWF, its weight vector) and the returned
 //! `worker_finish`. Availability processes, segment tables, worker
-//! statistics, the event heap and the snapshot buffer are all reused, and
-//! the techniques' per-chunk and per-batch arithmetic runs in place. A
+//! statistics and the snapshot buffer are all reused — a changed
+//! availability spec rebuilds each process in place — and the
+//! techniques' per-chunk and per-batch arithmetic runs in place. A
 //! counting global allocator, per thread so that concurrently running
 //! tests do not disturb each other, checks that the count is a small
 //! constant that depends neither on the worker count nor on the number of
-//! chunks.
+//! chunks, nor on whether the spec changed since the last replicate.
 
 use cdsf_dls::executor::{execute_in, ExecutorConfig, ExecutorScratch};
 use cdsf_dls::TechniqueKind;
@@ -71,6 +72,11 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 fn config(workers: usize, parallel_iters: u64) -> ExecutorConfig {
     let pmf = Pmf::from_weighted((1..=16).map(|k| (k as f64 / 16.0, 1.0 + (k % 3) as f64)))
         .expect("valid availability PMF");
+    config_with(workers, parallel_iters, pmf, 40.0)
+}
+
+/// [`config`] over the renewal process `(pmf, mean_dwell)`.
+fn config_with(workers: usize, parallel_iters: u64, pmf: Pmf, mean_dwell: f64) -> ExecutorConfig {
     ExecutorConfig::builder()
         .workers(workers)
         .serial_iters(50)
@@ -78,10 +84,7 @@ fn config(workers: usize, parallel_iters: u64) -> ExecutorConfig {
         .iter_time_mean_sigma(1.0, 0.3)
         .expect("valid iteration time")
         .overhead(0.05)
-        .availability(AvailabilitySpec::Renewal {
-            pmf,
-            mean_dwell: 40.0,
-        })
+        .availability(AvailabilitySpec::Renewal { pmf, mean_dwell })
         .build()
         .expect("valid config")
 }
@@ -135,5 +138,43 @@ fn replicates_allocate_a_constant_independent_of_workers_and_chunks() {
             "{}: allocations per steady-state run",
             kind.name()
         );
+    }
+}
+
+/// A grid moves from cell to cell, and with it from one availability spec
+/// to another. Once a scratch has run both specs, so that its segment
+/// tables hold either realization, a replicate on a changed spec whose PMF
+/// has as many pulses rebuilds every worker's process in place and
+/// records the new spec in the old one's buffers: it allocates exactly
+/// what a replicate on an unchanged spec does.
+#[test]
+fn a_spec_switch_allocates_nothing_once_warm() {
+    let other = Pmf::from_weighted((1..=16).map(|k| (k as f64 / 16.0, 1.0 + (k % 5) as f64)))
+        .expect("valid availability PMF");
+    for kind in TechniqueKind::paper_robust_set() {
+        for workers in [1, 16] {
+            let cells = [
+                config(workers, 8_000),
+                config_with(workers, 8_000, other.clone(), 25.0),
+            ];
+            let (unchanged, _) = steady_state(&kind, &cells[0]);
+            let mut scratch = ExecutorScratch::new();
+            let run = |scratch: &mut ExecutorScratch, cfg: &ExecutorConfig| {
+                execute_in(&kind, cfg, scratch, &mut StdRng::seed_from_u64(7))
+                    .expect("run succeeds");
+            };
+            for cfg in &cells {
+                run(&mut scratch, cfg);
+            }
+            for (i, cfg) in cells.iter().cycle().take(4).enumerate() {
+                let allocations = allocations_during(|| run(&mut scratch, cfg));
+                assert_eq!(
+                    allocations,
+                    unchanged,
+                    "{}: switch {i} at {workers} workers allocated {allocations}, an unchanged replicate {unchanged}",
+                    kind.name()
+                );
+            }
+        }
     }
 }

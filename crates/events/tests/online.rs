@@ -74,22 +74,39 @@ fn remapping_beats_static_handling_on_canonical_crash() {
     );
 }
 
-/// The canonical crash report is pinned byte-for-byte by
-/// `tests/golden/events_crash.json` (regenerate with the
+/// Asserts that the canonical report of scenario `name` equals
+/// `tests/golden/events_<name>.json` byte for byte (regenerate with the
 /// `golden_snapshot` binary of `cdsf-bench` on intentional changes).
-#[test]
-fn canonical_crash_report_matches_golden() {
-    let report = run_scenario("crash", true, 0xCD5F, 4);
+fn assert_report_matches_golden(name: &str) {
+    let report = run_scenario(name, true, 0xCD5F, 4);
     let mut actual = serde_json::to_string_pretty(&report).unwrap();
     actual.push('\n');
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/events_crash.json");
+        .join(format!("../../tests/golden/events_{name}.json"));
     let golden =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     assert_eq!(
         actual, golden,
-        "canonical crash report drifted from tests/golden/events_crash.json"
+        "`{name}` report drifted from tests/golden/events_{name}.json"
     );
+}
+
+/// The canonical crash report is pinned byte-for-byte.
+#[test]
+fn canonical_crash_report_matches_golden() {
+    assert_report_matches_golden("crash");
+}
+
+/// Every other named scenario is pinned the same way: their sessions
+/// interrupt chunks mid-flight (`work_between` on a live timeline), stall
+/// and drift, which the crash alone does not cover.
+#[test]
+fn every_other_scenario_report_matches_golden() {
+    for &name in faults::scenario_names() {
+        if name != "crash" {
+            assert_report_matches_golden(name);
+        }
+    }
 }
 
 /// Stall scenarios are transient: the watchdog division of labor means the

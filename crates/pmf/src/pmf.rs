@@ -68,6 +68,14 @@ impl Clone for Pmf {
             digest: AtomicU64::new(self.digest.load(Ordering::Relaxed)),
         }
     }
+
+    /// Copies `source` into the buffers `self` already holds.
+    fn clone_from(&mut self, source: &Self) {
+        self.pulses.clone_from(&source.pulses);
+        self.cum.clone_from(&source.cum);
+        self.digest
+            .store(source.digest.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
 }
 
 impl PartialEq for Pmf {

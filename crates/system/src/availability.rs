@@ -98,21 +98,21 @@ impl DwellDistribution {
         }
     }
 
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         match *self {
             DwellDistribution::Exponential { mean } => sample_exp(mean, rng),
             DwellDistribution::Uniform { lo, hi } => {
                 if lo == hi {
                     lo
                 } else {
-                    WrapRng(rng).gen_range(lo..=hi)
+                    rng.gen_range(lo..=hi)
                 }
             }
             DwellDistribution::LogNormal { mean, cov } => {
                 // Parameters of the underlying normal from (mean, cov).
                 let sigma2 = (1.0 + cov * cov).ln();
                 let mu = mean.ln() - sigma2 / 2.0;
-                let u: f64 = WrapRng(rng).gen_range(f64::EPSILON..1.0);
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                 (mu + sigma2.sqrt() * cdsf_pmf::stats::normal_inv_cdf(u)).exp()
             }
             DwellDistribution::Deterministic { d } => d,
@@ -124,7 +124,7 @@ impl DwellDistribution {
 ///
 /// A spec is cheap to clone and serializable; each processor in a
 /// simulation builds its own [`Timeline`] realization from the shared spec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub enum AvailabilitySpec {
     /// Always-`a` availability, `a ∈ (0, 1]`.
     Constant {
@@ -167,34 +167,73 @@ pub enum AvailabilitySpec {
     },
 }
 
-impl AvailabilitySpec {
-    /// Validates parameters and builds a fresh process realization.
-    pub fn build(&self) -> Result<Box<dyn AvailabilityProcess>> {
+impl Clone for AvailabilitySpec {
+    fn clone(&self) -> Self {
         match self {
-            AvailabilitySpec::Constant { a } => {
-                check_avail(*a)?;
-                Ok(Box::new(ConstantProcess { a: *a }))
+            Self::Constant { a } => Self::Constant { a: *a },
+            Self::Renewal { pmf, mean_dwell } => Self::Renewal {
+                pmf: pmf.clone(),
+                mean_dwell: *mean_dwell,
+            },
+            Self::RenewalGeneral { pmf, dwell } => Self::RenewalGeneral {
+                pmf: pmf.clone(),
+                dwell: dwell.clone(),
+            },
+            &Self::TwoStateMarkov {
+                up,
+                down,
+                mean_up,
+                mean_down,
+            } => Self::TwoStateMarkov {
+                up,
+                down,
+                mean_up,
+                mean_down,
+            },
+            Self::Trace { segments } => Self::Trace {
+                segments: segments.clone(),
+            },
+        }
+    }
+
+    /// Copies a renewal spec into the PMF buffers of the renewal spec
+    /// `self` holds, so that a record of specs follows a grid from cell
+    /// to cell without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (
+                Self::Renewal { pmf, mean_dwell },
+                Self::Renewal {
+                    pmf: p,
+                    mean_dwell: m,
+                },
+            ) => {
+                pmf.clone_from(p);
+                *mean_dwell = *m;
             }
+            (this, source) => *this = source.clone(),
+        }
+    }
+}
+
+impl AvailabilitySpec {
+    /// Checks the parameters a [`Timeline`] needs: every availability
+    /// level in `(0, 1]`, mean durations of at least `1e-9`, a non-empty
+    /// trace with positive durations.
+    pub fn validate(&self) -> Result<()> {
+        match self {
+            AvailabilitySpec::Constant { a } => check_avail(*a),
             AvailabilitySpec::Renewal { pmf, mean_dwell } => {
                 for p in pmf.pulses() {
                     check_avail(p.value)?;
                 }
-                let dwell = DwellDistribution::Exponential { mean: *mean_dwell };
-                dwell.validate()?;
-                Ok(Box::new(RenewalProcess {
-                    sampler: AliasSampler::new(pmf),
-                    dwell,
-                }))
+                DwellDistribution::Exponential { mean: *mean_dwell }.validate()
             }
             AvailabilitySpec::RenewalGeneral { pmf, dwell } => {
                 for p in pmf.pulses() {
                     check_avail(p.value)?;
                 }
-                dwell.validate()?;
-                Ok(Box::new(RenewalProcess {
-                    sampler: AliasSampler::new(pmf),
-                    dwell: dwell.clone(),
-                }))
+                dwell.validate()
             }
             AvailabilitySpec::TwoStateMarkov {
                 up,
@@ -216,13 +255,7 @@ impl AvailabilitySpec {
                         value: *mean_down,
                     });
                 }
-                Ok(Box::new(MarkovProcess {
-                    up: *up,
-                    down: *down,
-                    mean_up: *mean_up,
-                    mean_down: *mean_down,
-                    in_up: true,
-                }))
+                Ok(())
             }
             AvailabilitySpec::Trace { segments } => {
                 if segments.is_empty() {
@@ -240,10 +273,7 @@ impl AvailabilitySpec {
                         });
                     }
                 }
-                Ok(Box::new(TraceProcess {
-                    segments: segments.clone(),
-                    idx: 0,
-                }))
+                Ok(())
             }
         }
     }
@@ -285,108 +315,123 @@ fn check_avail(a: f64) -> Result<()> {
 }
 
 /// One realization of a piecewise-constant availability process: an
-/// infinite stream of `(availability, duration)` segments.
-pub trait AvailabilityProcess: Send {
-    /// Produces the next segment. `availability ∈ (0, 1]`; `duration > 0`
-    /// (may be `f64::INFINITY` for terminal segments).
-    fn next_segment(&mut self, rng: &mut dyn RngCore) -> (f64, f64);
-
-    /// Returns the process to the state [`AvailabilitySpec::build`] left
-    /// it in, so the next segment starts a fresh realization.
-    fn restart(&mut self);
+/// infinite stream of `(availability, duration)` segments, availability
+/// in `(0, 1]` and duration positive (`f64::INFINITY` for the constant
+/// process's one segment).
+enum Process {
+    Constant(f64),
+    Renewal {
+        sampler: AliasSampler,
+        dwell: DwellDistribution,
+    },
+    Markov {
+        up: f64,
+        down: f64,
+        mean_up: f64,
+        mean_down: f64,
+        in_up: bool,
+    },
+    Trace {
+        segments: Vec<(f64, f64)>,
+        idx: usize,
+    },
 }
 
-struct ConstantProcess {
-    a: f64,
-}
-
-impl AvailabilityProcess for ConstantProcess {
-    fn next_segment(&mut self, _rng: &mut dyn RngCore) -> (f64, f64) {
-        (self.a, f64::INFINITY)
-    }
-
-    fn restart(&mut self) {}
-}
-
-struct RenewalProcess {
-    sampler: AliasSampler,
-    dwell: DwellDistribution,
-}
-
-impl AvailabilityProcess for RenewalProcess {
-    fn next_segment(&mut self, rng: &mut dyn RngCore) -> (f64, f64) {
-        let a = self.sampler.sample(&mut WrapRng(rng));
-        let d = self.dwell.sample(rng).max(MIN_MEAN_DURATION);
-        (a, d)
-    }
-
-    fn restart(&mut self) {}
-}
-
-struct MarkovProcess {
-    up: f64,
-    down: f64,
-    mean_up: f64,
-    mean_down: f64,
-    in_up: bool,
-}
-
-impl AvailabilityProcess for MarkovProcess {
-    fn next_segment(&mut self, rng: &mut dyn RngCore) -> (f64, f64) {
-        let (a, mean) = if self.in_up {
-            (self.up, self.mean_up)
-        } else {
-            (self.down, self.mean_down)
+impl Process {
+    /// Turns the process into a fresh realization of the validated
+    /// `spec`. A renewal process rebuilds its alias tables in place, so a
+    /// rebuild to a renewal spec with no more pulses allocates nothing.
+    fn rebuild(&mut self, spec: &AvailabilitySpec) {
+        let old = std::mem::replace(self, Process::Constant(1.0));
+        let sampler = |pmf: &Pmf, old: Process| match old {
+            Process::Renewal { mut sampler, .. } => {
+                sampler.rebuild(pmf);
+                sampler
+            }
+            _ => AliasSampler::new(pmf),
         };
-        self.in_up = !self.in_up;
-        (a, sample_exp(mean, rng))
+        *self = match spec {
+            AvailabilitySpec::Constant { a } => Process::Constant(*a),
+            AvailabilitySpec::Renewal { pmf, mean_dwell } => Process::Renewal {
+                sampler: sampler(pmf, old),
+                dwell: DwellDistribution::Exponential { mean: *mean_dwell },
+            },
+            AvailabilitySpec::RenewalGeneral { pmf, dwell } => Process::Renewal {
+                sampler: sampler(pmf, old),
+                dwell: dwell.clone(),
+            },
+            AvailabilitySpec::TwoStateMarkov {
+                up,
+                down,
+                mean_up,
+                mean_down,
+            } => Process::Markov {
+                up: *up,
+                down: *down,
+                mean_up: *mean_up,
+                mean_down: *mean_down,
+                in_up: true,
+            },
+            AvailabilitySpec::Trace { segments } => Process::Trace {
+                segments: segments.clone(),
+                idx: 0,
+            },
+        };
     }
 
+    /// Returns the process to the state [`Process::rebuild`] left it in
+    /// (Markov phase, trace position), so the next segment starts a fresh
+    /// realization.
     fn restart(&mut self) {
-        self.in_up = true;
-    }
-}
-
-struct TraceProcess {
-    segments: Vec<(f64, f64)>,
-    idx: usize,
-}
-
-impl AvailabilityProcess for TraceProcess {
-    fn next_segment(&mut self, _rng: &mut dyn RngCore) -> (f64, f64) {
-        let seg = self.segments[self.idx % self.segments.len()];
-        self.idx += 1;
-        seg
+        match self {
+            Process::Markov { in_up, .. } => *in_up = true,
+            Process::Trace { idx, .. } => *idx = 0,
+            Process::Constant(_) | Process::Renewal { .. } => {}
+        }
     }
 
-    fn restart(&mut self) {
-        self.idx = 0;
+    /// Produces the next segment.
+    fn next_segment<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> (f64, f64) {
+        match self {
+            Process::Constant(a) => (*a, f64::INFINITY),
+            Process::Renewal { sampler, dwell } => {
+                let a = sampler.sample(rng);
+                (a, dwell.sample(rng).max(MIN_MEAN_DURATION))
+            }
+            Process::Markov {
+                up,
+                down,
+                mean_up,
+                mean_down,
+                in_up,
+            } => {
+                let (a, mean) = if *in_up {
+                    (*up, *mean_up)
+                } else {
+                    (*down, *mean_down)
+                };
+                *in_up = !*in_up;
+                (a, sample_exp(mean, rng))
+            }
+            Process::Trace { segments, idx } => {
+                let seg = segments[*idx % segments.len()];
+                *idx += 1;
+                seg
+            }
+        }
     }
 }
 
 /// Exponential variate with the given mean (inverse-CDF).
-fn sample_exp(mean: f64, rng: &mut dyn RngCore) -> f64 {
-    let u: f64 = WrapRng(rng).gen_range(f64::EPSILON..1.0);
+fn sample_exp<R: RngCore + ?Sized>(mean: f64, rng: &mut R) -> f64 {
+    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     -u.ln() * mean
 }
 
-/// Adapter: `&mut dyn RngCore` → `impl Rng`.
-struct WrapRng<'a>(&'a mut dyn RngCore);
-
-impl RngCore for WrapRng<'_> {
-    fn next_u32(&mut self) -> u32 {
-        self.0.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.0.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.0.fill_bytes(dest)
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> std::result::Result<(), rand::Error> {
-        self.0.try_fill_bytes(dest)
-    }
-}
+/// Entries of the prefix table, from a chunk's start segment on, that
+/// `finish_time` searches alone before it searches the whole table: an
+/// executor's chunk rarely spans more segments.
+const FINISH_WINDOW: usize = 8;
 
 /// A lazily-materialized realization of an availability process with
 /// work-integration queries.
@@ -397,7 +442,7 @@ impl RngCore for WrapRng<'_> {
 /// back-to-back on the same processor must observe the same availability
 /// history).
 pub struct Timeline {
-    process: Box<dyn AvailabilityProcess>,
+    process: Process,
     /// Segment start times; `starts[0] == 0`.
     starts: Vec<f64>,
     levels: Vec<f64>,
@@ -409,20 +454,24 @@ pub struct Timeline {
 impl Timeline {
     /// Builds a timeline over a fresh realization of `spec`.
     pub fn new(spec: &AvailabilitySpec) -> Result<Self> {
-        Ok(Self {
-            process: spec.build()?,
+        let mut timeline = Self {
+            process: Process::Constant(1.0),
             starts: vec![0.0],
             levels: Vec::new(),
             cum_work: vec![0.0],
-        })
+        };
+        timeline.reset(spec)?;
+        Ok(timeline)
     }
 
-    /// Rebinds the timeline to a fresh realization of `spec`: builds the
-    /// process anew and [`restart`](Timeline::restart)s. A reset timeline
-    /// is indistinguishable from `Timeline::new(spec)`; on error it is left
+    /// Rebinds the timeline to a fresh realization of `spec`: validates
+    /// it, rebuilds the process in place and
+    /// [`restart`](Timeline::restart)s. A reset timeline is
+    /// indistinguishable from `Timeline::new(spec)`; on error it is left
     /// as it was.
     pub fn reset(&mut self, spec: &AvailabilitySpec) -> Result<()> {
-        self.process = spec.build()?;
+        spec.validate()?;
+        self.process.rebuild(spec);
         self.restart();
         Ok(())
     }
@@ -458,13 +507,13 @@ impl Timeline {
 
     /// Ensures segments cover at least time `t` (or enough work), extending
     /// lazily from the process.
-    fn extend_to_time(&mut self, t: f64, rng: &mut dyn RngCore) {
+    fn extend_to_time<R: RngCore + ?Sized>(&mut self, t: f64, rng: &mut R) {
         while *self.starts.last().expect("non-empty") <= t {
             self.push_segment(rng);
         }
     }
 
-    fn push_segment(&mut self, rng: &mut dyn RngCore) {
+    fn push_segment<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
         let (a, d) = self.process.next_segment(rng);
         debug_assert!(a > 0.0 && a <= 1.0, "process produced availability {a}");
         debug_assert!(d > 0.0, "process produced duration {d}");
@@ -482,55 +531,75 @@ impl Timeline {
     }
 
     /// Instantaneous availability at time `t ≥ 0`.
-    pub fn availability_at(&mut self, t: f64, rng: &mut dyn RngCore) -> f64 {
+    pub fn availability_at<R: RngCore + ?Sized>(&mut self, t: f64, rng: &mut R) -> f64 {
         self.extend_to_time(t, rng);
         self.levels[self.segment_index(t)]
     }
 
     /// Index of the materialized segment containing `t`. Requires the
     /// realization to cover `t` (`extend_to_time` first).
+    // `#[inline]` here and on the two helpers below: the generic queries
+    // calling them are instantiated in the caller's crate, which would
+    // otherwise call them out of line, and random lookups measured slower
+    // for it.
+    #[inline]
     fn segment_index(&self, t: f64) -> usize {
         // Last start > t, so partition_point ∈ [1, len).
         self.starts.partition_point(|&s| s <= t) - 1
     }
 
-    /// Prefix work integral `W(t) = ∫_0^t A(s) ds` for a covered `t` — the
-    /// one helper all three integration queries share.
-    fn prefix_work_at(&self, t: f64) -> f64 {
-        let k = self.segment_index(t);
+    /// Prefix work integral `W(t) = ∫_0^t A(s) ds` for a `t` in segment
+    /// `k` — the one formula all four queries share.
+    #[inline]
+    fn prefix_work_in(&self, k: usize, t: f64) -> f64 {
         self.cum_work[k] + (t - self.starts[k]) * self.levels[k]
+    }
+
+    /// [`Timeline::prefix_work_in`] at `t`'s segment, for a covered `t`.
+    #[inline]
+    fn prefix_work_at(&self, t: f64) -> f64 {
+        self.prefix_work_in(self.segment_index(t), t)
     }
 
     /// Smallest `t'` such that `∫_start^{t'} A(s) ds = work`.
     ///
     /// `work` is expressed in dedicated-processor time units (the time the
-    /// computation would take at availability 1.0). Implemented as a binary
-    /// search over the cumulative-work prefix table: `t'` is the point
-    /// where `W(t') = W(start) + work`, found in O(log S) for S
-    /// materialized segments instead of a linear segment walk.
-    pub fn finish_time(&mut self, start: f64, work: f64, rng: &mut dyn RngCore) -> f64 {
+    /// computation would take at availability 1.0). Implemented as a search
+    /// of the cumulative-work prefix table: `t'` is the point where
+    /// `W(t') = W(start) + work`, in the segment `m` with `cum_work[m] ≤
+    /// W(t') ≤ cum_work[m+1]`, looked for forward of `start`'s segment
+    /// first — O(log S) for S materialized segments either way, instead of
+    /// a linear segment walk — then one interpolation inside it, clamped
+    /// below at `start` so rounding in the prefix subtraction can never
+    /// move a finish before its own dispatch.
+    pub fn finish_time<R: RngCore + ?Sized>(&mut self, start: f64, work: f64, rng: &mut R) -> f64 {
         assert!(start >= 0.0, "start must be non-negative, got {start}");
         assert!(work >= 0.0, "work must be non-negative, got {work}");
         if work == 0.0 {
             return start;
         }
         self.extend_to_time(start, rng);
-        let target = self.prefix_work_at(start) + work;
+        let k = self.segment_index(start);
+        let target = self.prefix_work_in(k, start) + work;
         // Materialize until the prefix table covers the target (an
         // infinite segment caps the table with +∞ and always covers).
         while *self.cum_work.last().expect("non-empty") < target {
             self.push_segment(rng);
         }
-        self.finish_from_target(target, start)
-    }
-
-    /// Shared tail of the finish-time search: the segment `m` with
-    /// `cum_work[m] ≤ target ≤ cum_work[m+1]` located by binary search,
-    /// then one interpolation inside it. Clamped below at `start` so
-    /// rounding in the prefix subtraction can never move a finish before
-    /// its own dispatch.
-    fn finish_from_target(&self, target: f64, start: f64) -> f64 {
-        let m = (self.cum_work.partition_point(|&c| c <= target) - 1).min(self.levels.len() - 1);
+        // `m` is the last index with `cum_work[m] ≤ target`, at most the
+        // last segment, and at least `k`: `W(start) ≥ cum_work[k]`. When
+        // the window from `k` on ends above the target, as it does for
+        // nearly every chunk, `m` is searched for inside it alone; a
+        // random query misses it on a predictable branch and searches the
+        // whole table.
+        debug_assert!(self.cum_work[k] <= target);
+        let end = (k + FINISH_WINDOW).min(self.cum_work.len());
+        let m = if self.cum_work.get(end).map_or(true, |&c| target < c) {
+            k + self.cum_work[k + 1..end].partition_point(|&c| c <= target)
+        } else {
+            self.cum_work.partition_point(|&c| c <= target) - 1
+        }
+        .min(self.levels.len() - 1);
         (self.starts[m] + (target - self.cum_work[m]) / self.levels[m]).max(start)
     }
 
@@ -541,7 +610,7 @@ impl Timeline {
     /// (fault injection, reactive remapping). Returns 0 for `t1 ≤ t0`.
     /// Two prefix lookups (`W(t1) − W(t0)`), clamped at 0 against
     /// cancellation rounding.
-    pub fn work_between(&mut self, t0: f64, t1: f64, rng: &mut dyn RngCore) -> f64 {
+    pub fn work_between<R: RngCore + ?Sized>(&mut self, t0: f64, t1: f64, rng: &mut R) -> f64 {
         assert!(t0 >= 0.0, "t0 must be non-negative, got {t0}");
         if !(t1 > t0) {
             return 0.0;
@@ -552,7 +621,7 @@ impl Timeline {
 
     /// Average availability over `[0, t]` for a materialized horizon —
     /// one prefix lookup, `W(t) / t`.
-    pub fn mean_availability_until(&mut self, t: f64, rng: &mut dyn RngCore) -> f64 {
+    pub fn mean_availability_until<R: RngCore + ?Sized>(&mut self, t: f64, rng: &mut R) -> f64 {
         assert!(t > 0.0);
         self.extend_to_time(t, rng);
         self.prefix_work_at(t) / t
@@ -561,18 +630,29 @@ impl Timeline {
 
 #[cfg(test)]
 impl Timeline {
+    /// `W(t)` with `t`'s segment located by walking the starts front to
+    /// back.
+    fn prefix_work_walked(&self, t: f64) -> f64 {
+        let mut k = 0;
+        while k + 1 < self.starts.len() && self.starts[k + 1] <= t {
+            k += 1;
+        }
+        self.cum_work[k] + (t - self.starts[k]) * self.levels[k]
+    }
+
     /// Reference linear-scan `finish_time`: identical arithmetic to the
-    /// binary-search kernel (same prefix table, same interpolation) but the
-    /// finishing segment is located by walking the table front to back.
-    /// Property tests pin the production kernel to this bit-for-bit, which
-    /// isolates the binary search as the only thing that could go wrong.
+    /// production kernel (same prefix table, same interpolation) but both
+    /// the start's and the finishing segment are located by walking the
+    /// tables front to back. Property tests pin the production kernel to this
+    /// bit-for-bit, which isolates the lookups as the only thing that
+    /// could go wrong.
     fn finish_time_linear(&mut self, start: f64, work: f64, rng: &mut dyn RngCore) -> f64 {
         assert!(start >= 0.0 && work >= 0.0);
         if work == 0.0 {
             return start;
         }
         self.extend_to_time(start, rng);
-        let target = self.prefix_work_at(start) + work;
+        let target = self.prefix_work_walked(start) + work;
         while *self.cum_work.last().expect("non-empty") < target {
             self.push_segment(rng);
         }
@@ -592,14 +672,7 @@ impl Timeline {
             return 0.0;
         }
         self.extend_to_time(t1, rng);
-        let walk = |t: f64| {
-            let mut k = 0;
-            while k + 1 < self.starts.len() && self.starts[k + 1] <= t {
-                k += 1;
-            }
-            self.cum_work[k] + (t - self.starts[k]) * self.levels[k]
-        };
-        (walk(t1) - walk(t0)).max(0.0)
+        (self.prefix_work_walked(t1) - self.prefix_work_walked(t0)).max(0.0)
     }
 
     /// The pre-prefix production `finish_time`: sequential capacity
@@ -649,9 +722,9 @@ mod tests {
 
     #[test]
     fn constant_spec_validates() {
-        assert!(AvailabilitySpec::Constant { a: 0.5 }.build().is_ok());
-        assert!(AvailabilitySpec::Constant { a: 0.0 }.build().is_err());
-        assert!(AvailabilitySpec::Constant { a: 1.5 }.build().is_err());
+        assert!(AvailabilitySpec::Constant { a: 0.5 }.validate().is_ok());
+        assert!(AvailabilitySpec::Constant { a: 0.0 }.validate().is_err());
+        assert!(AvailabilitySpec::Constant { a: 1.5 }.validate().is_err());
     }
 
     #[test]
@@ -661,37 +734,37 @@ mod tests {
             pmf: pmf.clone(),
             mean_dwell: 10.0
         }
-        .build()
+        .validate()
         .is_ok());
         assert!(AvailabilitySpec::Renewal {
             pmf: pmf.clone(),
             mean_dwell: 0.0
         }
-        .build()
+        .validate()
         .is_err());
         let bad = Pmf::from_pairs([(0.0, 0.5), (1.0, 0.5)]).unwrap();
         assert!(AvailabilitySpec::Renewal {
             pmf: bad,
             mean_dwell: 1.0
         }
-        .build()
+        .validate()
         .is_err());
     }
 
     #[test]
     fn trace_spec_validates() {
         assert!(AvailabilitySpec::Trace { segments: vec![] }
-            .build()
+            .validate()
             .is_err());
         assert!(AvailabilitySpec::Trace {
             segments: vec![(0.5, -1.0)]
         }
-        .build()
+        .validate()
         .is_err());
         assert!(AvailabilitySpec::Trace {
             segments: vec![(0.5, 3.0), (1.0, 1.0)]
         }
-        .build()
+        .validate()
         .is_ok());
     }
 
@@ -795,7 +868,7 @@ mod tests {
                     pmf: pmf.clone(),
                     dwell: bad.clone()
                 }
-                .build()
+                .validate()
                 .is_err(),
                 "{bad:?} should be rejected"
             );
@@ -1128,6 +1201,141 @@ mod tests {
                 let mean = tl.mean_availability_until(t, &mut r);
                 let work = tl.work_between(0.0, t, &mut r);
                 prop_assert_eq!((work / t).to_bits(), mean.to_bits());
+            }
+        }
+
+        /// `finish_time(start, work)` against the walking oracle, bit for
+        /// bit; the oracle extends nothing the kernel did not.
+        fn check_finish(
+            tl: &mut Timeline,
+            r: &mut StdRng,
+            start: f64,
+            work: f64,
+        ) -> std::result::Result<f64, TestCaseError> {
+            let fast = tl.finish_time(start, work, r);
+            let linear = tl.finish_time_linear(start, work, r);
+            prop_assert_eq!(
+                fast.to_bits(),
+                linear.to_bits(),
+                "finish_time({}, {})",
+                start,
+                work
+            );
+            Ok(fast)
+        }
+
+        /// `work_between(t0, t1)` against the walking oracle, bit for bit.
+        fn check_between(
+            tl: &mut Timeline,
+            r: &mut StdRng,
+            t0: f64,
+            t1: f64,
+        ) -> std::result::Result<(), TestCaseError> {
+            let fast = tl.work_between(t0, t1, r);
+            let linear = tl.work_between_linear(t0, t1, r);
+            prop_assert_eq!(
+                fast.to_bits(),
+                linear.to_bits(),
+                "work_between({}, {})",
+                t0,
+                t1
+            );
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// The executor's pattern: each worker's next chunk starts at or
+            /// after its previous one finished (after a dispatch overhead
+            /// that may be zero), and chunks span anything from part of a
+            /// segment to hundreds, inside the finish window and past it.
+            #[test]
+            fn monotone_tapes_match_the_oracles(
+                spec in arb_spec(),
+                seed in 0u64..1_000,
+                tape in prop::collection::vec((prop_oneof![Just(0.0), 0.0f64..5.0], 0.01f64..400.0), 1..40),
+            ) {
+                let mut tl = Timeline::new(&spec).unwrap();
+                let mut r = StdRng::seed_from_u64(seed);
+                let mut now = 0.0;
+                for &(overhead, work) in &tape {
+                    let start = now + overhead;
+                    now = check_finish(&mut tl, &mut r, start, work)?;
+                    check_between(&mut tl, &mut r, start, now)?;
+                }
+            }
+
+            /// Chunks that finish exactly on a segment boundary (a target
+            /// equal to a prefix-table entry), from one segment to well past
+            /// the finish window: the lookup must pick the same side of the
+            /// boundary as the oracle.
+            #[test]
+            fn boundary_finishes_match_the_oracle(
+                spec in arb_spec(),
+                seed in 0u64..1_000,
+                picks in prop::collection::vec((0.0f64..1.0, 1usize..24), 1..24),
+            ) {
+                let mut tl = Timeline::new(&spec).unwrap();
+                let mut r = StdRng::seed_from_u64(seed);
+                tl.work_between(0.0, 3_000.0, &mut r);
+                let segments = tl.segment_count();
+                for &(at, span) in &picks {
+                    let j = ((at * segments as f64) as usize).min(segments - 1);
+                    let end = (j + span).min(segments);
+                    let (start, work) = (tl.starts[j], tl.cum_work[end] - tl.cum_work[j]);
+                    if work > 0.0 && work.is_finite() {
+                        check_finish(&mut tl, &mut r, start, work)?;
+                    }
+                }
+            }
+
+            /// Interrupts: a chunk is dispatched, then the session is torn
+            /// down at a time before it finishes, and the work done since
+            /// its dispatch is read behind the finish; the next chunk may
+            /// start anywhere before the previous one's start.
+            #[test]
+            fn backward_tapes_match_the_oracles(
+                spec in arb_spec(),
+                seed in 0u64..1_000,
+                tape in prop::collection::vec((0.0f64..1.0, 0.01f64..300.0, 0.0f64..1.0), 1..30),
+            ) {
+                let mut tl = Timeline::new(&spec).unwrap();
+                let mut r = StdRng::seed_from_u64(seed);
+                let mut start: f64 = 2_000.0;
+                for &(back, work, cut) in &tape {
+                    let finish = check_finish(&mut tl, &mut r, start, work)?;
+                    check_between(&mut tl, &mut r, start, start + cut * (finish - start))?;
+                    start *= back;
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// Random access over thousands of segments, as the bench's
+            /// random queries make: starts and intervals anywhere in a long
+            /// realization, finishes far past the finish window.
+            #[test]
+            fn far_jump_tapes_match_the_oracles(
+                spec in arb_spec(),
+                seed in 0u64..1_000,
+                tape in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.01f64..2_000.0), 1..16),
+            ) {
+                const HORIZON: f64 = 40_000.0;
+                let mut tl = Timeline::new(&spec).unwrap();
+                let mut r = StdRng::seed_from_u64(seed);
+                tl.work_between(0.0, HORIZON, &mut r);
+                prop_assert!(tl.segment_count() >= 1_000 || matches!(spec, AvailabilitySpec::Trace { .. }));
+                for &(a, b, work) in &tape {
+                    check_finish(&mut tl, &mut r, a * HORIZON, work)?;
+                    let (t0, t1) = if a <= b { (a, b) } else { (b, a) };
+                    check_between(&mut tl, &mut r, t0 * HORIZON, t1 * HORIZON)?;
+                    let t = b * HORIZON;
+                    let level = tl.availability_at(t, &mut r);
+                    prop_assert_eq!(level.to_bits(), tl.levels[(0..tl.levels.len()).rev().find(|&k| tl.starts[k] <= t).unwrap()].to_bits());
+                }
             }
         }
     }

@@ -54,7 +54,7 @@ pub fn trace_from_csv(text: &str) -> Result<AvailabilitySpec> {
         segments.push((a, d));
     }
     let spec = AvailabilitySpec::Trace { segments };
-    spec.build()?; // validates ranges
+    spec.validate()?;
     Ok(spec)
 }
 
