@@ -45,7 +45,7 @@ fn bench_paper_instance(c: &mut Criterion) {
         b.iter(|| black_box(EqualShare::new().allocate(&batch, &platform, paper::DEADLINE)))
     });
     group.bench_function("exhaustive", |b| {
-        b.iter(|| black_box(Exhaustive::default().allocate(&batch, &platform, paper::DEADLINE)))
+        b.iter(|| black_box(Exhaustive.allocate(&batch, &platform, paper::DEADLINE)))
     });
     group.bench_function("sufferage", |b| {
         b.iter(|| black_box(Sufferage::new().allocate(&batch, &platform, paper::DEADLINE)))
@@ -60,7 +60,7 @@ fn bench_exhaustive_scaling(c: &mut Criterion) {
     for &n in &[3usize, 4, 5, 6] {
         let (batch, platform) = generated_instance(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| black_box(Exhaustive::default().allocate(&batch, &platform, DEADLINE)))
+            b.iter(|| black_box(Exhaustive.allocate(&batch, &platform, DEADLINE)))
         });
     }
     group.finish();
@@ -86,32 +86,6 @@ fn bench_heuristic_scaling(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// A wide instance: `num_apps` applications over a 2×10 platform. The
-/// spare capacity (20 processors for 16 apps) keeps the search tree deep
-/// enough for the parallel frontier split to pay off — seconds of work
-/// single-threaded — without the combinatorial blow-up of larger pools.
-fn wide_instance(num_apps: usize) -> (Batch, Platform) {
-    let platform = PlatformGenerator {
-        num_types: 2,
-        procs_per_type: (10, 10),
-        availability_pulses: 3,
-        availability_range: Range::new(0.3, 1.0).unwrap(),
-    }
-    .generate(7)
-    .unwrap();
-    let batch = BatchGenerator {
-        num_apps,
-        total_iters: (1_000, 5_000),
-        serial_fraction: Range::new(0.05, 0.2).unwrap(),
-        mean_exec_time: Range::new(1_000.0, 5_000.0).unwrap(),
-        type_heterogeneity: Range::new(0.7, 1.5).unwrap(),
-        pulses: 16,
-    }
-    .generate(&platform, 8)
-    .unwrap();
-    (batch, platform)
 }
 
 /// The engine's cache amortisation: rebuilding the probability table from
@@ -151,21 +125,6 @@ fn bench_engine_vs_uncached(c: &mut Criterion) {
             &threads,
             |b, &t| b.iter(|| black_box(Phi1Engine::build_parallel(&batch, &platform, t).unwrap())),
         );
-    }
-    group.finish();
-}
-
-/// The issue's headline claim: parallel exhaustive search on a 16-app
-/// batch speeds up ≥2× at 4+ threads over the single-threaded search.
-fn bench_parallel_exhaustive(c: &mut Criterion) {
-    let (batch, platform) = wide_instance(16);
-    let mut group = c.benchmark_group("ra/parallel_exhaustive_16apps");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            let policy = Exhaustive::new(t).unwrap();
-            b.iter(|| black_box(policy.allocate(&batch, &platform, DEADLINE).unwrap()))
-        });
     }
     group.finish();
 }
@@ -221,7 +180,6 @@ criterion_group!(
     bench_exhaustive_scaling,
     bench_heuristic_scaling,
     bench_engine_vs_uncached,
-    bench_parallel_exhaustive,
     bench_monte_carlo_vs_exact
 );
 criterion_main!(benches);

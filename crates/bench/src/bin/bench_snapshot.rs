@@ -1131,8 +1131,7 @@ fn ra_lattice_section(scale: usize) -> Value {
             "counters": counters_json(&report.counters),
         });
         if exact {
-            let alloc = cdsf_ra::allocators::Exhaustive::new(1)
-                .unwrap()
+            let alloc = cdsf_ra::allocators::Exhaustive
                 .allocate_with_engine(&batch, &platform, &engine, deadline)
                 .expect("exhaustive search must allocate on the pool instance");
             let phi1 = evaluate(&batch, &platform, &alloc, deadline)

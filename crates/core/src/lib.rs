@@ -5,7 +5,7 @@
 //! applications on a heterogeneous system with uncertain availability.
 //!
 //! * **Stage I — initial mapping.** An [`ImPolicy`] (naïve equal-share or
-//!   robust exhaustive/heuristic allocation from [`cdsf_ra`]) maps each
+//!   robust exact/heuristic allocation from [`cdsf_ra`]) maps each
 //!   application to a power-of-two group of processors of one type,
 //!   maximizing `φ₁ = Pr(Ψ ≤ Δ)` under the historical availability `Â`.
 //! * **Stage II — runtime application scheduling.** A [`RasPolicy`]
@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::simulation::{default_threads, CellResult, SimParams};
     pub use cdsf_dls::executor::{execute, ExecutorConfig};
     pub use cdsf_dls::TechniqueKind;
-    pub use cdsf_ra::allocators::{EqualShare, Exhaustive, Sufferage};
+    pub use cdsf_ra::allocators::{EqualShare, Lattice, Sufferage};
     pub use cdsf_ra::{Allocation, Allocator, Assignment};
     pub use cdsf_system::availability::AvailabilitySpec;
     pub use cdsf_system::{Application, Batch, Platform, ProcTypeId, ProcessorType};

@@ -2,7 +2,7 @@
 
 use crate::Result;
 use cdsf_dls::TechniqueKind;
-use cdsf_ra::allocators::{EqualShare, Exhaustive};
+use cdsf_ra::allocators::{EqualShare, Lattice};
 use cdsf_ra::{Allocation, Allocator, Phi1Engine};
 use cdsf_system::{Batch, Platform};
 
@@ -10,7 +10,8 @@ use cdsf_system::{Batch, Platform};
 pub enum ImPolicy {
     /// The paper's naïve IM: equal-share load balancing.
     Naive,
-    /// The paper's robust IM: exhaustive optimal search.
+    /// The paper's robust IM: the φ₁-optimal allocation, found by the
+    /// exact lattice search (bit-identical to exhaustive enumeration).
     Robust,
     /// Any custom allocator (greedy, metaheuristic, …).
     Custom(Box<dyn Allocator + Send + Sync>),
@@ -76,7 +77,7 @@ impl ImPolicy {
         Ok(match self {
             ImPolicy::Naive => EqualShare.allocate_with_engine(batch, platform, engine, deadline),
             ImPolicy::Robust => {
-                Exhaustive::default().allocate_with_engine(batch, platform, engine, deadline)
+                Lattice::default().allocate_with_engine(batch, platform, engine, deadline)
             }
             ImPolicy::Custom(a) => a.allocate_with_engine(batch, platform, engine, deadline),
         }?)
@@ -258,6 +259,61 @@ mod tests {
             "GammaRobust"
         );
         assert!(ImPolicy::by_name("nope").is_none());
+    }
+
+    /// The robust IM is the exact lattice at every width, on the service's
+    /// generated instance shape where most CDF reads round to 1 ± an ulp
+    /// and the expected-time sum breaks the ties on φ1's bits.
+    #[test]
+    fn robust_returns_the_lattice_allocation() {
+        use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator};
+        let serve_shaped = |seed: u64| {
+            let platform = PlatformGenerator {
+                num_types: 2 + (seed % 2) as usize,
+                ..Default::default()
+            }
+            .generate(seed)
+            .unwrap();
+            let batch = BatchGenerator {
+                num_apps: 3 + (seed % 4) as usize,
+                pulses: 5 + (seed % 4) as usize,
+                ..Default::default()
+            }
+            .generate(&platform, seed)
+            .unwrap();
+            (batch, platform)
+        };
+        let mut cases = Vec::new();
+        for (seed, deadline) in [
+            (31, 10_000.0),
+            (39, 10_000.0),
+            (146, 10_000.0),
+            (123, 5_000.0),
+        ] {
+            let (batch, platform) = serve_shaped(seed);
+            cases.push((batch, platform, deadline));
+        }
+        // Seed 48 with every application twice.
+        let (batch, platform) = serve_shaped(48);
+        let twice = batch.apps().iter().chain(batch.apps()).cloned().collect();
+        cases.push((Batch::new(twice), platform, 10_000.0));
+        for (batch, platform, deadline) in &cases {
+            for policy in [ImPolicy::Robust, ImPolicy::by_name("exhaustive").unwrap()] {
+                let got = policy.allocate(batch, platform, *deadline).unwrap();
+                for threads in [1, 2, 4] {
+                    let want = Lattice::new(threads)
+                        .unwrap()
+                        .allocate(batch, platform, *deadline)
+                        .unwrap();
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} apps, Δ {deadline}, {threads} threads",
+                        batch.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// A configuration with the framework defaults for the given deadline:
     /// FAC (a paper robust-set technique), remapping enabled with a 50 %
-    /// φ₁ threshold, two watchdog checkpoints, the robust (exhaustive)
+    /// φ₁ threshold, two watchdog checkpoints, the robust (exact lattice)
     /// allocator, and the simulation-grid default seed/overhead/dwell.
     pub fn new(deadline: f64) -> Self {
         Self {

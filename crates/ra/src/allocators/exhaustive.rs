@@ -1,261 +1,82 @@
 //! The paper's optimal (robust) initial mapping: exhaustive search.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
 use super::{Allocator, Capacity};
 use crate::allocation::{Allocation, Assignment};
-use crate::engine::Phi1Engine;
+use crate::engine::{OptionStats, Phi1Engine};
 use crate::{RaError, Result};
 use cdsf_system::{Batch, Platform};
+
+/// Relative slack of the upper-bound cut. The bound and a leaf multiply
+/// the same ≤ 64 factors in different orders, which moves them apart by
+/// ~1e-14 at most (in the normal range), so the slack can keep an extra
+/// subtree but never cut one that ties the incumbent.
+const SLACK: f64 = 1.0 + 1e-9;
 
 /// Exhaustive — enumerate every feasible allocation and keep the one with
 /// the highest `φ₁ = Pr(Ψ ≤ Δ)`.
 ///
-/// This is the paper's "robust IM": *"all possible resource allocations
-/// are compared and the one with the highest probability of all
-/// applications completing before the system deadline is chosen"*. The
-/// paper also notes such a search "is only feasible in the case of the
-/// small demonstrative example" — which the `ra_search` bench quantifies.
+/// This is the paper's "robust IM" as the paper states it: *"all
+/// possible resource allocations are compared and the one with the
+/// highest probability of all applications completing before the system
+/// deadline is chosen"*. The paper also notes such a search "is only
+/// feasible in the case of the small demonstrative example" — which the
+/// `ra_search` bench quantifies.
 ///
-/// The search is a depth-first enumeration with capacity pruning and an
-/// upper-bound cutoff, fed by the shared [`Phi1Engine`] so every candidate
-/// evaluation is a table lookup. Parallelism: the prefix tree is expanded
-/// breadth-first into a work frontier, worker threads drain it through an
-/// atomic cursor, and all workers share a monotonic φ₁ lower bound (an
-/// atomic `f64`-bits max). The bound only ever prunes subtrees that cannot
-/// *strictly* beat a complete allocation some worker has already seen, so
-/// the final argmax is bit-identical for every thread count and schedule.
-/// Ties on `φ₁` are broken by the *smaller sum of expected completion
-/// times* (several allocations can saturate the deadline probability once
-/// PMF tails are truncated by discretization; preferring the faster one
-/// among them recovers the paper's Table IV exactly), then
-/// lexicographically by option path.
-#[derive(Debug, Clone, Copy)]
-pub struct Exhaustive {
-    /// Number of worker threads for the search. The engine is built by
-    /// the caller, or by [`Allocator::allocate`] at the host width.
-    pub threads: usize,
-}
+/// It is the serial reference the [`super::Lattice`] solver is held to;
+/// the lattice answers the robust IM everywhere else. One depth-first
+/// enumeration over the [`Phi1Engine`]'s option rows, each application's
+/// ranked by probability (descending) then expected time, with capacity
+/// pruning and a slack-guarded upper-bound cut. Ties on `φ₁` are broken
+/// by the *smaller sum of expected completion times* (several
+/// allocations can saturate the deadline probability once PMF tails are
+/// truncated by discretization; preferring the faster one among them
+/// recovers the paper's Table IV exactly), then by the lexicographically
+/// smallest option path: leaves are visited in path order, so the first
+/// of equal keys is kept.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Exhaustive;
 
-impl Default for Exhaustive {
-    fn default() -> Self {
-        Self {
-            threads: cdsf_system::default_threads(),
-        }
-    }
-}
-
-impl Exhaustive {
-    /// Creates the policy with the given thread count (≥ 1).
-    pub fn new(threads: usize) -> Result<Self> {
-        if threads == 0 {
-            return Err(RaError::BadParameter {
-                name: "threads",
-                value: 0.0,
-            });
-        }
-        Ok(Self { threads })
-    }
-}
-
-/// One candidate option: assignment, probability, expected loaded time.
-#[derive(Debug, Clone, Copy)]
-struct Option3 {
-    asg: Assignment,
-    prob: f64,
-    exp_time: f64,
-}
-
-struct SearchSpace {
-    /// Per-application options, sorted by descending probability then
-    /// ascending expected time so the DFS finds strong incumbents early.
-    options: Vec<Vec<Option3>>,
-    /// `suffix_best[d]` = product of per-app max probabilities for apps
-    /// `d..`, the admissible upper bound used for pruning.
-    suffix_best: Vec<f64>,
-}
-
-impl SearchSpace {
-    fn build(engine: &Phi1Engine, deadline: f64) -> Result<Self> {
-        let mut options = Vec::with_capacity(engine.num_apps());
-        for i in 0..engine.num_apps() {
-            let mut opts: Vec<Option3> = Vec::new();
-            for asg in engine.options(i) {
-                let prob = engine
-                    .prob(i, asg.proc_type, asg.procs, deadline)
-                    .expect("engine option has a cell");
-                let exp_time = engine
-                    .expected_time(i, asg.proc_type, asg.procs)
-                    .expect("engine option has a cell");
-                opts.push(Option3 {
-                    asg,
-                    prob,
-                    exp_time,
-                });
-            }
-            if opts.is_empty() {
-                return Err(RaError::NoFeasibleAllocation);
-            }
-            opts.sort_by(|a, b| {
-                b.prob
-                    .total_cmp(&a.prob)
-                    .then_with(|| a.exp_time.total_cmp(&b.exp_time))
-            });
-            options.push(opts);
-        }
-        let n = options.len();
-        let mut suffix_best = vec![1.0f64; n + 1];
-        for d in (0..n).rev() {
-            let max_p = options[d].iter().map(|o| o.prob).fold(0.0f64, f64::max);
-            suffix_best[d] = suffix_best[d + 1] * max_p;
-        }
-        Ok(Self {
-            options,
-            suffix_best,
-        })
-    }
-}
-
-/// Best allocation found in a DFS subtree, with deterministic ordering:
-/// max probability, then min total expected time, then smallest path.
-#[derive(Clone)]
-struct Best {
-    prob: f64,
-    sum_exp: f64,
-    alloc: Vec<Assignment>,
-    /// Option-index path, used as the final deterministic tiebreak.
-    path: Vec<usize>,
-}
-
-impl Best {
-    /// Whether `(prob, sum_exp, path)` beats this incumbent.
-    fn beaten_by(&self, prob: f64, sum_exp: f64, path: &[usize]) -> bool {
-        prob > self.prob
-            || (prob == self.prob
-                && (sum_exp < self.sum_exp
-                    || (sum_exp == self.sum_exp && path < self.path.as_slice())))
-    }
-}
-
-/// A partial assignment for the first `path.len()` applications — one unit
-/// of parallel work.
-#[derive(Clone)]
-struct Prefix {
-    path: Vec<usize>,
-    asgs: Vec<Assignment>,
-    prob: f64,
-    sum_exp: f64,
+/// The serial depth-first search over ranked option rows.
+struct Search<'a> {
+    options: &'a [Vec<OptionStats>],
+    /// `suffix_best[d]`: product of the per-app maximum probabilities of
+    /// applications `d..`, the upper bound the cut uses.
+    suffix_best: &'a [f64],
     cap: Capacity,
+    current: Vec<Assignment>,
+    /// `(φ₁, Σ E[T], allocation)` of the incumbent.
+    best: Option<(f64, f64, Vec<Assignment>)>,
 }
 
-/// Expands feasible prefixes breadth-first until at least `target` work
-/// items exist (or the tree is fully expanded). Every feasible complete
-/// allocation extends exactly one frontier prefix, so draining the
-/// frontier covers the whole space; an empty frontier means the instance
-/// is infeasible.
-fn expand_frontier(space: &SearchSpace, platform: &Platform, target: usize) -> Vec<Prefix> {
-    let mut frontier = vec![Prefix {
-        path: Vec::new(),
-        asgs: Vec::new(),
-        prob: 1.0,
-        sum_exp: 0.0,
-        cap: Capacity::of(platform),
-    }];
-    let n = space.options.len();
-    let mut depth = 0usize;
-    while depth < n && frontier.len() < target {
-        let mut next = Vec::with_capacity(frontier.len() * space.options[depth].len());
-        for pre in &frontier {
-            for (idx, opt) in space.options[depth].iter().enumerate() {
-                if !pre.cap.fits(opt.asg) {
-                    continue;
-                }
-                let mut cap = pre.cap.clone();
-                cap.take(opt.asg);
-                let mut path = pre.path.clone();
-                path.push(idx);
-                let mut asgs = pre.asgs.clone();
-                asgs.push(opt.asg);
-                next.push(Prefix {
-                    path,
-                    asgs,
-                    prob: pre.prob * opt.prob,
-                    sum_exp: pre.sum_exp + opt.exp_time,
-                    cap,
-                });
+impl Search<'_> {
+    fn dfs(&mut self, prob: f64, sum_exp: f64) {
+        let depth = self.current.len();
+        if depth == self.options.len() {
+            let better = self
+                .best
+                .as_ref()
+                .map_or(true, |&(p, s, _)| prob > p || (prob == p && sum_exp < s));
+            if better {
+                self.best = Some((prob, sum_exp, self.current.clone()));
+            }
+            return;
+        }
+        if let Some((p, ..)) = self.best {
+            if prob * self.suffix_best[depth] * SLACK < p {
+                return;
             }
         }
-        if next.is_empty() {
-            return next; // no feasible prefix at this depth → infeasible
+        let options = self.options;
+        for o in &options[depth] {
+            if !self.cap.fits(o.asg) {
+                continue;
+            }
+            self.cap.take(o.asg);
+            self.current.push(o.asg);
+            self.dfs(prob * o.prob, sum_exp + o.exp_time);
+            self.current.pop();
+            self.cap.release(o.asg);
         }
-        frontier = next;
-        depth += 1;
-    }
-    frontier
-}
-
-/// Loads the shared lower bound. φ₁ values are non-negative, so their
-/// IEEE-754 bit patterns order like the values themselves and an atomic
-/// `u64` max doubles as an atomic `f64` max.
-fn load_bound(bound: &AtomicU64) -> f64 {
-    f64::from_bits(bound.load(Ordering::Relaxed))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    space: &SearchSpace,
-    cap: &mut Capacity,
-    current: &mut Vec<Assignment>,
-    path: &mut Vec<usize>,
-    prob: f64,
-    sum_exp: f64,
-    best: &mut Option<Best>,
-    bound: &AtomicU64,
-) {
-    let depth = current.len();
-    if depth == space.options.len() {
-        let better = match best {
-            None => true,
-            Some(b) => b.beaten_by(prob, sum_exp, path),
-        };
-        if better {
-            *best = Some(Best {
-                prob,
-                sum_exp,
-                alloc: current.clone(),
-                path: path.clone(),
-            });
-            bound.fetch_max(prob.to_bits(), Ordering::Relaxed);
-        }
-        return;
-    }
-    // Bound: even taking the best remaining options cannot *strictly* beat
-    // a complete allocation some worker has already found; subtrees that
-    // can only tie are kept alive for the expected-time tiebreak, which is
-    // why sharing the bound across threads cannot change the final argmax.
-    if prob * space.suffix_best[depth] < load_bound(bound) {
-        return;
-    }
-    for (idx, opt) in space.options[depth].iter().enumerate() {
-        if !cap.fits(opt.asg) {
-            continue;
-        }
-        cap.take(opt.asg);
-        current.push(opt.asg);
-        path.push(idx);
-        dfs(
-            space,
-            cap,
-            current,
-            path,
-            prob * opt.prob,
-            sum_exp + opt.exp_time,
-            best,
-            bound,
-        );
-        path.pop();
-        current.pop();
-        cap.release(opt.asg);
     }
 }
 
@@ -280,68 +101,35 @@ impl Allocator for Exhaustive {
                 value: deadline,
             });
         }
-        if self.threads == 0 {
-            return Err(RaError::BadParameter {
-                name: "threads",
-                value: 0.0,
-            });
-        }
-        let space = SearchSpace::build(engine, deadline)?;
-
-        // Oversubscribe the frontier so pruning-induced load imbalance
-        // evens out across the shared cursor.
-        let frontier = expand_frontier(&space, platform, self.threads * 16);
-        let bound = AtomicU64::new(0);
-        let cursor = AtomicUsize::new(0);
-
-        let results: Vec<Option<Best>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.threads);
-            for _ in 0..self.threads {
-                let space = &space;
-                let frontier = &frontier;
-                let bound = &bound;
-                let cursor = &cursor;
-                handles.push(scope.spawn(move || {
-                    let mut best: Option<Best> = None;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(pre) = frontier.get(i) else {
-                            break;
-                        };
-                        let mut cap = pre.cap.clone();
-                        let mut current = pre.asgs.clone();
-                        let mut path = pre.path.clone();
-                        dfs(
-                            space,
-                            &mut cap,
-                            &mut current,
-                            &mut path,
-                            pre.prob,
-                            pre.sum_exp,
-                            &mut best,
-                            bound,
-                        );
-                    }
-                    best
-                }));
+        let mut options = Vec::with_capacity(engine.num_apps());
+        for app in 0..engine.num_apps() {
+            let mut row = Vec::new();
+            engine.option_stats_into(app, deadline, &mut row);
+            if row.is_empty() {
+                return Err(RaError::NoFeasibleAllocation);
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("search worker panicked"))
-                .collect()
-        });
-
-        let best = results
-            .into_iter()
-            .flatten()
-            .max_by(|a, b| {
-                a.prob
-                    .total_cmp(&b.prob)
-                    .then_with(|| b.sum_exp.total_cmp(&a.sum_exp)) // smaller time wins
-                    .then_with(|| b.path.cmp(&a.path)) // smaller path wins
-            })
-            .ok_or(RaError::NoFeasibleAllocation)?;
-        Ok(Allocation::new(best.alloc))
+            row.sort_by(|a, b| {
+                b.prob
+                    .total_cmp(&a.prob)
+                    .then_with(|| a.exp_time.total_cmp(&b.exp_time))
+            });
+            options.push(row);
+        }
+        let mut suffix_best = vec![1.0f64; options.len() + 1];
+        for d in (0..options.len()).rev() {
+            let max_p = options[d].iter().map(|o| o.prob).fold(0.0f64, f64::max);
+            suffix_best[d] = suffix_best[d + 1] * max_p;
+        }
+        let mut search = Search {
+            options: &options,
+            suffix_best: &suffix_best,
+            cap: Capacity::of(platform),
+            current: Vec::with_capacity(options.len()),
+            best: None,
+        };
+        search.dfs(1.0, 0.0);
+        let (.., alloc) = search.best.ok_or(RaError::NoFeasibleAllocation)?;
+        Ok(Allocation::new(alloc))
     }
 }
 
@@ -354,7 +142,7 @@ mod tests {
 
     #[test]
     fn reproduces_paper_table4_robust_row() {
-        let alloc = Exhaustive::default()
+        let alloc = Exhaustive
             .allocate(&paper_batch(64), &paper_platform(), DEADLINE)
             .unwrap();
         let a = alloc.assignments();
@@ -385,7 +173,7 @@ mod tests {
     #[test]
     fn optimum_matches_brute_force_over_enumeration() {
         let (b, p) = (paper_batch(32), paper_platform());
-        let best = Exhaustive::default().allocate(&b, &p, DEADLINE).unwrap();
+        let best = Exhaustive.allocate(&b, &p, DEADLINE).unwrap();
         let best_prob = evaluate(&b, &p, &best, DEADLINE).unwrap().joint;
         for alloc in Allocation::enumerate_feasible(&b, &p).unwrap() {
             let prob = evaluate(&b, &p, &alloc, DEADLINE).unwrap().joint;
@@ -397,26 +185,11 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_result() {
-        let (b, p) = (paper_batch(32), paper_platform());
-        let a1 = Exhaustive::new(1)
-            .unwrap()
-            .allocate(&b, &p, DEADLINE)
-            .unwrap();
-        let a8 = Exhaustive::new(8)
-            .unwrap()
-            .allocate(&b, &p, DEADLINE)
-            .unwrap();
-        assert_eq!(a1, a8);
-        assert!(Exhaustive::new(0).is_err());
-    }
-
-    #[test]
     fn prebuilt_engine_matches_self_built_path() {
         let (b, p) = (paper_batch(32), paper_platform());
         let engine = Phi1Engine::build(&b, &p).unwrap();
-        let direct = Exhaustive::default().allocate(&b, &p, DEADLINE).unwrap();
-        let via_engine = Exhaustive::default()
+        let direct = Exhaustive.allocate(&b, &p, DEADLINE).unwrap();
+        let via_engine = Exhaustive
             .allocate_with_engine(&b, &p, &engine, DEADLINE)
             .unwrap();
         assert_eq!(direct, via_engine);
@@ -425,12 +198,12 @@ mod tests {
     #[test]
     fn rejects_empty_batch_and_bad_deadline() {
         let p = paper_platform();
-        assert!(Exhaustive::default()
+        assert!(Exhaustive
             .allocate(&cdsf_system::Batch::new(vec![]), &p, DEADLINE)
             .is_err());
         let b = paper_batch(8);
         let engine = Phi1Engine::build(&b, &p).unwrap();
-        assert!(Exhaustive::default()
+        assert!(Exhaustive
             .allocate_with_engine(&b, &p, &engine, f64::NAN)
             .is_err());
     }

@@ -5,16 +5,34 @@
 //! Sufferage mapping heuristics (Ibarra & Kim; Maheswaran et al.),
 //! evaluating candidates on the memoized `Pr(T ≤ Δ)` table rather than on
 //! deterministic completion times. All run in `O(N² · options)` or better —
-//! polynomial where [`super::Exhaustive`] is exponential. All candidate
-//! probabilities and expected times are served by the [`Phi1Engine`]
-//! handed to `allocate_with_engine`; the policies themselves are
-//! single-threaded and carry no settings.
+//! polynomial where exact search is exponential. All three, and the wave
+//! allocator of [`super::allocate_incremental`], are one list-scheduling
+//! loop with a different `Rule`; every candidate probability and
+//! expected time is served by the [`Phi1Engine`] handed to
+//! `allocate_with_engine`. The policies are single-threaded and carry no
+//! settings.
 
-use super::{engine_options, Allocator, Capacity};
+use super::{Allocator, Capacity};
 use crate::allocation::{Allocation, Assignment};
-use crate::engine::Phi1Engine;
+use crate::engine::{OptionStats, Phi1Engine};
 use crate::{RaError, Result};
 use cdsf_system::{Batch, Platform};
+
+/// How [`list_schedule`] ranks an application's options and picks the
+/// application to place each round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Rule {
+    /// Fastest expected time first; the application whose best option is
+    /// slowest is placed, ties to the later application.
+    MinTime,
+    /// Most probable option first; the application whose best option is
+    /// least probable is placed, ties to the earlier application.
+    MaxRobust,
+    /// Most probable option first; the application that loses most by
+    /// falling back to its second best is placed, ties to the earlier
+    /// application.
+    Sufferage,
+}
 
 /// Whether taking `asg` still leaves every other unassigned application at
 /// least one fitting option. A one-step lookahead, not an exact matching
@@ -27,15 +45,95 @@ fn leaves_others_feasible(
     asg: Assignment,
     unassigned: &[usize],
     skip: usize,
-    options: &[Vec<Assignment>],
+    ranked: &[Vec<OptionStats>],
 ) -> bool {
     cap.take(asg);
     let ok = unassigned
         .iter()
         .filter(|&&i| i != skip)
-        .all(|&i| options[i].iter().any(|o| cap.fits(*o)));
+        .all(|&i| ranked[i].iter().any(|o| cap.fits(o.asg)));
     cap.release(asg);
     ok
+}
+
+/// The one list-scheduling loop behind every greedy policy and the wave
+/// allocator. Applications arrive in `waves` (consecutive batch-order
+/// runs whose sizes sum to the batch length); each wave is mapped with
+/// the capacity the earlier waves left, one application per round, with
+/// the lookahead restricted to the wave. `rule` ranks each application's
+/// options once per call — a stable sort, so equal keys keep the
+/// engine's order — and picks which application a round places.
+/// [`Rule::MinTime`] neither checks nor scores the deadline.
+pub(super) fn list_schedule(
+    engine: &Phi1Engine,
+    platform: &Platform,
+    deadline: f64,
+    waves: &[usize],
+    rule: Rule,
+) -> Result<Allocation> {
+    if rule != Rule::MinTime && (!(deadline > 0.0) || !deadline.is_finite()) {
+        return Err(RaError::BadParameter {
+            name: "deadline",
+            value: deadline,
+        });
+    }
+    let n = engine.num_apps();
+    let mut ranked = Vec::with_capacity(n);
+    for app in 0..n {
+        let mut row = Vec::new();
+        engine.option_stats_into(app, deadline, &mut row);
+        if row.is_empty() {
+            return Err(RaError::NoFeasibleAllocation);
+        }
+        match rule {
+            Rule::MinTime => row.sort_by(|a, b| a.exp_time.total_cmp(&b.exp_time)),
+            Rule::MaxRobust | Rule::Sufferage => row.sort_by(|a, b| b.prob.total_cmp(&a.prob)),
+        }
+        ranked.push(row);
+    }
+
+    let mut cap = Capacity::of(platform);
+    let mut chosen: Vec<Option<Assignment>> = vec![None; n];
+    let mut next_app = 0usize;
+    for &wave in waves {
+        let mut unassigned: Vec<usize> = (next_app..next_app + wave).collect();
+        next_app += wave;
+        while !unassigned.is_empty() {
+            let mut pick: Option<(usize, Assignment, f64)> = None; // (app, option, score)
+            for &i in &unassigned {
+                let mut fitting = ranked[i].iter().filter(|o| {
+                    cap.fits(o.asg)
+                        && leaves_others_feasible(&mut cap, o.asg, &unassigned, i, &ranked)
+                });
+                let Some(best) = fitting.next() else {
+                    return Err(RaError::NoFeasibleAllocation);
+                };
+                let score = match rule {
+                    Rule::MinTime => best.exp_time,
+                    Rule::MaxRobust => best.prob,
+                    Rule::Sufferage => best.prob - fitting.next().map_or(0.0, |o| o.prob),
+                };
+                let wins = pick.map_or(true, |(.., s)| match rule {
+                    Rule::MinTime => score.total_cmp(&s).is_ge(),
+                    Rule::MaxRobust => score < s,
+                    Rule::Sufferage => score > s,
+                });
+                if wins {
+                    pick = Some((i, best.asg, score));
+                }
+            }
+            let (i, asg, _) = pick.expect("the wave is non-empty");
+            cap.take(asg);
+            chosen[i] = Some(asg);
+            unassigned.retain(|&x| x != i);
+        }
+    }
+    Ok(Allocation::new(
+        chosen
+            .into_iter()
+            .map(|c| c.expect("every wave is assigned"))
+            .collect(),
+    ))
 }
 
 /// GreedyMinTime — assign applications (hardest first) to the feasible
@@ -66,65 +164,12 @@ impl Allocator for GreedyMinTime {
         batch: &Batch,
         platform: &Platform,
         engine: &Phi1Engine,
-        _deadline: f64,
+        deadline: f64,
     ) -> Result<Allocation> {
         if batch.is_empty() {
             return Err(RaError::EmptyBatch);
         }
-        // Expected loaded times for all (app, option) pairs — engine lookups.
-        let plain = engine_options(engine)?;
-        let expected: Vec<Vec<(Assignment, f64)>> = plain
-            .iter()
-            .enumerate()
-            .map(|(i, opts)| {
-                opts.iter()
-                    .map(|&asg| {
-                        let t = engine
-                            .expected_time(i, asg.proc_type, asg.procs)
-                            .expect("engine option has a cell");
-                        (asg, t)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut cap = Capacity::of(platform);
-        let mut chosen: Vec<Option<Assignment>> = vec![None; batch.len()];
-        let mut unassigned: Vec<usize> = (0..batch.len()).collect();
-        while !unassigned.is_empty() {
-            // For each unassigned app: its best option that fits *and*
-            // leaves every other unassigned app at least one option.
-            let mut best_per_app: Vec<(usize, Assignment, f64)> = Vec::new();
-            for &i in &unassigned {
-                let mut row: Vec<(Assignment, f64)> = expected[i]
-                    .iter()
-                    .copied()
-                    .filter(|(asg, _)| cap.fits(*asg))
-                    .collect();
-                row.sort_by(|a, b| a.1.total_cmp(&b.1));
-                let pick = row.into_iter().find(|&(asg, _)| {
-                    leaves_others_feasible(&mut cap, asg, &unassigned, i, &plain)
-                });
-                match pick {
-                    Some((asg, t)) => best_per_app.push((i, asg, t)),
-                    None => return Err(RaError::NoFeasibleAllocation),
-                }
-            }
-            // Hardest app first: the one whose best option is worst.
-            let &(i, asg, _) = best_per_app
-                .iter()
-                .max_by(|a, b| a.2.total_cmp(&b.2))
-                .expect("unassigned is non-empty");
-            cap.take(asg);
-            chosen[i] = Some(asg);
-            unassigned.retain(|&x| x != i);
-        }
-        Ok(Allocation::new(
-            chosen
-                .into_iter()
-                .map(|c| c.expect("all assigned"))
-                .collect(),
-        ))
+        list_schedule(engine, platform, deadline, &[batch.len()], Rule::MinTime)
     }
 }
 
@@ -158,43 +203,7 @@ impl Allocator for GreedyMaxRobust {
         if batch.is_empty() {
             return Err(RaError::EmptyBatch);
         }
-        let table = engine.table(deadline)?;
-        let options = engine_options(engine)?;
-
-        let mut cap = Capacity::of(platform);
-        let mut chosen: Vec<Option<Assignment>> = vec![None; batch.len()];
-        let mut unassigned: Vec<usize> = (0..batch.len()).collect();
-        while !unassigned.is_empty() {
-            let mut pick: Option<(usize, Assignment, f64)> = None;
-            for &i in &unassigned {
-                let mut row: Vec<(Assignment, f64)> = options[i]
-                    .iter()
-                    .filter(|asg| cap.fits(**asg))
-                    .filter_map(|asg| table.prob(i, asg.proc_type, asg.procs).map(|p| (*asg, p)))
-                    .collect();
-                row.sort_by(|a, b| b.1.total_cmp(&a.1));
-                let best = row.into_iter().find(|&(asg, _)| {
-                    leaves_others_feasible(&mut cap, asg, &unassigned, i, &options)
-                });
-                let Some((asg, p)) = best else {
-                    return Err(RaError::NoFeasibleAllocation);
-                };
-                // Keep the app with the *lowest* best probability.
-                if pick.as_ref().map_or(true, |&(_, _, bp)| p < bp) {
-                    pick = Some((i, asg, p));
-                }
-            }
-            let (i, asg, _) = pick.expect("unassigned non-empty");
-            cap.take(asg);
-            chosen[i] = Some(asg);
-            unassigned.retain(|&x| x != i);
-        }
-        Ok(Allocation::new(
-            chosen
-                .into_iter()
-                .map(|c| c.expect("all assigned"))
-                .collect(),
-        ))
+        list_schedule(engine, platform, deadline, &[batch.len()], Rule::MaxRobust)
     }
 }
 
@@ -229,45 +238,7 @@ impl Allocator for Sufferage {
         if batch.is_empty() {
             return Err(RaError::EmptyBatch);
         }
-        let table = engine.table(deadline)?;
-        let options = engine_options(engine)?;
-
-        let mut cap = Capacity::of(platform);
-        let mut chosen: Vec<Option<Assignment>> = vec![None; batch.len()];
-        let mut unassigned: Vec<usize> = (0..batch.len()).collect();
-        while !unassigned.is_empty() {
-            let mut pick: Option<(usize, Assignment, f64)> = None; // (app, asg, sufferage)
-            for &i in &unassigned {
-                let mut probs: Vec<(Assignment, f64)> = options[i]
-                    .iter()
-                    .filter(|asg| cap.fits(**asg))
-                    .filter_map(|asg| table.prob(i, asg.proc_type, asg.procs).map(|p| (*asg, p)))
-                    .collect();
-                probs.sort_by(|a, b| b.1.total_cmp(&a.1));
-                probs.retain(|&(asg, _)| {
-                    leaves_others_feasible(&mut cap, asg, &unassigned, i, &options)
-                });
-                if probs.is_empty() {
-                    return Err(RaError::NoFeasibleAllocation);
-                }
-                let best = probs[0];
-                let second = probs.get(1).map_or(0.0, |s| s.1);
-                let sufferage = best.1 - second;
-                if pick.as_ref().map_or(true, |&(_, _, s)| sufferage > s) {
-                    pick = Some((i, best.0, sufferage));
-                }
-            }
-            let (i, asg, _) = pick.expect("unassigned non-empty");
-            cap.take(asg);
-            chosen[i] = Some(asg);
-            unassigned.retain(|&x| x != i);
-        }
-        Ok(Allocation::new(
-            chosen
-                .into_iter()
-                .map(|c| c.expect("all assigned"))
-                .collect(),
-        ))
+        list_schedule(engine, platform, deadline, &[batch.len()], Rule::Sufferage)
     }
 }
 
@@ -329,9 +300,7 @@ mod tests {
     #[test]
     fn sufferage_close_to_optimal_on_paper_example() {
         let (b, p) = (paper_batch(64), paper_platform());
-        let opt = super::super::Exhaustive::default()
-            .allocate(&b, &p, DEADLINE)
-            .unwrap();
+        let opt = super::super::Exhaustive.allocate(&b, &p, DEADLINE).unwrap();
         let suf = Sufferage::new().allocate(&b, &p, DEADLINE).unwrap();
         let p_opt = evaluate(&b, &p, &opt, DEADLINE).unwrap().joint;
         let p_suf = evaluate(&b, &p, &suf, DEADLINE).unwrap().joint;
@@ -359,5 +328,68 @@ mod tests {
             .allocate(&empty, &p, DEADLINE)
             .is_err());
         assert!(Sufferage::new().allocate(&empty, &p, DEADLINE).is_err());
+    }
+
+    /// The paper's two processor types with one processor each: too few
+    /// for the paper's three applications.
+    fn two_processor_platform() -> Platform {
+        let types = paper_platform()
+            .types()
+            .iter()
+            .map(|t| cdsf_system::ProcessorType::new(t.name(), 1, t.availability().clone()))
+            .collect::<std::result::Result<Vec<_>, _>>()
+            .unwrap();
+        Platform::new(types).unwrap()
+    }
+
+    #[test]
+    fn greedy_min_time_ignores_the_deadline() {
+        let (b, p) = (paper_batch(16), paper_platform());
+        let at_paper = GreedyMinTime::new().allocate(&b, &p, DEADLINE).unwrap();
+        for deadline in [DEADLINE / 4.0, DEADLINE * 4.0] {
+            let alloc = GreedyMinTime::new().allocate(&b, &p, deadline).unwrap();
+            assert_eq!(alloc, at_paper, "Δ = {deadline}");
+        }
+    }
+
+    #[test]
+    fn errors_keep_their_variant_and_order() {
+        let (b, p) = (paper_batch(16), paper_platform());
+        let empty = cdsf_system::Batch::new(vec![]);
+        let scarce = two_processor_platform();
+        let policies = [
+            &GreedyMinTime::new() as &dyn Allocator,
+            &GreedyMaxRobust::new(),
+            &Sufferage::new(),
+        ];
+        for policy in policies {
+            // The empty batch is reported before the deadline is read.
+            assert_eq!(
+                policy.allocate(&empty, &p, f64::NAN),
+                Err(RaError::EmptyBatch),
+                "{}",
+                policy.name()
+            );
+            // Three applications cannot share two processors.
+            assert_eq!(
+                policy.allocate(&b, &scarce, DEADLINE),
+                Err(RaError::NoFeasibleAllocation),
+                "{}",
+                policy.name()
+            );
+        }
+        // The deadline-scored policies check Δ before they search.
+        for policy in &policies[1..] {
+            for deadline in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+                for platform in [&p, &scarce] {
+                    let err = policy.allocate(&b, platform, deadline).unwrap_err();
+                    assert!(
+                        matches!(err, RaError::BadParameter { name: "deadline", .. }),
+                        "{} at Δ = {deadline}: {err:?}",
+                        policy.name()
+                    );
+                }
+            }
+        }
     }
 }

@@ -9,14 +9,14 @@
 //! paper forbids runtime reallocation).
 //!
 //! Within a wave the assignment rule is the most-constrained-first greedy
-//! of [`super::GreedyMaxRobust`], scored on the same memoized probability
-//! table. The whole-batch φ₁ of an incremental mapping is therefore at
-//! most that of the clairvoyant full-batch optimum — the gap quantifies
-//! the price of not knowing future arrivals, which the integration tests
-//! measure.
+//! of [`super::GreedyMaxRobust`] — the same list-scheduling loop, with the
+//! lookahead restricted to the wave (future waves are unknown). The
+//! whole-batch φ₁ of an incremental mapping is therefore at most that of
+//! the clairvoyant full-batch optimum — the gap quantifies the price of
+//! not knowing future arrivals, which the integration tests measure.
 
-use super::{engine_options, Capacity};
-use crate::allocation::{Allocation, Assignment};
+use super::greedy::{list_schedule, Rule};
+use crate::allocation::Allocation;
 use crate::engine::Phi1Engine;
 use crate::{RaError, Result};
 use cdsf_system::{Batch, Platform};
@@ -57,69 +57,7 @@ pub fn allocate_incremental_with_engine(
             value: total as f64,
         });
     }
-
-    let table = engine.table(deadline)?;
-    let options = engine_options(engine)?;
-
-    let mut cap = Capacity::of(platform);
-    let mut chosen: Vec<Option<Assignment>> = vec![None; batch.len()];
-    let mut next_app = 0usize;
-
-    for &wave in waves {
-        let wave_apps: Vec<usize> = (next_app..next_app + wave).collect();
-        next_app += wave;
-        let mut unassigned = wave_apps;
-        while !unassigned.is_empty() {
-            // Most-constrained-first within the wave, with the one-step
-            // lookahead restricted to the wave (future waves are unknown).
-            let mut pick: Option<(usize, Assignment, f64)> = None;
-            for &i in &unassigned {
-                let mut row: Vec<(Assignment, f64)> = options[i]
-                    .iter()
-                    .filter(|asg| cap.fits(**asg))
-                    .filter_map(|asg| table.prob(i, asg.proc_type, asg.procs).map(|p| (*asg, p)))
-                    .collect();
-                row.sort_by(|a, b| b.1.total_cmp(&a.1));
-                let best = row.into_iter().find(|&(asg, _)| {
-                    leaves_wave_feasible(&mut cap, asg, &unassigned, i, &options)
-                });
-                let Some((asg, p)) = best else {
-                    return Err(RaError::NoFeasibleAllocation);
-                };
-                if pick.as_ref().map_or(true, |&(_, _, bp)| p < bp) {
-                    pick = Some((i, asg, p));
-                }
-            }
-            let (i, asg, _) = pick.expect("wave non-empty");
-            cap.take(asg);
-            chosen[i] = Some(asg);
-            unassigned.retain(|&x| x != i);
-        }
-    }
-
-    Ok(Allocation::new(
-        chosen
-            .into_iter()
-            .map(|c| c.expect("all waves assigned"))
-            .collect(),
-    ))
-}
-
-/// One-step lookahead restricted to the current wave.
-fn leaves_wave_feasible(
-    cap: &mut Capacity,
-    asg: Assignment,
-    unassigned: &[usize],
-    skip: usize,
-    options: &[Vec<Assignment>],
-) -> bool {
-    cap.take(asg);
-    let ok = unassigned
-        .iter()
-        .filter(|&&i| i != skip)
-        .all(|&i| options[i].iter().any(|o| cap.fits(*o)));
-    cap.release(asg);
-    ok
+    list_schedule(engine, platform, deadline, waves, Rule::MaxRobust)
 }
 
 #[cfg(test)]
@@ -151,7 +89,7 @@ mod tests {
     #[test]
     fn incremental_never_beats_clairvoyant_optimum() {
         let (b, p) = (paper_batch(64), paper_platform());
-        let opt = Exhaustive::default().allocate(&b, &p, DEADLINE).unwrap();
+        let opt = Exhaustive.allocate(&b, &p, DEADLINE).unwrap();
         let p_opt = evaluate(&b, &p, &opt, DEADLINE).unwrap().joint;
         for waves in [vec![3], vec![2, 1], vec![1, 2], vec![1, 1, 1]] {
             let alloc = allocate_incremental(&b, &p, DEADLINE, &waves).unwrap();
@@ -181,6 +119,44 @@ mod tests {
         assert!(allocate_incremental(&b, &p, DEADLINE, &[2]).is_err()); // sum ≠ 3
         assert!(allocate_incremental(&b, &p, DEADLINE, &[3, 0]).is_err()); // zero wave
         assert!(allocate_incremental(&cdsf_system::Batch::new(vec![]), &p, DEADLINE, &[]).is_err());
+    }
+
+    #[test]
+    fn single_wave_equals_greedy_max_robust() {
+        let p = paper_platform();
+        for pulses in [8, 16, 32, 64] {
+            let b = paper_batch(pulses);
+            for deadline in [DEADLINE / 2.0, DEADLINE, DEADLINE * 2.0] {
+                let greedy = crate::allocators::GreedyMaxRobust::new().allocate(&b, &p, deadline);
+                let waves = allocate_incremental(&b, &p, deadline, &[3]);
+                assert_eq!(waves, greedy, "{pulses} pulses, Δ = {deadline}");
+            }
+        }
+    }
+
+    #[test]
+    fn wave_errors_keep_their_variant_and_order() {
+        let (b, p) = (paper_batch(8), paper_platform());
+        let empty = cdsf_system::Batch::new(vec![]);
+        // The empty batch, then the waves, then the deadline.
+        assert_eq!(
+            allocate_incremental(&empty, &p, f64::NAN, &[1]),
+            Err(RaError::EmptyBatch)
+        );
+        for waves in [&[2][..], &[3, 0], &[1, 1, 1, 1]] {
+            let err = allocate_incremental(&b, &p, f64::NAN, waves).unwrap_err();
+            assert!(
+                matches!(err, RaError::BadParameter { name: "waves", .. }),
+                "waves {waves:?}: {err:?}"
+            );
+        }
+        for deadline in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            let err = allocate_incremental(&b, &p, deadline, &[2, 1]).unwrap_err();
+            assert!(
+                matches!(err, RaError::BadParameter { name: "deadline", .. }),
+                "Δ = {deadline}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -1806,8 +1806,7 @@ mod tests {
         // Spans infeasible (800), tight, the paper's, and slack deadlines;
         // tight ones exercise zero-probability ties and the min-sum order.
         for deadline in [800.0, 1500.0, 2500.0, DEADLINE, 5000.0, 20_000.0] {
-            let ex = Exhaustive::new(1)
-                .unwrap()
+            let ex = Exhaustive
                 .allocate_with_engine(&b, &p, &engine, deadline)
                 .unwrap();
             let la = Lattice::new(1)

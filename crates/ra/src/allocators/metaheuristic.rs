@@ -1089,9 +1089,7 @@ mod tests {
     #[test]
     fn annealing_finds_near_optimal_on_paper_example() {
         let (b, p) = (paper_batch(64), paper_platform());
-        let opt = super::super::Exhaustive::default()
-            .allocate(&b, &p, DEADLINE)
-            .unwrap();
+        let opt = super::super::Exhaustive.allocate(&b, &p, DEADLINE).unwrap();
         let p_opt = evaluate(&b, &p, &opt, DEADLINE).unwrap().joint;
         let sa = SimulatedAnnealing::default()
             .allocate(&b, &p, DEADLINE)
@@ -1104,9 +1102,7 @@ mod tests {
     #[test]
     fn genetic_finds_near_optimal_on_paper_example() {
         let (b, p) = (paper_batch(64), paper_platform());
-        let opt = super::super::Exhaustive::default()
-            .allocate(&b, &p, DEADLINE)
-            .unwrap();
+        let opt = super::super::Exhaustive.allocate(&b, &p, DEADLINE).unwrap();
         let p_opt = evaluate(&b, &p, &opt, DEADLINE).unwrap().joint;
         let ga = GeneticAlgorithm::default()
             .allocate(&b, &p, DEADLINE)

@@ -3,19 +3,21 @@
 //! * [`EqualShare`] — the paper's naïve load balancing: every application
 //!   receives an equal share of the machine; only the type placement is
 //!   optimized.
-//! * [`Exhaustive`] — the paper's "robust IM": enumerate every feasible
-//!   allocation and keep the one maximizing `φ₁`. Parallelized with
-//!   scoped worker threads; only viable for small instances, which is
-//!   exactly the paper's point.
+//! * [`Lattice`] — the paper's "robust IM": the `φ₁`-optimal allocation by
+//!   exact branch-and-bound over the allocation lattice, pruned with
+//!   prefix-CDF bound tables. [`GammaRobust`] is its Γ-budget worst-case
+//!   variant with provable infeasibility.
+//! * [`Exhaustive`] — the serial reference the lattice is held to:
+//!   enumerate every feasible allocation and keep the one maximizing `φ₁`
+//!   under the same total order. Only viable for small instances, which
+//!   is exactly the paper's point; the equivalence suites run it, no
+//!   front end does.
 //! * [`GreedyMinTime`], [`GreedyMaxRobust`], [`Sufferage`] — list-scheduling
 //!   heuristics in the Min-min/Max-min/Sufferage tradition, scored on the
 //!   stochastic robustness table instead of deterministic completion times.
+//!   They and [`allocate_incremental`]'s wave allocator share one loop.
 //! * [`SimulatedAnnealing`], [`GeneticAlgorithm`] — metaheuristics for the
 //!   large instances the paper defers to future work.
-//! * [`Lattice`] — exact branch-and-bound over the allocation lattice,
-//!   pruned with prefix-CDF bound tables; bit-identical to [`Exhaustive`]
-//!   at a fraction of the cost. [`GammaRobust`] is its Γ-budget
-//!   worst-case variant with provable infeasibility.
 //!
 //! All policies implement [`Allocator`] through its one required method,
 //! `allocate_with_engine`, and are deterministic: the metaheuristics take
@@ -39,7 +41,6 @@ pub use metaheuristic::{GeneticAlgorithm, MultiStartReport, SimulatedAnnealing};
 
 use crate::allocation::{Allocation, Assignment};
 use crate::engine::Phi1Engine;
-use crate::robustness::ProbabilityTable;
 use crate::{RaError, Result};
 #[cfg(test)]
 use cdsf_system::ProcTypeId;
@@ -145,22 +146,6 @@ impl Capacity {
     }
 }
 
-/// Log-space robustness score of an allocation from the probability table:
-/// `Σ ln Pr(T_i ≤ Δ)`. Ordering-equivalent to the joint product but immune
-/// to underflow for large batches; `-inf` for probability-zero assignments,
-/// `None` if a lookup fails (infeasible triple).
-pub fn log_score(table: &ProbabilityTable, alloc: &Allocation) -> Option<f64> {
-    let mut s = 0.0f64;
-    for (i, asg) in alloc.assignments().iter().enumerate() {
-        let p = table.prob(i, asg.proc_type, asg.procs)?;
-        if p <= 0.0 {
-            return Some(f64::NEG_INFINITY);
-        }
-        s += p.ln();
-    }
-    Some(s)
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
     use cdsf_pmf::Pmf;
@@ -239,25 +224,5 @@ mod tests {
         }));
         cap.release(asg);
         assert!(cap.fits(asg));
-    }
-
-    #[test]
-    fn log_score_orders_like_joint_probability() {
-        let (b, p) = (paper_batch(32), paper_platform());
-        let table = ProbabilityTable::build(&b, &p, DEADLINE).unwrap();
-        let allocs = Allocation::enumerate_feasible(&b, &p).unwrap();
-        let mut best_by_joint = None;
-        let mut best_by_log = None;
-        for a in &allocs {
-            let j = table.joint(a).unwrap();
-            let l = log_score(&table, a).unwrap();
-            if best_by_joint.as_ref().map_or(true, |&(bj, _)| j > bj) {
-                best_by_joint = Some((j, a.clone()));
-            }
-            if best_by_log.as_ref().map_or(true, |&(bl, _)| l > bl) {
-                best_by_log = Some((l, a.clone()));
-            }
-        }
-        assert_eq!(best_by_joint.unwrap().1, best_by_log.unwrap().1);
     }
 }

@@ -21,7 +21,9 @@
 //!   Monte-Carlo estimator used to cross-check it;
 //! * [`allocators`] — the Stage-I policies:
 //!   [`allocators::EqualShare`] (the paper's naïve load balancing),
-//!   [`allocators::Exhaustive`] (the paper's optimal search, parallelized),
+//!   [`allocators::Lattice`] (the paper's optimal search, answered by exact
+//!   branch-and-bound; [`allocators::Exhaustive`] is the serial
+//!   enumeration it is held to bit for bit),
 //!   and the scalable heuristics the paper names as future work:
 //!   greedy ([`allocators::GreedyMinTime`], [`allocators::GreedyMaxRobust`],
 //!   [`allocators::Sufferage`]) and metaheuristic

@@ -116,7 +116,7 @@ proptest! {
     fn allocators_are_feasible_or_fail_cleanly((platform, batch, deadline) in arb_instance()) {
         let policies: Vec<Box<dyn Allocator>> = vec![
             Box::new(EqualShare::new()),
-            Box::new(Exhaustive::new(2).unwrap()),
+            Box::new(Exhaustive),
             Box::new(GreedyMaxRobust::new()),
             Box::new(Sufferage::new()),
         ];
@@ -131,7 +131,7 @@ proptest! {
     /// The exhaustive optimum dominates every other policy's φ1.
     #[test]
     fn exhaustive_dominates((platform, batch, deadline) in arb_instance()) {
-        let Ok(opt) = Exhaustive::new(2).unwrap().allocate(&batch, &platform, deadline) else {
+        let Ok(opt) = Exhaustive.allocate(&batch, &platform, deadline) else {
             return Ok(()); // infeasible instance
         };
         let p_opt = evaluate(&batch, &platform, &opt, deadline).unwrap().joint;
@@ -145,11 +145,11 @@ proptest! {
     }
 
     /// The pruned lattice branch-and-bound is a drop-in for the unpruned
-    /// full enumeration: on arbitrary instances both policies agree on
-    /// feasibility, and when feasible return the *same* allocation with
-    /// bit-identical φ1 — i.e. pruning never changes the optimum. The
-    /// capacity-contended and deadline-infeasible arms send the search
-    /// through its per-type tables and its second phase.
+    /// full enumeration: on arbitrary instances both policies return the
+    /// same error variant when infeasible, and when feasible the *same*
+    /// allocation with bit-identical φ1 — i.e. pruning never changes the
+    /// optimum. The capacity-contended and deadline-infeasible arms send
+    /// the search through its per-type tables and its second phase.
     #[test]
     fn lattice_equals_exhaustive_on_arbitrary_instances(
         (platform, batch, deadline) in prop_oneof![
@@ -158,7 +158,7 @@ proptest! {
             arb_infeasible_instance(),
         ],
     ) {
-        let reference = Exhaustive::new(2).unwrap().allocate(&batch, &platform, deadline);
+        let reference = Exhaustive.allocate(&batch, &platform, deadline);
         let exact = Lattice::new(2).unwrap().allocate(&batch, &platform, deadline);
         match (reference, exact) {
             (Ok(reference), Ok(exact)) => {
@@ -167,7 +167,8 @@ proptest! {
                 let p_lat = evaluate(&batch, &platform, &exact, deadline).unwrap().joint;
                 prop_assert_eq!(p_ref.to_bits(), p_lat.to_bits());
             }
-            (Err(_), Err(_)) => {}
+            (Err(reference), Err(exact)) => prop_assert_eq!(&reference, &exact,
+                "error variants diverged: exhaustive {reference:?}, lattice {exact:?}"),
             (reference, exact) => prop_assert!(false,
                 "feasibility verdicts diverged: exhaustive {reference:?}, lattice {exact:?}"),
         }
@@ -186,7 +187,7 @@ proptest! {
         let Ok(hedged) = robust.allocate(&batch, &platform, deadline) else {
             return Ok(()); // capacity-infeasible or proven deadline-infeasible
         };
-        let Ok(opt) = Exhaustive::new(2).unwrap().allocate(&batch, &platform, deadline) else {
+        let Ok(opt) = Exhaustive.allocate(&batch, &platform, deadline) else {
             return Ok(());
         };
         let p_hedged = evaluate(&batch, &platform, &hedged, deadline).unwrap().joint;
@@ -211,7 +212,7 @@ proptest! {
         let waves = if n > first { vec![first, n - first] } else { vec![n] };
         if let Ok(alloc) = allocate_incremental(&batch, &platform, deadline, &waves) {
             prop_assert!(alloc.validate(&batch, &platform).is_ok());
-            if let Ok(opt) = Exhaustive::new(2).unwrap().allocate(&batch, &platform, deadline) {
+            if let Ok(opt) = Exhaustive.allocate(&batch, &platform, deadline) {
                 let p_inc = evaluate(&batch, &platform, &alloc, deadline).unwrap().joint;
                 let p_opt = evaluate(&batch, &platform, &opt, deadline).unwrap().joint;
                 prop_assert!(p_inc <= p_opt + 1e-9);

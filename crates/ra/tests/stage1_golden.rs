@@ -6,7 +6,10 @@
 //! captured *before* the flat-SoA φ₁ kernel rewrite; keeping it green
 //! proves the prefix-CDF tables, the arena-backed engine, and the
 //! incremental delta-fitness evaluator are bit-identical replacements,
-//! not approximations.
+//! not approximations. The greedy and wave allocators' answers on two
+//! tie-heavy instances were appended before those four policies came to
+//! share one list-scheduling loop, and pin that the loop kept every
+//! ranking and tie rule.
 //!
 //! Regenerate (only for an *intentional* behaviour change):
 //!
@@ -15,8 +18,8 @@
 //! ```
 
 use cdsf_ra::allocators::{
-    EqualShare, Exhaustive, GeneticAlgorithm, GreedyMaxRobust, GreedyMinTime, SimulatedAnnealing,
-    Sufferage,
+    allocate_incremental, EqualShare, Exhaustive, GeneticAlgorithm, GreedyMaxRobust, GreedyMinTime,
+    Lattice, SimulatedAnnealing, Sufferage,
 };
 use cdsf_ra::{Allocation, Allocator};
 use cdsf_system::{Batch, Platform};
@@ -49,6 +52,44 @@ fn generated_instance(seed: u64) -> (Batch, Platform) {
     .generate(&platform, seed.wrapping_add(1))
     .unwrap();
     (batch, platform)
+}
+
+/// The service's generated instance shape at `seed`, on a platform of
+/// `num_types` types with `procs_per_type` processors each.
+fn serve_shaped(seed: u64, num_types: usize, procs_per_type: (u32, u32)) -> (Batch, Platform) {
+    let platform = PlatformGenerator {
+        num_types,
+        procs_per_type,
+        ..Default::default()
+    }
+    .generate(seed)
+    .unwrap();
+    let batch = BatchGenerator {
+        num_apps: 3 + (seed % 4) as usize,
+        pulses: 5 + (seed % 4) as usize,
+        ..Default::default()
+    }
+    .generate(&platform, seed)
+    .unwrap();
+    (batch, platform)
+}
+
+/// Tie-heavy instances for the list-scheduling family: seed 65 with every
+/// application twice at a slack deadline, where most options read
+/// `φ = 1 ± ulps`, and seed 29 on 2 types of 2–5 processors, where every
+/// allocation's `φ₁` is 0 and the expected times decide.
+fn tie_heavy_instances() -> Vec<(&'static str, Batch, Platform, f64)> {
+    let (batch, platform) = serve_shaped(65, 3, (4, 32));
+    let twice = batch
+        .apps()
+        .iter()
+        .flat_map(|a| [a.clone(), a.clone()])
+        .collect();
+    let (contended, small) = serve_shaped(29, 2, (2, 5));
+    vec![
+        ("dup65", Batch::new(twice), platform, 20_000.0),
+        ("cont29", contended, small, 3_000.0),
+    ]
 }
 
 fn alloc_json(alloc: &Allocation) -> Value {
@@ -87,11 +128,15 @@ fn compute_all() -> Vec<(String, Allocation)> {
             let alloc = policy.allocate(batch, platform, *deadline).unwrap();
             out.push((format!("{tag}/{name}"), alloc));
         }
+        // The robust IM's pins: the lattice at 1 and 4 threads, which the
+        // serial enumeration must equal.
+        let reference = Exhaustive.allocate(batch, platform, *deadline).unwrap();
         for threads in [1usize, 4] {
-            let alloc = Exhaustive::new(threads)
+            let alloc = Lattice::new(threads)
                 .unwrap()
                 .allocate(batch, platform, *deadline)
                 .unwrap();
+            assert_eq!(alloc, reference, "{tag}: lattice t{threads} ≠ exhaustive");
             out.push((format!("{tag}/exhaustive/t{threads}"), alloc));
         }
         for seed in [1u64, 2, 3] {
@@ -117,6 +162,23 @@ fn compute_all() -> Vec<(String, Allocation)> {
                 let alloc = ga.allocate(batch, platform, *deadline).unwrap();
                 out.push((format!("{tag}/ga/s{seed}/t{threads}"), alloc));
             }
+        }
+    }
+    for (tag, batch, platform, deadline) in &tie_heavy_instances() {
+        let greedy: Vec<(&str, Box<dyn Allocator>)> = vec![
+            ("greedy_min_time", Box::new(GreedyMinTime::new())),
+            ("greedy_max_robust", Box::new(GreedyMaxRobust::new())),
+            ("sufferage", Box::new(Sufferage::new())),
+        ];
+        for (name, policy) in &greedy {
+            let alloc = policy.allocate(batch, platform, *deadline).unwrap();
+            out.push((format!("{tag}/{name}"), alloc));
+        }
+        let n = batch.len();
+        for waves in [vec![n], vec![1; n], vec![n / 2, n - n / 2]] {
+            let alloc = allocate_incremental(batch, platform, *deadline, &waves).unwrap();
+            let sizes: Vec<String> = waves.iter().map(usize::to_string).collect();
+            out.push((format!("{tag}/incremental/{}", sizes.join("+")), alloc));
         }
     }
     out

@@ -27,8 +27,8 @@ fn main() {
         .build()
         .expect("valid configuration");
 
-    // 2. Stage I: robust initial mapping (exhaustive search, the paper's
-    //    "robust IM").
+    // 2. Stage I: robust initial mapping (the paper's "robust IM": the
+    //    φ1-optimal allocation, found by exact search).
     let (allocation, stage1) = cdsf.stage_one(&ImPolicy::Robust).expect("stage I");
     println!("Stage I allocation: {allocation}");
     println!(
