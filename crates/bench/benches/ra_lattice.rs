@@ -1,8 +1,9 @@
 //! Exact lattice branch-and-bound vs stochastic search on the snapshot's
 //! apps16 instance: the serve hot path pays one Stage-I allocation per
 //! `alloc_cache_miss`, so this suite times the warm (engine + scratch
-//! reused) solve that path actually runs, the cold full-build path, the
-//! Γ-robust worst-case variant, and the SA baseline it replaces.
+//! reused) solves — the full solve with its proofs and the node-budgeted
+//! anytime solve that path actually runs — the cold full-build path, the
+//! Γ-robust worst-case variant, and the SA baseline.
 
 use cdsf_bench::bench_instance;
 use cdsf_ra::allocators::SimulatedAnnealing;
@@ -70,8 +71,25 @@ fn bench_gamma_robust_warm(c: &mut Criterion) {
     group.finish();
 }
 
-/// The baseline the lattice replaces: one full SA allocation with the
-/// snapshot's configuration (2k iterations, single restart, 1 thread).
+/// The serve shard's solve: the anytime search on one thread under its
+/// constant node budget, engine and scratch warm.
+fn bench_lattice_anytime_warm(c: &mut Criterion) {
+    let (batch, platform) = bench_instance(16);
+    let engine = Phi1Engine::build(&batch, &platform).unwrap();
+    let mut group = c.benchmark_group("ra_lattice/anytime_warm_apps16");
+    group.bench_function("t1", |b| {
+        let mut scratch = LatticeScratch::new();
+        b.iter(|| {
+            black_box(
+                Lattice::anytime_with_engine(&platform, &engine, DEADLINE, &mut scratch).unwrap(),
+            )
+        })
+    });
+    group.finish();
+}
+
+/// The SA baseline: one full SA allocation with the snapshot's
+/// configuration (2k iterations, single restart, 1 thread).
 fn bench_sa_baseline(c: &mut Criterion) {
     let (batch, platform) = bench_instance(16);
     let mut group = c.benchmark_group("ra_lattice/sa_baseline_apps16");
@@ -94,6 +112,7 @@ criterion_group!(
     bench_lattice_warm,
     bench_lattice_cold,
     bench_gamma_robust_warm,
+    bench_lattice_anytime_warm,
     bench_sa_baseline
 );
 criterion_main!(benches);

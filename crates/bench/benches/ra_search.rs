@@ -1,11 +1,15 @@
 //! Stage-I allocator scaling: the paper notes that exhaustive search "is
 //! only feasible in the case of the small demonstrative example" — this
-//! bench quantifies that wall, and the polynomial cost of the scalable
-//! heuristics that the paper's future work calls for.
+//! bench quantifies that wall with the serial `Exhaustive` reference
+//! (`…/exhaustive_reference`), times the pruned lattice that every front
+//! end's `exhaustive` actually runs beside it, and the polynomial cost of
+//! the scalable heuristics that the paper's future work calls for.
 
-use cdsf_ra::allocators::{EqualShare, Exhaustive, GreedyMaxRobust, SimulatedAnnealing, Sufferage};
+use cdsf_ra::allocators::{
+    EqualShare, Exhaustive, GreedyMaxRobust, Lattice, SimulatedAnnealing, Sufferage,
+};
 use cdsf_ra::robustness::ProbabilityTable;
-use cdsf_ra::{Allocator, Phi1Engine};
+use cdsf_ra::{Allocator, LatticeScratch, Phi1Engine};
 use cdsf_system::{Batch, Platform};
 use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
 use cdsf_workloads::paper;
@@ -44,8 +48,12 @@ fn bench_paper_instance(c: &mut Criterion) {
     group.bench_function("equal_share", |b| {
         b.iter(|| black_box(EqualShare::new().allocate(&batch, &platform, paper::DEADLINE)))
     });
-    group.bench_function("exhaustive", |b| {
+    group.bench_function("exhaustive_reference", |b| {
         b.iter(|| black_box(Exhaustive.allocate(&batch, &platform, paper::DEADLINE)))
+    });
+    group.bench_function("lattice", |b| {
+        let lattice = Lattice::new(1).unwrap();
+        b.iter(|| black_box(lattice.allocate(&batch, &platform, paper::DEADLINE)))
     });
     group.bench_function("sufferage", |b| {
         b.iter(|| black_box(Sufferage::new().allocate(&batch, &platform, paper::DEADLINE)))
@@ -59,8 +67,12 @@ fn bench_exhaustive_scaling(c: &mut Criterion) {
     // The option count per app is ~8, so the unpruned space is ~8^N.
     for &n in &[3usize, 4, 5, 6] {
         let (batch, platform) = generated_instance(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("exhaustive_reference", n), &n, |b, _| {
             b.iter(|| black_box(Exhaustive.allocate(&batch, &platform, DEADLINE)))
+        });
+        group.bench_with_input(BenchmarkId::new("lattice", n), &n, |b, _| {
+            let lattice = Lattice::new(1).unwrap();
+            b.iter(|| black_box(lattice.allocate(&batch, &platform, DEADLINE)))
         });
     }
     group.finish();
@@ -83,6 +95,19 @@ fn bench_heuristic_scaling(c: &mut Criterion) {
                 ..Default::default()
             };
             b.iter(|| black_box(sa.allocate(&batch, &platform, DEADLINE)))
+        });
+        // The serve shard's solve: engine prebuilt, scratch warm.
+        group.bench_with_input(BenchmarkId::new("lattice_anytime", n), &n, |b, _| {
+            let engine = Phi1Engine::build(&batch, &platform).unwrap();
+            let mut scratch = LatticeScratch::new();
+            b.iter(|| {
+                black_box(Lattice::anytime_with_engine(
+                    &platform,
+                    &engine,
+                    DEADLINE,
+                    &mut scratch,
+                ))
+            })
         });
     }
     group.finish();

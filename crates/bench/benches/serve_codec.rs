@@ -41,6 +41,7 @@ fn sample_reply() -> SubmitReply {
             robust: false,
             guaranteed_tier: None,
         },
+        unproven: None,
     }
 }
 

@@ -124,7 +124,11 @@ use std::time::Instant;
 /// the φ₁ of exhaustive search on the contended instance, which the
 /// lattice's optimum must equal bit for bit. The apps16 exactness row
 /// compares the lattice with SA, which finds no positive φ₁ there.
-const SCHEMA_VERSION: u64 = 13;
+/// v14 added the `plateau_budget` block to `ra_lattice`: the lattice's
+/// anytime solve on `bench_instance(16)` at Δ = 10 000, a plateau it
+/// cannot finish inside its node budget, guarded to the budget and to a
+/// certified bound no lower than its own answer.
+const SCHEMA_VERSION: u64 = 14;
 
 /// Current stage-2 snapshot schema. Bump when the JSON shape changes.
 /// v2 added the host-aware `grid_thread4_speedup` floor (≥ 3× on hosts
@@ -147,6 +151,11 @@ const CONTENDED_POOL: (u64, u64) = (42, 16);
 /// Seed and index of the dual-stage pool's largest 1-thread lattice
 /// solve among its 200 instances (the mean takes about 2 200 nodes).
 const LARGEST_POOL: (u64, u64) = (42, 177);
+
+/// Deadline of the plateau anytime solve on `bench_instance(16)`: almost
+/// every allocation near the optimum reaches φ₁ ≈ 1, and the unbudgeted
+/// search takes about 15 M nodes to decide the ties.
+const PLATEAU_DEADLINE: f64 = 10_000.0;
 
 /// One snapshot file: its schema, the ratios derived from its medians
 /// and the guard rows that hold it. `--check` holds the smoke pass's own
@@ -252,6 +261,11 @@ const STAGE1: Suite = Suite {
         "ra_lattice.contended.phi1 > 0: the contended instance has no positive optimum",
         "ra_lattice.largest_pool.counters.nodes <= 65536: the dual-stage pool's largest solve left the serial-first budget, so two-worker dualstage solves now split",
         "ra_lattice.sa_serve.steps < ra_lattice.sa_serve.full_steps: SA ran every step on the serve spec — the certified early exit no longer engages",
+        // The anytime solve stops one node past its budget of 32 768
+        // (`Lattice::NODE_BUDGET`), the bound on a serve shard's Stage-I
+        // search, and its certificate bounds its own answer.
+        "ra_lattice.plateau_budget.nodes <= 32769: the anytime solve ran past its 32 768-node budget",
+        "ra_lattice.plateau_budget.phi1_bound >= ra_lattice.plateau_budget.phi1: the anytime solve's certified bound is below its own answer",
         // The store counters describe a real prev→next catalog pair (hits
         // from the shared applications, no verify rejects, an engine that
         // fingerprints like a storeless build), and the thrash pass really
@@ -345,9 +359,10 @@ const SERVE: Suite = Suite {
         "len(stats.per_shard) == shards: stats has not one row per shard",
         "stats.total.submits > 0: the stats total has no submits",
         "stats.total.pool_runs >= 0: the stats total lacks pool_runs",
-        // A positive policy mix must drive the SA path: the exact-lattice
-        // path shares the cache counters, so SA runs are the visible
-        // signal that the mix routed around the default policy.
+        // A positive policy mix must reach the named policies: `sa`
+        // submits, which the shard answers with the lattice's anytime
+        // solve, count in `sa_multistart_runs`, the visible signal that
+        // the mix routed around the default policy.
         "policy_mix >= 0: the policy mix is below 0",
         "policy_mix <= 1: the policy mix is above 1",
         "stats.total.sa_multistart_runs > 0 if policy_mix > 0: the policy mix routed no submits through the SA policy",
@@ -1081,7 +1096,10 @@ fn counters_json(c: &cdsf_ra::allocators::LatticeCounters) -> Value {
 /// `contended` and `largest_pool` blocks hold the 1-thread counters of
 /// the pool instances [`CONTENDED_POOL`] and [`LARGEST_POOL`]; the
 /// `contended` block also the φ1 of exhaustive search there, which the
-/// second exactness guard compares with the lattice's.
+/// second exactness guard compares with the lattice's. The
+/// `plateau_budget` block holds the anytime solve at
+/// [`PLATEAU_DEADLINE`]: the nodes it visited, its answer's φ1 and its
+/// certified bound.
 fn ra_lattice_section(scale: usize) -> Value {
     use cdsf_ra::robustness::evaluate;
     use cdsf_ra::Allocator;
@@ -1145,6 +1163,10 @@ fn ra_lattice_section(scale: usize) -> Value {
     };
     let contended = pool_block(CONTENDED_POOL, true);
     let largest_pool = pool_block(LARGEST_POOL, false);
+    let (_, plateau, unproven) =
+        cdsf_ra::Lattice::anytime_with_engine(&platform, &engine, PLATEAU_DEADLINE, &mut scratch)
+            .expect("the anytime solve must answer on the plateau");
+    let unproven = unproven.expect("the plateau outruns the node budget");
     json!({
         "apps": 16,
         "deadline": DEADLINE,
@@ -1162,6 +1184,14 @@ fn ra_lattice_section(scale: usize) -> Value {
             "deadline": serve.deadline,
             "full_steps": serve_sa.restarts * serve_sa.iterations,
             "steps": serve_report.steps,
+        }),
+        "plateau_budget": json!({
+            "apps": 16,
+            "deadline": PLATEAU_DEADLINE,
+            "budget": cdsf_ra::Lattice::NODE_BUDGET,
+            "nodes": unproven.nodes,
+            "phi1": plateau.phi1,
+            "phi1_bound": unproven.phi1_bound,
         }),
     })
 }
@@ -2164,6 +2194,13 @@ mod tests {
                 "ra_lattice.largest_pool.counters.nodes",
                 65_536.0,
                 65_537.0,
+            ),
+            (
+                &STAGE1,
+                None,
+                "ra_lattice.plateau_budget.nodes",
+                32_769.0,
+                32_770.0,
             ),
             (&STAGE2, Some(4), "derived.grid_thread4_speedup", 3.0, 2.99),
             (&STAGE2, Some(3), "derived.grid_thread4_speedup", 1.0, 0.99),

@@ -119,23 +119,8 @@ pub fn run_parallel_loop<F>(total: u64, cfg: &RuntimeConfig, body: F) -> Result<
 where
     F: Fn(u64) + Sync,
 {
-    if cfg.threads == 0 {
-        return Err(DlsError::NoWorkers);
-    }
-    if total == 0 {
-        return Err(DlsError::NoIterations);
-    }
-    let technique = cfg.kind.build(cfg.threads, total)?;
-    let mut scheduler = Scheduler {
-        technique,
-        remaining: total,
-        total,
-        started_at: Instant::now(),
-        snapshots: vec![WorkerSnapshot::default(); cfg.threads],
-        accumulators: vec![Welford::new(); cfg.threads],
-        chunks: 0,
-    };
-    run_one_pass(&mut scheduler, cfg.threads, &body)
+    let mut reports = run_steps(total, 1, cfg, &body, &wall_clock)?;
+    Ok(reports.pop().expect("one step, one report"))
 }
 
 /// Executes the same loop `steps` times (a time-stepping application on
@@ -151,6 +136,30 @@ pub fn run_timestepped_loop<F>(
 ) -> Result<Vec<RuntimeReport>>
 where
     F: Fn(u64) + Sync,
+{
+    run_steps(total, steps, cfg, &body, &wall_clock)
+}
+
+/// The chunk clock of the public entry points: a chunk took the seconds
+/// the wall clock measured.
+fn wall_clock(_worker: usize, _start: u64, _size: u64, measured: f64) -> f64 {
+    measured
+}
+
+/// The loop `steps` times over one scheduler. `clock(worker, start, size,
+/// measured)` gives the seconds a chunk is reported to have taken — to
+/// the technique's statistics and to the busy times — from the wall-clock
+/// seconds it measured; tests substitute a cost model for it.
+fn run_steps<F, C>(
+    total: u64,
+    steps: usize,
+    cfg: &RuntimeConfig,
+    body: &F,
+    clock: &C,
+) -> Result<Vec<RuntimeReport>>
+where
+    F: Fn(u64) + Sync,
+    C: Fn(usize, u64, u64, f64) -> f64 + Sync,
 {
     if steps == 0 {
         return Err(DlsError::BadParameter {
@@ -181,16 +190,22 @@ where
             scheduler.remaining = total;
             scheduler.chunks = 0;
         }
-        reports.push(run_one_pass(&mut scheduler, cfg.threads, &body)?);
+        reports.push(run_one_pass(&mut scheduler, cfg.threads, body, clock));
     }
     Ok(reports)
 }
 
 /// One complete drain of the scheduler's current loop across worker
 /// threads.
-fn run_one_pass<F>(scheduler: &mut Scheduler, threads: usize, body: &F) -> Result<RuntimeReport>
+fn run_one_pass<F, C>(
+    scheduler: &mut Scheduler,
+    threads: usize,
+    body: &F,
+    clock: &C,
+) -> RuntimeReport
 where
     F: Fn(u64) + Sync,
+    C: Fn(usize, u64, u64, f64) -> f64 + Sync,
 {
     let total = scheduler.remaining;
     let shared = Mutex::new(scheduler);
@@ -210,7 +225,7 @@ where
                 for i in start..start + size {
                     body(i);
                 }
-                let seconds = t0.elapsed().as_secs_f64().max(1e-12);
+                let seconds = clock(w, start, size, t0.elapsed().as_secs_f64().max(1e-12));
                 shared.lock().report(w, size, seconds);
                 *iters_slot.lock() += size;
                 *busy_slot.lock() += seconds;
@@ -228,14 +243,14 @@ where
         .into_iter()
         .map(|m| m.into_inner())
         .collect();
-    Ok(RuntimeReport {
+    RuntimeReport {
         iterations: total,
         wall_seconds,
         chunks,
         imbalance: imbalance_cov(&per_worker_busy),
         per_worker_iterations,
         per_worker_busy,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -328,55 +343,128 @@ mod tests {
         assert!(run_timestepped_loop(n, 0, &cfg(2, TechniqueKind::Fac), |_| {}).is_err());
     }
 
+    /// A cost-model clock: chunk `[start, start + size)` on `worker` is
+    /// reported to take `cost(worker, i)` seconds per iteration `i`, and
+    /// is logged as `(cumulative iterations before it, worker, start,
+    /// size)`, so a test reads which chunks the scheduler decided, not
+    /// how long the host took.
+    fn cost_model<'a>(
+        cost: impl Fn(usize, u64) -> f64 + Sync + 'a,
+        log: &'a Mutex<Vec<(u64, usize, u64, u64)>>,
+    ) -> impl Fn(usize, u64, u64, f64) -> f64 + Sync + 'a {
+        move |worker, start, size, _measured| {
+            let mut log = log.lock();
+            let done = log.iter().map(|c| c.3).sum();
+            log.push((done, worker, start, size));
+            (start..start + size).map(|i| cost(worker, i)).sum()
+        }
+    }
+
     #[test]
     fn timestepped_awf_keeps_history_across_steps() {
-        // With a skewed body, AWF's later steps should be no worse
-        // balanced than its first (weights adapt from step 1's history).
-        let n = 2_048u64;
-        let work = |i: u64| {
-            let reps = if i >= n / 2 { 800 } else { 50 };
-            let mut acc = 0.0f64;
-            for k in 0..reps {
-                acc += ((i + k) as f64).sqrt();
+        // Worker 3 is modelled four times slower per iteration. Each
+        // step's first call of each worker thread waits until all four
+        // hold a chunk, so each takes exactly one chunk of the step's
+        // first batch, the step's largest. Step 1 has no history: the
+        // batch splits evenly. From step 2 on, AWF sizes it by the rates
+        // step 1 measured: w = P·(1/π)/Σ(1/π), so the slow worker's share
+        // drops to a quarter of the others'.
+        let (n, p, steps) = (2_048u64, 4usize, 4usize);
+        let started = std::sync::Barrier::new(p);
+        thread_local!(static HOLDS_A_CHUNK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
+        let body = |_: u64| {
+            if !HOLDS_A_CHUNK.with(|h| h.replace(true)) {
+                started.wait();
             }
-            std::hint::black_box(acc);
         };
+        let log = Mutex::new(Vec::new());
+        let clock = cost_model(|w, _| if w == 3 { 4.0 } else { 1.0 }, &log);
         let kind = TechniqueKind::Awf {
             variant: crate::AwfVariant::Timestep,
         };
-        let reports = run_timestepped_loop(n, 4, &cfg(4, kind), work).unwrap();
-        let first = reports[0].imbalance;
-        let last = reports.last().unwrap().imbalance;
-        // Wall-clock noise on shared CI machines is real; allow slack but
-        // catch gross regressions (adaptation must not blow up imbalance).
-        assert!(
-            last <= first * 1.5 + 0.05,
-            "imbalance grew across steps: first {first}, last {last}"
+        let reports = run_steps(n, steps, &cfg(p, kind), &body, &clock).unwrap();
+        assert_eq!(reports.len(), steps);
+        let mut largest = vec![vec![0u64; p]; steps];
+        for &(done, worker, _, size) in log.lock().iter() {
+            let step = (done / n) as usize;
+            largest[step][worker] = largest[step][worker].max(size);
+        }
+        let base = n as f64 / (2 * p) as f64;
+        assert_eq!(largest[0], vec![base as u64; p], "step 1 splits evenly");
+        let scale = p as f64 / 3.25;
+        let (fast, slow) = (
+            (scale * base).ceil() as u64,
+            (0.25 * scale * base).ceil() as u64,
         );
+        assert_eq!((fast, slow), (316, 79));
+        for (step, chunks) in largest.iter().enumerate().skip(1) {
+            assert_eq!(chunks, &vec![fast, fast, fast, slow], "step {}", step + 1);
+        }
+        for r in &reports {
+            assert_eq!(r.per_worker_iterations.iter().sum::<u64>(), n);
+            assert_eq!(r.per_worker_busy.len(), p);
+        }
     }
 
     #[test]
     fn adaptive_runtime_rebalances_skewed_bodies() {
-        // Iterations in the upper half are ~20× more expensive. Dynamic
-        // chunking must keep per-worker busy times far better balanced
-        // than a static quarter-split would be (which would give the
-        // workers owning the expensive half ~20× the work).
-        let n = 4_096u64;
-        let work = |i: u64| {
-            let reps = if i >= n / 2 { 2_000 } else { 100 };
-            let mut acc = 0.0f64;
-            for k in 0..reps {
-                acc += ((i + k) as f64).sqrt();
+        // Iterations in the upper half are modelled 20× more expensive.
+        // The runtime hands out exactly the chunks the technique decides,
+        // in iteration order, whichever worker claims them. A
+        // self-scheduled worker's busy time can trail another's by at most
+        // one chunk: FAC's costliest chunk stays under half an even
+        // share of the work, while STATIC's quarters give the workers
+        // owning the expensive half nearly twice an even share each.
+        let (n, p) = (4_096u64, 4usize);
+        let cost = |i: u64| if i >= n / 2 { 20.0 } else { 1.0 };
+        let even_share = (0..n).map(cost).sum::<f64>() / p as f64;
+        let costliest = |kind: TechniqueKind| {
+            let log = Mutex::new(Vec::new());
+            let clock = cost_model(|_, i| cost(i), &log);
+            let ran = AtomicU64::new(0);
+            let body = |_: u64| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            };
+            let report = run_steps(n, 1, &cfg(p, kind.clone()), &body, &clock)
+                .unwrap()
+                .pop()
+                .unwrap();
+            assert_eq!(ran.load(Ordering::Relaxed), n);
+            // The decided chunk sequence, replayed on the technique alone.
+            let mut technique = kind.build(p, n).unwrap();
+            let stats = vec![WorkerSnapshot::default(); p];
+            let mut want = Vec::new();
+            let mut remaining = n;
+            while remaining > 0 {
+                let ctx = SchedContext {
+                    worker: 0,
+                    num_workers: p,
+                    total_iters: n,
+                    remaining,
+                    now: 0.0,
+                    workers: &stats,
+                };
+                let size = technique.next_chunk(&ctx).clamp(1, remaining);
+                want.push((n - remaining, size));
+                remaining -= size;
             }
-            std::hint::black_box(acc);
+            let mut got: Vec<(u64, u64)> = log.lock().iter().map(|c| (c.2, c.3)).collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "{} dispatched other chunks", kind.name());
+            assert_eq!(report.chunks, want.len() as u64);
+            got.iter()
+                .map(|&(start, size)| (start..start + size).map(cost).sum::<f64>())
+                .fold(0.0, f64::max)
         };
-        let dynamic = run_parallel_loop(n, &cfg(4, TechniqueKind::Fac), work).unwrap();
-        let static_run = run_parallel_loop(n, &cfg(4, TechniqueKind::Static), work).unwrap();
+        let dynamic = costliest(TechniqueKind::Fac);
+        let static_split = costliest(TechniqueKind::Static);
         assert!(
-            dynamic.imbalance < static_run.imbalance,
-            "dynamic imbalance {} should beat static {}",
-            dynamic.imbalance,
-            static_run.imbalance
+            dynamic < 0.5 * even_share,
+            "FAC's costliest chunk {dynamic} vs even share {even_share}"
+        );
+        assert!(
+            static_split > 1.5 * even_share,
+            "STATIC's costliest chunk {static_split} vs even share {even_share}"
         );
     }
 }

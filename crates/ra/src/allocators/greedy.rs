@@ -62,8 +62,9 @@ fn leaves_others_feasible(
 /// the capacity the earlier waves left, one application per round, with
 /// the lookahead restricted to the wave. `rule` ranks each application's
 /// options once per call — a stable sort, so equal keys keep the
-/// engine's order — and picks which application a round places.
-/// [`Rule::MinTime`] neither checks nor scores the deadline.
+/// engine's order — and picks which application a round places. Every
+/// rule rejects a deadline that is not positive and finite;
+/// [`Rule::MinTime`] does not score it.
 pub(super) fn list_schedule(
     engine: &Phi1Engine,
     platform: &Platform,
@@ -71,7 +72,7 @@ pub(super) fn list_schedule(
     waves: &[usize],
     rule: Rule,
 ) -> Result<Allocation> {
-    if rule != Rule::MinTime && (!(deadline > 0.0) || !deadline.is_finite()) {
+    if !(deadline > 0.0) || !deadline.is_finite() {
         return Err(RaError::BadParameter {
             name: "deadline",
             value: deadline,
@@ -141,9 +142,10 @@ pub(super) fn list_schedule(
 ///
 /// "Hardest" = largest best-case expected completion time over all
 /// currently-feasible options, recomputed as capacity shrinks. This is the
-/// Max-min analogue on expectations; it ignores the deadline entirely,
-/// which makes it a useful "efficiency-only" baseline for the robustness
-/// heuristics.
+/// Max-min analogue on expectations; any valid deadline yields the same
+/// allocation, which makes it a useful "efficiency-only" baseline for the
+/// robustness heuristics. Like every allocator it still rejects a deadline
+/// that is not positive and finite.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyMinTime;
 
@@ -378,13 +380,19 @@ mod tests {
                 policy.name()
             );
         }
-        // The deadline-scored policies check Δ before they search.
-        for policy in &policies[1..] {
+        // Every policy checks Δ before it searches.
+        for policy in policies {
             for deadline in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
                 for platform in [&p, &scarce] {
                     let err = policy.allocate(&b, platform, deadline).unwrap_err();
                     assert!(
-                        matches!(err, RaError::BadParameter { name: "deadline", .. }),
+                        matches!(
+                            err,
+                            RaError::BadParameter {
+                                name: "deadline",
+                                ..
+                            }
+                        ),
                         "{} at Δ = {deadline}: {err:?}",
                         policy.name()
                     );

@@ -153,7 +153,13 @@ mod tests {
         for deadline in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
             let err = allocate_incremental(&b, &p, deadline, &[2, 1]).unwrap_err();
             assert!(
-                matches!(err, RaError::BadParameter { name: "deadline", .. }),
+                matches!(
+                    err,
+                    RaError::BadParameter {
+                        name: "deadline",
+                        ..
+                    }
+                ),
                 "Δ = {deadline}: {err:?}"
             );
         }

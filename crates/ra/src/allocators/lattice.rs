@@ -1,6 +1,7 @@
 //! Prefix-CDF-pruned branch-and-bound over the power-of-2 allocation
 //! lattice: the *exact* Stage-I optimum at a fraction of the
-//! metaheuristics' cost, plus a Γ-robust worst-case variant.
+//! metaheuristics' cost, a node-budgeted anytime solve with a certified
+//! bound, and a Γ-robust worst-case variant.
 //!
 //! # Search skeleton
 //!
@@ -60,8 +61,36 @@
 //!
 //! The tightest-deadline proof (see the Γ-robust tier) is a third
 //! search. Only [`Lattice::solve_with_engine`] and [`GammaRobust`] run
-//! it; [`Allocator::allocate_with_engine`] and
-//! [`Lattice::optimum_with_engine`] stop at the optimum.
+//! it; [`Allocator::allocate_with_engine`],
+//! [`Lattice::optimum_with_engine`] and [`Lattice::anytime_with_engine`]
+//! stop at the optimum.
+//!
+//! # Anytime solve
+//!
+//! [`Lattice::anytime_with_engine`] runs both phases on one worker under
+//! one constant budget of [`Lattice::NODE_BUDGET`] nodes. A search that
+//! ends inside it is the exact solve above, bit for bit. One that runs
+//! out returns its best allocation with an [`Unproven`] certificate: the
+//! nodes it visited and a bound no allocation's `φ₁` exceeds.
+//!
+//! Where a search runs out, nearly every allocation near the optimum
+//! reaches `φ₁ ≈ 1`, and the bound screens cannot separate them: the
+//! optimum differs from the incumbent in the last few bits of `φ₁` (a
+//! prefix-CDF read may round a few ulps above 1, and so may a `φ₁`).
+//! So an exhausted solve then runs the *capacity DP*: over the
+//! applications in canonical order and every vector of used processors
+//! per type, the best `(φ₁ desc, Σ E[T] asc)` prefix reaching it.
+//! `fl(x · p)` is monotone in `x`, so the largest prefix product at a
+//! state extends to the largest final product: the DP's `φ₁` is the
+//! maximum over every capacity-feasible allocation, bit for bit, and
+//! becomes the certificate's bound. Its `Σ E[T]` is only a good guess
+//! (prefixes whose products round together are kept by product alone),
+//! so the answer is the better of the DP's allocation and the search's
+//! incumbent. The DP runs only while its states times options stay
+//! under `DP_WORK`; past that, the bound is the root's: the smallest of
+//! the budget DP and the per-type tables at full capacity, widened by
+//! `EPS` in log space. The answer depends on the inputs and the deadline
+//! alone.
 //!
 //! # Parallelism
 //!
@@ -114,6 +143,7 @@ use crate::allocation::{Allocation, Assignment};
 use crate::engine::{OptionStats, Phi1Engine};
 use crate::{RaError, Result};
 use cdsf_system::{pool, Batch, Platform};
+use serde::{Deserialize, Serialize};
 
 /// Slack band of the log-space screen: bounds farther than this below
 /// the incumbent's log are pruned outright, bounds within the band go
@@ -141,6 +171,21 @@ const UNSET: u32 = u32::MAX;
 /// 58 081 nodes, and two workers beat one by 1.5× on a 1.24 M-node
 /// search.
 const SERIAL_BUDGET: u64 = 1 << 16;
+
+/// States times options above which an exhausted anytime solve skips the
+/// capacity DP: about the work of the node budget again.
+const DP_WORK: usize = 1 << 22;
+
+/// Why an anytime solve's answer is not proven optimal: its node budget
+/// ran out first (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Unproven {
+    /// Nodes visited, counting the one the budget ran out on.
+    pub nodes: u64,
+    /// A bound no allocation's `φ₁` exceeds: the capacity DP's exact
+    /// maximum, or the root's bound where the DP is too large.
+    pub phi1_bound: f64,
+}
 
 /// One candidate option with its precomputed bound data.
 #[derive(Debug, Clone, Copy)]
@@ -334,6 +379,13 @@ pub struct LatticeScratch {
     /// (`-inf` on zero): [`mask_opt_log`] flattened so the hot loops
     /// index instead of re-branching on the mask bit.
     wopt_log: Vec<f64>,
+    /// Capacity-DP layers: per used-processor state, the best `(φ₁,
+    /// Σ E[T])` prefix (`φ₁ = -inf` when unreached).
+    dp: Vec<(f64, f64)>,
+    dp_next: Vec<(f64, f64)>,
+    /// `dp_back[app * states + state]`: the option index that reached
+    /// `state` at `app` on the best prefix.
+    dp_back: Vec<u16>,
 }
 
 impl LatticeScratch {
@@ -461,7 +513,7 @@ struct Ctx<'a> {
     /// bit order equals value order and `fetch_max` is a float max).
     shared: &'a AtomicU64,
     /// Node visits after which a worker gives up ([`u64::MAX`] for the
-    /// public solvers, which never do).
+    /// exact solvers, which never do).
     node_budget: u64,
 }
 
@@ -1185,6 +1237,86 @@ fn search_serial(scratch: &mut LatticeScratch, positive_only: bool, node_budget:
     scratch.state = st;
 }
 
+/// The capacity DP of an exhausted anytime solve (see the module docs):
+/// the allocation of maximal `φ₁`, ties to the smaller `Σ E[T]` as the
+/// DP saw them. `None` when nothing fits the capacities or the states
+/// times options exceed [`DP_WORK`].
+fn capacity_dp(scratch: &mut LatticeScratch) -> Option<BestSlot> {
+    let caps = &scratch.root_free;
+    let mut strides = Vec::with_capacity(caps.len());
+    let mut states = 1usize;
+    for &cap in caps {
+        strides.push(states);
+        states = states.checked_mul(cap as usize + 1)?;
+    }
+    let options: usize = scratch.apps.iter().map(|ab| ab.len as usize).sum();
+    if states.checked_mul(options)? > DP_WORK {
+        return None;
+    }
+    let n = scratch.apps.len();
+    const UNREACHED: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
+    let (dp, next) = (&mut scratch.dp, &mut scratch.dp_next);
+    dp.clear();
+    dp.resize(states, UNREACHED);
+    dp[0] = (1.0, 0.0);
+    scratch.dp_back.clear();
+    scratch.dp_back.resize(n * states, 0);
+    let mut used = vec![0u32; caps.len()];
+    for (app, ab) in scratch.apps.iter().enumerate() {
+        next.clear();
+        next.resize(states, UNREACHED);
+        let opts = &scratch.opts[ab.start as usize..(ab.start + ab.len) as usize];
+        let back = &mut scratch.dp_back[app * states..(app + 1) * states];
+        for (state, &(prob, sum)) in dp.iter().enumerate() {
+            if prob == f64::NEG_INFINITY {
+                continue;
+            }
+            for (t, u) in used.iter_mut().enumerate() {
+                *u = (state / strides[t]) as u32 % (caps[t] + 1);
+            }
+            for (k, o) in opts.iter().enumerate() {
+                let t = o.asg.proc_type.0;
+                if used[t] + o.asg.procs > caps[t] {
+                    continue;
+                }
+                let to = state + o.asg.procs as usize * strides[t];
+                let cand = (prob * o.prob, sum + o.exp_time);
+                let held = next[to];
+                if cand.0 > held.0 || (cand.0 == held.0 && cand.1 < held.1) {
+                    next[to] = cand;
+                    back[to] = k as u16;
+                }
+            }
+        }
+        std::mem::swap(dp, next);
+    }
+    let mut best: Option<(usize, (f64, f64))> = None;
+    for (state, &v) in dp.iter().enumerate() {
+        let better = match best {
+            None => v.0 > f64::NEG_INFINITY,
+            Some((_, b)) => v.0 > b.0 || (v.0 == b.0 && v.1 < b.1),
+        };
+        if better {
+            best = Some((state, v));
+        }
+    }
+    let (mut state, (prob, sum_exp)) = best?;
+    let mut path = vec![UNSET; n];
+    for app in (0..n).rev() {
+        let k = scratch.dp_back[app * states + state];
+        path[app] = u32::from(k);
+        let o = &scratch.opts[(scratch.apps[app].start + u32::from(k)) as usize];
+        state -= o.asg.procs as usize * strides[o.asg.proc_type.0];
+    }
+    Some(BestSlot {
+        valid: true,
+        worst: prob,
+        prob,
+        sum_exp,
+        path,
+    })
+}
+
 /// Where an exhausted serial search stopped: per depth of the path it
 /// was on, root first, the position of the path's child in that depth's
 /// child order. Empty when the search was not exhausted.
@@ -1208,24 +1340,27 @@ fn cut_path(scratch: &LatticeScratch) -> Vec<usize> {
 
 /// One search phase at `threads` workers: the winning slot (`None` when
 /// the phase committed no leaf), its counters left in
-/// `scratch.state.counters`. Several workers first search serially for
-/// at most `serial_budget` nodes below the root; only a phase that
-/// outruns it is split, and the split searches only what the prefix left.
+/// `scratch.state.counters`. One worker stops after `node_budget` nodes
+/// and leaves `scratch.state.exhausted` set. Several workers first search
+/// serially for at most `serial_budget` nodes below the root; only a
+/// phase that outruns it is split, and the split searches only what the
+/// prefix left, to the end.
 fn search_phase(
     scratch: &mut LatticeScratch,
     threads: usize,
     positive_only: bool,
     serial_budget: u64,
+    node_budget: u64,
 ) -> Result<Option<BestSlot>> {
     // The root's own visit is free, so even a zero budget orders the
     // root's children before it splits.
     let budget = if threads > 1 {
         serial_budget.saturating_add(1)
     } else {
-        u64::MAX
+        node_budget
     };
     search_serial(scratch, positive_only, budget);
-    if !scratch.state.exhausted {
+    if threads == 1 || !scratch.state.exhausted {
         return Ok(scratch.state.best.valid.then(|| scratch.state.best.clone()));
     }
     let s: &LatticeScratch = scratch;
@@ -1306,48 +1441,82 @@ fn search_phase(
             }
         }
     }
-    // Stash the merged counters where `optimum` builds the report from.
+    // Stash the merged counters where `optimum` builds the report from;
+    // the split finished what the prefix left.
     scratch.state.counters = counters;
+    scratch.state.exhausted = false;
     Ok(merged)
 }
 
-/// Whether the root's (worst-case) suffix bounds leave room for a
-/// positive allocation. When they do not, phase 1 would cut every root
-/// child, so it is skipped — and with it, at several workers, one
-/// round of pool start-up.
-fn root_may_be_positive(scratch: &LatticeScratch) -> bool {
+/// The root's bound on the objective in log space: the smallest of the
+/// (worst-case) suffix tables at full capacity. No allocation's
+/// `Σ ln p` exceeds it beyond the log-sum rounding `EPS` covers; `-inf`
+/// when none is positive. Phase 1 would then cut every root child, so it
+/// is skipped — and with it, at several workers, one round of pool
+/// start-up.
+fn root_log_bound(scratch: &LatticeScratch) -> f64 {
     let n = scratch.apps.len();
     let total = scratch.stride - 1;
     if scratch.subsets.is_empty() {
-        scratch.dlog[total] > f64::NEG_INFINITY
-            && scratch.root_free.iter().enumerate().all(|(t, &cap)| {
-                scratch.tlog[t * (n + 1) * scratch.tstride + cap as usize] > f64::NEG_INFINITY
-            })
+        scratch
+            .root_free
+            .iter()
+            .enumerate()
+            .map(|(t, &cap)| scratch.tlog[t * (n + 1) * scratch.tstride + cap as usize])
+            .fold(scratch.dlog[total], f64::min)
     } else {
         let rows = (n + 1) * scratch.stride;
-        (0..scratch.subsets.len()).all(|m| scratch.wdlog[m * rows + total] > f64::NEG_INFINITY)
+        (0..scratch.subsets.len())
+            .map(|m| scratch.wdlog[m * rows + total])
+            .fold(f64::INFINITY, f64::min)
     }
 }
 
 /// Runs the full branch-and-bound for a prepared scratch and returns the
 /// winning slot; `None` when no capacity-feasible allocation exists. The
-/// counters of both phases end up in `scratch.state.counters`.
+/// counters of both phases end up in `scratch.state.counters`. At one
+/// worker the two phases share `node_budget` nodes; a search that runs
+/// out returns its incumbent (`None` if it had none) with
+/// `scratch.state.exhausted` set.
 fn search(
     scratch: &mut LatticeScratch,
     threads: usize,
     serial_budget: u64,
+    node_budget: u64,
 ) -> Result<Option<BestSlot>> {
     let mut first = LatticeCounters::default();
-    if root_may_be_positive(scratch) {
-        let positive = search_phase(scratch, threads, true, serial_budget)?;
-        if positive.as_ref().is_some_and(|b| b.worst > 0.0) {
+    if root_log_bound(scratch) > f64::NEG_INFINITY {
+        let positive = search_phase(scratch, threads, true, serial_budget, node_budget)?;
+        if scratch.state.exhausted || positive.as_ref().is_some_and(|b| b.worst > 0.0) {
             return Ok(positive);
         }
         first = scratch.state.counters;
     }
-    let best = search_phase(scratch, threads, false, serial_budget)?;
+    let left = node_budget.saturating_sub(first.nodes);
+    let best = search_phase(scratch, threads, false, serial_budget, left)?;
     scratch.state.counters.add(&first);
     Ok(best)
+}
+
+/// `deadline` when it is positive and finite.
+fn valid_deadline(deadline: f64) -> Result<f64> {
+    if !(deadline > 0.0) || !deadline.is_finite() {
+        return Err(RaError::BadParameter {
+            name: "deadline",
+            value: deadline,
+        });
+    }
+    Ok(deadline)
+}
+
+/// The report of the winning slot of a search that just ran.
+fn report(scratch: &LatticeScratch, best: &BestSlot) -> LatticeReport {
+    LatticeReport {
+        phi1: best.worst,
+        nominal_phi1: best.prob,
+        sum_exp: best.sum_exp,
+        counters: scratch.state.counters,
+    }
 }
 
 /// Shared search behind both allocators: validates, prepares the scratch
@@ -1361,12 +1530,7 @@ fn optimum(
     gamma: Option<(usize, f64)>,
     scratch: &mut LatticeScratch,
 ) -> Result<(Allocation, LatticeReport)> {
-    if !(deadline > 0.0) || !deadline.is_finite() {
-        return Err(RaError::BadParameter {
-            name: "deadline",
-            value: deadline,
-        });
-    }
+    valid_deadline(deadline)?;
     if threads == 0 {
         return Err(RaError::BadParameter {
             name: "threads",
@@ -1382,15 +1546,9 @@ fn optimum(
         }
     }
     prepare(scratch, engine, platform, deadline, gamma)?;
-    let best = search(scratch, threads, SERIAL_BUDGET)?.ok_or(RaError::NoFeasibleAllocation)?;
-
-    let report = LatticeReport {
-        phi1: best.worst,
-        nominal_phi1: best.prob,
-        sum_exp: best.sum_exp,
-        counters: scratch.state.counters,
-    };
-    Ok((path_allocation(scratch, &best.path), report))
+    let best =
+        search(scratch, threads, SERIAL_BUDGET, u64::MAX)?.ok_or(RaError::NoFeasibleAllocation)?;
+    Ok((path_allocation(scratch, &best.path), report(scratch, &best)))
 }
 
 /// [`optimum`] classified: a positive optimum is `Optimal`, a zero one
@@ -1449,8 +1607,7 @@ pub(crate) enum Budgeted {
 /// caller has already validated. Phase 2 never runs: its zero-probability
 /// optimum is not needed, so a deadline-infeasible instance costs the
 /// few nodes phase 1 takes to find no positive leaf. Simulated
-/// annealing's certified early exit is the only caller; the public
-/// solvers stay unbudgeted.
+/// annealing's certified early exit is the only caller.
 pub(crate) fn budgeted_optimum(
     engine: &Phi1Engine,
     platform: &Platform,
@@ -1532,6 +1689,57 @@ impl Lattice {
         scratch: &mut LatticeScratch,
     ) -> Result<(Allocation, LatticeReport)> {
         optimum(engine, platform, deadline, self.threads, None, scratch)
+    }
+
+    /// Nodes an anytime solve visits, both phases together, before it
+    /// returns its incumbent unproven: 4.7–7.1 ms of CPU where the
+    /// frontier's searches ran out, on a 2-vCPU host (EXPERIMENTS.md,
+    /// "A node-budgeted lattice for every exact serve request").
+    pub const NODE_BUDGET: u64 = 1 << 15;
+
+    /// The anytime solve (see the module docs): the exact optimum as
+    /// [`Lattice::optimum_with_engine`] finds it, searched on this thread
+    /// for at most [`Lattice::NODE_BUDGET`] nodes. `None` in the last
+    /// place proves the answer optimal; otherwise the answer is the best
+    /// allocation the budget and the capacity DP reached, with its
+    /// certificate. The answer depends on the inputs and the deadline
+    /// alone.
+    ///
+    /// # Errors
+    ///
+    /// [`RaError::NoFeasibleAllocation`] when no allocation fits the
+    /// capacities, and [`RaError::BudgetExhausted`] when the budget ran
+    /// out before the search reached any allocation.
+    pub fn anytime_with_engine(
+        platform: &Platform,
+        engine: &Phi1Engine,
+        deadline: f64,
+        scratch: &mut LatticeScratch,
+    ) -> Result<(Allocation, LatticeReport, Option<Unproven>)> {
+        prepare(scratch, engine, platform, valid_deadline(deadline)?, None)?;
+        let mut best = search(scratch, 1, SERIAL_BUDGET, Self::NODE_BUDGET)?;
+        let nodes = scratch.state.counters.nodes;
+        let mut unproven = None;
+        if scratch.state.exhausted {
+            let mut phi1_bound = (root_log_bound(scratch) + EPS).exp();
+            if let Some(dp) = capacity_dp(scratch) {
+                phi1_bound = dp.worst;
+                let incumbent = best.as_ref();
+                if incumbent.map_or(true, |b| {
+                    b.beaten_by(dp.worst, dp.prob, dp.sum_exp, &dp.path)
+                }) {
+                    best = Some(dp);
+                }
+            }
+            unproven = Some(Unproven { nodes, phi1_bound });
+        }
+        let best = match best {
+            Some(best) => best,
+            None if unproven.is_some() => return Err(RaError::BudgetExhausted { nodes }),
+            None => return Err(RaError::NoFeasibleAllocation),
+        };
+        let alloc = path_allocation(scratch, &best.path);
+        Ok((alloc, report(scratch, &best), unproven))
     }
 }
 
@@ -1849,7 +2057,9 @@ mod tests {
                         (2, FEW[1]),
                         (2, SERIAL_BUDGET),
                     ] {
-                        let pruned = search(&mut scratch, threads, budget).unwrap().unwrap();
+                        let pruned = search(&mut scratch, threads, budget, u64::MAX)
+                            .unwrap()
+                            .unwrap();
                         assert_slots_bit_equal(
                             &pruned,
                             &reference,
@@ -1927,6 +2137,106 @@ mod tests {
         );
     }
 
+    /// The Stage-I bench instance (`cdsf_bench::bench_instance`):
+    /// `num_apps` applications with 12-pulse PMFs on 3 types of 8–16
+    /// processors.
+    fn bench_instance(num_apps: usize) -> (Batch, Platform) {
+        use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
+        let platform = PlatformGenerator {
+            num_types: 3,
+            procs_per_type: (8, 16),
+            availability_pulses: 3,
+            availability_range: Range::new(0.3, 1.0).unwrap(),
+        }
+        .generate(11)
+        .unwrap();
+        let batch = BatchGenerator {
+            num_apps,
+            total_iters: (1_000, 8_000),
+            serial_fraction: Range::new(0.02, 0.2).unwrap(),
+            mean_exec_time: Range::new(1_000.0, 6_000.0).unwrap(),
+            type_heterogeneity: Range::new(0.6, 1.8).unwrap(),
+            pulses: 12,
+        }
+        .generate(&platform, 12)
+        .unwrap();
+        (batch, platform)
+    }
+
+    #[test]
+    fn anytime_solve_inside_its_budget_is_the_exact_optimum() {
+        // Positive optima, zero ones (phase 2 spends what phase 1 left)
+        // and a plateau search of 11 105 nodes.
+        let mut cases = Vec::new();
+        for (b, p) in [
+            (paper_batch(32), paper_platform()),
+            (contended_batch(32), paper_platform()),
+            (contended_batch(32), wide_platform()),
+        ] {
+            for deadline in [100.0, 800.0, 2500.0, DEADLINE, 8000.0] {
+                cases.push((b.clone(), p.clone(), deadline));
+            }
+        }
+        let (b, p) = bench_instance(12);
+        cases.push((b, p, 5_500.0));
+        let mut scratch = LatticeScratch::new();
+        let mut largest = 0;
+        for (b, p, deadline) in &cases {
+            let engine = Phi1Engine::build(b, p).unwrap();
+            let (alloc, report, unproven) =
+                Lattice::anytime_with_engine(p, &engine, *deadline, &mut scratch).unwrap();
+            assert_eq!(unproven, None, "Δ = {deadline}");
+            for threads in [1, 2] {
+                let exact = Lattice::new(threads)
+                    .unwrap()
+                    .optimum_with_engine(p, &engine, *deadline, &mut LatticeScratch::new())
+                    .unwrap();
+                assert_eq!(alloc, exact.0, "Δ = {deadline}, {threads} workers");
+                assert_eq!(report.phi1.to_bits(), exact.1.phi1.to_bits());
+                assert_eq!(report.sum_exp.to_bits(), exact.1.sum_exp.to_bits());
+                if threads == 1 {
+                    assert_eq!(report, exact.1, "Δ = {deadline}: serial counters");
+                }
+            }
+            largest = largest.max(report.counters.nodes);
+        }
+        assert!(largest > 10_000, "no case searched past a few nodes");
+        assert!(Lattice::anytime_with_engine(
+            &paper_platform(),
+            &Phi1Engine::build(&paper_batch(8), &paper_platform()).unwrap(),
+            f64::NAN,
+            &mut scratch
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn anytime_solve_certifies_what_its_budget_did_not_prove() {
+        // Every allocation near the optimum reaches φ₁ = 1 (to a few ulps)
+        // here; the unbudgeted search takes ~15 M nodes to decide the ties
+        // on φ₁'s last bits and the expected-time sum.
+        let (b, p) = bench_instance(16);
+        let engine = Phi1Engine::build(&b, &p).unwrap();
+        let (alloc, report, unproven) =
+            Lattice::anytime_with_engine(&p, &engine, 10_000.0, &mut LatticeScratch::new())
+                .unwrap();
+        let unproven = unproven.expect("the budget runs out");
+        assert_eq!(unproven.nodes, Lattice::NODE_BUDGET + 1);
+        assert_eq!(report.counters.nodes, unproven.nodes);
+        assert!((report.phi1 - 1.0).abs() < 1e-12, "φ₁ = {}", report.phi1);
+        assert!(unproven.phi1_bound >= report.phi1);
+        alloc.validate(&b, &p).unwrap();
+        let evaluated = crate::robustness::evaluate_with_engine(&engine, &b, &p, &alloc, 10_000.0)
+            .unwrap()
+            .joint;
+        assert!(unproven.phi1_bound >= evaluated);
+        // Nothing about the answer depends on the scratch's history.
+        let mut warm = LatticeScratch::new();
+        Lattice::anytime_with_engine(&p, &engine, 4_000.0, &mut warm).unwrap();
+        let again = Lattice::anytime_with_engine(&p, &engine, 10_000.0, &mut warm).unwrap();
+        assert_eq!((again.0, again.1, again.2), (alloc, report, Some(unproven)));
+    }
+
     #[test]
     fn allocate_path_skips_the_proof_not_the_optimum() {
         let solver = Lattice::new(1).unwrap();
@@ -1962,7 +2272,9 @@ mod tests {
             // The plain lattice, then the Γ-robust one.
             for gamma in [None, Some((robust.budget, robust.degradation))] {
                 prepare(&mut scratch, &engine, &p, deadline, gamma).unwrap();
-                let serial = search(&mut scratch, 1, SERIAL_BUDGET).unwrap().unwrap();
+                let serial = search(&mut scratch, 1, SERIAL_BUDGET, u64::MAX)
+                    .unwrap()
+                    .unwrap();
                 // Budget 0 splits every root child, 6 nodes split the
                 // children a cut-short prefix left, and the default
                 // finishes this instance serially.
@@ -1972,7 +2284,9 @@ mod tests {
                             "deadline {deadline}, gamma {gamma:?}, {threads} workers, \
                              serial budget {budget}"
                         );
-                        let split = search(&mut scratch, threads, budget).unwrap().unwrap();
+                        let split = search(&mut scratch, threads, budget, u64::MAX)
+                            .unwrap()
+                            .unwrap();
                         assert_eq!(
                             path_allocation(&scratch, &split.path),
                             path_allocation(&scratch, &serial.path),

@@ -5,8 +5,9 @@
 //!   optimized.
 //! * [`Lattice`] — the paper's "robust IM": the `φ₁`-optimal allocation by
 //!   exact branch-and-bound over the allocation lattice, pruned with
-//!   prefix-CDF bound tables. [`GammaRobust`] is its Γ-budget worst-case
-//!   variant with provable infeasibility.
+//!   prefix-CDF bound tables; [`Lattice::anytime_with_engine`] bounds its
+//!   work and certifies what it did not prove. [`GammaRobust`] is its
+//!   Γ-budget worst-case variant with provable infeasibility.
 //! * [`Exhaustive`] — the serial reference the lattice is held to:
 //!   enumerate every feasible allocation and keep the one maximizing `φ₁`
 //!   under the same total order. Only viable for small instances, which
@@ -35,7 +36,7 @@ pub use exhaustive::Exhaustive;
 pub use greedy::{GreedyMaxRobust, GreedyMinTime, Sufferage};
 pub use incremental::{allocate_incremental, allocate_incremental_with_engine};
 pub use lattice::{
-    GammaRobust, Lattice, LatticeCounters, LatticeReport, LatticeScratch, LatticeSolution,
+    GammaRobust, Lattice, LatticeCounters, LatticeReport, LatticeScratch, LatticeSolution, Unproven,
 };
 pub use metaheuristic::{GeneticAlgorithm, MultiStartReport, SimulatedAnnealing};
 

@@ -824,6 +824,7 @@ mod tests {
         /// hasher. The 256 families share one shard, so they crowd the
         /// sketch's 64-counter rows and the verdicts hang on which
         /// families share counters.
+        #[test]
         fn the_same_operation_sequence_leaves_the_same_cells_resident(
             per_shard in 1usize..=4,
             ops in prop::collection::vec((0u64..256, 1usize..8), 1..400),
@@ -856,6 +857,7 @@ mod tests {
         /// family. An admitted insert removes exactly the scan's victim,
         /// a declined one changes nothing, and the queue holds one entry
         /// per resident cell.
+        #[test]
         fn eviction_matches_the_scan_oracle(
             per_shard in 1usize..=4,
             ops in prop::collection::vec((0usize..4, 0usize..FAMILIES, 1usize..8), 1..80),

@@ -37,6 +37,12 @@ pub enum RaError {
         /// deadline at or above this value succeeds.
         tightest_deadline: f64,
     },
+    /// The lattice's anytime solve ran out of its node budget before it
+    /// reached any complete allocation: nothing is known either way.
+    BudgetExhausted {
+        /// Nodes visited, counting the one the budget ran out on.
+        nodes: u64,
+    },
     /// A search/heuristic parameter was out of its domain.
     BadParameter {
         /// Which parameter.
@@ -69,6 +75,10 @@ impl fmt::Display for RaError {
             RaError::ProvenInfeasible { tightest_deadline } => write!(
                 f,
                 "deadline proven infeasible: tightest feasible deadline is {tightest_deadline}"
+            ),
+            RaError::BudgetExhausted { nodes } => write!(
+                f,
+                "node budget ran out after {nodes} nodes before any allocation was reached"
             ),
             RaError::BadParameter { name, value } => {
                 write!(f, "parameter `{name}` = {value} is out of domain")
@@ -124,6 +134,7 @@ mod tests {
                 },
                 "3100.5",
             ),
+            (RaError::BudgetExhausted { nodes: 32_769 }, "32769"),
             (
                 RaError::BadParameter {
                     name: "seed",

@@ -23,7 +23,8 @@
 //!   [`allocators::EqualShare`] (the paper's naïve load balancing),
 //!   [`allocators::Lattice`] (the paper's optimal search, answered by exact
 //!   branch-and-bound; [`allocators::Exhaustive`] is the serial
-//!   enumeration it is held to bit for bit),
+//!   enumeration it is held to bit for bit; its node-budgeted anytime
+//!   solve certifies the answers it cannot prove),
 //!   and the scalable heuristics the paper names as future work:
 //!   greedy ([`allocators::GreedyMinTime`], [`allocators::GreedyMaxRobust`],
 //!   [`allocators::Sufferage`]) and metaheuristic
@@ -48,7 +49,7 @@ pub mod surface;
 pub use allocation::{Allocation, Assignment};
 pub use allocators::{
     Allocator, GammaRobust, Lattice, LatticeReport, LatticeScratch, LatticeSolution,
-    MultiStartReport, SimulatedAnnealing,
+    MultiStartReport, SimulatedAnnealing, Unproven,
 };
 pub use cell_store::{CellStore, CellStoreStats};
 pub use engine::{inputs_key, EngineBuild, OptionStats, Phi1Engine};

@@ -57,10 +57,10 @@ pub struct LoadgenConfig {
     /// cell store exists for.
     pub catalog_overlap: f64,
     /// Fraction of submissions naming an explicit Stage-I policy instead
-    /// of the server default, split evenly between the pooled
-    /// multi-start annealer (`sa`) and the exact branch-and-bound
-    /// (`lattice`) — so a replay exercises both solver paths and their
-    /// counters (`sa_multistart_runs`, per-policy cache keys).
+    /// of the server default, split evenly between `sa` and `lattice`.
+    /// A shard answers both with the lattice's anytime solve; they stay
+    /// two policies with their own cache keys, and `sa` keeps feeding
+    /// `sa_multistart_runs`, so the canonical streams are unchanged.
     pub policy_mix: f64,
     /// Common deadline Δ for every submission.
     pub deadline: f64,
@@ -714,7 +714,7 @@ mod tests {
         assert_eq!(report.errors, 0, "clean stream replays without errors");
         assert!(
             report.stats.total.sa_multistart_runs > 0,
-            "default policy mix exercises the pooled annealer"
+            "default policy mix names `sa`"
         );
         assert_eq!(report.shards, 2);
         assert_eq!(report.pipeline, 8);

@@ -17,6 +17,7 @@
 //! since schema v1, is populated on guaranteed-tier replies.
 
 use crate::tenant::{TenantEvent, TenantSnapshot, WorkloadSpec};
+use cdsf_ra::Unproven;
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
 
@@ -72,8 +73,8 @@ pub struct SubmitRequest {
     pub spec: WorkloadSpec,
     /// Common deadline Δ.
     pub deadline: f64,
-    /// Stage-I allocator name (`sufferage`, `greedy-max-robust`, `sa`,
-    /// …); the server default when absent.
+    /// Stage-I allocator name (`sufferage`, `greedy-max-robust`,
+    /// `lattice`, …); the server default when absent.
     pub allocator: Option<String>,
     /// φ₁ level above which the verdict reports `robust`; the server
     /// default when absent.
@@ -137,6 +138,11 @@ pub struct SubmitReply {
     pub expected_times: Vec<f64>,
     /// The verdict (joint φ₁ and threshold call).
     pub verdict: RobustVerdict,
+    /// Present only when the lattice's node budget ran out before it
+    /// proved the allocation optimal: the nodes it visited and its bound
+    /// on φ₁.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub unproven: Option<Unproven>,
 }
 
 /// Reply to [`Request::Inject`].
@@ -152,6 +158,9 @@ pub struct InjectReply {
     pub per_app_phi1: Vec<f64>,
     /// The post-event verdict.
     pub verdict: RobustVerdict,
+    /// As [`SubmitReply::unproven`].
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub unproven: Option<Unproven>,
 }
 
 /// Reply to [`Request::Restore`].
@@ -339,11 +348,14 @@ shard_stats! {
     /// ([`DRAIN_DEPTH_BUCKETS`]): how many requests each queue drain
     /// coalesced into one batch.
     drain_depths: Vec<u64>,
-    /// Pooled multi-start SA runs this shard executed.
+    /// Stage-I solves for requests naming `sa` or `annealing`. The shard
+    /// answers them with the lattice's anytime solve; the counter keeps
+    /// its name for the readers that look it up.
     sa_multistart_runs: u64,
-    /// Wins per SA restart-chain index (`sa_restart_wins[c]` counts runs
-    /// chain `c` won) — evidence the extra restarts earn their keep.
-    sa_restart_wins: Vec<u64>,
+    /// Answers whose anytime lattice solve ran out of its node budget
+    /// before proving them optimal, cached answers included: the replies
+    /// that carry `unproven`.
+    alloc_budget_exhausted: u64,
     /// Engine assemblies whose every cell came from the shared cell store
     /// (no kernel ran). Submits and injects assemble only on an
     /// allocation-cache miss; restores and fingerprints always do.
@@ -587,6 +599,7 @@ mod tests {
                 robust: false,
                 guaranteed_tier: None,
             },
+            unproven: None,
         });
         let mut via_write = Vec::new();
         write_line(&mut via_write, &resp).unwrap();
@@ -600,12 +613,7 @@ mod tests {
 
     /// A per-shard row whose every counter is distinct: counter `i` of
     /// the declaration reads `k + i`.
-    fn distinct_row(
-        shard: u64,
-        k: u64,
-        drain_depths: Vec<u64>,
-        sa_restart_wins: Vec<u64>,
-    ) -> ShardStats {
+    fn distinct_row(shard: u64, k: u64, drain_depths: Vec<u64>) -> ShardStats {
         ShardStats {
             shard: Some(shard),
             tenants: k + 1,
@@ -625,7 +633,7 @@ mod tests {
             alloc_cache_misses: k + 15,
             drain_depths,
             sa_multistart_runs: k + 17,
-            sa_restart_wins,
+            alloc_budget_exhausted: k + 18,
             cache_hits: k + 19,
             cache_misses: k + 20,
             cache_rebuilds: k + 21,
@@ -647,7 +655,7 @@ mod tests {
         r#""alloc_fallbacks_infeasible_heuristic":110,"alloc_fallbacks_other":111,"#,
         r#""spec_cache_hits":112,"spec_cache_misses":113,"alloc_cache_hits":114,"#,
         r#""alloc_cache_misses":115,"drain_depths":[131,132,133],"sa_multistart_runs":117,"#,
-        r#""sa_restart_wins":[141],"cache_hits":119,"cache_misses":120,"cache_rebuilds":121,"#,
+        r#""alloc_budget_exhausted":118,"cache_hits":119,"cache_misses":120,"cache_rebuilds":121,"#,
         r#""coalesced":122,"builds":123,"pool_runs":124,"pool_tasks_run":125,"#,
         r#""pool_chunks_stolen":126},"#,
         r#"{"shard":1,"tenants":201,"submits":202,"#,
@@ -656,7 +664,7 @@ mod tests {
         r#""alloc_fallbacks_infeasible_heuristic":210,"alloc_fallbacks_other":211,"#,
         r#""spec_cache_hits":212,"spec_cache_misses":213,"alloc_cache_hits":214,"#,
         r#""alloc_cache_misses":215,"drain_depths":[231,232,233,234],"sa_multistart_runs":217,"#,
-        r#""sa_restart_wins":[241,242,243],"cache_hits":219,"cache_misses":220,"#,
+        r#""alloc_budget_exhausted":218,"cache_hits":219,"cache_misses":220,"#,
         r#""cache_rebuilds":221,"coalesced":222,"builds":223,"pool_runs":224,"#,
         r#""pool_tasks_run":225,"pool_chunks_stolen":226}],"#,
         r#""total":{"tenants":302,"submits":304,"#,
@@ -665,7 +673,7 @@ mod tests {
         r#""alloc_fallbacks_infeasible_heuristic":320,"alloc_fallbacks_other":322,"#,
         r#""spec_cache_hits":324,"spec_cache_misses":326,"alloc_cache_hits":328,"#,
         r#""alloc_cache_misses":330,"drain_depths":[362,364,366,234],"sa_multistart_runs":334,"#,
-        r#""sa_restart_wins":[382,242,243],"cache_hits":338,"cache_misses":340,"#,
+        r#""alloc_budget_exhausted":336,"cache_hits":338,"cache_misses":340,"#,
         r#""cache_rebuilds":342,"coalesced":344,"builds":346,"pool_runs":348,"#,
         r#""pool_tasks_run":350,"pool_chunks_stolen":352},"#,
         r#""codec":{"reply_bytes":901,"reply_frames":902,"flushes":903},"#,
@@ -676,21 +684,19 @@ mod tests {
 
     #[test]
     fn totals_row_omits_the_shard_field() {
-        // A row with shorter histograms merged after a longer one (a shard
-        // that ran no SA reports `sa_restart_wins: []`) keeps the tail.
+        // A row with a shorter histogram merged after a longer one (a
+        // default row's `drain_depths` is empty) keeps the tail.
         let mut total = ShardStats::default();
         total.merge(&ShardStats {
             shard: Some(0),
             submits: 3,
             drain_depths: vec![1, 2],
-            sa_restart_wins: vec![0, 1, 0, 0],
             ..ShardStats::default()
         });
         total.merge(&ShardStats {
             shard: Some(1),
             submits: 4,
             drain_depths: vec![5],
-            sa_restart_wins: vec![2],
             ..ShardStats::default()
         });
         total.merge(&ShardStats {
@@ -700,11 +706,10 @@ mod tests {
         assert_eq!(total.shard, None);
         assert_eq!(total.submits, 7);
         assert_eq!(total.drain_depths, vec![6, 2]);
-        assert_eq!(total.sa_restart_wins, vec![2, 1, 0, 0]);
 
         let per_shard = vec![
-            distinct_row(0, 100, vec![131, 132, 133], vec![141]),
-            distinct_row(1, 200, vec![231, 232, 233, 234], vec![241, 242, 243]),
+            distinct_row(0, 100, vec![131, 132, 133]),
+            distinct_row(1, 200, vec![231, 232, 233, 234]),
         ];
         let mut total = ShardStats::default();
         for row in &per_shard {
@@ -713,7 +718,6 @@ mod tests {
         assert_eq!(total.shard, None);
         assert_eq!(total.submits, 304);
         assert_eq!(total.drain_depths, vec![362, 364, 366, 234]);
-        assert_eq!(total.sa_restart_wins, vec![382, 242, 243]);
         let reply = Response::Stats(StatsReply {
             shards: 2,
             per_shard,
@@ -816,6 +820,48 @@ mod tests {
         )
         .unwrap();
         assert_eq!(per_shard.shard, Some(3));
+    }
+
+    #[test]
+    fn unproven_is_written_only_when_present() {
+        let reply = |unproven| {
+            Response::Inject(InjectReply {
+                tenant: "acme".into(),
+                engine_key: 7,
+                assignments: vec![],
+                per_app_phi1: vec![0.5],
+                verdict: RobustVerdict {
+                    phi1: 0.5,
+                    threshold: 0.8,
+                    robust: false,
+                    guaranteed_tier: None,
+                },
+                unproven,
+            })
+        };
+        let proven = serde_json::to_string(&reply(None)).unwrap();
+        assert_eq!(
+            proven,
+            r#"{"Inject":{"tenant":"acme","engine_key":7,"assignments":[],"per_app_phi1":[0.5],"verdict":{"phi1":0.5,"threshold":0.8,"robust":false,"guaranteed_tier":null}}}"#
+        );
+        let cut = Unproven {
+            nodes: 32_769,
+            phi1_bound: 0.75,
+        };
+        let unproven = serde_json::to_string(&reply(Some(cut))).unwrap();
+        assert_eq!(
+            unproven,
+            proven.replace(
+                "null}}}",
+                r#"null},"unproven":{"nodes":32769,"phi1_bound":0.75}}}"#
+            )
+        );
+        for (json, want) in [(&proven, None), (&unproven, Some(cut))] {
+            let Response::Inject(back) = serde_json::from_str(json).unwrap() else {
+                panic!("expected an inject reply");
+            };
+            assert_eq!(back.unproven, want);
+        }
     }
 
     #[test]

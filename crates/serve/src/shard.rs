@@ -52,7 +52,7 @@ use cdsf_core::{CoreError, ImPolicy};
 use cdsf_ra::robustness::evaluate_with_engine;
 use cdsf_ra::{
     inputs_key, Allocation, CellStore, EngineBuild, GammaRobust, Lattice, LatticeScratch,
-    MultiStartReport, Phi1Engine, RaError, SimulatedAnnealing,
+    Phi1Engine, RaError, Unproven,
 };
 use cdsf_system::{Batch, Platform};
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -188,7 +188,8 @@ struct SpecEntry {
 }
 
 /// A Stage-I answer: the allocation in wire form, its per-app and joint
-/// φ₁, the expected times, and whether (and why) it fell back.
+/// φ₁, the expected times, whether (and why) it fell back, and the
+/// certificate of a lattice solve that ran out of budget.
 #[derive(Clone)]
 struct Answer {
     assignments: Vec<WireAssignment>,
@@ -196,6 +197,7 @@ struct Answer {
     expected_times: Vec<f64>,
     joint: f64,
     fallback: Option<FallbackReason>,
+    unproven: Option<Unproven>,
 }
 
 /// A cached [`Answer`], keyed by everything it is a function of: the
@@ -247,6 +249,8 @@ pub struct ShardCore {
     tenants: BTreeMap<String, TenantState>,
     spec_cache: VecDeque<SpecEntry>,
     alloc_cache: VecDeque<AllocEntry>,
+    /// The lattice's buffers, warm across this shard's solves.
+    scratch: LatticeScratch,
     /// Every counter the shard reports except its id and tenant count,
     /// which [`ShardCore::stats`] fills in.
     counters: ShardStats,
@@ -272,6 +276,7 @@ impl ShardCore {
             tenants: BTreeMap::new(),
             spec_cache: VecDeque::new(),
             alloc_cache: VecDeque::new(),
+            scratch: LatticeScratch::new(),
             counters: ShardStats {
                 drain_depths: vec![0; DRAIN_DEPTH_BUCKETS],
                 ..ShardStats::default()
@@ -337,12 +342,16 @@ impl ShardCore {
         }
     }
 
-    /// Per-request fallback accounting — cached outcomes count too, so
-    /// the rate keeps meaning "requests whose allocation fell back",
-    /// independent of cache warmth.
-    fn record_fallback(&mut self, fallback: Option<FallbackReason>) {
-        let Some(reason) = fallback else { return };
+    /// Per-request fallback and budget accounting — cached outcomes count
+    /// too, so the rates keep meaning "requests whose allocation fell
+    /// back" and "replies carrying `unproven`", independent of cache
+    /// warmth.
+    fn record_outcome(&mut self, answer: &Answer) {
         let c = &mut self.counters;
+        c.alloc_budget_exhausted += u64::from(answer.unproven.is_some());
+        let Some(reason) = answer.fallback else {
+            return;
+        };
         c.alloc_fallbacks += 1;
         match reason {
             FallbackReason::Infeasible { proven } => {
@@ -355,15 +364,6 @@ impl ShardCore {
             }
             FallbackReason::Other => c.alloc_fallbacks_other += 1,
         }
-    }
-
-    fn record_sa(&mut self, report: &MultiStartReport) {
-        self.counters.sa_multistart_runs += 1;
-        let wins = &mut self.counters.sa_restart_wins;
-        if wins.len() < report.restarts {
-            wins.resize(report.restarts, 0);
-        }
-        wins[report.winner] += 1;
     }
 
     /// The expansion of `spec` with its inputs key, from the spec cache
@@ -425,11 +425,17 @@ impl ShardCore {
                 let threads = self.cfg.build_threads;
                 let (engine, kernel_ran) =
                     assemble(&self.store, &mut self.counters, batch, platform, threads)?;
-                let run =
-                    allocate_or_fallback(policy, batch, platform, &engine, deadline, threads)?;
+                let run = allocate_or_fallback(
+                    policy,
+                    batch,
+                    platform,
+                    &engine,
+                    deadline,
+                    &mut self.scratch,
+                )?;
                 let report = evaluate_with_engine(&engine, batch, platform, &run.alloc, deadline)?;
-                if let Some(sa) = &run.sa {
-                    self.record_sa(sa);
+                if run.fallback.is_none() && matches!(allocator, "sa" | "annealing") {
+                    self.counters.sa_multistart_runs += 1;
                 }
                 let answer = Answer {
                     assignments: wire_assignments(&run.alloc),
@@ -437,6 +443,7 @@ impl ShardCore {
                     expected_times: report.expected_times,
                     joint: report.joint,
                     fallback: run.fallback,
+                    unproven: run.unproven,
                 };
                 self.counters.alloc_cache_misses += 1;
                 self.alloc_cache.push_front(AllocEntry {
@@ -449,7 +456,7 @@ impl ShardCore {
                 (answer, kernel_ran)
             }
         };
-        self.record_fallback(answer.fallback);
+        self.record_outcome(&answer);
         self.account(key, kernel_ran, keys_built);
         Ok((answer, kernel_ran))
     }
@@ -544,6 +551,7 @@ impl ShardCore {
                 robust: answer.joint >= threshold,
                 guaranteed_tier,
             },
+            unproven: answer.unproven,
         }))
     }
 
@@ -583,6 +591,7 @@ impl ShardCore {
                 // worst case or errors above, like its submit did.
                 guaranteed_tier: (allocator_name == "gamma-robust").then_some(true),
             },
+            unproven: answer.unproven,
         }))
     }
 
@@ -672,44 +681,40 @@ fn unknown_tenant(tenant: &str) -> ServeError {
 
 /// How a shard runs a named allocator.
 enum ShardPolicy {
-    /// The framework's policy dispatch; the exact solvers (`lattice`,
-    /// `gamma-robust`) run at the shard's configured pool width, which
-    /// never changes their answer.
+    /// The framework's policy dispatch; the guaranteed tier's Γ-robust
+    /// solver runs at the shard's configured pool width, which never
+    /// changes its answer.
     Standard(ImPolicy),
-    /// `sa`/`annealing` resolve to the pooled multi-start annealer with
-    /// the shard's configured pool width — same seeds, same in-order
-    /// argmax, so the allocation (and reply bytes) are identical to the
-    /// serial annealer for every width.
-    PooledSa(SimulatedAnnealing),
+    /// The exact lattice's anytime solve, which holds the shard for at
+    /// most [`Lattice::NODE_BUDGET`] nodes: `lattice` and the robust IM
+    /// (`robust`, `exhaustive`), and `sa`, `annealing`, `ga` and
+    /// `genetic`, whose metaheuristics never beat the lattice's `φ₁` on
+    /// a serve spec and cost more CPU there.
+    Anytime,
 }
 
 fn resolve_policy(name: &str, cfg: &ServeConfig) -> Result<ShardPolicy> {
-    match name {
-        "sa" | "annealing" => Ok(ShardPolicy::PooledSa(SimulatedAnnealing {
+    let policy = ImPolicy::by_name(name)
+        .ok_or_else(|| ServeError::Protocol(format!("unknown allocator `{name}`")))?;
+    Ok(match (name, &policy) {
+        ("lattice" | "sa" | "annealing" | "ga" | "genetic", _) | (_, ImPolicy::Robust) => {
+            ShardPolicy::Anytime
+        }
+        ("gamma-robust", _) => ShardPolicy::Standard(ImPolicy::Custom(Box::new(GammaRobust {
             threads: cfg.build_threads,
-            ..SimulatedAnnealing::default()
-        })),
-        "lattice" => Ok(ShardPolicy::Standard(ImPolicy::Custom(Box::new(Lattice {
-            threads: cfg.build_threads,
-        })))),
-        "gamma-robust" => Ok(ShardPolicy::Standard(ImPolicy::Custom(Box::new(
-            GammaRobust {
-                threads: cfg.build_threads,
-                ..GammaRobust::default()
-            },
-        )))),
-        _ => ImPolicy::by_name(name)
-            .map(ShardPolicy::Standard)
-            .ok_or_else(|| ServeError::Protocol(format!("unknown allocator `{name}`"))),
-    }
+            ..GammaRobust::default()
+        }))),
+        _ => ShardPolicy::Standard(policy),
+    })
 }
 
 /// One allocation run's outcome: the allocation, whether (and why) it
-/// fell back, and the pooled-SA telemetry when that path ran.
+/// fell back, and the certificate of a lattice solve that ran out of
+/// budget.
 struct AllocRun {
     alloc: Allocation,
     fallback: Option<FallbackReason>,
-    sa: Option<MultiStartReport>,
+    unproven: Option<Unproven>,
 }
 
 /// Whether a Stage-I failure is an infeasibility claim — the class of
@@ -721,21 +726,22 @@ fn is_infeasible_claim(e: &CoreError) -> bool {
 /// Runs the requested policy. A Γ-robust infeasibility *proof*
 /// propagates as an error (the message carries the tightest feasible
 /// deadline for the client to retry with). A heuristic's
-/// `NoFeasibleAllocation` claim is adjudicated by the exact lattice
-/// solver instead of blindly falling back to equal-share: if a feasible
-/// allocation exists the solver's optimum is served (`proven: false` —
-/// the heuristic merely painted itself into a corner); if none does,
-/// the solver's best-effort minimum-expected-time allocation is served
-/// under a proof (`proven: true`). Other Stage-I failures keep the
-/// deterministic equal-share fallback; the original error propagates
-/// when even that cannot pack the batch.
+/// `NoFeasibleAllocation` claim is adjudicated by the lattice's anytime
+/// solve instead of blindly falling back to equal-share: if an
+/// allocation with positive φ₁ may exist, the solve's answer is served
+/// (`proven: false` — the heuristic merely painted itself into a
+/// corner); if none can, the solve's best-effort minimum-expected-time
+/// allocation is served under a proof (`proven: true`, the solve's bound
+/// on φ₁ is zero). Other Stage-I failures keep the deterministic
+/// equal-share fallback; the original error propagates when even that
+/// cannot pack the batch.
 fn allocate_or_fallback(
     policy: &ShardPolicy,
     batch: &Batch,
     platform: &Platform,
     engine: &Phi1Engine,
     deadline: f64,
-    threads: usize,
+    scratch: &mut LatticeScratch,
 ) -> Result<AllocRun> {
     let primary: std::result::Result<AllocRun, (String, bool)> = match policy {
         ShardPolicy::Standard(p) => match p.allocate_with_engine(batch, platform, engine, deadline)
@@ -743,7 +749,7 @@ fn allocate_or_fallback(
             Ok(alloc) => Ok(AllocRun {
                 alloc,
                 fallback: None,
-                sa: None,
+                unproven: None,
             }),
             // The guaranteed tier's rejection path: no fallback softens
             // a worst-case infeasibility proof.
@@ -752,17 +758,19 @@ fn allocate_or_fallback(
             }
             Err(e) => Err((e.to_string(), is_infeasible_claim(&e))),
         },
-        ShardPolicy::PooledSa(sa) => match sa.allocate_multi_start(platform, engine, deadline) {
-            Ok((alloc, report)) => Ok(AllocRun {
-                alloc,
-                fallback: None,
-                sa: Some(report),
-            }),
-            Err(e) => {
-                let infeasible = matches!(e, RaError::NoFeasibleAllocation);
-                Err((e.to_string(), infeasible))
+        ShardPolicy::Anytime => {
+            match Lattice::anytime_with_engine(platform, engine, deadline, scratch) {
+                Ok((alloc, _, unproven)) => Ok(AllocRun {
+                    alloc,
+                    fallback: None,
+                    unproven,
+                }),
+                Err(e) => {
+                    let infeasible = matches!(e, RaError::NoFeasibleAllocation);
+                    Err((e.to_string(), infeasible))
+                }
             }
-        },
+        }
     };
     let (message, claims_infeasible) = match primary {
         Ok(run) => return Ok(run),
@@ -772,31 +780,32 @@ fn allocate_or_fallback(
         return Err(ServeError::Framework(message));
     }
     if claims_infeasible {
-        // Only the verdict is read, so the search skips the
-        // tightest-deadline proof.
-        let lattice = Lattice { threads };
-        let mut scratch = LatticeScratch::new();
-        if let Ok((alloc, report)) =
-            lattice.optimum_with_engine(platform, engine, deadline, &mut scratch)
-        {
-            return Ok(AllocRun {
-                alloc,
-                fallback: Some(FallbackReason::Infeasible {
-                    proven: report.phi1 == 0.0,
-                }),
-                sa: None,
-            });
+        match Lattice::anytime_with_engine(platform, engine, deadline, scratch) {
+            Ok((alloc, report, unproven)) => {
+                let phi1_bound = unproven.map_or(report.phi1, |u| u.phi1_bound);
+                return Ok(AllocRun {
+                    alloc,
+                    fallback: Some(FallbackReason::Infeasible {
+                        proven: phi1_bound == 0.0,
+                    }),
+                    unproven,
+                });
+            }
+            // Even the exact solver has no packing (capacity
+            // infeasibility). Equal-share allocates within the same
+            // lattice, so it cannot succeed either — propagate the
+            // primary failure.
+            Err(RaError::NoFeasibleAllocation) => return Err(ServeError::Framework(message)),
+            // The budget ran out before the solve reached any
+            // allocation: equal-share below.
+            Err(_) => {}
         }
-        // Even the exact solver has no packing (capacity infeasibility).
-        // Equal-share allocates within the same lattice, so it cannot
-        // succeed either — propagate the primary failure.
-        return Err(ServeError::Framework(message));
     }
     match ImPolicy::Naive.allocate_with_engine(batch, platform, engine, deadline) {
         Ok(alloc) => Ok(AllocRun {
             alloc,
             fallback: Some(FallbackReason::Other),
-            sa: None,
+            unproven: None,
         }),
         Err(_) => Err(ServeError::Framework(message)),
     }
@@ -1370,45 +1379,71 @@ mod tests {
         }
     }
 
+    fn submit_with(spec: WorkloadSpec, deadline: f64, allocator: Option<&str>) -> Request {
+        Request::Submit(SubmitRequest {
+            tenant: "acme".to_string(),
+            spec,
+            deadline,
+            allocator: allocator.map(str::to_string),
+            threshold: None,
+            qos: None,
+        })
+    }
+
     #[test]
-    fn pooled_sa_allocator_serves_and_reports_wins() {
+    fn metaheuristic_names_are_answered_by_the_lattice() {
         let mut core = ShardCore::new(0, test_cfg());
-        let resp = core.handle(&Request::Submit(SubmitRequest {
-            tenant: "acme".to_string(),
-            spec: spec(3),
-            deadline: 2_800.0,
-            allocator: Some("sa".to_string()),
-            threshold: None,
-            qos: None,
-        }));
-        let Response::Submit(reply) = resp else {
-            panic!("expected submit reply, got {resp:?}");
+        let bytes = |core: &mut ShardCore, allocator| {
+            let resp = core.handle(&submit_with(spec(3), 2_800.0, Some(allocator)));
+            assert!(matches!(resp, Response::Submit(_)), "{allocator}: {resp:?}");
+            serde_json::to_string(&resp).unwrap()
         };
-        assert_eq!(reply.assignments.len(), 3);
+        let lattice = bytes(&mut core, "lattice");
+        for allocator in ["sa", "annealing", "ga", "genetic", "robust", "exhaustive"] {
+            assert_eq!(bytes(&mut core, allocator), lattice, "{allocator}");
+        }
+        // One solve per name, and the `sa`/`annealing` ones still count.
         let stats = core.stats();
-        assert_eq!(stats.sa_multistart_runs, 1);
-        assert_eq!(stats.sa_restart_wins.iter().sum::<u64>(), 1);
+        assert_eq!(stats.alloc_cache_misses, 7);
+        assert_eq!(stats.sa_multistart_runs, 2);
+        assert_eq!(stats.alloc_budget_exhausted, 0);
         // A warm repeat is served from the result cache — no second run.
-        let warm = core.handle(&Request::Submit(SubmitRequest {
-            tenant: "acme".to_string(),
-            spec: spec(3),
-            deadline: 2_800.0,
-            allocator: Some("sa".to_string()),
-            threshold: None,
-            qos: None,
-        }));
-        assert_eq!(
-            serde_json::to_string(&Response::Submit(reply)).unwrap(),
-            serde_json::to_string(&warm).unwrap()
-        );
-        assert_eq!(core.stats().sa_multistart_runs, 1);
+        assert_eq!(bytes(&mut core, "sa"), lattice);
+        assert_eq!(core.stats().sa_multistart_runs, 2);
+    }
+
+    #[test]
+    fn plateau_submits_are_answered_within_the_node_budget() {
+        // Sixteen applications on a platform where nearly every
+        // allocation reaches φ₁ ≈ 1 at this deadline: the unbudgeted
+        // lattice held a shard for seconds deciding the ties. Sufferage
+        // (the default) claims infeasibility and the fallback's solve runs
+        // out of budget, as does the solve a request naming `sa` runs.
+        // Both replies say so, and each counts once.
+        let plateau = WorkloadSpec::simple(16, 3, 8, 7);
+        for (allocator, fallbacks) in [(None, 1), (Some("sa"), 0)] {
+            let mut core = ShardCore::new(0, test_cfg());
+            let resp = core.handle(&submit_with(plateau.clone(), 30_000.0, allocator));
+            let Response::Submit(reply) = resp else {
+                panic!("{allocator:?}: expected a submit reply, got {resp:?}");
+            };
+            let unproven = reply.unproven.expect("the budget runs out");
+            assert_eq!(unproven.nodes, Lattice::NODE_BUDGET + 1, "{allocator:?}");
+            assert!(unproven.phi1_bound >= reply.verdict.phi1, "{allocator:?}");
+            let stats = core.stats();
+            assert_eq!(stats.alloc_budget_exhausted, 1, "{allocator:?}");
+            assert_eq!(
+                stats.alloc_fallbacks_infeasible_heuristic, fallbacks,
+                "{allocator:?}: {stats:?}"
+            );
+        }
     }
 
     #[test]
     fn unpackable_metaheuristic_submits_are_refused_and_the_shard_keeps_serving() {
         let mut core = ShardCore::new(0, test_cfg());
-        // 64 applications on 41 processors: no allocation fits, and SA's
-        // or GA's capacity repair would shuffle processors forever.
+        // 64 applications on 41 processors: no allocation fits. The
+        // lattice that answers `sa` and `ga` refuses it at the root.
         for allocator in ["sa", "ga"] {
             let resp = core.handle(&Request::Submit(SubmitRequest {
                 tenant: "acme".to_string(),

@@ -121,7 +121,7 @@ fn thrashing_replay_pins_the_shard_counters() {
             r#""alloc_fallbacks_infeasible_proven":0,"alloc_fallbacks_infeasible_heuristic":0,"#,
             r#""alloc_fallbacks_other":0,"spec_cache_hits":223,"spec_cache_misses":751,"#,
             r#""alloc_cache_hits":211,"alloc_cache_misses":823,"#,
-            r#""drain_depths":[0,0,0,0,0,0,0,0],"sa_multistart_runs":0,"sa_restart_wins":[],"#,
+            r#""drain_depths":[0,0,0,0,0,0,0,0],"sa_multistart_runs":0,"alloc_budget_exhausted":0,"#,
             r#""cache_hits":359,"cache_misses":464,"cache_rebuilds":60,"coalesced":0,"#,
             r#""builds":464,"pool_runs":823,"pool_tasks_run":2143,"pool_chunks_stolen":0}"#,
         ),
@@ -131,7 +131,7 @@ fn thrashing_replay_pins_the_shard_counters() {
             r#""alloc_fallbacks_infeasible_proven":0,"alloc_fallbacks_infeasible_heuristic":0,"#,
             r#""alloc_fallbacks_other":0,"spec_cache_hits":202,"spec_cache_misses":705,"#,
             r#""alloc_cache_hits":198,"alloc_cache_misses":745,"#,
-            r#""drain_depths":[0,0,0,0,0,0,0,0],"sa_multistart_runs":0,"sa_restart_wins":[],"#,
+            r#""drain_depths":[0,0,0,0,0,0,0,0],"sa_multistart_runs":0,"alloc_budget_exhausted":0,"#,
             r#""cache_hits":250,"cache_misses":495,"cache_rebuilds":36,"coalesced":0,"#,
             r#""builds":495,"pool_runs":745,"pool_tasks_run":2374,"pool_chunks_stolen":0}"#,
         ),

@@ -29,6 +29,31 @@ fn pooled_build(batch: &Batch, platform: &Platform, threads: usize) -> Phi1Engin
     Phi1Engine::build_with(batch, platform, &opts).unwrap().0
 }
 
+/// The Stage-I bench instance (`cdsf_bench::bench_instance`): `num_apps`
+/// applications with 12-pulse PMFs on 3 types of 8–16 processors.
+fn bench_instance(num_apps: usize) -> (Batch, Platform) {
+    use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
+    let platform = PlatformGenerator {
+        num_types: 3,
+        procs_per_type: (8, 16),
+        availability_pulses: 3,
+        availability_range: Range::new(0.3, 1.0).unwrap(),
+    }
+    .generate(11)
+    .unwrap();
+    let batch = BatchGenerator {
+        num_apps,
+        total_iters: (1_000, 8_000),
+        serial_fraction: Range::new(0.02, 0.2).unwrap(),
+        mean_exec_time: Range::new(1_000.0, 6_000.0).unwrap(),
+        type_heterogeneity: Range::new(0.6, 1.8).unwrap(),
+        pulses: 12,
+    }
+    .generate(&platform, 12)
+    .unwrap();
+    (batch, platform)
+}
+
 /// Every `(app, type, procs)` triple of an engine, flattened to bits:
 /// loaded pulses, dedicated pulses, cached expectation, and CDF probes.
 fn engine_fingerprint(engine: &Phi1Engine, deadline: f64) -> Vec<u64> {
@@ -204,6 +229,48 @@ fn pooled_multi_start_annealing_is_thread_count_invariant() {
     }
 }
 
+/// The lattice's anytime solve searches on its caller's thread under a
+/// constant node budget, so the answer it returns when that budget runs
+/// out — the incumbent, the node count and the certified φ1 bound — is a
+/// function of the inputs and the deadline alone. Here the Stage-I bench
+/// instance of 16 applications sits on the φ1 ≈ 1 plateau at Δ = 10 000:
+/// its engine is built at every worker count, and that many threads
+/// solve it at once, each with its own scratch.
+#[test]
+fn lattice_anytime_solve_is_thread_count_invariant() {
+    use cdsf_ra::{Lattice, LatticeScratch};
+    let (batch, platform) = bench_instance(16);
+    let bits = |engine: &Phi1Engine| {
+        let (alloc, report, unproven) =
+            Lattice::anytime_with_engine(&platform, engine, 10_000.0, &mut LatticeScratch::new())
+                .unwrap();
+        let unproven = unproven.expect("the budget runs out on the plateau");
+        (
+            alloc,
+            report.phi1.to_bits(),
+            report.sum_exp.to_bits(),
+            unproven.nodes,
+            unproven.phi1_bound.to_bits(),
+        )
+    };
+    let want = bits(&pooled_build(&batch, &platform, 1));
+    assert_eq!(want.3, Lattice::NODE_BUDGET + 1);
+    assert!(f64::from_bits(want.4) >= f64::from_bits(want.1));
+    for threads in THREAD_COUNTS {
+        let engine = pooled_build(&batch, &platform, threads);
+        std::thread::scope(|s| {
+            let solves: Vec<_> = (0..threads).map(|_| s.spawn(|| bits(&engine))).collect();
+            for solve in solves {
+                assert_eq!(
+                    solve.join().unwrap(),
+                    want,
+                    "anytime answer differs at {threads} threads"
+                );
+            }
+        });
+    }
+}
+
 /// The exact lattice branch-and-bound is a function of the inputs
 /// alone — allocation, φ1 bits, and the Γ-robust variant's worst-case
 /// objective — at any worker count. On the paper instance every search
@@ -283,25 +350,7 @@ fn lattice_solvers_are_thread_count_invariant() {
 #[test]
 fn lattice_split_is_thread_count_invariant() {
     use cdsf_ra::{GammaRobust, Lattice, LatticeScratch};
-    use cdsf_workloads::generators::{BatchGenerator, PlatformGenerator, Range};
-    let platform = PlatformGenerator {
-        num_types: 3,
-        procs_per_type: (8, 16),
-        availability_pulses: 3,
-        availability_range: Range::new(0.3, 1.0).unwrap(),
-    }
-    .generate(11)
-    .unwrap();
-    let batch = BatchGenerator {
-        num_apps: 12,
-        total_iters: (1_000, 8_000),
-        serial_fraction: Range::new(0.02, 0.2).unwrap(),
-        mean_exec_time: Range::new(1_000.0, 6_000.0).unwrap(),
-        type_heterogeneity: Range::new(0.6, 1.8).unwrap(),
-        pulses: 12,
-    }
-    .generate(&platform, 12)
-    .unwrap();
+    let (batch, platform) = bench_instance(12);
     let engine = Phi1Engine::build(&batch, &platform).unwrap();
     // Past the budget at one worker: 68 934 nodes for the plain solver at
     // Δ = 8 000, 82 173 for the Γ-robust one at Δ = 9 000.
