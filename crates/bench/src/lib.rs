@@ -351,3 +351,55 @@ pub fn deadline_mark(mean: f64, deadline: f64) -> &'static str {
         "*"
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn legacy_cdf_matches_the_prefix_table_cdf() {
+        let pmf = Pmf::from_pairs([(1.0, 0.1), (2.0, 0.2), (3.5, 0.3), (7.0, 0.4)]).unwrap();
+        for x in [0.0, 1.0, 1.5, 2.0, 3.5, 6.9, 7.0, 100.0] {
+            assert_eq!(legacy_cdf(&pmf, x), pmf.cdf(x), "x = {x}");
+        }
+    }
+
+    #[test]
+    fn legacy_timeline_oracles_invert_each_other() {
+        let starts = [0.0, 10.0, 20.0];
+        let levels = [1.0, 0.5, 0.25];
+        // 10 units of work at full speed, then 2 more at half speed.
+        assert_eq!(legacy_finish_time(&starts, &levels, 0.0, 12.0), 14.0);
+        assert_eq!(legacy_work_between(&starts, &levels, 0.0, 14.0), 12.0);
+        // A start inside the last segment runs at its level forever.
+        assert_eq!(legacy_finish_time(&starts, &levels, 30.0, 1.0), 34.0);
+        assert_eq!(legacy_work_between(&starts, &levels, 30.0, 34.0), 1.0);
+        assert_eq!(legacy_work_between(&starts, &levels, 5.0, 5.0), 0.0);
+    }
+
+    #[test]
+    fn bench_instance_is_deterministic_and_sized_as_asked() {
+        let (b1, p1) = bench_instance(5);
+        let (b2, p2) = bench_instance(5);
+        assert_eq!(cdsf_ra::inputs_key(&b1, &p1), cdsf_ra::inputs_key(&b2, &p2));
+        assert_eq!((b1.len(), p1.num_types()), (5, 3));
+        for (_, app) in b1.iter() {
+            for j in 0..3 {
+                assert!(app.exec_time(ProcTypeId(j)).unwrap().len() <= 12);
+            }
+        }
+        // A larger instance starts with the same platform.
+        let (_, p8) = bench_instance(8);
+        for (a, b) in p1.types().iter().zip(p8.types()) {
+            assert!(a.availability().bits_eq(b.availability()));
+        }
+    }
+
+    #[test]
+    fn table_helpers_round_and_mark_misses() {
+        assert_eq!(mean_std(1234.4, 56.6), "1234 ± 57");
+        assert_eq!(deadline_mark(3250.0, 3250.0), "");
+        assert_eq!(deadline_mark(3250.5, 3250.0), "*");
+        assert!((1..=8).contains(&num_threads()));
+    }
+}

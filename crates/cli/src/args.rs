@@ -158,4 +158,31 @@ mod tests {
             Err(CliError::UnknownCommand(_))
         ));
     }
+
+    #[test]
+    fn a_repeated_flag_keeps_its_last_value() {
+        let a = parse("generate --apps 4 --seed 1 --apps 9").unwrap();
+        assert_eq!(a.get("apps"), Some("9"));
+        assert_eq!(a.get("seed"), Some("1"));
+        assert_eq!(a.get("types"), None);
+    }
+
+    #[test]
+    fn every_error_displays_its_payload() {
+        let bad = parse("stage1 --pulses abc")
+            .unwrap()
+            .get_parsed::<usize>("pulses", 1)
+            .unwrap_err();
+        assert_eq!(bad.to_string(), "could not parse `abc` for flag `--pulses`");
+        let cases = [
+            (CliError::MissingCommand, "cdsf help"),
+            (CliError::UnknownCommand("frobnicate".into()), "frobnicate"),
+            (CliError::MissingValue("--seed".into()), "--seed"),
+            (CliError::Framework("bind failed".into()), "bind failed"),
+        ];
+        for (err, needle) in cases {
+            let msg = err.to_string();
+            assert!(msg.contains(needle), "{msg:?} missing {needle:?}");
+        }
+    }
 }

@@ -66,3 +66,38 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         ))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(s: &str) -> Args {
+        Args::parse(s.split_whitespace().map(String::from).collect()).unwrap()
+    }
+
+    #[test]
+    fn a_threshold_outside_the_unit_interval_is_refused_before_binding() {
+        for t in ["0", "-0.5", "1.5", "NaN"] {
+            match run(&args(&format!("serve --threshold {t}"))) {
+                Err(CliError::BadValue { flag, value }) => {
+                    assert_eq!((flag.as_str(), value.as_str()), ("--threshold", t))
+                }
+                other => panic!("threshold {t}: expected BadValue, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn an_unknown_allocator_or_unparsable_port_is_refused_before_binding() {
+        for (line, flag) in [
+            ("serve --allocator no-such-policy", "--allocator"),
+            ("serve --port 70000", "--port"),
+            ("serve --shards many", "--shards"),
+        ] {
+            match run(&args(line)) {
+                Err(CliError::BadValue { flag: got, .. }) => assert_eq!(got, flag, "{line}"),
+                other => panic!("{line}: expected BadValue, got {other:?}"),
+            }
+        }
+    }
+}

@@ -403,4 +403,55 @@ mod tests {
         // Case 1 must be met by all apps under the robust-robust scenario.
         assert!(s4.case_is_robust(1, 3), "case 1 not robust: {t6:?}");
     }
+
+    fn cell(app: usize, case: usize, technique: &str, mean: f64, meets: bool) -> CellResult {
+        CellResult {
+            app,
+            case,
+            technique: technique.into(),
+            mean_makespan: mean,
+            std_makespan: 0.0,
+            mean_chunks: 1.0,
+            replicates: 1,
+            meets_deadline: meets,
+            deadline_hit_rate: if meets { 1.0 } else { 0.0 },
+        }
+    }
+
+    #[test]
+    fn the_best_technique_is_the_fastest_that_meets_the_deadline() {
+        let result = ScenarioResult {
+            scenario: None,
+            im_name: "hand".into(),
+            ras_name: "hand".into(),
+            allocation: Allocation::new(Vec::new()),
+            phi1: 0.5,
+            per_app_prob: vec![0.5, 1.0],
+            expected_times: vec![1.0, 1.0],
+            cells: vec![
+                cell(0, 1, "STATIC", 3000.0, true),
+                cell(0, 1, "FAC", 2500.0, true),
+                // Faster, but its verdict says it misses Δ.
+                cell(0, 1, "AF", 2000.0, false),
+                cell(0, 2, "FAC", 3600.0, false),
+                cell(1, 1, "AWF-B", 900.0, true),
+                cell(1, 2, "AWF-B", 950.0, true),
+            ],
+            deadline: 3250.0,
+        };
+        assert_eq!(result.cells_for(0, 1).len(), 3);
+        assert!(result.cells_for(2, 1).is_empty());
+        let best = result.best_technique(0, 1).unwrap();
+        assert_eq!(best.technique, "FAC");
+        assert!(result.best_technique(0, 2).is_none());
+        assert!(result.case_is_robust(1, 2));
+        assert!(!result.case_is_robust(2, 2), "app 0 has no passing cell");
+        assert_eq!(
+            result.table6(2, 2),
+            [
+                [Some("FAC".to_string()), None],
+                [Some("AWF-B".to_string()), Some("AWF-B".to_string())]
+            ]
+        );
+    }
 }

@@ -583,6 +583,33 @@ mod tests {
     }
 
     #[test]
+    fn a_robust_verdict_needs_the_mean_and_half_the_replicates() {
+        let pass = CellResult {
+            app: 0,
+            case: 1,
+            technique: "FAC".into(),
+            mean_makespan: 3000.0,
+            std_makespan: 300.0,
+            mean_chunks: 50.0,
+            replicates: 10,
+            meets_deadline: true,
+            deadline_hit_rate: 0.5,
+        };
+        assert!(pass.robust_verdict());
+        let lucky_tail = CellResult {
+            deadline_hit_rate: 0.4,
+            ..pass.clone()
+        };
+        assert!(!lucky_tail.robust_verdict());
+        let slow_mean = CellResult {
+            meets_deadline: false,
+            deadline_hit_rate: 0.9,
+            ..pass
+        };
+        assert!(!slow_mean.robust_verdict());
+    }
+
+    #[test]
     fn hit_rate_is_consistent_with_makespan_spread() {
         let batch = paper::batch_with_pulses(8);
         let cells = simulate_grid(

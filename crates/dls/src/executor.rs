@@ -1504,4 +1504,57 @@ mod tests {
         // With σ > 0 the replicates must not all coincide.
         assert!(ms.windows(2).any(|w| w[0] != w[1]));
     }
+
+    #[test]
+    fn session_progress_queries_follow_the_serial_prologue() {
+        let cfg = ExecutorConfig::builder()
+            .workers(4)
+            .serial_iters(100)
+            .parallel_iters(400)
+            .iter_time_mean_sigma(1.0, 0.0)
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut r = rng(9);
+        let s = ExecutorSession::new(&TechniqueKind::Fac, cfg, 10.0, &mut r).unwrap();
+        assert_eq!((s.start(), s.serial_end()), (10.0, 110.0));
+        assert!(s.in_serial_phase(10.0));
+        assert!(s.in_serial_phase(109.9));
+        assert!(!s.in_serial_phase(110.0));
+        // Nothing is in flight yet: the prologue end is the only commitment.
+        assert_eq!(s.lower_bound_finish(), 110.0);
+        assert_eq!(s.outstanding_parallel(0.0), 400);
+        assert_eq!(s.chunks(), 0);
+    }
+
+    #[test]
+    fn a_session_without_a_prologue_is_never_in_its_serial_phase() {
+        let mut r = rng(2);
+        let s = ExecutorSession::new(&TechniqueKind::Fac, base_cfg(), 5.0, &mut r).unwrap();
+        assert_eq!(s.serial_end(), 5.0);
+        assert!(!s.in_serial_phase(0.0));
+        assert!(!s.in_serial_phase(5.0));
+        assert_eq!(s.lower_bound_finish(), 5.0);
+    }
+
+    #[test]
+    fn outstanding_work_counts_undispatched_and_unfinished_chunks() {
+        let cfg = base_cfg(); // 4096 unit iterations, 4 dedicated workers
+        let mut r = rng(13);
+        let mut s = ExecutorSession::new(&TechniqueKind::Fac, cfg.clone(), 0.0, &mut r).unwrap();
+        assert_eq!(s.advance_until(300.0, &mut r), SessionStatus::Paused);
+        let undispatched = s.remaining_parallel();
+        assert!(undispatched > 0 && undispatched < cfg.parallel_iters);
+        // Every worker holds a chunk finishing after the pause point.
+        assert!(s.lower_bound_finish() > 300.0);
+        let at_pause = s.outstanding_parallel(300.0);
+        assert!(at_pause > undispatched, "in-flight chunks are outstanding");
+        assert_eq!(s.outstanding_parallel(f64::INFINITY), undispatched);
+        assert!(s.outstanding_parallel(0.0) >= at_pause);
+        let SessionStatus::Completed { finish } = s.advance_until(f64::INFINITY, &mut r) else {
+            panic!("must complete");
+        };
+        assert_eq!(s.outstanding_parallel(finish), 0);
+        assert_eq!(s.lower_bound_finish(), finish);
+    }
 }

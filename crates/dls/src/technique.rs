@@ -379,4 +379,37 @@ mod tests {
             assert_eq!(t.name(), kind.name());
         }
     }
+
+    #[test]
+    fn only_the_adaptive_techniques_read_worker_statistics() {
+        let readers: Vec<&str> = TechniqueKind::all(8)
+            .iter()
+            .filter(|k| k.reads_worker_stats())
+            .map(|k| k.name())
+            .collect();
+        assert!(readers.contains(&"AF"));
+        assert!(readers.iter().all(|n| *n == "AF" || n.starts_with("AWF")));
+        for kind in [
+            TechniqueKind::Static,
+            TechniqueKind::Fac,
+            TechniqueKind::Wf { weights: None },
+        ] {
+            assert!(!kind.reads_worker_stats(), "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn set_estimates_writes_the_derived_terms() {
+        let mut w = WorkerSnapshot::default();
+        assert!(!w.has_history());
+        w.set_estimates(2.0, 0.5, 2.5);
+        assert_eq!(
+            (w.mean_iter_time, w.var_iter_time, w.mean_iter_time_total),
+            (2.0, 0.5, 2.5)
+        );
+        assert_eq!((w.rate, w.var_per_mean), (0.5, 0.25));
+        assert!(!w.has_history(), "estimates alone are not history");
+        w.chunks_done = 1;
+        assert!(w.has_history());
+    }
 }

@@ -130,4 +130,33 @@ mod tests {
             assert!(cfg.validate().is_err());
         }
     }
+
+    #[test]
+    fn validation_names_the_parameter_it_refuses() {
+        type Breakage = fn(&mut EngineConfig);
+        let breakages: [(Breakage, &str); 6] = [
+            (|c| c.deadline = f64::INFINITY, "deadline"),
+            (|c| c.overhead = f64::NAN, "overhead"),
+            (|c| c.mean_dwell = -3.0, "mean_dwell"),
+            (|c| c.horizon_factor = f64::INFINITY, "horizon_factor"),
+            (|c| c.phi1_threshold = -0.1, "phi1_threshold"),
+            (|c| c.threads = 0, "threads"),
+        ];
+        for (breakage, want) in breakages {
+            let mut cfg = EngineConfig::new(5000.0);
+            breakage(&mut cfg);
+            match cfg.validate() {
+                Err(EventsError::BadParameter { name, .. }) => assert_eq!(name, want),
+                other => panic!("{want}: expected BadParameter, got {other:?}"),
+            }
+        }
+        // The boundaries themselves are admitted.
+        let mut edge = EngineConfig::new(5000.0);
+        edge.overhead = 0.0;
+        edge.horizon_factor = 1.0;
+        edge.phi1_threshold = 0.0;
+        edge.validate().unwrap();
+        edge.phi1_threshold = 1.0;
+        edge.validate().unwrap();
+    }
 }

@@ -86,3 +86,64 @@ impl From<cdsf_pmf::PmfError> for EventsError {
         EventsError::Pmf(e)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::error::Error as _;
+
+    #[test]
+    fn every_variant_displays_its_payload() {
+        let cases: Vec<(EventsError, &str)> = vec![
+            (
+                EventsError::BadConfig {
+                    what: "fault plan names type 9",
+                },
+                "type 9",
+            ),
+            (
+                EventsError::BadParameter {
+                    name: "factor",
+                    value: -2.0,
+                },
+                "factor",
+            ),
+            (
+                EventsError::Core(cdsf_core::CoreError::BadConfig { what: "x" }),
+                "framework",
+            ),
+            (EventsError::Ra(cdsf_ra::RaError::EmptyBatch), "stage I"),
+            (EventsError::Dls(cdsf_dls::DlsError::NoWorkers), "stage II"),
+            (
+                EventsError::System(cdsf_system::SystemError::NoProcessorTypes),
+                "system",
+            ),
+            (EventsError::Pmf(cdsf_pmf::PmfError::Empty), "pmf"),
+        ];
+        for (err, needle) in cases {
+            let msg = err.to_string();
+            assert!(msg.contains(needle), "{msg:?} missing {needle:?}");
+        }
+    }
+
+    #[test]
+    fn sources_chain_to_inner_errors() {
+        let wrapped: [EventsError; 5] = [
+            cdsf_core::CoreError::BadConfig { what: "x" }.into(),
+            cdsf_ra::RaError::EmptyBatch.into(),
+            cdsf_dls::DlsError::NoWorkers.into(),
+            cdsf_system::SystemError::NoProcessorTypes.into(),
+            cdsf_pmf::PmfError::Empty.into(),
+        ];
+        for err in &wrapped {
+            assert!(err.source().is_some(), "{err:?}");
+        }
+        assert!(EventsError::BadConfig { what: "x" }.source().is_none());
+        assert!(EventsError::BadParameter {
+            name: "x",
+            value: 0.0
+        }
+        .source()
+        .is_none());
+    }
+}

@@ -220,4 +220,80 @@ mod tests {
         assert_eq!(back.len(), 5);
         assert!(!back.is_empty());
     }
+
+    #[test]
+    fn every_other_entry_kind_round_trips_through_json() {
+        let mut log = EventLog::default();
+        log.push(
+            0.0,
+            LogEntry::Arrival {
+                app: 0,
+                proc_type: 1,
+                procs: 4,
+            },
+        );
+        log.push(
+            10.0,
+            LogEntry::Collapse {
+                proc_type: 1,
+                scale: 0.3,
+            },
+        );
+        log.push(
+            20.0,
+            LogEntry::StallStart {
+                proc_type: 0,
+                duration: 45.5,
+            },
+        );
+        log.push(65.5, LogEntry::StallEnd { proc_type: 0 });
+        log.push(
+            70.0,
+            LogEntry::Drift {
+                proc_type: 1,
+                scale: 1.1,
+            },
+        );
+        log.push(80.0, LogEntry::Clamp { app: 0, procs: 2 });
+        log.push(
+            90.0,
+            LogEntry::Remap {
+                reason: RemapReason::Phi1Degradation,
+                phi1: 0.25,
+                assignments: vec![],
+            },
+        );
+        log.push(
+            95.0,
+            LogEntry::Remap {
+                reason: RemapReason::Watchdog,
+                phi1: 0.0,
+                assignments: vec![],
+            },
+        );
+        log.push(
+            100.0,
+            LogEntry::Completion {
+                app: 0,
+                missed: true,
+            },
+        );
+        log.push(
+            200.0,
+            LogEntry::Horizon {
+                unfinished: vec![1],
+            },
+        );
+        let back: EventLog = serde_json::from_str(&log.to_json().unwrap()).unwrap();
+        assert_eq!(back, log);
+    }
+
+    #[test]
+    fn an_empty_log_serializes_and_reads_back_empty() {
+        let log = EventLog::default();
+        assert!(log.is_empty());
+        assert_eq!(log.len(), 0);
+        let back: EventLog = serde_json::from_str(&log.to_json().unwrap()).unwrap();
+        assert!(back.is_empty());
+    }
 }

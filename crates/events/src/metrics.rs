@@ -115,4 +115,30 @@ mod tests {
         assert!(m.per_app[0].hit_deadline());
         assert!(!m.per_app[1].hit_deadline());
     }
+
+    #[test]
+    fn an_empty_run_reads_a_zero_hit_rate_and_makespan() {
+        let m = RunMetrics::from_outcomes(Vec::new(), 0, 0, 0.0);
+        assert_eq!((m.apps, m.finished, m.missed, m.dropped), (0, 0, 0, 0));
+        assert_eq!(m.deadline_hit_rate, 0.0);
+        assert_eq!(m.makespan, 0.0);
+    }
+
+    #[test]
+    fn any_outcome_but_finished_and_missed_counts_as_dropped() {
+        let per_app = ["finished", "dropped: crash", "dropped: no capacity"]
+            .iter()
+            .enumerate()
+            .map(|(app, outcome)| AppOutcome {
+                app,
+                arrival: 0.0,
+                end: 100.0 * (app + 1) as f64,
+                outcome: outcome.to_string(),
+            })
+            .collect();
+        let m = RunMetrics::from_outcomes(per_app, 0, 0, 0.0);
+        assert_eq!((m.finished, m.missed, m.dropped), (1, 0, 2));
+        assert_eq!(m.makespan, 300.0, "a drop's end time counts too");
+        assert!(!m.per_app[1].hit_deadline());
+    }
 }

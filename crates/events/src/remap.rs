@@ -182,4 +182,65 @@ mod tests {
         let one = Platform::new(vec![platform.types()[0].clone()]).unwrap();
         assert!(crashed(&batch, &one, 0).is_err());
     }
+
+    #[test]
+    fn scaled_availability_is_clamped_into_the_floor_and_one() {
+        let pmf = Pmf::from_pairs([(0.2, 0.25), (0.5, 0.25), (0.9, 0.5)]).unwrap();
+        let boosted = scale_availability(&pmf, 10.0).unwrap();
+        assert_eq!(boosted.pulses().len(), 1, "every level clamps to 1");
+        assert_eq!(boosted.min_value(), 1.0);
+        let starved = scale_availability(&pmf, 1e-6).unwrap();
+        assert_eq!(starved.pulses().len(), 1);
+        assert_eq!(starved.max_value(), MIN_AVAILABILITY);
+        let halved = scale_availability(&pmf, 0.5).unwrap();
+        let values: Vec<f64> = halved.pulses().iter().map(|p| p.value).collect();
+        assert_eq!(values, [0.1, 0.25, 0.45]);
+    }
+
+    #[test]
+    fn drift_scales_every_type_as_scale_availability_does() {
+        let (_, platform) = fixture();
+        let drifted = drifted_platform(&platform, 0.7).unwrap();
+        assert_eq!(drifted.num_types(), platform.num_types());
+        for (a, b) in platform.types().iter().zip(drifted.types()) {
+            let want = scale_availability(a.availability(), 0.7).unwrap();
+            assert!(b.availability().bits_eq(&want), "{}", a.name());
+            assert_eq!((a.name(), a.count()), (b.name(), b.count()));
+        }
+    }
+
+    #[test]
+    fn degrade_and_drift_refuse_bad_factors_and_unknown_types() {
+        let (_, platform) = fixture();
+        for factor in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                degraded_platform(&platform, 0, factor),
+                Err(EventsError::BadParameter { name: "factor", .. })
+            ));
+            assert!(matches!(
+                drifted_platform(&platform, factor),
+                Err(EventsError::BadParameter { name: "factor", .. })
+            ));
+        }
+        assert!(matches!(
+            degraded_platform(&platform, platform.num_types(), 0.5),
+            Err(EventsError::BadConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn crash_keeps_names_and_iteration_counts() {
+        let (batch, platform) = fixture();
+        let (rbatch, rplatform) = crashed(&batch, &platform, 0).unwrap();
+        assert_eq!(rbatch.len(), batch.len());
+        for ((_, a), (_, b)) in batch.iter().zip(rbatch.iter()) {
+            assert_eq!(a.name(), b.name());
+            assert_eq!(a.serial_iters(), b.serial_iters());
+            assert_eq!(a.parallel_iters(), b.parallel_iters());
+            assert_eq!(b.num_proc_types(), rplatform.num_types());
+        }
+        let names: Vec<&str> = rplatform.types().iter().map(|t| t.name()).collect();
+        let survivors: Vec<&str> = platform.types()[1..].iter().map(|t| t.name()).collect();
+        assert_eq!(names, survivors);
+    }
 }

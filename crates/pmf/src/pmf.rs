@@ -1119,4 +1119,109 @@ mod tests {
         assert!(!zero.bits_eq(&neg_zero));
         assert_ne!(zero.digest(), neg_zero.digest());
     }
+
+    #[test]
+    fn from_samples_weighs_each_observation_equally() {
+        let p = Pmf::from_samples(&[3.0, 1.0, 2.0, 2.0]).unwrap();
+        let pairs: Vec<(f64, f64)> = p.pulses().iter().map(|q| (q.value, q.prob)).collect();
+        assert_eq!(pairs, [(1.0, 0.25), (2.0, 0.5), (3.0, 0.25)]);
+        assert_eq!(Pmf::from_samples(&[]), Err(PmfError::Empty));
+        assert!(matches!(
+            Pmf::from_samples(&[1.0, f64::NAN]),
+            Err(PmfError::NonFiniteValue(v)) if v.is_nan()
+        ));
+    }
+
+    #[test]
+    fn from_weighted_refuses_zero_and_negative_weights() {
+        assert_eq!(
+            Pmf::from_weighted([(1.0, 0.0), (2.0, 0.0)]),
+            Err(PmfError::ZeroWeightMixture)
+        );
+        assert_eq!(
+            Pmf::from_weighted([(1.0, 2.0), (2.0, -1.0)]),
+            Err(PmfError::InvalidProbability(-1.0))
+        );
+        assert_eq!(Pmf::from_weighted([]), Err(PmfError::Empty));
+    }
+
+    #[test]
+    fn from_pulses_validates_like_from_pairs() {
+        let pulse = |value, prob| Pulse { value, prob };
+        assert_eq!(Pmf::from_pulses(vec![]), Err(PmfError::Empty));
+        assert_eq!(
+            Pmf::from_pulses(vec![pulse(f64::INFINITY, 1.0)]),
+            Err(PmfError::NonFiniteValue(f64::INFINITY))
+        );
+        assert!(matches!(
+            Pmf::from_pulses(vec![pulse(1.0, 0.5), pulse(2.0, 0.25)]),
+            Err(PmfError::NotNormalized { .. })
+        ));
+        let p = Pmf::from_pulses(vec![pulse(2.0, 0.5), pulse(1.0, 0.0), pulse(0.5, 0.5)]).unwrap();
+        let values: Vec<f64> = p.pulses().iter().map(|q| q.value).collect();
+        assert_eq!(values, [0.5, 2.0], "sorted, zero-mass pulse dropped");
+    }
+
+    #[test]
+    fn raw_moments_of_a_two_point_law() {
+        let p = Pmf::from_pairs([(1.0, 0.5), (3.0, 0.5)]).unwrap();
+        assert_eq!(p.raw_moment(0), 1.0);
+        assert_eq!(p.raw_moment(1), p.expectation());
+        assert_eq!(p.raw_moment(2), 5.0);
+        assert_eq!(p.raw_moment(3), 14.0);
+        assert_eq!(p.raw_moment(2) - p.expectation().powi(2), p.variance());
+    }
+
+    #[test]
+    fn cov_is_undefined_only_at_zero_mean() {
+        assert_eq!(coin().cov(), Some(1.0));
+        let centred = Pmf::from_pairs([(-1.0, 0.5), (1.0, 0.5)]).unwrap();
+        assert_eq!(centred.cov(), None);
+        let negative = Pmf::from_pairs([(-3.0, 0.5), (-1.0, 0.5)]).unwrap();
+        assert_eq!(negative.cov(), Some(0.5), "the ratio uses |mean|");
+        assert_eq!(Pmf::degenerate(4.0).unwrap().cov(), Some(0.0));
+    }
+
+    #[test]
+    fn cdf_many_answers_each_query_like_cdf() {
+        let p = Pmf::from_pairs([(1.0, 0.2), (2.0, 0.3), (4.0, 0.5)]).unwrap();
+        let sorted = [0.5, 1.0, 1.0, 1.5, 2.0, 3.9, 4.0, 9.0];
+        let unsorted = [4.0, 0.5, 2.0, 1.0, 9.0, 1.5];
+        for xs in [&sorted[..], &unsorted[..], &[][..]] {
+            let many = p.cdf_many(xs);
+            assert_eq!(many.len(), xs.len());
+            for (x, got) in xs.iter().zip(&many) {
+                assert_eq!(got.to_bits(), p.cdf(*x).to_bits(), "x = {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn quantile_clamps_levels_outside_the_unit_interval() {
+        let p = Pmf::from_pairs([(1.0, 0.2), (2.0, 0.3), (4.0, 0.5)]).unwrap();
+        assert_eq!(p.quantile(-3.0), 1.0);
+        assert_eq!(p.quantile(7.0), 4.0);
+        assert_eq!(p.quantile(f64::INFINITY), 4.0);
+    }
+
+    #[test]
+    fn mixture_refuses_empty_zero_and_negative_weights() {
+        assert_eq!(Pmf::mixture(&[]), Err(PmfError::Empty));
+        assert_eq!(
+            Pmf::mixture(&[(0.0, coin()), (0.0, coin())]),
+            Err(PmfError::ZeroWeightMixture)
+        );
+        assert_eq!(
+            Pmf::mixture(&[(2.0, coin()), (-1.0, coin())]),
+            Err(PmfError::InvalidProbability(-1.0))
+        );
+    }
+
+    #[test]
+    fn truncate_above_below_the_support_is_none() {
+        let p = Pmf::from_pairs([(1.0, 0.2), (2.0, 0.3), (4.0, 0.5)]).unwrap();
+        assert!(p.truncate_above(0.99).is_none());
+        let whole = p.truncate_above(4.0).unwrap();
+        assert!(whole.approx_eq(&p, 0.0));
+    }
 }

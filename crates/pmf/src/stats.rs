@@ -442,4 +442,52 @@ mod tests {
     fn ks_two_sample_disjoint_is_one() {
         assert!((ks_two_sample(&[1.0, 2.0], &[10.0, 20.0]) - 1.0).abs() < 1e-12);
     }
+
+    #[test]
+    fn ks_two_sample_with_one_empty_side_is_one() {
+        assert_eq!(ks_two_sample(&[], &[1.0]), 1.0);
+        assert_eq!(ks_two_sample(&[1.0], &[]), 1.0);
+        assert_eq!(ks_two_sample(&[], &[]), 0.0);
+        // Half of one sample lies below the other's support.
+        assert_eq!(ks_two_sample(&[1.0, 5.0], &[5.0, 5.0]), 0.5);
+    }
+
+    #[test]
+    fn normal_pdf_peaks_at_zero_and_is_symmetric() {
+        let peak = 1.0 / (2.0 * std::f64::consts::PI).sqrt();
+        assert_eq!(normal_pdf(0.0), peak);
+        for &z in &[0.3, 1.0, 2.5] {
+            assert_eq!(normal_pdf(z), normal_pdf(-z));
+            assert!(normal_pdf(z) < peak);
+        }
+        assert!((normal_pdf(1.0) - 0.241_970_724_519_143_37).abs() < 1e-15);
+    }
+
+    #[test]
+    fn sample_variance_applies_bessels_correction() {
+        let mut w = Welford::new();
+        assert_eq!(w.sample_variance(), 0.0);
+        w.push(4.0);
+        assert_eq!((w.variance(), w.sample_variance()), (0.0, 0.0));
+        for &x in &[2.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
+            w.push(x);
+        }
+        assert!((w.variance() - 4.0).abs() < 1e-12);
+        assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn summary_takes_the_lower_median_of_an_even_sample() {
+        let s = Summary::of(&[4.0, 1.0, 3.0, 2.0]).unwrap();
+        assert_eq!(s.median, 2.0);
+        assert_eq!((s.min, s.max), (1.0, 4.0));
+        assert!((s.std_dev - 1.25f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn imbalance_cov_of_an_empty_or_zero_mean_sample_is_zero() {
+        assert_eq!(imbalance_cov(&[]), 0.0);
+        assert_eq!(imbalance_cov(&[-1.0, 1.0]), 0.0);
+        assert!((imbalance_cov(&[1.0, 3.0]) - 0.5).abs() < 1e-12);
+    }
 }

@@ -368,4 +368,20 @@ mod tests {
             Err(RaError::EmptyBatch)
         ));
     }
+
+    #[test]
+    fn accessors_cover_every_assignment() {
+        let a = Allocation::new(vec![
+            Assignment::new(ProcTypeId(0), 2).unwrap(),
+            Assignment::new(ProcTypeId(1), 8).unwrap(),
+        ]);
+        assert_eq!((a.len(), a.total_procs()), (2, 10));
+        assert!(!a.is_empty());
+        assert_eq!(a.assignment(1).unwrap().procs, 8);
+        assert!(a.assignment(2).is_none());
+        assert_eq!(a.assignments()[0].to_string(), "2 × type 1");
+        let empty = Allocation::new(Vec::new());
+        assert!(empty.is_empty());
+        assert_eq!(empty.total_procs(), 0);
+    }
 }

@@ -933,4 +933,22 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn capacity_rounds_up_to_whole_shards() {
+        assert_eq!(
+            CellStore::new(0).capacity(),
+            SHARDS,
+            "one cell per shard at least"
+        );
+        assert_eq!(CellStore::new(1).capacity(), SHARDS);
+        assert_eq!(CellStore::new(SHARDS + 1).capacity(), 2 * SHARDS);
+        let default = CellStore::with_default_capacity();
+        assert_eq!(default.capacity(), DEFAULT_CELL_CAPACITY);
+        assert!(default.is_empty());
+        let stats = default.stats();
+        assert_eq!(stats.capacity, DEFAULT_CELL_CAPACITY as u64);
+        assert_eq!((stats.hits, stats.misses, stats.resident), (0, 0, 0));
+        assert_eq!(stats.hit_rate(), 0.0);
+    }
 }

@@ -1052,4 +1052,19 @@ mod tests {
         assert!(engine.table(0.0).is_err());
         assert!(engine.table(f64::NAN).is_err());
     }
+
+    #[test]
+    fn availability_lookups_return_the_platform_pmfs() {
+        let (b, p) = (paper_batch(8), paper_platform());
+        let engine = Phi1Engine::build(&b, &p).unwrap();
+        assert_eq!(
+            (engine.num_apps(), engine.num_types()),
+            (b.len(), p.num_types())
+        );
+        for (j, ty) in p.types().iter().enumerate() {
+            let got = engine.availability_pmf(ProcTypeId(j)).unwrap();
+            assert!(got.bits_eq(ty.availability()), "type {j}");
+        }
+        assert!(engine.availability_pmf(ProcTypeId(p.num_types())).is_none());
+    }
 }

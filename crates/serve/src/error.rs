@@ -68,3 +68,60 @@ impl From<cdsf_core::CoreError> for ServeError {
         ServeError::Framework(e.to_string())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::error::Error as _;
+
+    #[test]
+    fn every_variant_displays_its_payload() {
+        let cases: Vec<(ServeError, &str)> = vec![
+            (
+                ServeError::Io(io::Error::new(io::ErrorKind::BrokenPipe, "pipe gone")),
+                "pipe gone",
+            ),
+            (ServeError::Protocol("spec.apps = 0".into()), "spec.apps"),
+            (ServeError::Framework("no allocation".into()), "scheduling"),
+        ];
+        for (err, needle) in cases {
+            let msg = err.to_string();
+            assert!(msg.contains(needle), "{msg:?} missing {needle:?}");
+        }
+    }
+
+    #[test]
+    fn only_io_errors_chain_to_a_source() {
+        let io_err = ServeError::from(io::Error::other("x"));
+        assert!(matches!(io_err, ServeError::Io(_)));
+        assert!(io_err.source().is_some());
+        assert!(ServeError::Protocol("x".into()).source().is_none());
+        assert!(ServeError::Framework("x".into()).source().is_none());
+    }
+
+    #[test]
+    fn layer_errors_become_framework_messages() {
+        let ra = cdsf_ra::RaError::EmptyBatch;
+        let system = cdsf_system::SystemError::NoProcessorTypes;
+        let events = cdsf_events::EventsError::BadConfig { what: "no types" };
+        let core = cdsf_core::CoreError::BadConfig { what: "no batch" };
+        let expected = [
+            ra.to_string(),
+            system.to_string(),
+            events.to_string(),
+            core.to_string(),
+        ];
+        let converted = [
+            ServeError::from(ra),
+            ServeError::from(system),
+            ServeError::from(events),
+            ServeError::from(core),
+        ];
+        for (err, want) in converted.iter().zip(&expected) {
+            match err {
+                ServeError::Framework(msg) => assert_eq!(msg, want),
+                other => panic!("expected a framework error, got {other:?}"),
+            }
+        }
+    }
+}

@@ -739,4 +739,65 @@ mod tests {
             "at most one flush per frame"
         );
     }
+
+    #[test]
+    fn stream_refuses_rates_and_deadlines_outside_their_domains() {
+        let base = LoadgenConfig {
+            requests: 8,
+            ..LoadgenConfig::default()
+        };
+        let broken: [(LoadgenConfig, &str); 6] = [
+            (
+                LoadgenConfig {
+                    requests: 0,
+                    ..base.clone()
+                },
+                "requests",
+            ),
+            (
+                LoadgenConfig {
+                    skew: 8.5,
+                    ..base.clone()
+                },
+                "skew",
+            ),
+            (
+                LoadgenConfig {
+                    fault_rate: -0.1,
+                    ..base.clone()
+                },
+                "fault_rate",
+            ),
+            (
+                LoadgenConfig {
+                    policy_mix: f64::NAN,
+                    ..base.clone()
+                },
+                "policy_mix",
+            ),
+            (
+                LoadgenConfig {
+                    deadline: 0.0,
+                    ..base.clone()
+                },
+                "deadline",
+            ),
+            (
+                LoadgenConfig {
+                    deadline: f64::INFINITY,
+                    ..base.clone()
+                },
+                "deadline",
+            ),
+        ];
+        for (cfg, needle) in broken {
+            match cfg.stream() {
+                Err(ServeError::Protocol(msg)) => {
+                    assert!(msg.contains(needle), "{msg:?} missing {needle:?}")
+                }
+                other => panic!("{needle}: expected a protocol error, got {other:?}"),
+            }
+        }
+        assert!(base.stream().is_ok());
+    }
 }

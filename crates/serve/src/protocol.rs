@@ -877,4 +877,110 @@ mod tests {
         assert_eq!(back.phi1.to_bits(), v.phi1.to_bits());
         assert!(back.guaranteed_tier.is_none());
     }
+
+    #[test]
+    fn every_tenant_scoped_request_names_its_tenant() {
+        let spec = WorkloadSpec::simple(2, 2, 5, 1);
+        let (batch, platform) = spec.expand().unwrap();
+        let snapshot = TenantSnapshot {
+            tenant: "restored".into(),
+            spec: spec.clone(),
+            deadline: 2_800.0,
+            allocator: "lattice".into(),
+            threshold: 0.8,
+            batch,
+            platform,
+            events_applied: 0,
+        };
+        let scoped = [
+            (
+                Request::Submit(SubmitRequest {
+                    tenant: "submitted".into(),
+                    spec,
+                    deadline: 2_800.0,
+                    allocator: None,
+                    threshold: None,
+                    qos: None,
+                }),
+                "submitted",
+            ),
+            (
+                Request::Inject(InjectRequest {
+                    tenant: "injected".into(),
+                    event: TenantEvent::Drift { factor: 0.9 },
+                }),
+                "injected",
+            ),
+            (
+                Request::Snapshot {
+                    tenant: "snapped".into(),
+                },
+                "snapped",
+            ),
+            (Request::Restore { snapshot }, "restored"),
+            (
+                Request::Fingerprint {
+                    tenant: "printed".into(),
+                },
+                "printed",
+            ),
+        ];
+        for (req, tenant) in &scoped {
+            assert_eq!(req.tenant(), Some(*tenant));
+        }
+        assert_eq!(Request::Stats.tenant(), None);
+        assert_eq!(Request::Shutdown.tenant(), None);
+    }
+
+    #[test]
+    fn derived_rates_read_neutral_values_before_any_work() {
+        let idle = ShardStats::default();
+        assert_eq!(idle.cache_hit_rate(), 0.0);
+        assert_eq!(idle.coalescing_factor(), 1.0);
+        let busy = ShardStats {
+            cache_hits: 3,
+            cache_misses: 1,
+            builds: 2,
+            coalesced: 6,
+            ..ShardStats::default()
+        };
+        assert_eq!(busy.cache_hit_rate(), 0.75);
+        assert_eq!(busy.coalescing_factor(), 4.0);
+    }
+
+    #[test]
+    fn read_line_skips_blank_lines_and_ends_cleanly_at_eof() {
+        let mut buf = b"\n   \n".to_vec();
+        encode_line(&mut buf, &Request::Stats).unwrap();
+        buf.extend_from_slice(b"\n\t\n");
+        let mut rd = std::io::BufReader::new(buf.as_slice());
+        let mut line = String::new();
+        let first = read_line_into::<Request, _>(&mut rd, &mut line).unwrap();
+        assert!(matches!(first, Some(Ok(Request::Stats))));
+        assert!(read_line_into::<Request, _>(&mut rd, &mut line)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn a_malformed_line_is_reported_and_the_next_one_still_reads() {
+        let mut buf = b"{\"Submit\": 3}\n".to_vec();
+        encode_line(&mut buf, &Request::Shutdown).unwrap();
+        let mut rd = std::io::BufReader::new(buf.as_slice());
+        let bad = read_line::<Request, _>(&mut rd).unwrap();
+        assert!(matches!(bad, Some(Err(_))), "{bad:?}");
+        let good = read_line::<Request, _>(&mut rd).unwrap();
+        assert!(matches!(good, Some(Ok(Request::Shutdown))));
+    }
+
+    #[test]
+    fn stats_from_a_reply_without_codec_or_store_counters_read_as_zero() {
+        let line = r#"{"shards":1,"per_shard":[],"total":{}}"#;
+        let reply: StatsReply = serde_json::from_str(line).unwrap();
+        assert_eq!(reply.shards, 1);
+        assert_eq!(reply.codec.reply_frames, 0);
+        assert_eq!(reply.codec.flushes, 0);
+        assert_eq!(reply.total.submits, 0);
+        assert!(reply.total.shard.is_none());
+    }
 }

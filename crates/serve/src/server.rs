@@ -462,4 +462,76 @@ mod tests {
         let parsed = read_line::<Request, _>(&mut rd).unwrap().unwrap().unwrap();
         assert!(matches!(parsed, Request::Stats));
     }
+
+    fn one_shard() -> ServeConfig {
+        ServeConfig {
+            shards: 1,
+            build_threads: 1,
+            ..ServeConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_bad_line_is_answered_in_order_and_the_connection_stays_open() {
+        let server = Server::bind("127.0.0.1:0", one_shard()).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let mut lines = b"this is not json\n".to_vec();
+        encode_line(&mut lines, &Request::Stats).unwrap();
+        stream.write_all(&lines).unwrap();
+        let mut rd = BufReader::new(stream.try_clone().unwrap());
+        match read_line::<Response, _>(&mut rd).unwrap().unwrap().unwrap() {
+            Response::Error { message } => {
+                assert!(message.starts_with("bad request line"), "{message:?}")
+            }
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+        let stats = read_line::<Response, _>(&mut rd).unwrap().unwrap().unwrap();
+        assert!(matches!(stats, Response::Stats(ref s) if s.shards == 1));
+        // Both halves must close, or the connection thread `wait` joins
+        // keeps reading.
+        drop(rd);
+        drop(stream);
+        server.shutdown();
+        server.wait();
+    }
+
+    #[test]
+    fn the_router_serves_stats_and_shutdown_in_process() {
+        let server = Server::bind("127.0.0.1:0", one_shard()).unwrap();
+        let router = server.router();
+        let Response::Stats(stats) = router.route(Request::Stats) else {
+            panic!("expected stats");
+        };
+        assert_eq!((stats.shards, stats.per_shard.len()), (1, 1));
+        assert_eq!(stats.per_shard[0].shard, Some(0));
+        assert!(stats.total.shard.is_none());
+        assert!(matches!(router.route(Request::Shutdown), Response::Bye));
+        // A second shutdown is harmless: the flag is already set.
+        server.shutdown();
+        let last = server.wait();
+        assert_eq!(last.total.errors, 0);
+    }
+
+    #[test]
+    fn wait_returns_the_counters_of_everything_served() {
+        let server = Server::bind("127.0.0.1:0", one_shard()).unwrap();
+        let router = server.router();
+        let reply = router.route(Request::Submit(crate::protocol::SubmitRequest {
+            tenant: "acme".to_string(),
+            spec: crate::WorkloadSpec::simple(3, 2, 6, 5),
+            deadline: 2_800.0,
+            allocator: None,
+            threshold: None,
+            qos: None,
+        }));
+        assert!(matches!(reply, Response::Submit(_)), "{reply:?}");
+        let fingerprint = router.route(Request::Fingerprint {
+            tenant: "nobody".to_string(),
+        });
+        assert!(matches!(fingerprint, Response::Error { .. }));
+        server.shutdown();
+        let last = server.wait();
+        assert_eq!((last.total.submits, last.total.errors), (1, 1));
+        assert_eq!(last.total.tenants, 1);
+    }
 }

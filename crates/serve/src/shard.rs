@@ -1524,4 +1524,94 @@ mod tests {
         assert!(matches!(resp, Response::Error { .. }));
         assert_eq!(core.stats().errors, 2);
     }
+
+    #[test]
+    fn submits_outside_the_admitted_domain_are_refused_before_any_work() {
+        let mut core = ShardCore::new(0, test_cfg());
+        let with = |deadline: f64, threshold: Option<f64>, qos: Option<&str>| {
+            Request::Submit(SubmitRequest {
+                tenant: "acme".to_string(),
+                spec: spec(1),
+                deadline,
+                allocator: None,
+                threshold,
+                qos: qos.map(str::to_string),
+            })
+        };
+        let cases = [
+            (with(0.0, None, None), "deadline"),
+            (with(f64::NAN, None, None), "deadline"),
+            (with(f64::INFINITY, None, None), "deadline"),
+            (with(2_800.0, Some(0.0), None), "threshold"),
+            (with(2_800.0, Some(1.5), None), "threshold"),
+            (with(2_800.0, Some(f64::NAN), None), "threshold"),
+            (with(2_800.0, None, Some("platinum")), "qos"),
+        ];
+        for (req, needle) in &cases {
+            match core.handle(req) {
+                Response::Error { message } => {
+                    assert!(message.contains(needle), "{message:?} missing {needle:?}")
+                }
+                other => panic!("expected an error, got {other:?}"),
+            }
+        }
+        let stats = core.stats();
+        assert_eq!(stats.errors, cases.len() as u64);
+        assert_eq!((stats.submits, stats.tenants), (0, 0));
+        assert_eq!(stats.spec_cache_misses, 0, "nothing was expanded");
+    }
+
+    #[test]
+    fn snapshot_and_fingerprint_of_an_unknown_tenant_are_errors() {
+        let mut core = ShardCore::new(0, test_cfg());
+        for req in [
+            Request::Snapshot {
+                tenant: "ghost".to_string(),
+            },
+            Request::Fingerprint {
+                tenant: "ghost".to_string(),
+            },
+        ] {
+            assert!(matches!(core.handle(&req), Response::Error { .. }));
+        }
+        assert_eq!(core.stats().errors, 2);
+    }
+
+    #[test]
+    fn normalization_lifts_every_zero_knob_to_one() {
+        let cfg = ServeConfig {
+            shards: 0,
+            build_threads: 0,
+            drain_limit: 0,
+            cell_store_capacity: 0,
+            ..ServeConfig::default()
+        }
+        .normalized();
+        assert_eq!(
+            (
+                cfg.shards,
+                cfg.build_threads,
+                cfg.drain_limit,
+                cfg.cell_store_capacity
+            ),
+            (1, 1, 1, 1)
+        );
+        let kept = ServeConfig {
+            shards: 3,
+            drain_limit: 7,
+            ..ServeConfig::default()
+        }
+        .normalized();
+        assert_eq!((kept.shards, kept.drain_limit), (3, 7));
+    }
+
+    #[test]
+    fn a_threshold_is_usable_only_in_the_half_open_unit_interval() {
+        for t in [f64::MIN_POSITIVE, 0.5, 1.0] {
+            assert!(ServeConfig::threshold_ok(t), "{t}");
+        }
+        for t in [0.0, -0.5, 1.0 + f64::EPSILON, f64::NAN, f64::INFINITY] {
+            assert!(!ServeConfig::threshold_ok(t), "{t}");
+        }
+    }
 }

@@ -294,4 +294,170 @@ mod tests {
         );
         assert_eq!(back.events_applied, 2);
     }
+
+    fn state(spec: WorkloadSpec) -> TenantState {
+        let (batch, platform) = spec.expand().unwrap();
+        TenantState {
+            spec,
+            deadline: 2_800.0,
+            allocator: "lattice".into(),
+            threshold: 0.5,
+            batch,
+            platform,
+            engine_key: 0,
+            events_applied: 0,
+        }
+    }
+
+    fn protocol_message(r: Result<(Batch, Platform)>) -> String {
+        match r {
+            Err(ServeError::Protocol(msg)) => msg,
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn expansion_names_the_field_one_past_its_bound() {
+        for (spec, field) in [
+            (WorkloadSpec::simple(MAX_APPS + 1, 2, 6, 1), "spec.apps"),
+            (WorkloadSpec::simple(3, MAX_TYPES + 1, 6, 1), "spec.types"),
+            (WorkloadSpec::simple(3, 2, MAX_PULSES + 1, 1), "spec.pulses"),
+            (WorkloadSpec::simple(3, 0, 6, 1), "spec.types"),
+        ] {
+            let msg = protocol_message(spec.expand());
+            assert!(msg.contains(field), "{msg:?} should name {field}");
+        }
+        // The lower pulse bound is inclusive.
+        assert!(WorkloadSpec::simple(1, 1, 2, 1).expand().is_ok());
+    }
+
+    #[test]
+    fn app_seeds_must_name_every_application() {
+        let spec = WorkloadSpec {
+            app_seeds: Some(vec![1, 2]),
+            ..WorkloadSpec::simple(3, 2, 6, 1)
+        };
+        let msg = protocol_message(spec.expand());
+        assert!(msg.contains("2 entries for 3 apps"), "{msg:?}");
+    }
+
+    #[test]
+    fn shared_app_seeds_expand_to_bit_identical_applications() {
+        let a = WorkloadSpec {
+            platform_seed: Some(5),
+            app_seeds: Some(vec![10, 11]),
+            ..WorkloadSpec::simple(2, 3, 6, 1)
+        };
+        let b = WorkloadSpec {
+            platform_seed: Some(5),
+            app_seeds: Some(vec![11, 12, 10]),
+            ..WorkloadSpec::simple(3, 3, 6, 2)
+        };
+        let (ba, pa) = a.expand().unwrap();
+        let (bb, pb) = b.expand().unwrap();
+        for (x, y) in pa.types().iter().zip(pb.types()) {
+            assert!(x.availability().bits_eq(y.availability()));
+        }
+        let same = |x: &cdsf_system::Application, y: &cdsf_system::Application| {
+            (0..3).all(|j| {
+                let j = cdsf_system::ProcTypeId(j);
+                x.exec_time(j).unwrap().bits_eq(y.exec_time(j).unwrap())
+            })
+        };
+        assert!(same(&ba.apps()[0], &bb.apps()[2]), "seed 10");
+        assert!(same(&ba.apps()[1], &bb.apps()[0]), "seed 11");
+        assert!(!same(&ba.apps()[0], &bb.apps()[1]), "seeds 10 and 12");
+    }
+
+    #[test]
+    fn a_platform_seed_equal_to_the_seed_expands_like_the_legacy_recipe() {
+        let legacy = WorkloadSpec::simple(3, 2, 6, 42);
+        let pinned = WorkloadSpec {
+            platform_seed: Some(42),
+            ..legacy.clone()
+        };
+        let (b1, p1) = legacy.expand().unwrap();
+        let (b2, p2) = pinned.expand().unwrap();
+        assert_eq!(cdsf_ra::inputs_key(&b1, &p1), cdsf_ra::inputs_key(&b2, &p2));
+    }
+
+    #[test]
+    fn payloads_without_catalog_fields_read_as_the_legacy_recipe() {
+        let spec: WorkloadSpec =
+            serde_json::from_str(r#"{"apps":3,"types":2,"pulses":6,"seed":9}"#).unwrap();
+        assert_eq!(spec, WorkloadSpec::simple(3, 2, 6, 9));
+    }
+
+    #[test]
+    fn event_factors_outside_their_domain_are_refused() {
+        let s = state(WorkloadSpec::simple(2, 2, 5, 3));
+        for factor in [0.049, 4.01, f64::NAN, -1.0] {
+            for event in [
+                TenantEvent::Degrade {
+                    proc_type: 0,
+                    factor,
+                },
+                TenantEvent::Drift { factor },
+            ] {
+                let msg = protocol_message(s.apply_event(&event));
+                assert!(msg.contains("factor"), "{msg:?}");
+            }
+        }
+        for factor in [0.05, 4.0] {
+            assert!(s.apply_event(&TenantEvent::Drift { factor }).is_ok());
+        }
+    }
+
+    #[test]
+    fn apply_event_derives_new_inputs_and_leaves_the_state_alone() {
+        let s = state(WorkloadSpec::simple(3, 3, 5, 8));
+        let before = cdsf_ra::inputs_key(&s.batch, &s.platform);
+
+        let (batch, platform) = s.apply_event(&TenantEvent::Crash { proc_type: 1 }).unwrap();
+        assert_eq!(platform.num_types(), 2);
+        assert_eq!(batch.len(), 3);
+
+        let (batch, platform) = s
+            .apply_event(&TenantEvent::Degrade {
+                proc_type: 2,
+                factor: 0.5,
+            })
+            .unwrap();
+        assert_eq!(
+            cdsf_ra::inputs_key(&batch, &s.platform),
+            before,
+            "a degrade keeps the batch bits"
+        );
+        assert_ne!(cdsf_ra::inputs_key(&batch, &platform), before);
+
+        assert_eq!(cdsf_ra::inputs_key(&s.batch, &s.platform), before);
+        assert_eq!(s.events_applied, 0);
+    }
+
+    #[test]
+    fn a_crash_of_an_unknown_type_is_a_framework_error() {
+        let s = state(WorkloadSpec::simple(2, 2, 5, 4));
+        let err = s
+            .apply_event(&TenantEvent::Crash { proc_type: 2 })
+            .unwrap_err();
+        assert!(matches!(err, ServeError::Framework(_)), "{err:?}");
+    }
+
+    #[test]
+    fn from_snapshot_restores_everything_but_the_engine_key() {
+        let mut s = state(WorkloadSpec::simple(2, 2, 5, 6));
+        s.engine_key = 77;
+        s.events_applied = 3;
+        let back = TenantState::from_snapshot(&s.snapshot("t"));
+        assert_eq!(back.spec, s.spec);
+        assert_eq!(back.deadline, s.deadline);
+        assert_eq!(back.allocator, s.allocator);
+        assert_eq!(back.threshold, s.threshold);
+        assert_eq!(back.events_applied, 3);
+        assert_eq!(back.engine_key, 0, "the shard fills the key in");
+        assert_eq!(
+            cdsf_ra::inputs_key(&back.batch, &back.platform),
+            cdsf_ra::inputs_key(&s.batch, &s.platform)
+        );
+    }
 }

@@ -286,4 +286,30 @@ mod tests {
         assert!(b.app(AppId(1)).is_err());
         assert_eq!(b.iter().count(), 1);
     }
+
+    #[test]
+    fn fractions_and_lookups_of_a_hand_built_application() {
+        let a = Application::builder("half")
+            .serial_iters(50)
+            .parallel_iters(150)
+            .exec_time_pmf(Pmf::degenerate(100.0).unwrap())
+            .build()
+            .unwrap();
+        assert_eq!(a.total_iters(), 200);
+        assert_eq!(a.serial_fraction(), 0.25);
+        assert_eq!(a.parallel_fraction(), 0.75);
+        assert_eq!(a.num_proc_types(), 1);
+        assert!(matches!(
+            a.exec_time(ProcTypeId(1)),
+            Err(SystemError::MissingExecutionTime { proc_type: 1, .. })
+        ));
+        assert!(a.expected_exec_time(ProcTypeId(1)).is_err());
+        // Serial iterations alone are a valid application.
+        let serial = Application::builder("serial")
+            .serial_iters(10)
+            .exec_time_pmf(Pmf::degenerate(1.0).unwrap())
+            .build()
+            .unwrap();
+        assert_eq!(serial.serial_fraction(), 1.0);
+    }
 }

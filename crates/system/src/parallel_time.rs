@@ -281,4 +281,20 @@ mod tests {
         let platform = paper_platform();
         assert!(makespan_pmf(&[], &platform, 64).is_err());
     }
+
+    #[test]
+    fn amdahl_factor_spans_serial_to_perfectly_parallel() {
+        assert_eq!(amdahl_factor(1.0, 64), 1.0, "all serial: no speed-up");
+        assert_eq!(amdahl_factor(0.0, 4), 0.25);
+        assert_eq!(amdahl_factor(0.5, 2), 0.75);
+        assert_eq!(amdahl_factor(0.3, 1), 1.0);
+        // The rescale multiplies every pulse by exactly this factor.
+        let pmf = Pmf::from_pairs([(90.0, 0.5), (130.0, 0.5)]).unwrap();
+        let scaled = amdahl_rescale(&pmf, 0.3, 8).unwrap();
+        let factor = amdahl_factor(0.3, 8);
+        for (a, b) in pmf.pulses().iter().zip(scaled.pulses()) {
+            assert_eq!(b.value.to_bits(), (a.value * factor).to_bits());
+            assert_eq!(b.prob, a.prob);
+        }
+    }
 }

@@ -282,4 +282,16 @@ mod tests {
         let p = Platform::new(vec![ProcessorType::new("t", 6, type1_avail()).unwrap()]).unwrap();
         assert_eq!(p.max_pow2_procs(ProcTypeId(0)).unwrap(), 4);
     }
+
+    #[test]
+    fn lookups_past_the_last_type_are_errors() {
+        let p = paper_platform();
+        assert_eq!(p.proc_type(ProcTypeId(1)).unwrap().name(), "Type 2");
+        assert_eq!(
+            p.proc_type(ProcTypeId(2)).unwrap_err(),
+            SystemError::UnknownProcType(2)
+        );
+        assert!(p.max_pow2_procs(ProcTypeId(5)).is_err());
+        assert!(p.pow2_options(ProcTypeId(5)).is_err());
+    }
 }

@@ -492,4 +492,22 @@ mod tests {
         assert!(ids.len() <= stats.workers);
         assert!(ids.iter().all(|&id| id < stats.workers));
     }
+
+    #[test]
+    fn stats_totals_sum_the_per_worker_counts() {
+        let stats = PoolStats {
+            workers: 3,
+            tasks_run: vec![3, 0, 2],
+            chunks_stolen: vec![1, 2, 0],
+            tasks_seeded: vec![2, 2, 1],
+        };
+        assert_eq!(stats.total_tasks(), 5);
+        assert_eq!(stats.total_steals(), 3);
+        assert!(!stats.no_worker_starved(), "worker 1 ran nothing");
+        let busy = PoolStats {
+            tasks_run: vec![1, 1, 3],
+            ..stats
+        };
+        assert!(busy.no_worker_starved());
+    }
 }

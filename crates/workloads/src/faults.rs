@@ -272,4 +272,35 @@ mod tests {
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);
     }
+
+    #[test]
+    fn drift_scenario_declares_a_process_and_no_discrete_fault() {
+        let plan = scenario("drift").unwrap();
+        assert!(plan.faults.is_empty());
+        assert_eq!(
+            plan.drift,
+            Some(DriftSpec {
+                period: 400.0,
+                min_scale: 0.55,
+                max_scale: 1.0,
+            })
+        );
+        let mixed = scenario("mixed").unwrap();
+        let kinds: Vec<usize> = mixed.faults.iter().map(|f| f.kind.proc_type()).collect();
+        assert_eq!(kinds, [1, 0, 1]);
+        assert!(mixed.drift.is_some());
+    }
+
+    #[test]
+    fn a_new_plan_is_empty_and_arrivals_replace_what_arrival_appends() {
+        let plan = FaultPlan::new("quiet");
+        assert_eq!(plan.label, "quiet");
+        assert!(plan.arrivals.is_empty() && plan.faults.is_empty());
+        assert!(plan.drift.is_none());
+        assert_eq!(plan.arrival_of(0), 0.0);
+        let staggered = plan.arrivals(&[5.0, 10.0]).arrival(15.0);
+        assert_eq!(staggered.arrivals, [5.0, 10.0, 15.0]);
+        let reset = staggered.arrivals(&[1.0]);
+        assert_eq!(reset.arrivals, [1.0]);
+    }
 }

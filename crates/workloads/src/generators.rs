@@ -295,4 +295,20 @@ mod tests {
         assert!(degraded_case(&reference, 1.0, 0).is_err());
         assert!(degraded_case(&reference, -0.1, 0).is_err());
     }
+
+    #[test]
+    fn range_rejects_inverted_and_non_finite_bounds() {
+        assert!(Range::new(2.0, 1.0).is_err());
+        assert!(Range::new(f64::NAN, 1.0).is_err());
+        assert!(Range::new(0.0, f64::INFINITY).is_err());
+        let point = Range::new(3.0, 3.0).unwrap();
+        assert_eq!((point.lo, point.hi), (3.0, 3.0));
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(point.sample(&mut rng), 3.0, "a point range samples itself");
+        let span = Range::new(1.0, 2.0).unwrap();
+        for _ in 0..100 {
+            let x = span.sample(&mut rng);
+            assert!((1.0..=2.0).contains(&x), "{x}");
+        }
+    }
 }
